@@ -19,7 +19,14 @@ import numpy as np
 from . import fisher, groups
 from .exceptions import DegenerateModelError, LiftFailureError, UnsupportedMethodError
 from .groups import AlgebraVector, GroupElement
-from .homspace import ReductiveStructure, Side, coset_error, selector_pi
+from .homspace import (
+    ReductiveStructure,
+    Side,
+    coset_error,
+    natural_operator,
+    raw_error,
+    selector_pi,
+)
 
 log = logging.getLogger("homcrb.crb")
 
@@ -82,11 +89,7 @@ def estimator_stats(
     coords_rows = []
     errors = []
     for idx, est in enumerate(estimates):
-        if struct.side == Side.G_MOD_H:
-            raw = groups.log(g_ref.inverse() @ est)
-        else:
-            raw = groups.log(est @ g_ref.inverse())
-        raw_sq.append(struct.norm(struct.coords_of(raw)) ** 2)
+        raw_sq.append(struct.norm(raw_error(g_ref, est, struct)) ** 2)
         try:
             ce = coset_error(g_ref, est, struct)
         except LiftFailureError as exc:
@@ -294,7 +297,6 @@ def bias_jacobian(
     adapted basis directions, with common random numbers across the +/-
     perturbations of each direction."""
     n_G = struct.group.algebra_dim
-    left = struct.side == Side.G_MOD_H
     base_entropy = 0 if random_state is None else int(random_state)
 
     def bias_at(g: GroupElement, seed_salt: int) -> np.ndarray:
@@ -302,18 +304,13 @@ def bias_jacobian(
         for t in range(n_samples):
             rng = np.random.default_rng([base_entropy, seed_salt, t])
             obs = model.sample(g, obs_per_trial, rng)
-            est = estimator_fn(obs, g)
-            raw = groups.log(g.inverse() @ est) if left else groups.log(est @ g.inverse())
-            acc += struct.coords_of(raw)
+            acc += raw_error(g, estimator_fn(obs, g), struct)
         return acc / n_samples
 
+    op = natural_operator(struct.side)
     J = np.zeros((n_G, n_G))
     for j, direction in enumerate(struct.basis):
-        step_p = groups.exp(AlgebraVector(struct.group, h * direction.coords))
-        step_m = groups.exp(AlgebraVector(struct.group, -h * direction.coords))
-        if left:
-            g_p, g_m = g_ref @ step_p, g_ref @ step_m
-        else:
-            g_p, g_m = step_p @ g_ref, step_m @ g_ref
-        J[:, j] = (bias_at(g_p, j) - bias_at(g_m, j)) / (2.0 * h)
+        J[:, j] = groups.central_difference(
+            lambda g: bias_at(g, j), g_ref, direction, h, op
+        )
     return J

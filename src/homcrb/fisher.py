@@ -120,29 +120,21 @@ def fim_hessian(
     rng = np.random.default_rng(random_state)
     draws = model.sample(g, n_samples, rng)
     step = h or 1e-4 * (1.0 + float(np.linalg.norm(g.matrix)))
-    desc = model.descriptor
-    exps = {}
-    for d, vec in enumerate(directions):
-        exps[(d, +1)] = groups.exp(AlgebraVector(desc, step * vec.coords))
-        exps[(d, -1)] = groups.exp(AlgebraVector(desc, -step * vec.coords))
 
     def mean_loglik(point: GroupElement) -> float:
         return float(np.mean(model.loglik_batch(draws, point)))
 
+    def d_i(point: GroupElement, i: int) -> float:
+        return groups.central_difference(mean_loglik, point, directions[i], step, op)
+
+    # D_j D_i: outer perturbation j, inner i.
     n = len(directions)
     M = np.zeros((n, n))
     for j in range(n):
         for i in range(n):
-            acc = 0.0
-            for sj in (+1, -1):
-                for si in (+1, -1):
-                    # D_j D_i: outer perturbation j, inner i.
-                    if op == LIVF:
-                        point = g @ exps[(j, sj)] @ exps[(i, si)]
-                    else:
-                        point = exps[(i, si)] @ exps[(j, sj)] @ g
-                    acc += si * sj * mean_loglik(point)
-            M[i, j] = acc / (4.0 * step * step)
+            M[i, j] = groups.central_difference(
+                lambda p: d_i(p, i), g, directions[j], step, op
+            )
     F = -0.5 * (M + M.T)
     return FimMatrix(frame, g, F, MC_HESSIAN, n_samples)
 

@@ -38,6 +38,10 @@ _VEE_RESIDUAL_TOL = 1e-6
 _CUT_LOCUS_MARGIN = 1e-6
 _SMALL_ANGLE = 1e-4
 
+# Derivative operators: "livf" differentiates t -> f(g exp(tX)), "rivf"
+# differentiates t -> f(exp(tX) g).
+LIVF, RIVF = "livf", "rivf"
+
 
 def _frozen(a) -> np.ndarray:
     a = np.ascontiguousarray(np.asarray(a, dtype=float))
@@ -248,14 +252,15 @@ def _inverse_matrix(mat: np.ndarray, descriptor: GroupDescriptor) -> np.ndarray:
 # Descriptor factories
 
 
-def _hat3(v) -> np.ndarray:
+def hat(v) -> np.ndarray:
+    """Skew matrix of a 3-vector: hat(v) @ w = v x w."""
     x, y, z = v
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
 @lru_cache(maxsize=None)
 def so3() -> GroupDescriptor:
-    basis = np.stack([_hat3(e) for e in np.eye(3)])
+    basis = np.stack([hat(e) for e in np.eye(3)])
     return GroupDescriptor(SO3, SO3, 3, 3, basis)
 
 
@@ -274,7 +279,7 @@ def se3() -> GroupDescriptor:
     # Coordinates (omega_1..3, v_1..3).
     E = np.zeros((6, 4, 4))
     for i, e in enumerate(np.eye(3)):
-        E[i, :3, :3] = _hat3(e)
+        E[i, :3, :3] = hat(e)
         E[3 + i, i, 3] = 1.0
     return GroupDescriptor(SE3, SE3, 4, 6, E)
 
@@ -299,7 +304,12 @@ def translation_group(d: int) -> GroupDescriptor:
 
 
 def product_group(factors, name: str | None = None) -> GroupDescriptor:
-    factors = tuple(factors)
+    """Block-diagonal product; built and validated once per (factors, name)."""
+    return _product_group(tuple(factors), name)
+
+
+@lru_cache(maxsize=None)
+def _product_group(factors, name):
     d = sum(f.matrix_dim for f in factors)
     n = sum(f.algebra_dim for f in factors)
     E = np.zeros((n, d, d))
@@ -365,14 +375,14 @@ def _so3_coeffs(theta: float) -> tuple[float, float]:
 
 def _so3_exp(omega) -> np.ndarray:
     theta = float(np.linalg.norm(omega))
-    W = _hat3(omega)
+    W = hat(omega)
     a, b = _so3_coeffs(theta)
     return np.eye(3) + a * W + b * (W @ W)
 
 
 def _so3_left_jacobian(omega) -> np.ndarray:
     theta = float(np.linalg.norm(omega))
-    W = _hat3(omega)
+    W = hat(omega)
     if theta < _SMALL_ANGLE:
         t2 = theta * theta
         b = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
@@ -385,7 +395,7 @@ def _so3_left_jacobian(omega) -> np.ndarray:
 
 def _so3_left_jacobian_inv(omega) -> np.ndarray:
     theta = float(np.linalg.norm(omega))
-    W = _hat3(omega)
+    W = hat(omega)
     if theta < _SMALL_ANGLE:
         c = 1.0 / 12.0
     else:
@@ -530,6 +540,19 @@ def _bernoulli_even(order: int) -> tuple[float, ...]:
     return tuple(float(b[2 * n]) / math.factorial(2 * n) for n in range(1, nmax + 1))
 
 
+def _psi_series(ad: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(I + ad/2 + sum_n beta_{2n}/(2n)! ad^{2n}, ad^{2 nmax}) for the
+    even terms n = 1..nmax = order // 2."""
+    n = ad.shape[0]
+    out = np.eye(n) + 0.5 * ad
+    ad2 = ad @ ad
+    power = np.eye(n)
+    for coeff in _bernoulli_even(order):
+        power = power @ ad2
+        out = out + coeff * power
+    return out, power
+
+
 def psi_matrix(X: AlgebraVector, order: int = 10) -> PsiMatrix:
     """Psi_X = I + ad_X/2 + sum_n beta_{2n}/(2n)! ad_X^{2n}, truncated.
 
@@ -538,18 +561,11 @@ def psi_matrix(X: AlgebraVector, order: int = 10) -> PsiMatrix:
     """
     if order < 2:
         raise ValueError("order must be >= 2")
-    n_G = X.descriptor.algebra_dim
     ad = ad_matrix(X)
-    out = np.eye(n_G) + 0.5 * ad
-    ad2 = ad @ ad
-    power = np.eye(n_G)
-    for coeff in _bernoulli_even(order):
-        power = power @ ad2
-        out = out + coeff * power
+    out, power = _psi_series(ad, order)
     # Magnitude of the first neglected even term.
-    nmax = order // 2
-    next_coeff = float(bernoulli(2 * nmax + 2)[-1]) / math.factorial(2 * nmax + 2)
-    next_term = float(np.linalg.norm(power @ ad2, 2)) * abs(next_coeff)
+    next_coeff = _bernoulli_even(order + 2)[-1]
+    next_term = float(np.linalg.norm(power @ (ad @ ad), 2)) * abs(next_coeff)
     return PsiMatrix(out, X, order, next_term)
 
 
@@ -561,33 +577,36 @@ def default_step(g: GroupElement) -> float:
     return 1e-6 * (1.0 + float(np.linalg.norm(g.matrix)))
 
 
-def _directional_diff(
-    fn: Callable[[GroupElement], float],
+def central_difference(
+    fn: Callable[[GroupElement], float | np.ndarray],
     g: GroupElement,
     X: AlgebraVector,
     h: float,
-    left_translate: bool,
-) -> float:
-    step = AlgebraVector(X.descriptor, h * X.coords)
-    e_plus, e_minus = exp(step), exp(AlgebraVector(X.descriptor, -h * X.coords))
-    if left_translate:
-        f_plus, f_minus = fn(e_plus @ g), fn(e_minus @ g)
-    else:
+    op: str,
+) -> float | np.ndarray:
+    """(fn(g+) - fn(g-)) / 2h with g+- = g exp(+-hX) for op "livf" and
+    exp(+-hX) g for "rivf"; fn may return an array. Raises EvaluationError
+    on a non-finite result."""
+    e_plus = exp(AlgebraVector(X.descriptor, h * X.coords))
+    e_minus = exp(AlgebraVector(X.descriptor, -h * X.coords))
+    if op == LIVF:
         f_plus, f_minus = fn(g @ e_plus), fn(g @ e_minus)
-    value = (float(f_plus) - float(f_minus)) / (2.0 * h)
-    if not math.isfinite(value):
+    else:
+        f_plus, f_minus = fn(e_plus @ g), fn(e_minus @ g)
+    value = (f_plus - f_minus) / (2.0 * h)
+    if not np.all(np.isfinite(value)):
         raise EvaluationError("function returned a non-finite value")
     return value
 
 
 def livf_derivative(fn, g: GroupElement, X: AlgebraVector, h: float | None = None) -> float:
     """Central-difference d/dt fn(g exp(tX)) at t = 0."""
-    return _directional_diff(fn, g, X, h or default_step(g), left_translate=False)
+    return float(central_difference(fn, g, X, h or default_step(g), LIVF))
 
 
 def rivf_derivative(fn, g: GroupElement, X: AlgebraVector, h: float | None = None) -> float:
     """Central-difference d/dt fn(exp(tX) g) at t = 0."""
-    return _directional_diff(fn, g, X, h or default_step(g), left_translate=True)
+    return float(central_difference(fn, g, X, h or default_step(g), RIVF))
 
 
 # ---------------------------------------------------------------------------

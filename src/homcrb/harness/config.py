@@ -175,12 +175,15 @@ def load_config(
         value.update(data.get(section) or {})
         merged[section] = value
 
+    m_values = data.get("m_values", (10, 100, 1000))
+    if not isinstance(m_values, (list, tuple)):
+        raise ConfigError(f"m_values must be a list of integers, got {m_values!r}")
     try:
         config = ExperimentConfig(
             experiment=data["experiment"],
             seed=int(data.get("seed", 20260810)),
             n_trials=int(data.get("n_trials", 2000)),
-            m_values=tuple(int(m) for m in data.get("m_values", (10, 100, 1000))),
+            m_values=tuple(int(m) for m in m_values),
             workers=int(data.get("workers", 1)),
             output=data.get("output"),
             model=data.get("model", "landmark"),

@@ -28,7 +28,7 @@ from ..exceptions import (
     LiftFailureError,
 )
 from ..groups import AlgebraVector
-from ..homspace import coset_error
+from ..homspace import coset_error, raw_error
 from ..models import (
     LandmarkModel,
     NetworkModel,
@@ -228,12 +228,7 @@ def _estimation_trial(ctx, kind: str, seed: int, m_index: int, m: int, trial: in
         trace = scoring.fisher_scoring(model, obs, inits[0], opts)
         est = trace.final
         ce = coset_error(g_true, est, model.struct)
-        raw = (
-            groups.log(g_true.inverse() @ est)
-            if model.struct.side.value == "G/H"
-            else groups.log(est @ g_true.inverse())
-        )
-        raw_coords = model.struct.coords_of(raw)
+        raw_coords = raw_error(g_true, est, model.struct)
         row.update(
             coset_err_sq=float(np.sum(ce.eta_reduced**2)),
             g_err_sq=float(raw_coords @ raw_coords),

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import crb, fisher, groups, homspace, scoring
-from ..groups import AlgebraVector
 from ..models import GaussianMeanModel, LandmarkModel, NetworkModel, SpdModel
 from .config import ExperimentConfig
 
@@ -76,10 +75,9 @@ def suite_psi(seed: int, n_pairs: int = 100, tol: float = 1e-5):
             )
             Y = groups.random_algebra_vector(desc, rng, 1.0)
             P = groups.psi_matrix(X)
-            gX = groups.exp(X)
-            fp = groups.log(gX @ groups.exp(AlgebraVector(desc, h * Y.coords)))
-            fm = groups.log(gX @ groups.exp(AlgebraVector(desc, -h * Y.coords)))
-            fd = (fp.coords - fm.coords) / (2.0 * h)
+            fd = groups.central_difference(
+                lambda g: groups.log(g).coords, groups.exp(X), Y, h, groups.LIVF
+            )
             dev = float(np.abs(P.matrix @ Y.coords - fd).max())
             checks += 1
             if dev > tol:
@@ -215,7 +213,7 @@ def suite_gradients(seed: int, tol: float = 1e-5):
     gm = GaussianMeanModel(2)
     cases.append(("gaussian", gm, gm.element([0.4, -0.2]), 50))
     for name, model, g, n in cases:
-        op = "livf" if model.struct.side.value == "G/H" else "rivf"
+        op = homspace.natural_operator(model.side)
         for k in range(n):
             r = np.random.default_rng([seed, 29, k])
             x = model.sample(g, 1, r)

@@ -29,7 +29,7 @@ from .exceptions import (
     LiftFailureError,
     SubalgebraError,
 )
-from .groups import AlgebraVector, GroupDescriptor, GroupElement
+from .groups import LIVF, RIVF, AlgebraVector, GroupDescriptor, GroupElement
 
 
 class Side(enum.Enum):
@@ -37,11 +37,6 @@ class Side(enum.Enum):
 
     G_MOD_H = "G/H"  # left cosets gH, H acts on the right
     H_MOD_G = "H\\G"  # right cosets Hg, H acts on the left
-
-
-# Derivative operators: "livf" differentiates t -> f(g exp(tX)), "rivf"
-# differentiates t -> f(exp(tX) g).
-LIVF, RIVF = "livf", "rivf"
 
 
 def natural_operator(side: Side) -> str:
@@ -110,14 +105,6 @@ class ReductiveStructure:
     def from_coords(self, coords) -> AlgebraVector:
         return AlgebraVector(self.group, self._B @ np.asarray(coords, dtype=float))
 
-    def h_component(self, X: AlgebraVector) -> AlgebraVector:
-        c = self.coords_of(X)
-        c[self.n_H :] = 0.0
-        return self.from_coords(c)
-
-    def m_coords(self, X: AlgebraVector) -> np.ndarray:
-        return self.coords_of(X)[self.n_H :]
-
     def norm(self, coords) -> float:
         c = np.asarray(coords, dtype=float)
         return math.sqrt(float(c @ self.gram @ c))
@@ -132,24 +119,11 @@ class ReductiveStructure:
 
     def psi(self, struct_coords, order: int = 10) -> np.ndarray:
         """Psi matrix of the element with the given adapted coordinates."""
-        ad = self.ad(self.from_coords(struct_coords))
-        return psi_from_ad(ad, order)
+        return groups._psi_series(self.ad(self.from_coords(struct_coords)), order)[0]
 
     def with_gram(self, gram) -> "ReductiveStructure":
         """Copy with a replaced inner product (used for fault injection)."""
         return replace(self, gram=np.asarray(gram, dtype=float))
-
-
-def psi_from_ad(ad: np.ndarray, order: int = 10) -> np.ndarray:
-    """Truncated Bernoulli series for Psi given an ad matrix."""
-    n = ad.shape[0]
-    out = np.eye(n) + 0.5 * ad
-    ad2 = ad @ ad
-    power = np.eye(n)
-    for coeff in groups._bernoulli_even(order):
-        power = power @ ad2
-        out = out + coeff * power
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +319,19 @@ def check_adH_invariance(
 # Coset errors via horizontal lifting
 
 
+def relative_element(g_ref: GroupElement, g: GroupElement, side: Side) -> GroupElement:
+    """g_ref^-1 g on G/H, g g_ref^-1 on H\\G: the group error of g
+    against g_ref before any lift."""
+    return (g_ref.inverse() @ g) if side == Side.G_MOD_H else (g @ g_ref.inverse())
+
+
+def raw_error(
+    g_ref: GroupElement, g: GroupElement, struct: ReductiveStructure
+) -> np.ndarray:
+    """Adapted coordinates of log(relative_element(g_ref, g)), unlifted."""
+    return struct.coords_of(groups.log(relative_element(g_ref, g, struct.side)))
+
+
 @dataclass(frozen=True)
 class CosetError:
     """Invariant error between an estimate's coset and a reference.
@@ -375,8 +362,7 @@ def coset_error(
     log(g_ref^-1 g_est h) (G/H side) or log(h g_est g_ref^-1) (H\\G side).
     """
     left_side = struct.side == Side.G_MOD_H
-    ref_inv = g_ref.inverse()
-    base = (ref_inv @ g_est) if left_side else (g_est @ ref_inv)
+    base = relative_element(g_ref, g_est, struct.side)
     h_acc = groups.identity_element(struct.group)
     last_residual = math.inf
     for it in range(max_iterations + 1):

@@ -14,10 +14,12 @@ X^L_g = (Ad_g X)^R_g and X^R_g = (Ad_{g^-1} X)^L_g.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .. import groups
-from ..groups import AlgebraVector, GroupElement
+from ..groups import GroupElement
 from ..homspace import (
     LIVF,
     RIVF,
@@ -106,21 +108,10 @@ class ModelBase:
 
     def _fd_gradient_batch(self, observations, g, directions, op, fd_step=None):
         h = fd_step or groups.default_step(g)
-        cols = []
-        for d in directions:
-            step = AlgebraVector(d.descriptor, h * d.coords)
-            e_p, e_m = groups.exp(step), groups.exp(
-                AlgebraVector(d.descriptor, -h * d.coords)
-            )
-            if op == LIVF:
-                gp, gm = g @ e_p, g @ e_m
-            else:
-                gp, gm = e_p @ g, e_m @ g
-            cols.append(
-                (self.loglik_batch(observations, gp) - self.loglik_batch(observations, gm))
-                / (2.0 * h)
-            )
-        return np.column_stack(cols)
+        loglik = partial(self.loglik_batch, observations)
+        return np.column_stack(
+            [groups.central_difference(loglik, g, d, h, op) for d in directions]
+        )
 
     def total_grad_m(self, summary, g: GroupElement) -> np.ndarray:
         """Sum over observations of the m-basis gradient (natural operator

@@ -21,14 +21,9 @@ import numpy as np
 
 from .. import groups
 from ..exceptions import DomainError
-from ..groups import AlgebraVector, GroupElement
+from ..groups import AlgebraVector, GroupElement, hat
 from ..homspace import ReductiveStructure, Side, build_reductive
 from .base import RIVF, ModelBase, translate_directions
-
-
-def _hat(v: np.ndarray) -> np.ndarray:
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
 def se3_element(R: np.ndarray, p: np.ndarray) -> GroupElement:
@@ -62,7 +57,7 @@ def _stabilizer_h_basis(a: np.ndarray) -> list[AlgebraVector]:
     gradient/FIM formulas use, so Omega a + v cancels exactly in floats.
     """
     desc = groups.se3()
-    a_hat = _hat(a)
+    a_hat = hat(a)
     out = []
     for e in np.eye(3):
         out.append(AlgebraVector(desc, np.concatenate([e, a_hat @ e])))
@@ -77,9 +72,9 @@ def _translation_metric_factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     yields the Ad_H-invariant complement m = pure translations.
     """
     M = np.eye(6)
-    M[3:, :3] = -_hat(a)
+    M[3:, :3] = -hat(a)
     M_inv = np.eye(6)
-    M_inv[3:, :3] = _hat(a)
+    M_inv[3:, :3] = hat(a)
     return M, M_inv
 
 
@@ -105,7 +100,7 @@ def _landmark_structure(landmarks: np.ndarray) -> ReductiveStructure:
         a1, a2 = landmarks
         axis = a1 - a2
         axis = axis / np.linalg.norm(axis)
-        a1_hat = _hat(a1)
+        a1_hat = hat(a1)
         h = [AlgebraVector(desc, np.concatenate([axis, a1_hat @ axis]))]
         M, M_inv = _translation_metric_factors(a1)
         # Ad_{T_{a1}} images of the standard basis keep m Ad_H-invariant:
@@ -192,20 +187,10 @@ class LandmarkModel(ModelBase):
         """(n_dirs, K, 3) array of Omega_d a_k + v_d."""
         out = np.empty((len(directions), len(self.landmarks), 3))
         for d, vec in enumerate(directions):
-            W = _hat(vec.coords[:3])
+            W = hat(vec.coords[:3])
             v = vec.coords[3:]
             out[d] = self.landmarks @ W.T + v
         return out
-
-    def grad_rivf(self, x, g: GroupElement, X: AlgebraVector) -> float:
-        """Right-invariant derivative of the log-likelihood along X."""
-        return float(
-            self.analytic_gradient_batch(self._as_batch(x), g, [X], RIVF)[0, 0]
-        )
-
-    def fim_rivf(self, g: GroupElement, X_i: AlgebraVector, X_j: AlgebraVector) -> float:
-        """Right-frame FIM entry; independent of g."""
-        return float(self.analytic_fim(g, [X_i, X_j], RIVF)[0, 1])
 
     def analytic_gradient_batch(self, observations, g, directions, op):
         dirs = translate_directions(directions, g, RIVF, op)

@@ -259,7 +259,7 @@ class NetworkModel(ModelBase):
         return m * np.einsum("e,de,e->d", resid, sens, 1.0 / self.sigmas**2)
 
 
-def network_fim(positions, edges, sigmas, struct: ReductiveStructure | None = None) -> FimMatrix:
+def network_fim(positions, edges, sigmas) -> FimMatrix:
     """Reduced FIM as the rigidity-matrix submatrix (drop the first three
     rows/columns of the translation coordinates); refuses flex graphs."""
     p = np.asarray(positions, dtype=float)

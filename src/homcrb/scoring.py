@@ -1,5 +1,6 @@
 """Generalized Fisher scoring on coset spaces, plus a plain gradient
-ascent baseline.
+ascent baseline. Both run one ascent loop and differ only in the step
+rule.
 
 The scoring step preconditions the summed m-gradient with the inverse
 reduced FIM and retracts through the group exponential:
@@ -120,6 +121,64 @@ def _solve_step(F: np.ndarray, mean_grad: np.ndarray) -> np.ndarray:
     return np.linalg.solve(F, mean_grad)
 
 
+def _ascend(
+    model,
+    observations,
+    g0: GroupElement,
+    step_rule,
+    max_iterations: int,
+    gradient_tolerance: float,
+) -> ScoringTrace:
+    """The one ascent loop: step = step_rule(k, g, mean m-gradient) is
+    retracted side-aware; stops once the step norm falls below the
+    tolerance (recorded, not applied) or after max_iterations applications.
+    Raises DivergenceError when the log-likelihood is not finite or drops
+    by more than 1e3 below its best value."""
+    struct = model.struct
+    m = model.n_observations(observations)
+    summary = model.summarize(observations)
+    gram_m = struct.gram[struct.n_H :, struct.n_H :]
+
+    g = g0
+    trace = ScoringTrace(
+        iterates=[g0],
+        logliks=[model.total_loglik(summary, g0)],
+        step_norms=[],
+        grad_norms=[],
+        converged=False,
+        iterations_used=0,
+    )
+
+    def measure(k: int, point: GroupElement) -> np.ndarray:
+        mean_grad = model.total_grad_m(summary, point) / m
+        step = step_rule(k, point, mean_grad)
+        trace.grad_norms.append(float(np.linalg.norm(mean_grad)))
+        trace.step_norms.append(math.sqrt(float(step @ gram_m @ step)))
+        return step
+
+    for k in range(max_iterations):
+        step = measure(k, g)
+        if trace.step_norms[-1] <= gradient_tolerance:
+            trace.converged = True
+            break
+        g, drift = _apply_step(model, g, step)
+        trace.max_drift = max(trace.max_drift, drift)
+        ll = model.total_loglik(summary, g)
+        trace.iterates.append(g)
+        trace.logliks.append(ll)
+        if not math.isfinite(ll) or ll < max(trace.logliks) - _DIVERGENCE_DROP:
+            raise DivergenceError(
+                f"log-likelihood {ll:g} is not finite or dropped by more than "
+                f"{_DIVERGENCE_DROP:g}",
+                trace=trace,
+            )
+    else:
+        measure(max_iterations, g)
+        trace.converged = trace.step_norms[-1] <= gradient_tolerance
+    trace.iterations_used = len(trace.iterates) - 1
+    return trace
+
+
 def fisher_scoring(
     model,
     observations,
@@ -133,51 +192,19 @@ def fisher_scoring(
     (recorded, not applied) or after max_iterations applications.
     """
     opts = opts or ScoringOptions()
-    struct = model.struct
-    m = model.n_observations(observations)
-    summary = model.summarize(observations)
-    gram_m = struct.gram[struct.n_H :, struct.n_H :]
     provider = _fim_provider(model, g0, opts, random_state)
 
-    g = g0
-    trace = ScoringTrace(
-        iterates=[g0],
-        logliks=[model.total_loglik(summary, g0)],
-        step_norms=[],
-        grad_norms=[],
-        converged=False,
-        iterations_used=0,
+    def natural_step(k: int, g: GroupElement, mean_grad: np.ndarray) -> np.ndarray:
+        return opts.step_scale * _solve_step(provider(g), mean_grad)
+
+    return _ascend(
+        model,
+        observations,
+        g0,
+        natural_step,
+        opts.max_iterations,
+        opts.gradient_tolerance,
     )
-
-    def measure(point: GroupElement) -> np.ndarray:
-        mean_grad = model.total_grad_m(summary, point) / m
-        step = opts.step_scale * _solve_step(provider(point), mean_grad)
-        trace.grad_norms.append(float(np.linalg.norm(mean_grad)))
-        trace.step_norms.append(math.sqrt(float(step @ gram_m @ step)))
-        return step
-
-    for _ in range(opts.max_iterations):
-        step = measure(g)
-        if trace.step_norms[-1] <= opts.gradient_tolerance:
-            trace.converged = True
-            break
-        g, drift = _apply_step(model, g, step)
-        trace.max_drift = max(trace.max_drift, drift)
-        ll = model.total_loglik(summary, g)
-        if ll < max(trace.logliks) - _DIVERGENCE_DROP:
-            trace.iterates.append(g)
-            trace.logliks.append(ll)
-            raise DivergenceError(
-                f"log-likelihood dropped by more than {_DIVERGENCE_DROP:g}",
-                trace=trace,
-            )
-        trace.iterates.append(g)
-        trace.logliks.append(ll)
-    else:
-        measure(g)
-        trace.converged = trace.step_norms[-1] <= opts.gradient_tolerance
-    trace.iterations_used = len(trace.iterates) - 1
-    return trace
 
 
 def gradient_ascent(
@@ -195,48 +222,13 @@ def gradient_ascent(
         raise ValueError("step0 must be positive")
     if not (0.0 < decay <= 1.0):
         raise ValueError("decay must be in (0, 1]")
-    struct = model.struct
-    m = model.n_observations(observations)
-    summary = model.summarize(observations)
-    gram_m = struct.gram[struct.n_H :, struct.n_H :]
 
-    g = g0
-    trace = ScoringTrace(
-        iterates=[g0],
-        logliks=[model.total_loglik(summary, g0)],
-        step_norms=[],
-        grad_norms=[],
-        converged=False,
-        iterations_used=0,
+    def decayed_step(k: int, g: GroupElement, mean_grad: np.ndarray) -> np.ndarray:
+        return step0 * decay**k * mean_grad
+
+    return _ascend(
+        model, observations, g0, decayed_step, max_iterations, gradient_tolerance
     )
-
-    def measure(point: GroupElement, alpha: float) -> np.ndarray:
-        mean_grad = model.total_grad_m(summary, point) / m
-        step = alpha * mean_grad
-        trace.grad_norms.append(float(np.linalg.norm(mean_grad)))
-        trace.step_norms.append(math.sqrt(float(step @ gram_m @ step)))
-        return step
-
-    for k in range(max_iterations):
-        step = measure(g, step0 * decay**k)
-        if trace.step_norms[-1] <= gradient_tolerance:
-            trace.converged = True
-            break
-        g, drift = _apply_step(model, g, step)
-        trace.max_drift = max(trace.max_drift, drift)
-        ll = model.total_loglik(summary, g)
-        trace.iterates.append(g)
-        trace.logliks.append(ll)
-        if ll < max(trace.logliks) - _DIVERGENCE_DROP:
-            raise DivergenceError(
-                f"log-likelihood dropped by more than {_DIVERGENCE_DROP:g}",
-                trace=trace,
-            )
-    else:
-        measure(g, step0 * decay**max_iterations)
-        trace.converged = trace.step_norms[-1] <= gradient_tolerance
-    trace.iterations_used = len(trace.iterates) - 1
-    return trace
 
 
 def mle(

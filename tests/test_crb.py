@@ -318,7 +318,7 @@ def test_bias_jacobian_constant_estimator_matches_psi(rng):
         random_state=4,
     )
     eta = groups.log(g.inverse() @ g0)
-    psi = homspace.psi_from_ad(left_struct.ad(AlgebraVector(groups.se3(), -eta.coords)))
+    psi = left_struct.psi(-left_struct.coords_of(eta))
     assert np.abs(J + psi).max() <= 1e-5
 
 

@@ -292,6 +292,17 @@ def test_psi_matches_log_derivative(desc, rng):
         assert np.abs(Pm.matrix @ Y.coords - (fp2 - fm2) / (2 * h)).max() <= 1e-5
 
 
+def test_psi_series_matches_closed_form_so3_jacobian(rng):
+    # Oracle: on SO(3), Psi_w is the inverse left Jacobian at -w
+    # (Sola, Deray and Atchuthan, arXiv:1812.01537).
+    d = groups.so3()
+    for _ in range(200):
+        w = rng.standard_normal(3)
+        w *= rng.uniform(0.0, 2.5) / np.linalg.norm(w)
+        P = groups.psi_matrix(AlgebraVector(d, w), order=30)
+        assert np.abs(P.matrix - groups._so3_left_jacobian_inv(-w)).max() <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Invariant vector field derivatives
 
@@ -331,6 +342,10 @@ def test_livf_rejects_non_finite():
     X = AlgebraVector(d, np.eye(3)[0])
     with pytest.raises(EvaluationError):
         groups.livf_derivative(lambda _: float("nan"), g, X)
+    with pytest.raises(EvaluationError):
+        groups.central_difference(
+            lambda _: np.array([0.0, np.nan]), g, X, 1e-6, groups.RIVF
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +388,12 @@ def test_product_descriptor_blocks(rng):
     off[:3, :3] = 0.0
     off[3:, 3:] = 0.0
     assert np.all(off == 0.0)
+
+
+def test_product_group_is_built_once():
+    prod = groups.product_group([groups.se2(), groups.so3()])
+    assert groups.product_group((groups.se2(), groups.so3())) is prod
+    assert groups.product_group([groups.se2(), groups.so3()], name="P") is not prod
 
 
 def test_polar_projection_restores_rotations(rng):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from homcrb import groups
 from homcrb.cli import main
 from homcrb.exceptions import ConfigError, DegenerateModelError
 from homcrb.harness import (
@@ -38,6 +39,8 @@ def test_config_validation_errors():
         load_config({"experiment": "landmark", "n_trials": 0})
     with pytest.raises(ConfigError):
         load_config({"experiment": "landmark", "m_values": []})
+    with pytest.raises(ConfigError):
+        load_config({"experiment": "landmark", "m_values": "11"})
     with pytest.raises(ConfigError):
         load_config({"experiment": "landmark", "mvalues": [1]})
     with pytest.raises(ConfigError):
@@ -121,6 +124,16 @@ def test_network_experiment_triangle():
     assert s["fim_lambda_min"] > 0
     assert s["fim_lambda_min"] <= s["rigidity_lambda_min_nonzero"] + 1e-9
     assert "rigidity-spectrum" in rep.metadata
+
+
+def test_network_campaigns_share_one_descriptor():
+    cfg = load_config(
+        {"experiment": "network", "seed": 3, "n_trials": 2, "m_values": [10]}
+    )
+    run_network_experiment(cfg)
+    cached = groups._vee_solver.cache_info().currsize
+    run_network_experiment(cfg)
+    assert groups._vee_solver.cache_info().currsize == cached
 
 
 def test_network_experiment_refuses_flex_graph():

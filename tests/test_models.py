@@ -46,7 +46,8 @@ def test_landmark_grad_zero_residual(landmark_two, rng):
     g = groups.random_element(groups.se3(), rng, 0.5)
     x = landmark_two.mean_observation(g)
     X = groups.random_algebra_vector(groups.se3(), rng, 1.0)
-    assert abs(landmark_two.grad_rivf(x, g, X)) <= 1e-9
+    grad = landmark_two.analytic_gradient_batch(x[None], g, [X], "rivf")[0, 0]
+    assert abs(grad) <= 1e-9
 
 
 def test_landmark_grad_matches_rivf_derivative(landmark_two, rng):
@@ -55,21 +56,23 @@ def test_landmark_grad_matches_rivf_derivative(landmark_two, rng):
         x = landmark_two.sample(g, 1, rng)[0]
         X = groups.random_algebra_vector(groups.se3(), rng, 1.0)
         fd = groups.rivf_derivative(lambda el: landmark_two.loglik(x, el), g, X)
-        assert abs(landmark_two.grad_rivf(x, g, X) - fd) <= 1e-6
+        grad = landmark_two.analytic_gradient_batch(x[None], g, [X], "rivf")[0, 0]
+        assert abs(grad - fd) <= 1e-6
 
 
 def test_landmark_grad_exactly_zero_on_h(landmark_one, rng):
     g = groups.random_element(groups.se3(), rng, 0.5)
     x = landmark_one.sample(g, 1, rng)[0]
     for X in landmark_one.struct.h_basis:
-        assert landmark_one.grad_rivf(x, g, X) == 0.0
+        grad = landmark_one.analytic_gradient_batch(x[None], g, [X], "rivf")
+        assert grad[0, 0] == 0.0
 
 
 def test_landmark_fim_hand_value():
     model = LandmarkModel([[1.0, 0.0, 0.0]])
     g = groups.identity_element(groups.se3())
     e1_trans = AlgebraVector(groups.se3(), np.eye(6)[3])
-    assert model.fim_rivf(g, e1_trans, e1_trans) == 1.0
+    assert model.analytic_fim(g, [e1_trans], "rivf")[0, 0] == 1.0
 
 
 def test_landmark_fim_h_rows_exactly_zero(landmark_one, rng):
@@ -183,6 +186,13 @@ def test_network_fim_triangle_nonsingular(triangle_network):
     )
     assert F.matrix.shape == (3, 3)
     assert np.linalg.eigvalsh(F.matrix).min() > 0
+
+
+def test_network_fim_shares_the_model_descriptor(triangle_network):
+    F = network_fim(
+        triangle_network.positions, triangle_network.edges, triangle_network.sigmas
+    )
+    assert F.at.descriptor is triangle_network.descriptor
 
 
 def test_network_fim_flex_graph_refused():

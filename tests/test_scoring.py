@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from homcrb import fisher, groups, homspace, scoring
 from homcrb.exceptions import DegenerateFimError, DivergenceError
 from homcrb.groups import AlgebraVector
-from homcrb.models import NetworkModel
+from homcrb.models import GaussianMeanModel, NetworkModel
 
 
 def landmark_truth():
@@ -136,6 +138,24 @@ def test_divergence_guard_attaches_trace(landmark_two):
         )
     assert err.value.trace is not None
     assert len(err.value.trace.logliks) >= 2
+
+
+def test_divergence_guard_catches_non_finite_loglik(rng):
+    model = GaussianMeanModel(1)
+    g0 = model.element([-3.0])
+    obs = model.sample(model.element([2.0]), 40, rng)
+    finite = model.total_loglik
+    # Stub: the log-likelihood turns NaN once the iterate leaves g0.
+    model.total_loglik = lambda s, g: finite(s, g) if g is g0 else float("nan")
+    runs = (
+        lambda: scoring.fisher_scoring(model, obs, g0),
+        lambda: scoring.gradient_ascent(model, obs, g0, step0=0.5),
+    )
+    for run in runs:
+        with pytest.raises(DivergenceError) as err:
+            run()
+        assert len(err.value.trace.logliks) == 2
+        assert math.isnan(err.value.trace.logliks[-1])
 
 
 # ---------------------------------------------------------------------------
