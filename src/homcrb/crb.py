@@ -214,23 +214,30 @@ def delta_matrix(errors, struct: ReductiveStructure) -> np.ndarray:
     """Delta = Pi E[ad_eta^2 / 12] Pi' from error samples (adapted
     coordinates or AlgebraVectors).
 
-    ad is linear in eta, so E[ad_eta^2] = sum_kl E[eta_k eta_l] T_k T_l
-    with T_k the adapted-basis ad matrices; only the sample second moment
-    is accumulated.
+    ad is linear in eta, so sum_eta ad_eta^2 = sum_r ad_r^2 over the rows
+    r of the triangular factor R of the stacked samples (R'R = sum eta
+    eta'), which has at most n_G rows. Each ad_r comes from the cached
+    structure constants: O(n_G^4) with no n_G^3 temporaries.
     """
-    n_G = struct.group.algebra_dim
-    rows = []
-    for err in errors:
-        if isinstance(err, AlgebraVector):
-            rows.append(struct.coords_of(err))
-        else:
-            rows.append(np.asarray(err, dtype=float))
-    if not rows:
+    if isinstance(errors, np.ndarray):
+        coords = np.asarray(errors, dtype=float)
+    else:
+        coords = np.array(
+            [
+                struct.coords_of(e)
+                if isinstance(e, AlgebraVector)
+                else np.asarray(e, dtype=float)
+                for e in errors
+            ]
+        )
+    if len(coords) == 0:
         return np.zeros((struct.n_Theta, struct.n_Theta))
-    coords = np.array(rows)
-    second = coords.T @ coords / len(coords)
-    T = np.stack([struct.ad(struct.from_coords(e)) for e in np.eye(n_G)])
-    mean = np.einsum("kl,kij,ljm->im", second, T, T) / 12.0
+    C = groups.structure_constants(struct.group)
+    acc = np.zeros(C.shape[1:])
+    for x in np.linalg.qr(coords, mode="r") @ struct.basis_matrix.T:
+        ad = np.tensordot(x, C, axes=1)
+        acc += ad @ ad
+    mean = struct.in_adapted(acc) / (12.0 * len(coords))
     return mean[struct.n_H :, struct.n_H :].copy()
 
 

@@ -67,25 +67,34 @@ class GroupDescriptor:
             raise ValueError(
                 f"algebra basis shape {self.algebra_basis.shape} != ({n}, {d}, {d})"
             )
+        if self.family == PRODUCT:
+            self._check_product_basis()
+            return
         flat = self.algebra_basis.reshape(n, -1)
         gram = flat @ flat.T
         if np.linalg.matrix_rank(gram) < n:
             raise ValueError("algebra basis matrices are linearly dependent")
-        # Bracket closure: [E_i, E_j] must stay in span{E_k}.
-        for i in range(n):
-            for j in range(i + 1, n):
-                br = self.algebra_basis[i] @ self.algebra_basis[j]
-                br = br - self.algebra_basis[j] @ self.algebra_basis[i]
-                _, res = _vee_lstsq(br, self)
-                if res > _BRACKET_TOL * max(1.0, float(np.abs(br).max())):
-                    raise ValueError(
-                        f"basis not closed under bracket at ({i},{j}), residual {res:.2e}"
-                    )
-        if self.family == PRODUCT:
-            if self.algebra_dim != sum(f.algebra_dim for f in self.factors):
-                raise ValueError("product algebra_dim != sum of factor dims")
-            if self.matrix_dim != sum(f.matrix_dim for f in self.factors):
-                raise ValueError("product matrix_dim != sum of factor dims")
+        try:
+            structure_constants(self)
+        except BasisClosureError as exc:
+            raise ValueError(str(exc)) from exc
+
+    def _check_product_basis(self):
+        """Factors are validated descriptors, so a product only has to be
+        their block embedding: matching dimensions, each diagonal block
+        equal to its factor's basis, and nothing outside the blocks."""
+        if self.algebra_dim != sum(f.algebra_dim for f in self.factors):
+            raise ValueError("product algebra_dim != sum of factor dims")
+        if self.matrix_dim != sum(f.matrix_dim for f in self.factors):
+            raise ValueError("product matrix_dim != sum of factor dims")
+        inside = 0
+        for f, (rows, cols) in zip(self.factors, self.factor_slices):
+            block = self.algebra_basis[cols, rows, rows]
+            if not np.array_equal(block, f.algebra_basis):
+                raise ValueError(f"product basis block differs from factor {f.name}")
+            inside += np.count_nonzero(block)
+        if np.count_nonzero(self.algebra_basis) != inside:
+            raise ValueError("product basis has entries outside the factor blocks")
 
     @property
     def factor_slices(self) -> list[tuple[slice, slice]]:
@@ -116,6 +125,34 @@ def _vee_lstsq(X, descriptor: GroupDescriptor):
     return coords, residual
 
 
+@lru_cache(maxsize=None)
+def structure_constants(descriptor: GroupDescriptor) -> np.ndarray:
+    """(n, n, n) tensor C with C[k] = ad_{E_k}, so ad_X = sum_k X^k C[k].
+
+    A product is assembled from its factors' blocks (brackets across
+    factors vanish). Other families solve vee([E_i, E_j]) once per pair
+    i < j and raise BasisClosureError when a bracket leaves the span.
+    """
+    n = descriptor.algebra_dim
+    C = np.zeros((n, n, n))
+    if descriptor.family == PRODUCT:
+        for f, (_, cols) in zip(descriptor.factors, descriptor.factor_slices):
+            C[cols, cols, cols] = structure_constants(f)
+        return _frozen(C)
+    E = descriptor.algebra_basis
+    for i in range(n):
+        for j in range(i + 1, n):
+            br = E[i] @ E[j] - E[j] @ E[i]
+            coords, res = _vee_lstsq(br, descriptor)
+            if res > _BRACKET_TOL * max(1.0, float(np.abs(br).max())):
+                raise BasisClosureError(
+                    f"basis not closed under bracket at ({i},{j}), residual {res:.2e}"
+                )
+            C[i, :, j] = coords
+            C[j, :, i] = -coords
+    return _frozen(C)
+
+
 @dataclass(frozen=True, eq=False)
 class GroupElement:
     """A point on the group: square matrix plus its descriptor."""
@@ -128,6 +165,10 @@ class GroupElement:
         d = self.descriptor.matrix_dim
         if self.matrix.shape != (d, d):
             raise ValueError(f"matrix shape {self.matrix.shape} != ({d}, {d})")
+        # Before any membership test: a NaN defect compares False, and det
+        # warns on non-finite input.
+        if not np.isfinite(self.matrix).all():
+            raise ValueError("matrix has non-finite entries")
         _check_membership(self.matrix, self.descriptor)
 
     def inverse(self) -> "GroupElement":
@@ -176,10 +217,28 @@ class PsiMatrix:
 # Membership checks
 
 
+@lru_cache(maxsize=None)
+def _eye(k: int) -> np.ndarray:
+    return _frozen(np.eye(k))
+
+
+def _det(M) -> float:
+    """Determinant, by cofactor expansion up to 3 x 3: a LAPACK call
+    costs several times more on these sizes."""
+    n = M.shape[0]
+    if n == 2:
+        (a, b), (c, d) = M.tolist()
+        return a * d - b * c
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = M.tolist()
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return float(np.linalg.det(M))
+
+
 def _rotation_defect(R) -> float:
     return float(
         max(
-            np.abs(R.T @ R - np.eye(R.shape[0])).max(),
+            np.abs(R.T @ R - _eye(R.shape[0])).max(),
             abs(np.linalg.det(R) - 1.0),
         )
     )
@@ -194,12 +253,10 @@ def _check_membership(mat: np.ndarray, descriptor: GroupDescriptor):
         d = descriptor.matrix_dim
         if _rotation_defect(mat[: d - 1, : d - 1]) > 1e-9:
             raise ValueError(f"rotation block is not in SO({d - 1}) to 1e-9")
-        bottom = np.zeros(d)
-        bottom[-1] = 1.0
-        if np.abs(mat[-1] - bottom).max() > 1e-9:
+        if np.abs(mat[-1] - _eye(d)[-1]).max() > 1e-9:
             raise ValueError("bottom row must be (0, ..., 0, 1)")
     elif fam == GLN_PLUS:
-        if np.linalg.det(mat) <= 0:
+        if _det(mat) <= 0:
             raise ValueError("determinant must be positive")
     elif fam == PRODUCT:
         for f, (rows, _) in zip(descriptor.factors, descriptor.factor_slices):
@@ -512,20 +569,10 @@ def adjoint_matrix(g: GroupElement, tol: float = _VEE_RESIDUAL_TOL) -> np.ndarra
     return np.array(cols).T
 
 
-def ad_matrix(X: AlgebraVector, tol: float = _VEE_RESIDUAL_TOL) -> np.ndarray:
-    """Matrix of ad_X: columns are vee([X^, E_i])."""
-    d = X.descriptor
-    A = X.matrix
-    cols = []
-    for E in d.algebra_basis:
-        M = A @ E - E @ A
-        coords, residual = _vee_lstsq(M, d)
-        if residual > tol * max(1.0, float(np.linalg.norm(M))):
-            raise BasisClosureError(
-                f"ad_X left the algebra span: residual {residual:.3e}"
-            )
-        cols.append(coords)
-    return np.array(cols).T
+def ad_matrix(X: AlgebraVector) -> np.ndarray:
+    """Matrix of ad_X (columns vee([X^, E_i])) from the cached structure
+    constants."""
+    return np.tensordot(X.coords, structure_constants(X.descriptor), axes=1)
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +640,9 @@ def central_difference(
         f_plus, f_minus = fn(g @ e_plus), fn(g @ e_minus)
     else:
         f_plus, f_minus = fn(e_plus @ g), fn(e_minus @ g)
+    # Checked before subtracting: inf - inf would warn, then read as NaN.
+    if not (np.all(np.isfinite(f_plus)) and np.all(np.isfinite(f_minus))):
+        raise EvaluationError("function returned a non-finite value")
     value = (f_plus - f_minus) / (2.0 * h)
     if not np.all(np.isfinite(value)):
         raise EvaluationError("function returned a non-finite value")

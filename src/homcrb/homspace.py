@@ -111,11 +111,16 @@ class ReductiveStructure:
 
     # -- group actions in adapted coordinates ---------------------------
 
+    def in_adapted(self, op) -> np.ndarray:
+        """Matrix of a linear map on g, given in descriptor coordinates,
+        in the adapted basis."""
+        return self._B_inv @ op @ self._B
+
     def adjoint(self, g: GroupElement) -> np.ndarray:
-        return self._B_inv @ groups.adjoint_matrix(g) @ self._B
+        return self.in_adapted(groups.adjoint_matrix(g))
 
     def ad(self, X: AlgebraVector) -> np.ndarray:
-        return self._B_inv @ groups.ad_matrix(X) @ self._B
+        return self.in_adapted(groups.ad_matrix(X))
 
     def psi(self, struct_coords, order: int = 10) -> np.ndarray:
         """Psi matrix of the element with the given adapted coordinates."""

@@ -81,21 +81,53 @@ def _validate_edges(n_agents: int, edges) -> list[tuple[int, int]]:
     return out
 
 
+def _edge_arrays(edges) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint index arrays (i, j) of an edge list."""
+    return tuple(np.asarray(edges, dtype=int).reshape(-1, 2).T)
+
+
+def _position_slots(n_agents: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) indices of the agents' translations in an SE(2)^n
+    matrix, shaped so that matrix[rows, cols] is the (n, 2) positions."""
+    base = 3 * np.arange(n_agents)
+    return base[:, None] + np.arange(2), (base + 2)[:, None]
+
+
+def _sensitivities(p, i, j, directions) -> np.ndarray:
+    """(n_dirs, n_edges) derivatives of the edge means |p_i - p_j|^2 / 2
+    along RIVF directions with per-agent coordinates (omega, v), shaped
+    (n_dirs, n_agents, 3): agent a moves at omega_a J p_a + v_a."""
+    vel = directions[..., :1] * (p @ _J.T) + directions[..., 1:]
+    return np.einsum("ek,dek->de", p[i] - p[j], vel[:, i] - vel[:, j])
+
+
+def _whitened_gram(sens, sigmas) -> np.ndarray:
+    """Single-observation FIM sum_e s_e s_e' / sigma_e^2 of edge
+    sensitivities s (directions x edges)."""
+    A = sens / sigmas[None, :]
+    return A @ A.T
+
+
+def _translation_directions(n_agents: int) -> np.ndarray:
+    """The 2 n_agents per-agent translation generators, agent-major."""
+    out = np.zeros((2 * n_agents, n_agents, 3))
+    a = np.arange(n_agents)
+    out[2 * a, a, 1] = 1.0
+    out[2 * a + 1, a, 2] = 1.0
+    return out
+
+
 def rigidity_matrix(positions, edges, sigmas) -> np.ndarray:
-    """Symmetric Rigidity Matrix: diagonal blocks sum the edge-direction
-    outer products over neighbors, off-diagonal blocks negate them."""
+    """Symmetric Rigidity Matrix A' diag(sigma^-2) A, with A the edge
+    sensitivities to agent translations: diagonal blocks sum the
+    edge-direction outer products over neighbors, off-diagonal blocks
+    negate them. It is the FIM of all translation directions."""
     p = np.asarray(positions, dtype=float)
-    n = len(p)
-    sig = np.broadcast_to(np.asarray(sigmas, dtype=float), (len(edges),))
-    S = np.zeros((2 * n, 2 * n))
-    for (i, j), s in zip(edges, sig):
-        d = p[i] - p[j]
-        block = np.outer(d, d) / (s * s)
-        S[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] += block
-        S[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] += block
-        S[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] -= block
-        S[2 * j : 2 * j + 2, 2 * i : 2 * i + 2] -= block
-    return S
+    i, j = _edge_arrays(edges)
+    sig = np.broadcast_to(np.asarray(sigmas, dtype=float), i.shape)
+    return _whitened_gram(
+        _sensitivities(p, i, j, _translation_directions(len(p))), sig
+    )
 
 
 def _sample_diagonal_rigid_motion(
@@ -136,6 +168,8 @@ class NetworkModel(ModelBase):
         n = len(p)
         self.n_agents = n
         self.descriptor = groups.product_group([groups.se2()] * n, name=f"SE(2)^{n}")
+        self._i, self._j = _edge_arrays(self.edges)
+        self._slots = _position_slots(n)
         self.struct = self._build_structure()
 
     # -- structure ---------------------------------------------------------
@@ -182,20 +216,16 @@ class NetworkModel(ModelBase):
     def reference_element(self, positions=None) -> GroupElement:
         p = self.positions if positions is None else np.asarray(positions, float)
         M = np.eye(3 * self.n_agents)
-        for i in range(self.n_agents):
-            M[3 * i : 3 * i + 2, 3 * i + 2] = p[i]
+        M[self._slots] = p
         return GroupElement(self.descriptor, M)
 
     def positions_of(self, g: GroupElement) -> np.ndarray:
-        return np.stack(
-            [g.matrix[3 * i : 3 * i + 2, 3 * i + 2] for i in range(self.n_agents)]
-        )
+        return g.matrix[self._slots]
 
     def edge_means(self, g: GroupElement) -> np.ndarray:
         p = self.positions_of(g)
-        return np.array(
-            [0.5 * float(np.sum((p[i] - p[j]) ** 2)) for i, j in self.edges]
-        )
+        d = p[self._i] - p[self._j]
+        return 0.5 * np.sum(d * d, axis=1)
 
     def sample(self, g: GroupElement, m: int, rng: np.random.Generator):
         mu = self.edge_means(g)
@@ -223,22 +253,14 @@ class NetworkModel(ModelBase):
     # -- analytic derivatives --------------------------------------------------
 
     def _edge_sensitivities(self, g: GroupElement, directions) -> np.ndarray:
-        """(n_dirs, n_edges) array of d mu_e along each RIVF direction:
-        the position velocity of agent i is omega_i J p_i + v_i."""
-        p = self.positions_of(g)
-        out = np.empty((len(directions), len(self.edges)))
-        for d, vec in enumerate(directions):
-            c = vec.coords
-            vel = np.stack(
-                [
-                    c[3 * i] * (_J @ p[i]) + c[3 * i + 1 : 3 * i + 3]
-                    for i in range(self.n_agents)
-                ]
-            )
-            out[d] = [
-                float((p[i] - p[j]) @ (vel[i] - vel[j])) for i, j in self.edges
-            ]
-        return out
+        """(n_dirs, n_edges) array of d mu_e along each RIVF direction."""
+        coords = np.array([vec.coords for vec in directions])
+        return _sensitivities(
+            self.positions_of(g),
+            self._i,
+            self._j,
+            coords.reshape(len(directions), self.n_agents, 3),
+        )
 
     def analytic_gradient_batch(self, observations, g, directions, op):
         dirs = translate_directions(directions, g, RIVF, op)
@@ -249,8 +271,7 @@ class NetworkModel(ModelBase):
 
     def analytic_fim(self, g, directions, op):
         dirs = translate_directions(directions, g, RIVF, op)
-        A = self._edge_sensitivities(g, dirs) / self.sigmas[None, :]
-        return A @ A.T
+        return _whitened_gram(self._edge_sensitivities(g, dirs), self.sigmas)
 
     def total_grad_m(self, summary, g: GroupElement) -> np.ndarray:
         m, xbar, _ = summary
@@ -276,8 +297,7 @@ def network_fim(positions, edges, sigmas) -> FimMatrix:
     n = len(p)
     desc = groups.product_group([groups.se2()] * n, name=f"SE(2)^{n}")
     M = np.eye(3 * n)
-    for i in range(n):
-        M[3 * i : 3 * i + 2, 3 * i + 2] = p[i]
+    M[_position_slots(n)] = p
     at = GroupElement(desc, M)
     return FimMatrix(REDUCED, at, F, ANALYTIC, 0)
 

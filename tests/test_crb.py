@@ -196,6 +196,45 @@ def test_delta_gaussian_so3_oracle():
     assert np.abs(D + (s * s / 6.0) * np.eye(3)).max() <= 2e-4
 
 
+def _explicit_delta(coords, struct):
+    """The O(n_G^5) definition: sum_kl E[eta_k eta_l] T_k T_l / 12 with
+    T_k the adapted-basis ad matrices, m-block."""
+    n_G = struct.group.algebra_dim
+    second = coords.T @ coords / len(coords)
+    T = np.stack([struct.ad(struct.from_coords(e)) for e in np.eye(n_G)])
+    full = np.einsum("kl,kij,ljm->im", second, T, T) / 12.0
+    return full[struct.n_H :, struct.n_H :]
+
+
+@pytest.mark.parametrize("n_samples", [2, 200])
+def test_delta_matches_explicit_sum_network(n_samples):
+    from homcrb.models import NetworkModel
+
+    r = np.random.default_rng([7, n_samples])
+    model = NetworkModel(
+        r.uniform(0.0, 1.0, (5, 2)),
+        [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (0, 4)],
+        0.2,
+    )
+    struct = model.struct
+    assert (n_samples < struct.group.algebra_dim) == (n_samples == 2)
+    coords = 0.3 * r.standard_normal((n_samples, struct.group.algebra_dim))
+    ref = _explicit_delta(coords, struct)
+    D = crb.delta_matrix(coords, struct)
+    assert np.abs(D - ref).max() <= 1e-12 * np.abs(ref).max()
+    as_vectors = [struct.from_coords(c) for c in coords]
+    D_vec = crb.delta_matrix(as_vectors, struct)
+    assert np.abs(D_vec - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_delta_matches_explicit_sum_landmark(landmark_two, rng):
+    struct = landmark_two.struct
+    coords = 0.4 * rng.standard_normal((300, struct.group.algebra_dim))
+    ref = _explicit_delta(coords, struct)
+    D = crb.delta_matrix(coords, struct)
+    assert np.abs(D - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 # ---------------------------------------------------------------------------
 # variance bound
 

@@ -195,6 +195,23 @@ def test_ad_annihilates_own_coords(rng):
         assert np.abs(groups.ad_matrix(X) @ X.coords).max() <= 1e-12
 
 
+def test_structure_constants_of_product_match_brackets(rng):
+    desc = groups.product_group([groups.se2()] * 3)
+    C = groups.structure_constants(desc)
+    assert C is groups.structure_constants(desc)  # cached per descriptor
+    E = desc.algebra_basis
+    for k in range(desc.algebra_dim):
+        oracle = np.column_stack(
+            [groups.vee(E[k] @ Ei - Ei @ E[k], desc) for Ei in E]
+        )
+        assert np.abs(C[k] - oracle).max() <= 1e-12
+    for _ in range(5):
+        X = groups.random_algebra_vector(desc, rng, 0.8)
+        A = X.matrix
+        oracle = np.column_stack([groups.vee(A @ Ei - Ei @ A, desc) for Ei in E])
+        assert np.abs(groups.ad_matrix(X) - oracle).max() <= 1e-12
+
+
 def test_ad_so3_cross_product_table():
     d = groups.so3()
     e1 = AlgebraVector(d, np.eye(3)[0])
@@ -346,6 +363,11 @@ def test_livf_rejects_non_finite():
         groups.central_difference(
             lambda _: np.array([0.0, np.nan]), g, X, 1e-6, groups.RIVF
         )
+    # inf on both sides: rejected before inf - inf is formed.
+    with pytest.raises(EvaluationError):
+        groups.central_difference(
+            lambda _: np.array([0.0, np.inf]), g, X, 1e-6, groups.LIVF
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +389,70 @@ def test_descriptor_rejects_non_closed_basis():
         groups.GroupDescriptor("bad", "SO3", 3, 2, np.array(E))
 
 
+def _block_product_basis(factors):
+    n = sum(f.algebra_dim for f in factors)
+    d = sum(f.matrix_dim for f in factors)
+    E = np.zeros((n, d, d))
+    r = c = 0
+    for f in factors:
+        E[c : c + f.algebra_dim, r : r + f.matrix_dim, r : r + f.matrix_dim] = (
+            f.algebra_basis
+        )
+        r, c = r + f.matrix_dim, c + f.algebra_dim
+    return E
+
+
+def test_product_descriptor_checks_basis_against_factors():
+    factors = (groups.se2(), groups.se2())
+    E = _block_product_basis(factors)
+    ok = groups.GroupDescriptor("ok", groups.PRODUCT, 6, 6, E, factors)
+    assert np.array_equal(ok.algebra_basis, groups.product_group(factors).algebra_basis)
+    swapped = E.copy()
+    swapped[[0, 1]] = swapped[[1, 0]]  # block 1 no longer matches se2's order
+    outside = E.copy()
+    outside[4, 0, 5] = 1.0  # couples the two factors
+    scaled = E.copy()
+    scaled[3] *= 2.0
+    for bad in (swapped, outside, scaled):
+        with pytest.raises(ValueError):
+            groups.GroupDescriptor("bad", groups.PRODUCT, 6, 6, bad, factors)
+    with pytest.raises(ValueError):
+        groups.GroupDescriptor("bad", groups.PRODUCT, 6, 6, E, (groups.se2(),))
+
+
+@pytest.mark.parametrize(
+    "desc, entry",
+    [
+        (groups.so3, (1, 2)),
+        (lambda: groups.glnplus(2), (0, 0)),
+        (groups.se2, (0, 2)),  # translation column
+        (groups.se3, (2, 3)),
+    ],
+    ids=["so3", "glnplus", "se2_translation", "se3_translation"],
+)
+def test_group_element_rejects_nan(desc, entry):
+    d = desc()
+    M = np.eye(d.matrix_dim)
+    M[entry] = np.nan
+    with pytest.raises(ValueError):
+        groups.GroupElement(d, M)
+
+
+def test_small_determinant_matches_lapack(rng):
+    for n in (1, 2, 3, 4):
+        for _ in range(50):
+            M = rng.standard_normal((n, n))
+            ref = np.linalg.det(M)
+            assert abs(groups._det(M) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
 def test_group_element_membership_checks():
     with pytest.raises(ValueError):
         groups.GroupElement(groups.so3(), np.diag([1.0, 1.0, 2.0]))
     with pytest.raises(ValueError):
         groups.GroupElement(groups.glnplus(2), np.diag([1.0, -1.0]))
+    with pytest.raises(ValueError):
+        groups.GroupElement(groups.glnplus(3), np.diag([2.0, 1.0, -0.5]))
     bad_se3 = np.eye(4)
     bad_se3[3, 0] = 0.5
     with pytest.raises(ValueError):

@@ -132,8 +132,10 @@ def test_network_campaigns_share_one_descriptor():
     )
     run_network_experiment(cfg)
     cached = groups._vee_solver.cache_info().currsize
+    constants = groups.structure_constants.cache_info().currsize
     run_network_experiment(cfg)
     assert groups._vee_solver.cache_info().currsize == cached
+    assert groups.structure_constants.cache_info().currsize == constants
 
 
 def test_network_experiment_refuses_flex_graph():

@@ -262,6 +262,79 @@ def test_network_grad_matches_fd(triangle_network, rng):
         assert np.abs(ga - gf).max() <= 1e-5
 
 
+_J = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def _scalar_positions(model, g):
+    return [g.matrix[3 * a : 3 * a + 2, 3 * a + 2] for a in range(model.n_agents)]
+
+
+def _scalar_edge_sensitivities(model, g, directions):
+    """Per-direction, per-edge reference: agent a moves at omega_a J p_a + v_a."""
+    p = _scalar_positions(model, g)
+    out = np.empty((len(directions), len(model.edges)))
+    for d, vec in enumerate(directions):
+        c = vec.coords
+        vel = [c[3 * a] * (_J @ p[a]) + c[3 * a + 1 : 3 * a + 3] for a in range(len(p))]
+        for e, (i, j) in enumerate(model.edges):
+            out[d, e] = float((p[i] - p[j]) @ (vel[i] - vel[j]))
+    return out
+
+
+def _random_network(seed, n=7, radius=1.1):
+    r = np.random.default_rng(seed)
+    p = r.uniform(0.0, 1.5, (n, 2))
+    edges = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if np.linalg.norm(p[i] - p[j]) < radius
+    ]
+    return NetworkModel(p, edges, r.uniform(0.05, 0.3, len(edges))), r
+
+
+def test_network_edge_kernels_match_per_edge_reference():
+    model, r = _random_network(41)
+    # A non-reference element: every agent rotated and moved.
+    g = groups.random_element(model.descriptor, r, 0.8)
+    assert np.abs(g.matrix[0:2, 0:2] - np.eye(2)).max() > 1e-3
+    p = _scalar_positions(model, g)
+    means = [0.5 * float(np.sum((p[i] - p[j]) ** 2)) for i, j in model.edges]
+    assert np.abs(model.edge_means(g) - means).max() <= 1e-12 * max(means)
+    dirs = [groups.random_algebra_vector(model.descriptor, r) for _ in range(5)]
+    x = model.sample(g, 3, r)
+    resid = x - np.asarray(means)[None, :]
+    w = 1.0 / model.sigmas**2
+    for op in ("rivf", "livf"):
+        translated = homspace.translate_directions(dirs, g, "rivf", op)
+        ref = _scalar_edge_sensitivities(model, g, translated)
+        sens = model._edge_sensitivities(g, translated)
+        assert np.abs(sens - ref).max() <= 1e-12 * np.abs(ref).max()
+        grad = model.analytic_gradient_batch(x, g, dirs, op)
+        grad_ref = np.einsum("me,de,e->md", resid, ref, w)
+        assert np.abs(grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
+        fim_ref = (ref * w) @ ref.T
+        fim = model.analytic_fim(g, dirs, op)
+        assert np.abs(fim - fim_ref).max() <= 1e-12 * np.abs(fim_ref).max()
+
+
+def test_rigidity_matrix_matches_per_edge_blocks():
+    model, _ = _random_network(42)
+    p, n = model.positions, model.n_agents
+    ref = np.zeros((2 * n, 2 * n))
+    for (i, j), s in zip(model.edges, model.sigmas):
+        block = np.outer(p[i] - p[j], p[i] - p[j]) / (s * s)
+        ref[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] += block
+        ref[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] += block
+        ref[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] -= block
+        ref[2 * j : 2 * j + 2, 2 * i : 2 * i + 2] -= block
+    S = rigidity_matrix(p, model.edges, model.sigmas)
+    assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max()
+    # The model's reduced FIM is the same computation on the m-basis.
+    F = fisher.fim(model, model.reference_element(), fisher.REDUCED).matrix
+    assert np.abs(F - S[3:, 3:]).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_load_graph(tmp_path):
     doc = tmp_path / "g.json"
     doc.write_text(
