@@ -14,7 +14,7 @@ X = (omega, v) with wedge(X) = [[omega^, v], [0, 0]].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -37,6 +37,11 @@ _BRACKET_TOL = 1e-10
 _VEE_RESIDUAL_TOL = 1e-6
 _CUT_LOCUS_MARGIN = 1e-6
 _SMALL_ANGLE = 1e-4
+# Within this distance of pi, the SO(3) log's theta / sin(theta), with
+# theta from acos of the trace, loses digits as 1e-16 / (pi - theta)^2,
+# and so does the 1 + cos(theta) of the SE(3) log's Jacobian: both switch
+# to forms that keep full precision there.
+_NEAR_PI = 0.1
 
 # Derivative operators: "livf" differentiates t -> f(g exp(tX)), "rivf"
 # differentiates t -> f(exp(tX) g).
@@ -155,10 +160,13 @@ def structure_constants(descriptor: GroupDescriptor) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GroupElement:
-    """A point on the group: square matrix plus its descriptor."""
+    """A point on the group: square matrix plus its descriptor. `defect`
+    is the rotation-block defect the membership test measured (0 for
+    GL(n)+); manifold_defect reports it."""
 
     descriptor: GroupDescriptor
     matrix: np.ndarray
+    defect: float = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen(self.matrix))
@@ -169,7 +177,9 @@ class GroupElement:
         # warns on non-finite input.
         if not np.isfinite(self.matrix).all():
             raise ValueError("matrix has non-finite entries")
-        _check_membership(self.matrix, self.descriptor)
+        object.__setattr__(
+            self, "defect", _check_membership(self.matrix, self.descriptor)
+        )
 
     def inverse(self) -> "GroupElement":
         return GroupElement(self.descriptor, _inverse_matrix(self.matrix, self.descriptor))
@@ -236,54 +246,46 @@ def _det(M) -> float:
 
 
 def _rotation_defect(R) -> float:
-    return float(
-        max(
-            np.abs(R.T @ R - _eye(R.shape[0])).max(),
-            abs(np.linalg.det(R) - 1.0),
-        )
-    )
+    return max(float(np.abs(R.T @ R - _eye(R.shape[0])).max()), abs(_det(R) - 1.0))
 
 
-def _check_membership(mat: np.ndarray, descriptor: GroupDescriptor):
+def _check_membership(mat: np.ndarray, descriptor: GroupDescriptor) -> float:
+    """Raises ValueError unless mat is in the group to 1e-9; returns the
+    rotation-block defect (the largest over product factors, 0 for GL(n)+)."""
     fam = descriptor.family
     if fam == SO3:
-        if _rotation_defect(mat) > 1e-9:
+        defect = _rotation_defect(mat)
+        if defect > 1e-9:
             raise ValueError("matrix is not in SO(3) to 1e-9")
-    elif fam in (SE2, SE3):
+        return defect
+    if fam in (SE2, SE3):
         d = descriptor.matrix_dim
-        if _rotation_defect(mat[: d - 1, : d - 1]) > 1e-9:
+        defect = _rotation_defect(mat[: d - 1, : d - 1])
+        if defect > 1e-9:
             raise ValueError(f"rotation block is not in SO({d - 1}) to 1e-9")
         if np.abs(mat[-1] - _eye(d)[-1]).max() > 1e-9:
             raise ValueError("bottom row must be (0, ..., 0, 1)")
-    elif fam == GLN_PLUS:
+        return defect
+    if fam == GLN_PLUS:
         if _det(mat) <= 0:
             raise ValueError("determinant must be positive")
-    elif fam == PRODUCT:
+        return 0.0
+    if fam == PRODUCT:
+        defect = 0.0
         for f, (rows, _) in zip(descriptor.factors, descriptor.factor_slices):
-            block = mat[rows, rows]
-            _check_membership(block, f)
+            defect = max(defect, _check_membership(mat[rows, rows], f))
             off = mat[rows].copy()
             off[:, rows] = 0.0
             if np.abs(off).max() > 0:
                 raise ValueError("product element must be block diagonal")
-    else:
-        raise ValueError(f"unknown group family {fam!r}")
+        return defect
+    raise ValueError(f"unknown group family {fam!r}")
 
 
 def manifold_defect(g: GroupElement) -> float:
-    """Distance from the rotation-block constraints (0 for GL(n)+)."""
-    fam = g.descriptor.family
-    if fam == SO3:
-        return _rotation_defect(g.matrix)
-    if fam in (SE2, SE3):
-        d = g.descriptor.matrix_dim
-        return _rotation_defect(g.matrix[: d - 1, : d - 1])
-    if fam == PRODUCT:
-        return max(
-            manifold_defect(GroupElement(f, g.matrix[rows, rows]))
-            for f, (rows, _) in zip(g.descriptor.factors, g.descriptor.factor_slices)
-        )
-    return 0.0
+    """Distance from the rotation-block constraints (0 for GL(n)+), as
+    measured when g was constructed."""
+    return g.defect
 
 
 def _inverse_matrix(mat: np.ndarray, descriptor: GroupDescriptor) -> np.ndarray:
@@ -455,6 +457,9 @@ def _so3_left_jacobian_inv(omega) -> np.ndarray:
     W = hat(omega)
     if theta < _SMALL_ANGLE:
         c = 1.0 / 12.0
+    elif math.pi - theta < _NEAR_PI:
+        # (1 + cos) / sin = sin / (1 - cos), without the cancellation in 1 + cos.
+        c = 1.0 / theta**2 - math.sin(theta) / (2.0 * theta * (1.0 - math.cos(theta)))
     else:
         c = 1.0 / theta**2 - (1.0 + math.cos(theta)) / (
             2.0 * theta * math.sin(theta)
@@ -515,7 +520,22 @@ def _so3_log(R) -> np.ndarray:
     if theta < _SMALL_ANGLE:
         t2 = theta * theta
         return (1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0) * skew
+    if math.pi - theta < _NEAR_PI:
+        return _so3_log_near_pi(R, cos_theta, skew)
     return (theta / math.sin(theta)) * skew
+
+
+def _so3_log_near_pi(R, cos_theta: float, skew: np.ndarray) -> np.ndarray:
+    """theta * axis with the axis from the symmetric part of R, which is
+    (1 - cos) a a' + cos I, and its sign and sin(theta) from the skew part
+    (sin) a: both to full precision where sin(theta) -> 0."""
+    S = 0.5 * (R + R.T) - cos_theta * _eye(3)
+    k = int(np.argmax(np.diag(S)))
+    axis = S[:, k] / math.sqrt(S[k, k] * (1.0 - cos_theta))
+    sin_theta = float(axis @ skew)
+    if sin_theta < 0.0:
+        axis, sin_theta = -axis, -sin_theta
+    return math.atan2(sin_theta, cos_theta) * axis
 
 
 def log(g: GroupElement) -> AlgebraVector:

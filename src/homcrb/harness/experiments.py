@@ -349,17 +349,27 @@ def run_landmark_experiment(config: ExperimentConfig) -> MonteCarloReport:
     return report
 
 
+def _rigidity_spectrum(model: NetworkModel) -> tuple[np.ndarray, float]:
+    """Eigenvalues of the rigidity matrix, with those at or below 1e-10 of
+    the largest (rounding noise around the rigid-motion null space) set to
+    0.0 so that no summation order shows in the output; and the smallest
+    of the others (0.0 if none)."""
+    spectrum = np.linalg.eigvalsh(
+        rigidity_matrix(model.positions, model.edges, model.sigmas)
+    )
+    nonzero = spectrum > 1e-10 * max(spectrum.max(initial=0.0), 1.0)
+    lam_min_nonzero = float(spectrum[nonzero].min()) if nonzero.any() else 0.0
+    return np.where(nonzero, spectrum, 0.0), lam_min_nonzero
+
+
 def run_network_experiment(config: ExperimentConfig) -> MonteCarloReport:
     """Localization campaign on H\\SE(2)^V; refuses non-rigid graphs and
     reports the rigidity spectrum."""
     model, g_true, _, _ = _network_context(config)
     # Raises DegenerateModelError with the rank gap on flex graphs.
     F_rigidity = network_fim(model.positions, model.edges, model.sigmas)
-    S_full = rigidity_matrix(model.positions, model.edges, model.sigmas)
-    spectrum = np.linalg.eigvalsh(S_full)
+    spectrum, lam_min_nonzero = _rigidity_spectrum(model)
     lam_min_fim = float(np.linalg.eigvalsh(F_rigidity.matrix).min())
-    nonzero = spectrum[spectrum > 1e-10 * max(spectrum.max(initial=0.0), 1.0)]
-    lam_min_nonzero = float(nonzero.min()) if len(nonzero) else 0.0
 
     rows = _collect_rows("network", config)
     F1 = fisher.fim(model, g_true, fisher.REDUCED)
@@ -415,12 +425,7 @@ def run_crb_report(config: ExperimentConfig) -> MonteCarloReport:
     eigs = np.linalg.eigvalsh(F1.matrix)
     tr_inv = crb.variance_bound(F1)
     rows = []
-    lam_rig = None
-    if config.model == "network":
-        S = rigidity_matrix(model.positions, model.edges, model.sigmas)
-        sp = np.linalg.eigvalsh(S)
-        nz = sp[sp > 1e-10 * max(sp.max(initial=0.0), 1.0)]
-        lam_rig = float(nz.min()) if len(nz) else 0.0
+    lam_rig = _rigidity_spectrum(model)[1] if config.model == "network" else None
     for m in config.m_values:
         rows.append(
             {

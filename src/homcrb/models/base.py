@@ -49,6 +49,11 @@ class ModelBase:
 
     descriptor: groups.GroupDescriptor
     struct: ReductiveStructure
+    # True when the reduced FIM is the same at every g, as for a group
+    # acting transitively on the parameter space: fim_reduced then
+    # computes it once per model.
+    invariant_fim = False
+    _reduced_fim = None
 
     @property
     def side(self) -> Side:
@@ -123,10 +128,15 @@ class ModelBase:
         return grads.sum(axis=0)
 
     def fim_reduced(self, g: GroupElement) -> np.ndarray | None:
-        """Single-observation reduced FIM over the m-basis, if analytic."""
-        return self.analytic_fim(
-            g, self.struct.m_basis, natural_operator(self.side)
-        )
+        """Single-observation reduced FIM over the m-basis, if analytic.
+        With invariant_fim, the first result is kept and the same
+        read-only array is returned at every g."""
+        if self._reduced_fim is not None:
+            return self._reduced_fim
+        F = self.analytic_fim(g, self.struct.m_basis, natural_operator(self.side))
+        if self.invariant_fim and F is not None:
+            F = self._reduced_fim = groups._frozen(F)
+        return F
 
 
 def invariance_defect(

@@ -25,6 +25,8 @@ def _sample_trivial(rng: np.random.Generator, descriptor) -> GroupElement:
 class GaussianMeanModel(ModelBase):
     """x ~ N(t, sigma^2 I) for a translation parameter t in R^d."""
 
+    invariant_fim = True
+
     def __init__(self, dim: int = 1, noise: float = 1.0):
         if dim < 1:
             raise ValueError("dim must be >= 1")

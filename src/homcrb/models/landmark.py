@@ -9,7 +9,8 @@ axis through two landmarks (n_H = 1), trivial for >= 3 non-collinear.
 The analytic gradient and FIM along a direction X = (Omega, v) are
     X^R l(g)   = sum_k (Omega a_k + v)'(a_k - p - R x_k) / sigma_k^2
     F(X_i,X_j) = sum_k (Omega_j a_k + v_j)'(Omega_i a_k + v_i) / sigma_k^2
-with the FIM independent of g (constant along fibers, trivially).
+with the FIM independent of g (constant along fibers, trivially), so
+the model computes it once.
 """
 
 from __future__ import annotations
@@ -130,26 +131,33 @@ def _sample_identity(rng: np.random.Generator) -> GroupElement:
 class LandmarkModel(ModelBase):
     """Pose estimation from body-frame landmark observations."""
 
+    invariant_fim = True
+
     def __init__(self, landmarks, noise=1.0):
-        landmarks = np.atleast_2d(np.asarray(landmarks, dtype=float))
+        landmarks = np.array(landmarks, dtype=float, ndmin=2)  # a copy
         if landmarks.shape[1] != 3:
             raise ValueError("landmarks must be points in R^3")
         if len(landmarks) == 2 and np.allclose(landmarks[0], landmarks[1]):
             raise ValueError("two-landmark model requires distinct landmarks")
-        self.landmarks = landmarks
-        self.noise = np.broadcast_to(
-            np.asarray(noise, dtype=float), (len(landmarks),)
-        ).copy()
+        # Read-only: the FIM and the m-basis terms are derived from them once.
+        self.landmarks = groups._frozen(landmarks)
+        self.noise = groups._frozen(
+            np.broadcast_to(np.asarray(noise, dtype=float), (len(landmarks),)).copy()
+        )
         if np.any(self.noise < 0):
             raise ValueError("noise standard deviations must be nonnegative")
         self.descriptor = groups.se3()
         self.struct = _landmark_structure(landmarks)
+        # g-independent: 1/sigma^2 (None without a density) and the m-basis
+        # direction terms.
+        self._inv_var = None if np.any(self.noise == 0) else 1.0 / self.noise**2
+        self._m_terms = self._direction_terms(self.struct.m_basis)
 
     @property
     def _weights(self) -> np.ndarray:
-        if np.any(self.noise == 0):
+        if self._inv_var is None:
             raise DomainError("zero-noise model has no likelihood density")
-        return 1.0 / self.noise**2
+        return self._inv_var
 
     # -- observations ------------------------------------------------------
 
@@ -209,6 +217,5 @@ class LandmarkModel(ModelBase):
     def total_grad_m(self, summary, g: GroupElement) -> np.ndarray:
         m, xbar, _ = summary
         R, p = pose_parts(g)
-        terms = self._direction_terms(self.struct.m_basis)
         resid = (self.landmarks - p) - xbar @ R.T
-        return m * np.einsum("dkj,kj,k->d", terms, resid, self._weights)
+        return m * np.einsum("dkj,kj,k->d", self._m_terms, resid, self._weights)

@@ -7,7 +7,8 @@ m = symmetric matrices (orthogonal under the Frobenius inner product).
 
 With u = g^-1 x (standard normal under the model), the LIVF derivative
 along any algebra direction D is u'Du - tr(D), giving the reduced FIM
-2 tr(sym(D_i) sym(D_j)) = 2 I on the orthonormal symmetric basis.
+2 tr(sym(D_i) sym(D_j)) = 2 I on the orthonormal symmetric basis, the
+same at every g, so the model computes it once.
 """
 
 from __future__ import annotations
@@ -62,6 +63,8 @@ def _spd_bases(n: int):
 class SpdModel(ModelBase):
     """Gaussian scatter-matrix estimation through the GL(n)+ pullback."""
 
+    invariant_fim = True
+
     def __init__(self, n: int):
         if n < 2:
             raise ValueError("SPD model needs n >= 2")
@@ -75,6 +78,8 @@ class SpdModel(ModelBase):
             side=Side.G_MOD_H,
             subgroup_sampler=partial(_sample_special_orthogonal, descriptor=desc),
         )
+        self._m_matrices = self._direction_matrices(self.struct.m_basis)
+        self._m_traces = np.trace(self._m_matrices, axis1=1, axis2=2)
 
     # -- observations ------------------------------------------------------
 
@@ -130,10 +135,7 @@ class SpdModel(ModelBase):
         m, xbar2 = summary
         ginv = np.linalg.inv(g.matrix)
         Ubar = ginv @ xbar2 @ ginv.T
-        D = self._direction_matrices(self.struct.m_basis)
-        return m * (
-            np.einsum("ij,dji->d", Ubar, D) - np.trace(D, axis1=1, axis2=2)
-        )
+        return m * (np.einsum("ij,dji->d", Ubar, self._m_matrices) - self._m_traces)
 
 
 def spd_grad(x_second_moment, g: GroupElement) -> np.ndarray:

@@ -111,14 +111,13 @@ def _apply_step(model, g: GroupElement, step_m: np.ndarray) -> tuple[GroupElemen
     return g_next, drift
 
 
-def _solve_step(F: np.ndarray, mean_grad: np.ndarray) -> np.ndarray:
+def _check_conditioning(F: np.ndarray) -> None:
     cond = float(np.linalg.cond(F))
     if not math.isfinite(cond) or cond > 1e12:
         raise DegenerateFimError(
             f"reduced FIM singular at iterate (condition number {cond:.3e})",
             condition_number=cond,
         )
-    return np.linalg.solve(F, mean_grad)
 
 
 def _ascend(
@@ -189,13 +188,22 @@ def fisher_scoring(
     """Natural-gradient maximum-likelihood iteration; no step size.
 
     Stops once the preconditioned step norm falls below the tolerance
-    (recorded, not applied) or after max_iterations applications.
+    (recorded, not applied) or after max_iterations applications. Raises
+    DegenerateFimError on a FIM with condition number above 1e12; each
+    distinct FIM array is checked once.
     """
     opts = opts or ScoringOptions()
     provider = _fim_provider(model, g0, opts, random_state)
+    checked = [None]  # the last FIM whose conditioning passed
 
     def natural_step(k: int, g: GroupElement, mean_grad: np.ndarray) -> np.ndarray:
-        return opts.step_scale * _solve_step(provider(g), mean_grad)
+        F = provider(g)
+        # An invariant or frozen FIM comes back as the same array every
+        # iterate; a per-iterate FIM is a new array and is checked again.
+        if F is not checked[0]:
+            _check_conditioning(F)
+            checked[0] = F
+        return opts.step_scale * np.linalg.solve(F, mean_grad)
 
     return _ascend(
         model,

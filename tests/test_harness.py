@@ -7,6 +7,7 @@ from click.testing import CliRunner
 from homcrb import groups
 from homcrb.cli import main
 from homcrb.exceptions import ConfigError, DegenerateModelError
+from homcrb.models import NetworkModel, rigidity_matrix
 from homcrb.harness import (
     load_config,
     run_crb_report,
@@ -124,6 +125,32 @@ def test_network_experiment_triangle():
     assert s["fim_lambda_min"] > 0
     assert s["fim_lambda_min"] <= s["rigidity_lambda_min_nonzero"] + 1e-9
     assert "rigidity-spectrum" in rep.metadata
+
+
+def test_network_rigidity_spectrum_writes_null_eigenvalues_as_zero():
+    positions = [[0.0, 0.0], [1.0, 0.1], [0.4, 0.9], [1.3, 1.0], [-0.2, 1.4]]
+    edges = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (0, 4), (3, 4)]
+    cfg = load_config(
+        {
+            "experiment": "network",
+            "seed": 5,
+            "n_trials": 2,
+            "m_values": [50],
+            "network": {"positions": positions, "edges": edges, "sigmas": 0.2},
+        }
+    )
+    rep = run_network_experiment(cfg)
+    written = rep.metadata["rigidity-spectrum"].split(",")
+    model = NetworkModel(positions, edges, 0.2)
+    expected = np.linalg.eigvalsh(
+        rigidity_matrix(model.positions, model.edges, model.sigmas)
+    )
+    assert len(written) == len(expected) == 2 * len(positions)
+    assert written[:3] == ["0.0", "0.0", "0.0"]
+    assert "0.0" not in written[3:]
+    values = np.array([float(v) for v in written[3:]])
+    assert np.all(np.abs(values - expected[3:]) <= 1e-12 * np.abs(expected[3:]))
+    assert rep.summaries[0]["rigidity_lambda_min_nonzero"] == values[0]
 
 
 def test_network_campaigns_share_one_descriptor():

@@ -7,6 +7,7 @@ from homcrb.groups import AlgebraVector
 from homcrb.models import (
     LandmarkModel,
     NetworkModel,
+    SpdModel,
     canonicalize_positions,
     invariance_defect,
     load_graph,
@@ -15,6 +16,7 @@ from homcrb.models import (
     se3_element,
     spd_grad,
 )
+from homcrb.models.base import natural_operator
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +422,53 @@ def test_spd_structure_split(spd3):
     assert spd3.struct.n_H == 3 and spd3.struct.n_Theta == 6
     rep = homspace.check_adH_invariance(spd3.struct, 50, random_state=9)
     assert rep.invariant
+
+
+# ---------------------------------------------------------------------------
+# The invariant reduced FIM is computed once per model
+
+
+INVARIANT_FIM_MODELS = {
+    "landmark1": lambda: LandmarkModel([[1.0, 0.0, 0.0]]),
+    "landmark2": lambda: LandmarkModel(
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.3]], noise=[0.5, 2.0]
+    ),
+    "landmark3": lambda: LandmarkModel(
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.3], [-0.4, 0.2, 1.1]], noise=[1.0, 0.3, 0.7]
+    ),
+    "spd2": lambda: SpdModel(2),
+    "spd3": lambda: SpdModel(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANT_FIM_MODELS))
+def test_cached_reduced_fim_is_the_fim_at_every_g(name, rng):
+    model = INVARIANT_FIM_MODELS[name]()
+    fresh = INVARIANT_FIM_MODELS[name]()
+    op = natural_operator(model.side)
+    first = model.fim_reduced(groups.random_element(model.descriptor, rng, 0.5))
+    assert not first.flags.writeable
+    for _ in range(20):
+        g = groups.random_element(model.descriptor, rng, 1.0)
+        F = model.fim_reduced(g)
+        assert F is first
+        expected = fresh.analytic_fim(g, fresh.struct.m_basis, op)
+        assert np.abs(F - expected).max() <= 1e-12 * np.abs(expected).max()
+    with pytest.raises(ValueError):
+        first[0, 0] = 1.0
+
+
+def test_zero_noise_landmark_fim_raises_on_every_use(rng):
+    model = LandmarkModel([[1.0, 0.0, 0.0]], noise=0.0)
+    g = groups.random_element(groups.se3(), rng, 0.5)
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            model.fim_reduced(g)
+
+
+def test_network_fim_is_computed_per_iterate(triangle_network):
+    g = triangle_network.reference_element()
+    assert triangle_network.fim_reduced(g) is not triangle_network.fim_reduced(g)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from homcrb import fisher, groups, homspace, scoring
 from homcrb.exceptions import DegenerateFimError, DivergenceError
 from homcrb.groups import AlgebraVector
-from homcrb.models import GaussianMeanModel, NetworkModel
+from homcrb.models import GaussianMeanModel, LandmarkModel, NetworkModel, SpdModel
 
 
 def landmark_truth():
@@ -126,6 +126,135 @@ def test_degenerate_fim_raises():
     obs = flex.sample(g, 50, np.random.default_rng(11))
     with pytest.raises(DegenerateFimError):
         scoring.fisher_scoring(flex, obs, g)
+
+
+class StubFimModel(GaussianMeanModel):
+    """2-D Gaussian mean whose reduced FIM is fim_at(g); counts the
+    iterates measured (one m-gradient each)."""
+
+    def __init__(self, fim_at):
+        super().__init__(2)
+        self.fim_at = fim_at
+        self.measured = 0
+
+    def fim_reduced(self, g):
+        return self.fim_at(g)
+
+    def total_grad_m(self, summary, g):
+        self.measured += 1
+        return super().total_grad_m(summary, g)
+
+
+WELL_CONDITIONED = groups._frozen(np.eye(2))
+SINGULAR = groups._frozen(np.diag([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("fresh", [False, True], ids=["same-array", "new-array"])
+def test_conditioning_guard_fires_when_the_fim_turns_singular(fresh, rng):
+    def pick(F):
+        return F.copy() if fresh else F
+
+    g0 = GaussianMeanModel(2).element([0.0, 0.0])
+    model = StubFimModel(lambda g: pick(WELL_CONDITIONED if g is g0 else SINGULAR))
+    obs = model.sample(model.element([2.0, -1.0]), 30, rng)
+    with pytest.raises(DegenerateFimError):
+        scoring.fisher_scoring(model, obs, g0)
+    assert model.measured == 2  # iterate 0 passed, iterate 1 raised
+
+
+def test_conditioning_guard_fires_on_a_constant_singular_fim(rng):
+    model = StubFimModel(lambda g: SINGULAR)
+    obs = model.sample(model.element([2.0, -1.0]), 30, rng)
+    with pytest.raises(DegenerateFimError):
+        scoring.fisher_scoring(model, obs, model.element([0.0, 0.0]))
+    assert model.measured == 1
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name with a wrapper that counts its calls."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_monte_carlo_fim_is_checked_every_iterate(gaussian1, monkeypatch, rng):
+    obs = gaussian1.sample(gaussian1.element([2.0]), 40, rng)
+    conds = count_calls(monkeypatch, np.linalg, "cond")
+    trace = scoring.fisher_scoring(
+        gaussian1,
+        obs,
+        gaussian1.element([-3.0]),
+        scoring.ScoringOptions(fim_mode="monte-carlo", mc_fim_samples=200),
+        random_state=4,
+    )
+    assert len(trace.step_norms) >= 3
+    assert conds[0] == len(trace.step_norms)
+
+
+# ---------------------------------------------------------------------------
+# Cost guard: call counts, no wall clock
+
+
+@pytest.mark.parametrize("kind", ["landmark", "spd"])
+def test_invariant_fim_is_built_and_checked_once(kind, monkeypatch):
+    if kind == "landmark":
+        model = LandmarkModel([[1.0, 0.0, 0.0], [0.0, 1.0, 0.3]])
+        g_true = landmark_truth()
+    else:
+        model = SpdModel(3)
+        g_true = groups.GroupElement(
+            model.descriptor, np.array([[1.2, 0.3, 0.0], [0.1, 0.9, 0.2], [0.0, -0.3, 1.4]])
+        )
+    g0 = groups.identity_element(model.descriptor)
+    fims = count_calls(monkeypatch, type(model), "analytic_fim")
+    conds = count_calls(monkeypatch, np.linalg, "cond")
+    for run in (1, 2):
+        obs = model.sample(g_true, 300, np.random.default_rng(run))
+        trace = scoring.fisher_scoring(model, obs, g0)
+        assert trace.converged and trace.iterations_used >= 3
+        assert conds[0] == run
+    assert fims[0] == 1
+
+
+def test_rotation_defect_runs_once_per_element(landmark_two, monkeypatch):
+    obs = landmark_two.sample(landmark_truth(), 300, np.random.default_rng(3))
+    g0 = groups.identity_element(groups.se3())
+    defects = count_calls(monkeypatch, groups, "_rotation_defect")
+    built = count_calls(monkeypatch, groups.GroupElement, "__post_init__")
+    trace = scoring.fisher_scoring(landmark_two, obs, g0)
+    assert trace.iterations_used >= 3
+    assert built[0] > 0 and defects[0] == built[0]
+
+
+def test_network_fim_is_checked_every_iterate(triangle_network, monkeypatch):
+    g = triangle_network.reference_element()
+    obs = triangle_network.sample(g, 100, np.random.default_rng(13))
+    conds = count_calls(monkeypatch, np.linalg, "cond")
+    families = []
+    original = groups.GroupElement.__post_init__
+
+    def tally(self):
+        families.append(self.descriptor)
+        original(self)
+
+    defects = count_calls(monkeypatch, groups, "_rotation_defect")
+    monkeypatch.setattr(groups.GroupElement, "__post_init__", tally)
+    trace = scoring.fisher_scoring(triangle_network, obs, g)
+    assert len(trace.step_norms) >= 3
+    assert conds[0] == len(trace.step_norms)
+    # One rotation block per SE(2) element, one per factor of a product.
+    assert defects[0] == sum(max(1, len(d.factors)) for d in families)
+    frozen = scoring.fisher_scoring(
+        triangle_network, obs, g, scoring.ScoringOptions(fim_mode="frozen-at-initial")
+    )
+    assert len(frozen.step_norms) >= 2
+    assert conds[0] == len(trace.step_norms) + 1
 
 
 def test_divergence_guard_attaches_trace(landmark_two):
