@@ -142,9 +142,7 @@ def _report(matrix: np.ndarray, variant: str, phi=None, delta=None) -> CrbReport
 
 
 def phi_matrix(
-    stats: EstimatorStats,
-    bias_jacobian: np.ndarray | None = None,
-    psi_order: int = 10,
+    stats: EstimatorStats, bias_jacobian: np.ndarray | None = None
 ) -> np.ndarray:
     """Phi = E[Psi_{-eta}] (G/H) or E[Psi_{eta'}] (H\\G), plus the bias
     Jacobian when one is supplied (unbiasedness is assumed otherwise)."""
@@ -153,7 +151,7 @@ def phi_matrix(
     n_G = struct.group.algebra_dim
     acc = np.zeros((n_G, n_G))
     for row in stats.error_coords:
-        acc += struct.psi(sign * row, order=psi_order)
+        acc += struct.psi(sign * row)
     acc /= max(len(stats.error_coords), 1)
     if bias_jacobian is not None:
         acc = acc + bias_jacobian
@@ -256,7 +254,6 @@ def efficiency_residual(
     estimates,
     struct: ReductiveStructure,
     c: float | None = None,
-    psi_order: int = 10,
 ) -> float:
     """Mean over trials of |eta - b - c Phi Pi' Fbar^-1 grad|.
 
@@ -267,7 +264,7 @@ def efficiency_residual(
     if len(observations) != len(estimates):
         raise ValueError("need one observation set per estimate")
     stats = estimator_stats(g_ref, estimates, struct)
-    phi = phi_matrix(stats, psi_order=psi_order)
+    phi = phi_matrix(stats)
     F1 = model.fim_reduced(g_ref)
     if F1 is None:
         raise UnsupportedMethodError("model provides no analytic reduced FIM")

@@ -77,7 +77,6 @@ def fim(
     method: str = ANALYTIC,
     n_samples: int = DEFAULT_MC_SAMPLES,
     random_state=None,
-    fd_step: float | None = None,
 ) -> FimMatrix:
     """E[D_i l D_j l] over the frame's directions.
 
@@ -99,7 +98,7 @@ def fim(
         raise ValueError("Monte-Carlo estimation needs n_samples >= 1")
     rng = np.random.default_rng(random_state)
     draws = model.sample(g, n_samples, rng)
-    G = model.gradient_batch(draws, g, directions, op, fd_step)
+    G = model.gradient_batch(draws, g, directions, op)
     return FimMatrix(frame, g, (G.T @ G) / n_samples, MC_GRADIENT, n_samples)
 
 
@@ -109,17 +108,16 @@ def fim_hessian(
     frame: str = REDUCED,
     n_samples: int = DEFAULT_MC_SAMPLES,
     random_state=None,
-    h: float | None = None,
 ) -> FimMatrix:
-    """-E[D_j D_i l] via nested central differences over common draws,
-    symmetrized as (M + M') / 2 since the identity holds for either
-    derivative ordering."""
+    """-E[D_j D_i l] via nested central differences with step
+    1e-4 (1 + |g|) over common draws, symmetrized as (M + M') / 2 since
+    the identity holds for either derivative ordering."""
     if n_samples < 1:
         raise ValueError("Monte-Carlo estimation needs n_samples >= 1")
     directions, op = frame_directions(model.struct, frame)
     rng = np.random.default_rng(random_state)
     draws = model.sample(g, n_samples, rng)
-    step = h or 1e-4 * (1.0 + float(np.linalg.norm(g.matrix)))
+    step = 1e-4 * (1.0 + float(np.linalg.norm(g.matrix)))
 
     def mean_loglik(point: GroupElement) -> float:
         return float(np.mean(model.loglik_batch(draws, point)))
@@ -139,13 +137,11 @@ def fim_hessian(
     return FimMatrix(frame, g, F, MC_HESSIAN, n_samples)
 
 
-def grad_loglik(
-    model, x, g: GroupElement, fd_step: float | None = None
-) -> np.ndarray:
+def grad_loglik(model, x, g: GroupElement) -> np.ndarray:
     """Gradient of l(x|.) at g along the m-basis invariant vector fields
     (LIVFs on G/H, RIVFs on H\\G); analytic when available."""
     directions, op = frame_directions(model.struct, REDUCED)
-    G = model.gradient_batch(model._as_batch(x), g, directions, op, fd_step)
+    G = model.gradient_batch(model._as_batch(x), g, directions, op)
     return G[0]
 
 

@@ -401,13 +401,13 @@ def wedge(v, descriptor: GroupDescriptor) -> np.ndarray:
     return np.tensordot(v, descriptor.algebra_basis, axes=1)
 
 
-def vee(X, descriptor: GroupDescriptor, tol: float = _VEE_RESIDUAL_TOL) -> np.ndarray:
+def vee(X, descriptor: GroupDescriptor) -> np.ndarray:
     """Coordinates of an algebra matrix (least squares against the basis)."""
     X = np.asarray(X, dtype=float)
     if X.shape != (descriptor.matrix_dim,) * 2:
         raise ValueError(f"matrix shape {X.shape} incompatible with descriptor")
     coords, residual = _vee_lstsq(X, descriptor)
-    if residual > tol * max(1.0, float(np.linalg.norm(X))):
+    if residual > _VEE_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(X))):
         raise NotInAlgebraError(
             f"matrix is not in the algebra span: residual {residual:.3e}"
         )
@@ -436,7 +436,7 @@ def _so3_exp(omega) -> np.ndarray:
     theta = float(np.linalg.norm(omega))
     W = hat(omega)
     a, b = _so3_coeffs(theta)
-    return np.eye(3) + a * W + b * (W @ W)
+    return _eye(3) + a * W + b * (W @ W)
 
 
 def _so3_left_jacobian(omega) -> np.ndarray:
@@ -449,7 +449,7 @@ def _so3_left_jacobian(omega) -> np.ndarray:
     else:
         b = (1.0 - math.cos(theta)) / theta**2
         c = (theta - math.sin(theta)) / theta**3
-    return np.eye(3) + b * W + c * (W @ W)
+    return _eye(3) + b * W + c * (W @ W)
 
 
 def _so3_left_jacobian_inv(omega) -> np.ndarray:
@@ -464,7 +464,7 @@ def _so3_left_jacobian_inv(omega) -> np.ndarray:
         c = 1.0 / theta**2 - (1.0 + math.cos(theta)) / (
             2.0 * theta * math.sin(theta)
         )
-    return np.eye(3) - 0.5 * W + c * (W @ W)
+    return _eye(3) - 0.5 * W + c * (W @ W)
 
 
 def _se2_V(theta: float) -> np.ndarray:
@@ -573,7 +573,7 @@ def log(g: GroupElement) -> AlgebraVector:
 # Adjoint representations
 
 
-def adjoint_matrix(g: GroupElement, tol: float = _VEE_RESIDUAL_TOL) -> np.ndarray:
+def adjoint_matrix(g: GroupElement) -> np.ndarray:
     """Matrix of Ad_g: columns are vee(g E_i g^-1)."""
     d = g.descriptor
     ginv = _inverse_matrix(g.matrix, d)
@@ -581,7 +581,7 @@ def adjoint_matrix(g: GroupElement, tol: float = _VEE_RESIDUAL_TOL) -> np.ndarra
     for E in d.algebra_basis:
         M = g.matrix @ E @ ginv
         coords, residual = _vee_lstsq(M, d)
-        if residual > tol * max(1.0, float(np.linalg.norm(M))):
+        if residual > _VEE_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(M))):
             raise BasisClosureError(
                 f"Ad_g left the algebra span: residual {residual:.3e}"
             )

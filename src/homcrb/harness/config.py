@@ -64,6 +64,8 @@ class ExperimentConfig:
             raise ConfigError("n_trials must be >= 1")
         if not self.m_values or any(m < 1 for m in self.m_values):
             raise ConfigError("m_values must be nonempty and positive")
+        if len(set(self.m_values)) != len(self.m_values):
+            raise ConfigError(f"m_values must be distinct, got {list(self.m_values)}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if not (0 <= self.seed < 2**64):

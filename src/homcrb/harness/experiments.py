@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -55,28 +56,20 @@ _TRIAL_FAILURES = (
     EvaluationError,
 )
 
+_TRIAL = ["record", "m", "trial", "status"]
+_COUNTS = ["n_ok", "failures"]
+_ERRORS = ["coset_err_sq", "g_err_sq", "iterations", "loglik"]
+_ERROR_STATS = [
+    "coset_variance", "coset_stderr", "g_variance", "g_stderr",
+    "crb_trace", "crb_trace_third", "ratio_coset", "ratio_g",
+]
+_MULTISTART = ["multistart_max_coset", "multistart_min_gdist"]
+_LAMBDAS = ["fim_lambda_min", "rigidity_lambda_min_nonzero"]
 _FIELDS = {
-    "landmark": [
-        "record", "m", "trial", "status",
-        "coset_err_sq", "g_err_sq", "iterations", "loglik",
-        "multistart_max_coset", "multistart_min_gdist",
-        "n_ok", "failures",
-        "coset_variance", "coset_stderr", "g_variance", "g_stderr",
-        "crb_trace", "crb_trace_third", "ratio_coset", "ratio_g",
-    ],
-    "network": [
-        "record", "m", "trial", "status",
-        "coset_err_sq", "g_err_sq", "iterations", "loglik",
-        "n_ok", "failures",
-        "coset_variance", "coset_stderr", "g_variance", "g_stderr",
-        "crb_trace", "crb_trace_third", "ratio_coset", "ratio_g",
-        "fim_lambda_min", "rigidity_lambda_min_nonzero",
-    ],
-    "spd": [
-        "record", "m", "trial", "status",
-        "frobenius_gap", "iterations", "loglik",
-        "n_ok", "failures", "max_gap", "mean_iterations",
-    ],
+    "landmark": _TRIAL + _ERRORS + _MULTISTART + _COUNTS + _ERROR_STATS,
+    "network": _TRIAL + _ERRORS + _COUNTS + _ERROR_STATS + _LAMBDAS,
+    "spd": _TRIAL + ["frobenius_gap", "iterations", "loglik"]
+    + _COUNTS + ["max_gap", "mean_iterations"],
     "crb-report": [
         "record", "m", "crb_trace", "crb_trace_total",
         "fim_lambda_min", "fim_lambda_max", "rigidity_lambda_min_nonzero",
@@ -137,7 +130,7 @@ def _base_metadata(config: ExperimentConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Contexts (built once per process) and per-trial work
+# Contexts (one per campaign or worker process) and per-trial work
 
 
 def _landmark_context(config: ExperimentConfig):
@@ -260,87 +253,96 @@ def _estimation_trial(ctx, kind: str, seed: int, m_index: int, m: int, trial: in
         }
 
 
-def _run_chunk(kind: str, config: ExperimentConfig, pairs) -> list[dict]:
-    ctx = _CONTEXTS[kind](config)
-    return [
-        _estimation_trial(ctx, kind, config.seed, mi, m, t) for (mi, m, t) in pairs
-    ]
+def _run_trials(ctx, kind: str, seed: int, pairs) -> list[dict]:
+    return [_estimation_trial(ctx, kind, seed, mi, m, t) for (mi, m, t) in pairs]
 
 
-def _collect_rows(kind: str, config: ExperimentConfig) -> list[dict]:
+def _worker_chunk(kind: str, config: ExperimentConfig, pairs) -> list[dict]:
+    """Worker-process entry: rebuild the context, then run the chunk."""
+    return _run_trials(_CONTEXTS[kind](config), kind, config.seed, pairs)
+
+
+def _collect_rows(ctx, kind: str, config: ExperimentConfig) -> list[dict]:
+    """Trial rows in (m index, trial) order. Serially they run on ctx;
+    otherwise on at most os.cpu_count() worker processes."""
     pairs = [
         (mi, m, t)
         for mi, m in enumerate(config.m_values)
         for t in range(config.n_trials)
     ]
-    if config.workers == 1 or len(pairs) < 2 * config.workers:
-        return _run_chunk(kind, config, pairs)
-    chunks = np.array_split(np.arange(len(pairs)), config.workers)
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    workers = min(config.workers, os.cpu_count() or 1)
+    if workers == 1 or len(pairs) < 2 * workers:
+        return _run_trials(ctx, kind, config.seed, pairs)
+    chunks = np.array_split(np.arange(len(pairs)), workers)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_run_chunk, kind, config, [pairs[i] for i in idx])
+            pool.submit(_worker_chunk, kind, config, [pairs[i] for i in idx])
             for idx in chunks
-            if len(idx)
         ]
-        out: list[dict] = []
-        for fut in futures:  # submission order == index order
-            out.extend(fut.result())
+        # Submission order is index order.
+        return [row for fut in futures for row in fut.result()]
+
+
+def _summaries(rows, m_values, stats) -> list[dict]:
+    """One summary per m counting its ok and failed trials, plus
+    stats(ok_rows, m) when some trial is ok."""
+    out = []
+    for m in m_values:
+        rows_m = [r for r in rows if r["m"] == m]
+        ok = [r for r in rows_m if r["status"] == "ok"]
+        summary = {
+            "record": "summary",
+            "m": m,
+            "status": "",
+            "n_ok": len(ok),
+            "failures": len(rows_m) - len(ok),
+        }
+        if ok:
+            summary.update(stats(ok, m))
+        out.append(summary)
     return out
 
 
-def _error_summary(rows_m, m: int, bound_per_m: float, fim_total, struct):
-    ok = [r for r in rows_m if r["status"] == "ok"]
-    failures = len(rows_m) - len(ok)
-    summary = {
-        "record": "summary",
-        "m": m,
-        "status": "",
-        "n_ok": len(ok),
-        "failures": failures,
-    }
-    if not ok:
-        return summary
-    cvals = np.array([r["coset_err_sq"] for r in ok])
-    gvals = np.array([r["g_err_sq"] for r in ok])
-    etas = np.array([r["eta"] for r in ok])
-    delta = crb.delta_matrix(etas, struct)
-    third = crb.crb_third_order(fim_total, delta).bound_trace
-    summary.update(
-        coset_variance=float(cvals.mean()),
-        coset_stderr=float(cvals.std() / np.sqrt(len(cvals))),
-        g_variance=float(gvals.mean()),
-        g_stderr=float(gvals.std() / np.sqrt(len(gvals))),
-        crb_trace=bound_per_m,
-        crb_trace_third=third,
-        ratio_coset=float(cvals.mean() / bound_per_m),
-        ratio_g=float(gvals.mean() / bound_per_m),
+def _error_campaign(ctx, kind: str, config: ExperimentConfig):
+    """Trials on ctx, and per m the coset and group error variances
+    against the CRB tr(Fbar^-1) / m and the third-order bound. Returns
+    the report and the trial rows with their private eta."""
+    model, g_true = ctx[0], ctx[1]
+    rows = _collect_rows(ctx, kind, config)
+    F1 = fisher.fim(model, g_true, fisher.REDUCED)
+    tr_inv = crb.variance_bound(F1)
+
+    def stats(ok, m):
+        bound = tr_inv / m
+        cvals = np.array([r["coset_err_sq"] for r in ok])
+        gvals = np.array([r["g_err_sq"] for r in ok])
+        delta = crb.delta_matrix(np.array([r["eta"] for r in ok]), model.struct)
+        Fm = fisher.FimMatrix(fisher.REDUCED, g_true, m * F1.matrix, fisher.ANALYTIC, 0)
+        return dict(
+            coset_variance=float(cvals.mean()),
+            coset_stderr=float(cvals.std() / np.sqrt(len(cvals))),
+            g_variance=float(gvals.mean()),
+            g_stderr=float(gvals.std() / np.sqrt(len(gvals))),
+            crb_trace=bound,
+            crb_trace_third=crb.crb_third_order(Fm, delta).bound_trace,
+            ratio_coset=float(cvals.mean() / bound),
+            ratio_g=float(gvals.mean() / bound),
+        )
+
+    public = [{k: v for k, v in r.items() if k != "eta"} for r in rows]
+    report = MonteCarloReport(
+        kind, _base_metadata(config), _FIELDS[kind], public,
+        _summaries(rows, config.m_values, stats),
     )
-    return summary
-
-
-def _strip_private(rows) -> list[dict]:
-    return [{k: v for k, v in r.items() if k != "eta"} for r in rows]
+    return report, rows
 
 
 def run_landmark_experiment(config: ExperimentConfig) -> MonteCarloReport:
     """Pose-estimation campaign: scoring-based MLE errors against the
     analytic CRB for each measurement count."""
     started = time.monotonic()
-    model, g_true, _, _ = _landmark_context(config)
-    rows = _collect_rows("landmark", config)
-    F1 = fisher.fim(model, g_true, fisher.REDUCED)
-    summaries = []
-    for m in config.m_values:
-        rows_m = [r for r in rows if r["m"] == m]
-        Fm = fisher.FimMatrix(fisher.REDUCED, g_true, m * F1.matrix, fisher.ANALYTIC, 0)
-        summaries.append(
-            _error_summary(rows_m, m, crb.variance_bound(F1) / m, Fm, model.struct)
-        )
-    meta = _base_metadata(config)
-    meta["noise"] = config.landmark.get("noise", 1.0)
-    report = MonteCarloReport(
-        "landmark", meta, _FIELDS["landmark"], _strip_private(rows), summaries
-    )
+    report, rows = _error_campaign(_landmark_context(config), "landmark", config)
+    report.metadata["noise"] = config.landmark.get("noise", 1.0)
     report.extras["etas"] = {
         m: [r["eta"] for r in rows if r["m"] == m and r["status"] == "ok"]
         for m in config.m_values
@@ -365,28 +367,19 @@ def _rigidity_spectrum(model: NetworkModel) -> tuple[np.ndarray, float]:
 def run_network_experiment(config: ExperimentConfig) -> MonteCarloReport:
     """Localization campaign on H\\SE(2)^V; refuses non-rigid graphs and
     reports the rigidity spectrum."""
-    model, g_true, _, _ = _network_context(config)
+    ctx = _network_context(config)
+    model = ctx[0]
     # Raises DegenerateModelError with the rank gap on flex graphs.
     F_rigidity = network_fim(model.positions, model.edges, model.sigmas)
     spectrum, lam_min_nonzero = _rigidity_spectrum(model)
     lam_min_fim = float(np.linalg.eigvalsh(F_rigidity.matrix).min())
 
-    rows = _collect_rows("network", config)
-    F1 = fisher.fim(model, g_true, fisher.REDUCED)
-    summaries = []
-    for m in config.m_values:
-        rows_m = [r for r in rows if r["m"] == m]
-        Fm = fisher.FimMatrix(fisher.REDUCED, g_true, m * F1.matrix, fisher.ANALYTIC, 0)
-        s = _error_summary(rows_m, m, crb.variance_bound(F1) / m, Fm, model.struct)
+    report, _ = _error_campaign(ctx, "network", config)
+    for s in report.summaries:
         s.update(
             fim_lambda_min=lam_min_fim, rigidity_lambda_min_nonzero=lam_min_nonzero
         )
-        summaries.append(s)
-    meta = _base_metadata(config)
-    meta["rigidity-spectrum"] = ",".join(repr(float(v)) for v in spectrum)
-    report = MonteCarloReport(
-        "network", meta, _FIELDS["network"], _strip_private(rows), summaries
-    )
+    report.metadata["rigidity-spectrum"] = ",".join(repr(float(v)) for v in spectrum)
     report.extras["rigidity_spectrum"] = spectrum
     return report
 
@@ -394,27 +387,19 @@ def run_network_experiment(config: ExperimentConfig) -> MonteCarloReport:
 def run_spd_experiment(config: ExperimentConfig) -> MonteCarloReport:
     """Covariance-estimation campaign: Fisher scoring from the identity
     against the closed-form second-moment MLE."""
-    rows = _collect_rows("spd", config)
-    summaries = []
-    for m in config.m_values:
-        rows_m = [r for r in rows if r["m"] == m]
-        ok = [r for r in rows_m if r["status"] == "ok"]
-        summary = {
-            "record": "summary",
-            "m": m,
-            "status": "",
-            "n_ok": len(ok),
-            "failures": len(rows_m) - len(ok),
-        }
-        if ok:
-            summary.update(
-                max_gap=float(max(r["frobenius_gap"] for r in ok)),
-                mean_iterations=float(np.mean([r["iterations"] for r in ok])),
-            )
-        summaries.append(summary)
+    rows = _collect_rows(_spd_context(config), "spd", config)
+
+    def stats(ok, m):
+        return dict(
+            max_gap=float(max(r["frobenius_gap"] for r in ok)),
+            mean_iterations=float(np.mean([r["iterations"] for r in ok])),
+        )
+
     meta = _base_metadata(config)
     meta["dimension"] = config.spd.get("dimension", 3)
-    return MonteCarloReport("spd", meta, _FIELDS["spd"], rows, summaries)
+    return MonteCarloReport(
+        "spd", meta, _FIELDS["spd"], rows, _summaries(rows, config.m_values, stats)
+    )
 
 
 def run_crb_report(config: ExperimentConfig) -> MonteCarloReport:

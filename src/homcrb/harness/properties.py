@@ -62,11 +62,11 @@ def _landmark_fixture(seed: int):
     return model, g, rng
 
 
-def suite_psi(seed: int, n_pairs: int = 100, tol: float = 1e-5):
+def suite_psi(seed: int):
     """Psi series against central differences of the log map."""
+    n_pairs, tol, h = 100, 1e-5, 1e-5
     failures = []
     checks = 0
-    h = 1e-5
     for desc in (groups.so3(), groups.se2(), groups.se3(), groups.glnplus(2)):
         rng = np.random.default_rng([seed, 7, desc.algebra_dim])
         for k in range(n_pairs):
@@ -85,8 +85,9 @@ def suite_psi(seed: int, n_pairs: int = 100, tol: float = 1e-5):
     return checks, failures
 
 
-def suite_fim_frames(seed: int, n_h: int = 20, tol: float = 1e-9):
+def suite_fim_frames(seed: int):
     """FIM frame relations on the landmark model (analytic)."""
+    n_h, tol = 20, 1e-9
     model, g, rng = _landmark_fixture(seed)
     failures = []
     checks = 0
@@ -106,12 +107,11 @@ def suite_fim_frames(seed: int, n_h: int = 20, tol: float = 1e-9):
     return checks, failures
 
 
-def suite_variance_invariance(
-    seed: int, n_h: int = 20, tol: float = 1e-8, corrupt: bool = False
-):
+def suite_variance_invariance(seed: int, corrupt: bool = False):
     """Representative-independence of tr(Fbar^-1) and of the coset error
     length. The corrupt flag rescales one m-direction of the inner
     product, which must break the invariance."""
+    n_h, tol = 20, 1e-8
     model, g, rng = _landmark_fixture(seed)
     struct = model.struct
     if corrupt:
@@ -148,8 +148,9 @@ def suite_variance_invariance(
     return checks, failures
 
 
-def suite_error_block(seed: int, n_trials: int = 100, m: int = 100, tol: float = 1e-8):
+def suite_error_block(seed: int):
     """Lifted-estimator errors live in m: h-components vanish."""
+    n_trials, m, tol = 100, 100, 1e-8
     model, g, _ = _landmark_fixture(seed)
     failures = []
     checks = 0
@@ -177,8 +178,9 @@ def suite_error_block(seed: int, n_trials: int = 100, m: int = 100, tol: float =
     return checks, failures
 
 
-def suite_sphere(seed: int, n_pairs: int = 100, tol: float = 1e-10):
+def suite_sphere(seed: int):
     """Group coset error equals the closed-form spherical log on S^2."""
+    n_pairs, tol = 100, 1e-10
     s2 = homspace.sphere_structure()
     rng = np.random.default_rng([seed, 17])
     failures = []
@@ -196,8 +198,9 @@ def suite_sphere(seed: int, n_pairs: int = 100, tol: float = 1e-10):
     return checks, failures
 
 
-def suite_gradients(seed: int, tol: float = 1e-5):
+def suite_gradients(seed: int):
     """Analytic gradients against finite differences for every model."""
+    tol = 1e-5
     failures = []
     checks = 0
     cases = []

@@ -57,6 +57,9 @@ def translate_directions(directions, g: GroupElement, from_op: str, to_op: str):
 _GS_SKIP_TOL = 1e-8
 _LIFT_TOL = 1e-10
 _LIFT_MAX_ITER = 100
+# Ad_H invariance: unit m-directions tested per sampled h, and the tolerance.
+_ADH_DIRECTIONS = 20
+_ADH_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,9 +125,10 @@ class ReductiveStructure:
     def ad(self, X: AlgebraVector) -> np.ndarray:
         return self.in_adapted(groups.ad_matrix(X))
 
-    def psi(self, struct_coords, order: int = 10) -> np.ndarray:
-        """Psi matrix of the element with the given adapted coordinates."""
-        return groups._psi_series(self.ad(self.from_coords(struct_coords)), order)[0]
+    def psi(self, struct_coords) -> np.ndarray:
+        """Psi matrix (series to order 10) of the element with the given
+        adapted coordinates."""
+        return groups._psi_series(self.ad(self.from_coords(struct_coords)), 10)[0]
 
     def with_gram(self, gram) -> "ReductiveStructure":
         """Copy with a replaced inner product (used for fault injection)."""
@@ -280,8 +284,6 @@ def check_adH_invariance(
     struct: ReductiveStructure,
     n_samples: int,
     random_state: np.random.Generator | int | None = None,
-    n_directions: int = 20,
-    tol: float = 1e-8,
 ) -> AdInvarianceReport:
     """Sample h in H and test that Ad_h preserves m, its norms, and the
     h/m block-diagonal form of the adjoint in adapted coordinates."""
@@ -303,7 +305,7 @@ def check_adH_invariance(
         worst_orth = max(
             worst_orth, float(np.abs(A_m.T @ G_m @ A_m - G_m).max())
         )
-        for _ in range(n_directions):
+        for _ in range(_ADH_DIRECTIONS):
             z = rng.standard_normal(n_T)
             z /= np.linalg.norm(z)
             Az = A_m @ z
@@ -312,7 +314,7 @@ def check_adH_invariance(
             )
             worst_norm = max(worst_norm, dev)
     return AdInvarianceReport(
-        invariant=max(worst_norm, worst_orth, worst_off) <= tol,
+        invariant=max(worst_norm, worst_orth, worst_off) <= _ADH_TOL,
         worst_norm_deviation=worst_norm,
         worst_orthogonality_defect=worst_orth,
         worst_offblock_norm=worst_off,
@@ -358,8 +360,6 @@ def coset_error(
     g_ref: GroupElement,
     g_est: GroupElement,
     struct: ReductiveStructure,
-    tol: float = _LIFT_TOL,
-    max_iterations: int = _LIFT_MAX_ITER,
 ) -> CosetError:
     """Horizontally lift g_est onto the cross-section through g_ref.
 
@@ -370,7 +370,7 @@ def coset_error(
     base = relative_element(g_ref, g_est, struct.side)
     h_acc = groups.identity_element(struct.group)
     last_residual = math.inf
-    for it in range(max_iterations + 1):
+    for it in range(_LIFT_MAX_ITER + 1):
         arg = (base @ h_acc) if left_side else (h_acc @ base)
         try:
             Y = groups.log(arg)
@@ -383,7 +383,7 @@ def coset_error(
         c = struct.coords_of(Y)
         h_part = c[: struct.n_H]
         last_residual = float(np.linalg.norm(h_part))
-        if last_residual <= tol:
+        if last_residual <= _LIFT_TOL:
             lift = (g_est @ h_acc) if left_side else (h_acc @ g_est)
             c = np.array(c)
             return CosetError(
@@ -399,9 +399,9 @@ def coset_error(
         step = groups.exp(correction)
         h_acc = (h_acc @ step) if left_side else (step @ h_acc)
     raise LiftFailureError(
-        f"horizontal lift did not converge in {max_iterations} iterations "
+        f"horizontal lift did not converge in {_LIFT_MAX_ITER} iterations "
         f"(h-residual {last_residual:.3e}); estimate too far from the coset",
-        iterations=max_iterations,
+        iterations=_LIFT_MAX_ITER,
         residual=last_residual,
     )
 

@@ -97,22 +97,17 @@ class ModelBase:
     # -- derived conveniences ---------------------------------------------
 
     def gradient_batch(
-        self,
-        observations,
-        g: GroupElement,
-        directions,
-        op: str,
-        fd_step: float | None = None,
+        self, observations, g: GroupElement, directions, op: str
     ) -> np.ndarray:
         """(n_obs, n_directions) derivative array; analytic if available,
         vectorized central differences otherwise."""
         out = self.analytic_gradient_batch(observations, g, directions, op)
         if out is not None:
             return out
-        return self._fd_gradient_batch(observations, g, directions, op, fd_step)
+        return self._fd_gradient_batch(observations, g, directions, op)
 
-    def _fd_gradient_batch(self, observations, g, directions, op, fd_step=None):
-        h = fd_step or groups.default_step(g)
+    def _fd_gradient_batch(self, observations, g, directions, op):
+        h = groups.default_step(g)
         loglik = partial(self.loglik_batch, observations)
         return np.column_stack(
             [groups.central_difference(loglik, g, d, h, op) for d in directions]

@@ -151,7 +151,7 @@ def _sample_diagonal_rigid_motion(
 class NetworkModel(ModelBase):
     """Sensor network localization from squared-distance measurements."""
 
-    def __init__(self, positions, edges, sigmas=0.1, canonicalize=True):
+    def __init__(self, positions, edges, sigmas=0.1):
         p = np.atleast_2d(np.asarray(positions, dtype=float))
         if p.shape[1] != 2:
             raise ConfigError("only d = 2 networks are shipped")
@@ -163,8 +163,7 @@ class NetworkModel(ModelBase):
         ).copy()
         if np.any(self.sigmas <= 0):
             raise ConfigError("edge noise sigmas must be positive")
-        self.positions = canonicalize_positions(p) if canonicalize else p
-        self.canonicalized = bool(canonicalize)
+        self.positions = canonicalize_positions(p)
         n = len(p)
         self.n_agents = n
         self.descriptor = groups.product_group([groups.se2()] * n, name=f"SE(2)^{n}")

@@ -64,19 +64,13 @@ class ScoringTrace:
 
 
 def _fim_provider(model, g0: GroupElement, opts: ScoringOptions, random_state):
-    """Per-iterate reduced FIM callable; analytic when available, frozen
-    Monte-Carlo at the initial point otherwise."""
-    def analytic(g):
-        return model.fim_reduced(g)
-
-    if opts.fim_mode == ANALYTIC and analytic(g0) is not None:
-        return analytic
+    """Reduced FIM callable (k, g) for iterate k at g: analytic per
+    iterate (iterate 0 reuses the FIM at g0) when available, frozen
+    Monte-Carlo at g0 otherwise."""
     if opts.fim_mode == MONTE_CARLO:
-        counter = [0]
 
-        def per_iterate_mc(g):
-            counter[0] += 1
-            seed = None if random_state is None else [random_state, counter[0]]
+        def per_iterate_mc(k, g):
+            seed = None if random_state is None else [random_state, k + 1]
             return fisher.fim(
                 model,
                 g,
@@ -87,9 +81,9 @@ def _fim_provider(model, g0: GroupElement, opts: ScoringOptions, random_state):
             ).matrix
 
         return per_iterate_mc
-    frozen = analytic(g0)
-    if frozen is None:
-        frozen = fisher.fim(
+    F0 = model.fim_reduced(g0)
+    if F0 is None:
+        F0 = fisher.fim(
             model,
             g0,
             fisher.REDUCED,
@@ -97,7 +91,9 @@ def _fim_provider(model, g0: GroupElement, opts: ScoringOptions, random_state):
             opts.mc_fim_samples,
             random_state=random_state,
         ).matrix
-    return lambda g: frozen
+    elif opts.fim_mode == ANALYTIC:
+        return lambda k, g: F0 if k == 0 else model.fim_reduced(g)
+    return lambda k, g: F0
 
 
 def _apply_step(model, g: GroupElement, step_m: np.ndarray) -> tuple[GroupElement, float]:
@@ -197,7 +193,7 @@ def fisher_scoring(
     checked = [None]  # the last FIM whose conditioning passed
 
     def natural_step(k: int, g: GroupElement, mean_grad: np.ndarray) -> np.ndarray:
-        F = provider(g)
+        F = provider(k, g)
         # An invariant or frozen FIM comes back as the same array every
         # iterate; a per-iterate FIM is a new array and is checked again.
         if F is not checked[0]:

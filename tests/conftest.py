@@ -67,7 +67,7 @@ class ReplicatedModel:
     def analytic_fim(self, g, directions, op):
         return self.r * self.base.analytic_fim(g, directions, op)
 
-    def gradient_batch(self, observations, g, directions, op, fd_step=None):
+    def gradient_batch(self, observations, g, directions, op):
         return self.analytic_gradient_batch(observations, g, directions, op)
 
     def _as_batch(self, x):

@@ -1,4 +1,6 @@
 import json
+import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -7,8 +9,9 @@ from click.testing import CliRunner
 from homcrb import groups
 from homcrb.cli import main
 from homcrb.exceptions import ConfigError, DegenerateModelError
-from homcrb.models import NetworkModel, rigidity_matrix
+from homcrb.models import LandmarkModel, NetworkModel, SpdModel, rigidity_matrix
 from homcrb.harness import (
+    experiments,
     load_config,
     run_crb_report,
     run_landmark_experiment,
@@ -42,6 +45,8 @@ def test_config_validation_errors():
         load_config({"experiment": "landmark", "m_values": []})
     with pytest.raises(ConfigError):
         load_config({"experiment": "landmark", "m_values": "11"})
+    with pytest.raises(ConfigError):
+        load_config({"experiment": "landmark", "m_values": [100, 100]})
     with pytest.raises(ConfigError):
         load_config({"experiment": "landmark", "mvalues": [1]})
     with pytest.raises(ConfigError):
@@ -88,6 +93,88 @@ def test_landmark_rows_independent_of_workers():
     a = [l for l in r1.to_csv_text().splitlines() if not l.startswith("#")]
     b = [l for l in r2.to_csv_text().splitlines() if not l.startswith("#")]
     assert a == b
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs
+    each task in this process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("cpus, pools", [(2, [2]), (None, [])])
+def test_worker_processes_capped_at_cpu_count(cpus, pools, monkeypatch):
+    serial = run_landmark_experiment(small_landmark_config(n_trials=4, m_values=[10]))
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    InlinePool.sizes = []
+    cfg = small_landmark_config(n_trials=4, m_values=[10], workers=1000)
+    rep = run_landmark_experiment(cfg)
+    assert InlinePool.sizes == pools
+    assert rep.rows == serial.rows
+    assert rep.metadata["workers"] == 1000
+
+
+RUNNERS = {
+    "landmark": run_landmark_experiment,
+    "network": run_network_experiment,
+    "spd": run_spd_experiment,
+    "crb-report": run_crb_report,
+}
+
+
+@pytest.mark.parametrize(
+    "kind, cls",
+    [("landmark", LandmarkModel), ("network", NetworkModel), ("spd", SpdModel)],
+)
+def test_serial_campaign_builds_one_model(kind, cls, monkeypatch):
+    built = [0]
+    original = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    cfg = load_config({"experiment": kind, "n_trials": 3, "m_values": [10, 20]})
+    rep = RUNNERS[kind](cfg)
+    assert len(rep.rows) == 6
+    assert built[0] == 1
+
+
+HEADERS = {
+    "landmark": "record,m,trial,status,coset_err_sq,g_err_sq,iterations,loglik,"
+    "multistart_max_coset,multistart_min_gdist,n_ok,failures,coset_variance,"
+    "coset_stderr,g_variance,g_stderr,crb_trace,crb_trace_third,ratio_coset,ratio_g",
+    "network": "record,m,trial,status,coset_err_sq,g_err_sq,iterations,loglik,"
+    "n_ok,failures,coset_variance,coset_stderr,g_variance,g_stderr,crb_trace,"
+    "crb_trace_third,ratio_coset,ratio_g,fim_lambda_min,rigidity_lambda_min_nonzero",
+    "spd": "record,m,trial,status,frobenius_gap,iterations,loglik,n_ok,failures,"
+    "max_gap,mean_iterations",
+    "crb-report": "record,m,crb_trace,crb_trace_total,fim_lambda_min,"
+    "fim_lambda_max,rigidity_lambda_min_nonzero",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HEADERS))
+def test_csv_header_line(kind):
+    cfg = load_config({"experiment": kind, "n_trials": 1, "m_values": [10]})
+    lines = RUNNERS[kind](cfg).to_csv_text().split("\r\n")
+    assert [l for l in lines if not l.startswith("#")][0] == HEADERS[kind]
 
 
 def test_landmark_multistart_columns():
@@ -293,6 +380,10 @@ def test_cli_exit_codes(tmp_path):
     cfg = write_config(tmp_path, {"experiment": "landmark", "n_trials": 2, "m_values": [5]})
     res = runner.invoke(main, ["landmark", "--config", str(cfg)])
     assert res.exit_code == 2
+    # 2: repeated m value
+    twice = write_config(tmp_path, {"experiment": "landmark", "m_values": [100, 100]})
+    res = runner.invoke(main, ["landmark", "--config", str(twice), "--out", "x.csv"])
+    assert res.exit_code == 2 and "distinct" in res.output
     # 3: degenerate model
     flex = write_config(
         tmp_path,

@@ -236,6 +236,7 @@ def test_network_fim_is_checked_every_iterate(triangle_network, monkeypatch):
     g = triangle_network.reference_element()
     obs = triangle_network.sample(g, 100, np.random.default_rng(13))
     conds = count_calls(monkeypatch, np.linalg, "cond")
+    fims = count_calls(monkeypatch, NetworkModel, "fim_reduced")
     families = []
     original = groups.GroupElement.__post_init__
 
@@ -247,14 +248,14 @@ def test_network_fim_is_checked_every_iterate(triangle_network, monkeypatch):
     monkeypatch.setattr(groups.GroupElement, "__post_init__", tally)
     trace = scoring.fisher_scoring(triangle_network, obs, g)
     assert len(trace.step_norms) >= 3
-    assert conds[0] == len(trace.step_norms)
+    assert conds[0] == fims[0] == len(trace.step_norms)
     # One rotation block per SE(2) element, one per factor of a product.
     assert defects[0] == sum(max(1, len(d.factors)) for d in families)
     frozen = scoring.fisher_scoring(
         triangle_network, obs, g, scoring.ScoringOptions(fim_mode="frozen-at-initial")
     )
     assert len(frozen.step_norms) >= 2
-    assert conds[0] == len(trace.step_norms) + 1
+    assert conds[0] == fims[0] == len(trace.step_norms) + 1
 
 
 def test_divergence_guard_attaches_trace(landmark_two):
