@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from ..exceptions import ConfigError
@@ -36,6 +36,10 @@ DEFAULT_NETWORK = {
 DEFAULT_SPD = {"dimension": 3, "covariance": None}
 
 DEFAULT_CHECK = {"suites": "all", "corrupt_inner_product": False}
+
+# Execution details: results do not depend on them, so the config hash
+# leaves them out.
+_EXECUTION_KEYS = ("workers", "output")
 
 
 @dataclass(frozen=True)
@@ -72,14 +76,7 @@ class ExperimentConfig:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
 
     def scoring_options(self) -> ScoringOptions:
-        allowed = {
-            "max_iterations",
-            "gradient_tolerance",
-            "fim_mode",
-            "step_scale",
-            "mc_fim_samples",
-        }
-        unknown = set(self.scoring) - allowed
+        unknown = set(self.scoring) - {f.name for f in fields(ScoringOptions)}
         if unknown:
             raise ConfigError(f"unknown scoring options: {sorted(unknown)}")
         try:
@@ -88,19 +85,10 @@ class ExperimentConfig:
             raise ConfigError(f"bad scoring options: {exc}") from exc
 
     def canonical_json(self) -> str:
-        # Identifies the experiment; execution details (workers, output
-        # path) are excluded since results do not depend on them.
         payload = {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "n_trials": self.n_trials,
-            "m_values": list(self.m_values),
-            "model": self.model,
-            "scoring": self.scoring,
-            "landmark": self.landmark,
-            "network": self.network,
-            "spd": self.spd,
-            "check": self.check,
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in _EXECUTION_KEYS
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -148,50 +136,32 @@ def load_config(
     if output is not None:
         data["output"] = output
 
-    known = {
-        "experiment",
-        "seed",
-        "n_trials",
-        "m_values",
-        "workers",
-        "output",
-        "model",
-        "scoring",
-        "landmark",
-        "network",
-        "spd",
-        "check",
-    }
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    merged = {}
-    for section, default in (
-        ("landmark", DEFAULT_LANDMARK),
-        ("network", DEFAULT_NETWORK),
-        ("spd", DEFAULT_SPD),
-        ("check", DEFAULT_CHECK),
-    ):
-        value = dict(default)
-        value.update(data.get(section) or {})
-        merged[section] = value
-
-    m_values = data.get("m_values", (10, 100, 1000))
-    if not isinstance(m_values, (list, tuple)):
-        raise ConfigError(f"m_values must be a list of integers, got {m_values!r}")
+    # Field defaults; a given section is merged over its default.
+    values = {
+        f.name: f.default if f.default_factory is MISSING else f.default_factory()
+        for f in fields(ExperimentConfig)
+        if f.name != "experiment"
+    }
     try:
-        config = ExperimentConfig(
-            experiment=data["experiment"],
-            seed=int(data.get("seed", 20260810)),
-            n_trials=int(data.get("n_trials", 2000)),
+        for key, value in data.items():
+            default = values.get(key)
+            if isinstance(default, dict):
+                value = {**default, **(value or {})}
+            values[key] = value
+        m_values = values["m_values"]
+        if not isinstance(m_values, (list, tuple)):
+            raise ConfigError(f"m_values must be a list of integers, got {m_values!r}")
+        values.update(
+            seed=int(values["seed"]),
+            n_trials=int(values["n_trials"]),
             m_values=tuple(int(m) for m in m_values),
-            workers=int(data.get("workers", 1)),
-            output=data.get("output"),
-            model=data.get("model", "landmark"),
-            scoring=dict(data.get("scoring") or {}),
-            **merged,
+            workers=int(values["workers"]),
         )
+        config = ExperimentConfig(**values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
     config.scoring_options()  # validate eagerly

@@ -163,6 +163,8 @@ def _network_context(config: ExperimentConfig):
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad network section: {exc}") from exc
+    # Raises DegenerateModelError with the rank gap on flex graphs.
+    network_fim(model.positions, model.edges, model.sigmas)
     g_true = model.reference_element()
     return model, g_true, [g_true], config.scoring_options()
 
@@ -351,29 +353,25 @@ def run_landmark_experiment(config: ExperimentConfig) -> MonteCarloReport:
     return report
 
 
-def _rigidity_spectrum(model: NetworkModel) -> tuple[np.ndarray, float]:
+def _rigidity_spectrum(model: NetworkModel) -> tuple[np.ndarray, float, float]:
     """Eigenvalues of the rigidity matrix, with those at or below 1e-10 of
     the largest (rounding noise around the rigid-motion null space) set to
-    0.0 so that no summation order shows in the output; and the smallest
-    of the others (0.0 if none)."""
-    spectrum = np.linalg.eigvalsh(
-        rigidity_matrix(model.positions, model.edges, model.sigmas)
-    )
+    0.0 so that no summation order shows in the output; the smallest of
+    the others (0.0 if none); and the smallest eigenvalue of the reduced
+    FIM, the matrix's block past the first three translations."""
+    S = rigidity_matrix(model.positions, model.edges, model.sigmas)
+    spectrum = np.linalg.eigvalsh(S)
     nonzero = spectrum > 1e-10 * max(spectrum.max(initial=0.0), 1.0)
     lam_min_nonzero = float(spectrum[nonzero].min()) if nonzero.any() else 0.0
-    return np.where(nonzero, spectrum, 0.0), lam_min_nonzero
+    lam_min_fim = float(np.linalg.eigvalsh(S[3:, 3:]).min())
+    return np.where(nonzero, spectrum, 0.0), lam_min_nonzero, lam_min_fim
 
 
 def run_network_experiment(config: ExperimentConfig) -> MonteCarloReport:
     """Localization campaign on H\\SE(2)^V; refuses non-rigid graphs and
     reports the rigidity spectrum."""
     ctx = _network_context(config)
-    model = ctx[0]
-    # Raises DegenerateModelError with the rank gap on flex graphs.
-    F_rigidity = network_fim(model.positions, model.edges, model.sigmas)
-    spectrum, lam_min_nonzero = _rigidity_spectrum(model)
-    lam_min_fim = float(np.linalg.eigvalsh(F_rigidity.matrix).min())
-
+    spectrum, lam_min_nonzero, lam_min_fim = _rigidity_spectrum(ctx[0])
     report, _ = _error_campaign(ctx, "network", config)
     for s in report.summaries:
         s.update(

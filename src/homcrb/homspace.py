@@ -144,33 +144,26 @@ def build_reductive(
     h_basis: Sequence[AlgebraVector],
     seed_m: Sequence[AlgebraVector] | None = None,
     side: Side = Side.G_MOD_H,
-    metric_factor: np.ndarray | None = None,
-    metric_factor_inv: np.ndarray | None = None,
+    metric: tuple[np.ndarray, np.ndarray] | None = None,
     subgroup_sampler: Callable[[np.random.Generator], GroupElement] | None = None,
 ) -> ReductiveStructure:
     """Split g = h + m with m built by Gram-Schmidt from seed vectors.
 
     The inner product used for orthonormalization is <x, y> = (Mx)'(My)
-    with M = metric_factor (identity when omitted), in descriptor
-    coordinates; an analytic inverse may be supplied to avoid a linear
-    solve when exact basis arithmetic matters. Seeds whose residual
-    against the running span falls below 1e-8 are skipped; the standard
-    descriptor basis is used when no seeds are given.
+    in descriptor coordinates, with metric = (M, M^-1) given as a pair so
+    that the basis arithmetic stays exact (identity when omitted). Seeds
+    whose residual against the running span falls below 1e-8 are skipped;
+    the standard descriptor basis is used when no seeds are given.
     """
     n_G = group.algebra_dim
     n_H = len(h_basis)
-    M = None if metric_factor is None else np.asarray(metric_factor, dtype=float)
-    M_inv = (
-        None if metric_factor_inv is None else np.asarray(metric_factor_inv, dtype=float)
-    )
+    M, M_inv = (None, None) if metric is None else metric
 
     def transform(c):
         return c if M is None else M @ c
 
     def untransform(y):
-        if M is None:
-            return y
-        return M_inv @ y if M_inv is not None else np.linalg.solve(M, y)
+        return y if M is None else M_inv @ y
 
     # Orthonormalize h in order; verify it is a subalgebra.
     h_t: list[np.ndarray] = []

@@ -14,18 +14,20 @@ import numpy as np
 
 from .. import groups
 from ..groups import GroupElement
-from ..homspace import Side, build_reductive
-from .base import ModelBase
+from ..homspace import LIVF, Side, build_reductive
+from .base import GaussianModel
 
 
 def _sample_trivial(rng: np.random.Generator, descriptor) -> GroupElement:
     return groups.identity_element(descriptor)
 
 
-class GaussianMeanModel(ModelBase):
+class GaussianMeanModel(GaussianModel):
     """x ~ N(t, sigma^2 I) for a translation parameter t in R^d."""
 
     invariant_fim = True
+    # The group is abelian: Ad is the identity, so livf == rivf.
+    terms_op = LIVF
 
     def __init__(self, dim: int = 1, noise: float = 1.0):
         if dim < 1:
@@ -34,6 +36,7 @@ class GaussianMeanModel(ModelBase):
             raise ValueError("noise must be positive")
         self.dim = dim
         self.noise = float(noise)
+        self._set_noise(self.noise, (dim,))
         self.descriptor = groups.translation_group(dim)
         self.struct = build_reductive(
             self.descriptor,
@@ -50,44 +53,11 @@ class GaussianMeanModel(ModelBase):
         M[: self.dim, self.dim] = np.asarray(t, dtype=float)
         return GroupElement(self.descriptor, M)
 
-    def sample(self, g: GroupElement, m: int, rng: np.random.Generator):
-        return self.translation(g)[None, :] + self.noise * rng.standard_normal(
-            (m, self.dim)
-        )
+    _mean = translation
 
-    def loglik_batch(self, observations, g: GroupElement) -> np.ndarray:
-        x = np.asarray(observations, dtype=float)
-        resid = x - self.translation(g)[None, :]
-        return -0.5 * np.einsum("mi,mi->m", resid, resid) / self.noise**2
-
-    def summarize(self, observations):
-        x = np.asarray(observations, dtype=float)
-        return x.shape[0], x.mean(axis=0), float(np.einsum("mi,mi->", x, x))
-
-    def total_loglik(self, summary, g: GroupElement) -> float:
-        m, xbar, sq = summary
-        t = self.translation(g)
-        return float(
-            -0.5 * (sq - 2.0 * m * xbar @ t + m * t @ t) / self.noise**2
-        )
-
-    # The group is abelian: Ad is the identity, so livf == rivf and the
-    # op argument is irrelevant.
-    def analytic_gradient_batch(self, observations, g, directions, op):
-        x = np.asarray(observations, dtype=float)
-        resid = x - self.translation(g)[None, :]
-        V = np.stack([d.coords for d in directions])
-        return resid @ V.T / self.noise**2
-
-    def analytic_fim(self, g, directions, op):
-        V = np.stack([d.coords for d in directions])
-        return V @ V.T / self.noise**2
-
-    def total_grad_m(self, summary, g: GroupElement) -> np.ndarray:
-        m, xbar, _ = summary
-        resid = xbar - self.translation(g)
-        V = np.stack([d.coords for d in self.struct.m_basis])
-        return m * (V @ resid) / self.noise**2
+    def _terms(self, g, directions) -> np.ndarray:
+        """The mean moves along X at its translation part: coordinates."""
+        return np.stack([d.coords for d in directions])
 
     def sample_mean_element(self, observations) -> GroupElement:
         return self.element(np.asarray(observations, dtype=float).mean(axis=0))

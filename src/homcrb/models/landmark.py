@@ -9,8 +9,10 @@ axis through two landmarks (n_H = 1), trivial for >= 3 non-collinear.
 The analytic gradient and FIM along a direction X = (Omega, v) are
     X^R l(g)   = sum_k (Omega a_k + v)'(a_k - p - R x_k) / sigma_k^2
     F(X_i,X_j) = sum_k (Omega_j a_k + v_j)'(Omega_i a_k + v_i) / sigma_k^2
-with the FIM independent of g (constant along fibers, trivially), so
-the model computes it once.
+They are taken in the world frame: rotating the body-frame residual and
+the mean's derivative by R turns the derivative into -(Omega a_k + v),
+which does not depend on g. So the FIM is the same array at every g,
+computed once, and rows along the stabilizer directions are exactly 0.
 """
 
 from __future__ import annotations
@@ -21,10 +23,9 @@ from functools import partial
 import numpy as np
 
 from .. import groups
-from ..exceptions import DomainError
 from ..groups import AlgebraVector, GroupElement, hat
 from ..homspace import ReductiveStructure, Side, build_reductive
-from .base import RIVF, ModelBase, translate_directions
+from .base import GaussianModel
 
 
 def se3_element(R: np.ndarray, p: np.ndarray) -> GroupElement:
@@ -85,7 +86,6 @@ def _landmark_structure(landmarks: np.ndarray) -> ReductiveStructure:
     if k == 1:
         a = landmarks[0]
         h = _stabilizer_h_basis(a)
-        M, M_inv = _translation_metric_factors(a)
         seeds = [AlgebraVector(desc, row) for row in np.eye(6)[3:]]
         sampler = partial(_sample_point_stabilizer, point=a, axis=None)
         return build_reductive(
@@ -93,8 +93,7 @@ def _landmark_structure(landmarks: np.ndarray) -> ReductiveStructure:
             h,
             seed_m=seeds,
             side=Side.H_MOD_G,
-            metric_factor=M,
-            metric_factor_inv=M_inv,
+            metric=_translation_metric_factors(a),
             subgroup_sampler=sampler,
         )
     if k == 2:
@@ -103,18 +102,17 @@ def _landmark_structure(landmarks: np.ndarray) -> ReductiveStructure:
         axis = axis / np.linalg.norm(axis)
         a1_hat = hat(a1)
         h = [AlgebraVector(desc, np.concatenate([axis, a1_hat @ axis]))]
-        M, M_inv = _translation_metric_factors(a1)
+        metric = _translation_metric_factors(a1)
         # Ad_{T_{a1}} images of the standard basis keep m Ad_H-invariant:
         # rotations about axes through a1 plus pure translations.
-        seeds = [AlgebraVector(desc, M_inv @ row) for row in np.eye(6)]
+        seeds = [AlgebraVector(desc, metric[1] @ row) for row in np.eye(6)]
         sampler = partial(_sample_point_stabilizer, point=a1, axis=axis)
         return build_reductive(
             desc,
             h,
             seed_m=seeds,
             side=Side.H_MOD_G,
-            metric_factor=M,
-            metric_factor_inv=M_inv,
+            metric=metric,
             subgroup_sampler=sampler,
         )
     # Three or more non-collinear landmarks: trivial symmetry group.
@@ -128,7 +126,7 @@ def _sample_identity(rng: np.random.Generator) -> GroupElement:
     return groups.identity_element(groups.se3())
 
 
-class LandmarkModel(ModelBase):
+class LandmarkModel(GaussianModel):
     """Pose estimation from body-frame landmark observations."""
 
     invariant_fim = True
@@ -141,58 +139,27 @@ class LandmarkModel(ModelBase):
             raise ValueError("two-landmark model requires distinct landmarks")
         # Read-only: the FIM and the m-basis terms are derived from them once.
         self.landmarks = groups._frozen(landmarks)
-        self.noise = groups._frozen(
-            np.broadcast_to(np.asarray(noise, dtype=float), (len(landmarks),)).copy()
-        )
+        self.noise = self._set_noise(noise, landmarks.shape)
         if np.any(self.noise < 0):
             raise ValueError("noise standard deviations must be nonnegative")
         self.descriptor = groups.se3()
         self.struct = _landmark_structure(landmarks)
-        # g-independent: 1/sigma^2 (None without a density) and the m-basis
-        # direction terms.
-        self._inv_var = None if np.any(self.noise == 0) else 1.0 / self.noise**2
-        self._m_terms = self._direction_terms(self.struct.m_basis)
-
-    @property
-    def _weights(self) -> np.ndarray:
-        if self._inv_var is None:
-            raise DomainError("zero-noise model has no likelihood density")
-        return self._inv_var
-
-    # -- observations ------------------------------------------------------
+        self._m_basis_terms = self._terms(None, self.struct.m_basis)
 
     def mean_observation(self, g: GroupElement) -> np.ndarray:
         R, p = pose_parts(g)
         return (self.landmarks - p) @ R  # rows R'(a_k - p)
 
-    def sample(self, g: GroupElement, m: int, rng: np.random.Generator):
-        mean = self.mean_observation(g)
-        sigma = self.noise[:, None]
-        return mean[None, :, :] + sigma * rng.standard_normal(
-            (m, len(self.landmarks), 3)
-        )
+    _mean = mean_observation
 
-    def loglik_batch(self, observations, g: GroupElement) -> np.ndarray:
-        x = np.asarray(observations, dtype=float)
-        resid = x - self.mean_observation(g)[None, :, :]
-        return -0.5 * np.einsum("mkj,mkj,k->m", resid, resid, self._weights)
+    def _residual(self, x, g: GroupElement) -> np.ndarray:
+        """World-frame residual R(mu_k - x_k) = (a_k - p) - R x_k."""
+        R, p = pose_parts(g)
+        return (self.landmarks - p) - x @ R.T
 
-    def summarize(self, observations):
-        x = np.asarray(observations, dtype=float)
-        return x.shape[0], x.mean(axis=0), np.einsum("mkj,mkj->k", x, x)
-
-    def total_loglik(self, summary, g: GroupElement) -> float:
-        m, xbar, sq = summary
-        mu = self.mean_observation(g)
-        per_k = sq - 2.0 * m * np.einsum("kj,kj->k", xbar, mu) + m * np.einsum(
-            "kj,kj->k", mu, mu
-        )
-        return float(-0.5 * np.sum(self._weights * per_k))
-
-    # -- analytic derivatives -----------------------------------------------
-
-    def _direction_terms(self, directions) -> np.ndarray:
-        """(n_dirs, K, 3) array of Omega_d a_k + v_d."""
+    def _terms(self, g, directions) -> np.ndarray:
+        """(n_dirs, K, 3) array of Omega_d a_k + v_d, the world-frame
+        derivative -R X mu_k at every g."""
         out = np.empty((len(directions), len(self.landmarks), 3))
         for d, vec in enumerate(directions):
             W = hat(vec.coords[:3])
@@ -200,22 +167,5 @@ class LandmarkModel(ModelBase):
             out[d] = self.landmarks @ W.T + v
         return out
 
-    def analytic_gradient_batch(self, observations, g, directions, op):
-        dirs = translate_directions(directions, g, RIVF, op)
-        x = np.asarray(observations, dtype=float)
-        R, p = pose_parts(g)
-        terms = self._direction_terms(dirs)  # (d, K, 3)
-        resid = (self.landmarks - p)[None, :, :] - x @ R.T  # (m, K, 3)
-        return np.einsum("dkj,mkj,k->md", terms, resid, self._weights)
-
-    def analytic_fim(self, g, directions, op):
-        dirs = translate_directions(directions, g, RIVF, op)
-        terms = self._direction_terms(dirs) * np.sqrt(self._weights)[None, :, None]
-        V = terms.reshape(len(dirs), -1)
-        return V @ V.T
-
-    def total_grad_m(self, summary, g: GroupElement) -> np.ndarray:
-        m, xbar, _ = summary
-        R, p = pose_parts(g)
-        resid = (self.landmarks - p) - xbar @ R.T
-        return m * np.einsum("dkj,kj,k->d", self._m_terms, resid, self._weights)
+    def _m_terms(self, g: GroupElement) -> np.ndarray:
+        return self._m_basis_terms

@@ -29,8 +29,8 @@ from .. import groups
 from ..exceptions import ConfigError, DegenerateModelError
 from ..fisher import ANALYTIC, REDUCED, FimMatrix
 from ..groups import AlgebraVector, GroupElement
-from ..homspace import RIVF, ReductiveStructure, Side, structure_from_bases
-from .base import ModelBase, translate_directions
+from ..homspace import ReductiveStructure, Side, structure_from_bases
+from .base import GaussianModel, whitened_gram
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -101,13 +101,6 @@ def _sensitivities(p, i, j, directions) -> np.ndarray:
     return np.einsum("ek,dek->de", p[i] - p[j], vel[:, i] - vel[:, j])
 
 
-def _whitened_gram(sens, sigmas) -> np.ndarray:
-    """Single-observation FIM sum_e s_e s_e' / sigma_e^2 of edge
-    sensitivities s (directions x edges)."""
-    A = sens / sigmas[None, :]
-    return A @ A.T
-
-
 def _translation_directions(n_agents: int) -> np.ndarray:
     """The 2 n_agents per-agent translation generators, agent-major."""
     out = np.zeros((2 * n_agents, n_agents, 3))
@@ -125,9 +118,7 @@ def rigidity_matrix(positions, edges, sigmas) -> np.ndarray:
     p = np.asarray(positions, dtype=float)
     i, j = _edge_arrays(edges)
     sig = np.broadcast_to(np.asarray(sigmas, dtype=float), i.shape)
-    return _whitened_gram(
-        _sensitivities(p, i, j, _translation_directions(len(p))), sig
-    )
+    return whitened_gram(_sensitivities(p, i, j, _translation_directions(len(p))), sig)
 
 
 def _sample_diagonal_rigid_motion(
@@ -148,7 +139,7 @@ def _sample_diagonal_rigid_motion(
     return GroupElement(descriptor, M)
 
 
-class NetworkModel(ModelBase):
+class NetworkModel(GaussianModel):
     """Sensor network localization from squared-distance measurements."""
 
     def __init__(self, positions, edges, sigmas=0.1):
@@ -158,9 +149,7 @@ class NetworkModel(ModelBase):
         if len(p) < 2:
             raise ConfigError("need at least two agents")
         self.edges = _validate_edges(len(p), edges)
-        self.sigmas = np.broadcast_to(
-            np.asarray(sigmas, dtype=float), (len(self.edges),)
-        ).copy()
+        self.sigmas = self._set_noise(sigmas, (len(self.edges),))
         if np.any(self.sigmas <= 0):
             raise ConfigError("edge noise sigmas must be positive")
         self.positions = canonicalize_positions(p)
@@ -226,32 +215,9 @@ class NetworkModel(ModelBase):
         d = p[self._i] - p[self._j]
         return 0.5 * np.sum(d * d, axis=1)
 
-    def sample(self, g: GroupElement, m: int, rng: np.random.Generator):
-        mu = self.edge_means(g)
-        return mu[None, :] + self.sigmas[None, :] * rng.standard_normal(
-            (m, len(self.edges))
-        )
+    _mean = edge_means
 
-    def loglik_batch(self, observations, g: GroupElement) -> np.ndarray:
-        x = np.asarray(observations, dtype=float)
-        if x.ndim != 2 or x.shape[1] != len(self.edges):
-            raise ValueError("observations must be (n, n_edges)")
-        resid = x - self.edge_means(g)[None, :]
-        return -0.5 * np.einsum("me,me,e->m", resid, resid, 1.0 / self.sigmas**2)
-
-    def summarize(self, observations):
-        x = np.asarray(observations, dtype=float)
-        return x.shape[0], x.mean(axis=0), np.einsum("me,me->e", x, x)
-
-    def total_loglik(self, summary, g: GroupElement) -> float:
-        m, xbar, sq = summary
-        mu = self.edge_means(g)
-        w = 1.0 / self.sigmas**2
-        return float(-0.5 * np.sum(w * (sq - 2.0 * m * xbar * mu + m * mu * mu)))
-
-    # -- analytic derivatives --------------------------------------------------
-
-    def _edge_sensitivities(self, g: GroupElement, directions) -> np.ndarray:
+    def _terms(self, g: GroupElement, directions) -> np.ndarray:
         """(n_dirs, n_edges) array of d mu_e along each RIVF direction."""
         coords = np.array([vec.coords for vec in directions])
         return _sensitivities(
@@ -260,23 +226,6 @@ class NetworkModel(ModelBase):
             self._j,
             coords.reshape(len(directions), self.n_agents, 3),
         )
-
-    def analytic_gradient_batch(self, observations, g, directions, op):
-        dirs = translate_directions(directions, g, RIVF, op)
-        x = np.asarray(observations, dtype=float)
-        resid = x - self.edge_means(g)[None, :]
-        sens = self._edge_sensitivities(g, dirs)
-        return np.einsum("me,de,e->md", resid, sens, 1.0 / self.sigmas**2)
-
-    def analytic_fim(self, g, directions, op):
-        dirs = translate_directions(directions, g, RIVF, op)
-        return _whitened_gram(self._edge_sensitivities(g, dirs), self.sigmas)
-
-    def total_grad_m(self, summary, g: GroupElement) -> np.ndarray:
-        m, xbar, _ = summary
-        resid = xbar - self.edge_means(g)
-        sens = self._edge_sensitivities(g, self.struct.m_basis)
-        return m * np.einsum("e,de,e->d", resid, sens, 1.0 / self.sigmas**2)
 
 
 def network_fim(positions, edges, sigmas) -> FimMatrix:

@@ -59,6 +59,10 @@ def test_config_hash_ignores_execution_details():
     a = load_config({"experiment": "landmark", "workers": 1})
     b = load_config({"experiment": "landmark", "workers": 7, "output": "x.csv"})
     assert a.config_hash() == b.config_hash()
+    # The hash of the defaults is part of every CSV; it must not move.
+    assert load_config({"experiment": "landmark"}).config_hash() == (
+        "2a6949f5478c7ae8f342e8f915a68670d001293898ecb3342b410c914afdf5ec"
+    )
     c = load_config({"experiment": "landmark", "seed": 1})
     assert a.config_hash() != c.config_hash()
 
@@ -400,6 +404,28 @@ def test_cli_exit_codes(tmp_path):
     )
     res = runner.invoke(main, ["network", "--config", str(flex), "--out", str(tmp_path / "n.csv")])
     assert res.exit_code == 3
+
+
+def test_cli_crb_report_refuses_flex_graph(tmp_path):
+    # The network rigidity check runs for every runner, not only campaigns.
+    flex = write_config(
+        tmp_path,
+        {
+            "experiment": "crb-report",
+            "model": "network",
+            "m_values": [5],
+            "network": {
+                "positions": [[0, 0], [0, 1], [1, 0.5]],
+                "edges": [[0, 1], [1, 2]],
+                "sigmas": 0.1,
+            },
+        },
+    )
+    res = CliRunner().invoke(
+        main, ["crb-report", "--config", str(flex), "--out", str(tmp_path / "c.csv")]
+    )
+    assert res.exit_code == 3
+    assert "rank gap 1" in res.output
 
 
 def test_cli_check_exit_codes(tmp_path):

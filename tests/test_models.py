@@ -5,6 +5,7 @@ from homcrb import fisher, groups, homspace
 from homcrb.exceptions import ConfigError, DegenerateModelError, DomainError
 from homcrb.groups import AlgebraVector
 from homcrb.models import (
+    GaussianMeanModel,
     LandmarkModel,
     NetworkModel,
     SpdModel,
@@ -310,7 +311,7 @@ def test_network_edge_kernels_match_per_edge_reference():
     for op in ("rivf", "livf"):
         translated = homspace.translate_directions(dirs, g, "rivf", op)
         ref = _scalar_edge_sensitivities(model, g, translated)
-        sens = model._edge_sensitivities(g, translated)
+        sens = model._terms(g, translated)
         assert np.abs(sens - ref).max() <= 1e-12 * np.abs(ref).max()
         grad = model.analytic_gradient_batch(x, g, dirs, op)
         grad_ref = np.einsum("me,de,e->md", resid, ref, w)
@@ -485,6 +486,40 @@ def test_models_pass_invariance_contract(fixture, request, rng):
     else:
         g = groups.random_element(model.descriptor, rng, 0.4)
     assert invariance_defect(model, g, 100, rng) <= 1e-9
+
+
+SUFFICIENT_STATISTIC_MODELS = {
+    "landmark_one": lambda: LandmarkModel([[1.0, 0.0, 0.0]]),
+    "landmark_two_unequal_noise": lambda: LandmarkModel(
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.3]], noise=[0.5, 2.0]
+    ),
+    "triangle_network_per_edge_sigma": lambda: NetworkModel(
+        [[0.0, 0.0], [0.0, 1.0], [0.9, 0.6]], [(0, 1), (1, 2), (0, 2)], [0.2, 0.3, 0.45]
+    ),
+    "spd3": lambda: SpdModel(3),
+    "gaussian2": lambda: GaussianMeanModel(2, noise=0.7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUFFICIENT_STATISTIC_MODELS))
+def test_sufficient_statistics_match_per_observation_sums(name, rng):
+    """Scoring reads total_loglik(summarize(x)) and total_grad_m; the
+    Monte-Carlo FIM reads loglik_batch and gradient_batch. Both paths
+    must give the same totals, here at a g away from the sampling point."""
+    model = SUFFICIENT_STATISTIC_MODELS[name]()
+    if isinstance(model, NetworkModel):
+        g_true = model.reference_element()
+    else:
+        g_true = groups.random_element(model.descriptor, rng, 0.4)
+    g = g_true @ groups.random_element(model.descriptor, rng, 0.3)
+    x = model.sample(g_true, 50, rng)
+    summary = model.summarize(x)
+    ll = np.sum(model.loglik_batch(x, g))
+    assert abs(model.total_loglik(summary, g) - ll) <= 1e-12 * abs(ll)
+    op = natural_operator(model.side)
+    grad = model.gradient_batch(x, g, model.struct.m_basis, op).sum(axis=0)
+    dev = np.abs(model.total_grad_m(summary, g) - grad).max()
+    assert dev <= 1e-12 * np.abs(grad).max()
 
 
 def test_models_sampling_determinism(triangle_network, spd3):
