@@ -31,7 +31,19 @@ from .homspace import (
 log = logging.getLogger("homcrb.crb")
 
 PINV_RCOND = 1e-10
-_COND_LIMIT = 1e12
+COND_LIMIT = 1e12
+
+
+def check_conditioning(
+    F: np.ndarray, error: type[DegenerateModelError], what: str
+) -> None:
+    """Raise error, with F's condition number, unless it is <= COND_LIMIT."""
+    cond = float(np.linalg.cond(F))
+    if not math.isfinite(cond) or cond > COND_LIMIT:
+        raise error(
+            f"{what} is numerically singular (condition number {cond:.3e})",
+            condition_number=cond,
+        )
 
 
 def _bound_ready_matrix(fim_matrix: fisher.FimMatrix) -> np.ndarray:
@@ -176,12 +188,7 @@ def crb_group(fim_matrix: fisher.FimMatrix, phi: np.ndarray) -> CrbReport:
 
 def _checked_inverse(fim_matrix: fisher.FimMatrix) -> np.ndarray:
     F = _bound_ready_matrix(fim_matrix)
-    cond = float(np.linalg.cond(F))
-    if not math.isfinite(cond) or cond > _COND_LIMIT:
-        raise DegenerateModelError(
-            f"reduced FIM is numerically singular (condition number {cond:.3e})",
-            condition_number=cond,
-        )
+    check_conditioning(F, DegenerateModelError, "reduced FIM")
     return np.linalg.inv(F)
 
 

@@ -54,9 +54,21 @@ def _frozen(a) -> np.ndarray:
     return a
 
 
+def _layout(factors):
+    """(factor, matrix rows, coordinates) per factor of a product, and the
+    product's matrix and algebra dimensions."""
+    blocks, r, c = [], 0, 0
+    for f in factors:
+        blocks.append((f, slice(r, r + f.matrix_dim), slice(c, c + f.algebra_dim)))
+        r, c = r + f.matrix_dim, c + f.algebra_dim
+    return tuple(blocks), r, c
+
+
 @dataclass(frozen=True, eq=False)
 class GroupDescriptor:
-    """A matrix Lie group: name tag, matrix size, and ordered algebra basis."""
+    """A matrix Lie group: name tag, matrix size, and ordered algebra basis.
+    A product also records its factors and their `blocks`, one
+    (factor, matrix rows, coordinates) per factor."""
 
     name: str
     family: str
@@ -64,15 +76,20 @@ class GroupDescriptor:
     algebra_dim: int
     algebra_basis: np.ndarray  # (n_G, d, d), read-only
     factors: tuple["GroupDescriptor", ...] = ()
+    blocks: tuple = field(init=False, repr=False)  # set from factors
 
     def __post_init__(self):
         object.__setattr__(self, "algebra_basis", _frozen(self.algebra_basis))
+        blocks, d_sum, n_sum = _layout(self.factors)
+        object.__setattr__(self, "blocks", blocks)
         n, d = self.algebra_dim, self.matrix_dim
         if self.algebra_basis.shape != (n, d, d):
             raise ValueError(
                 f"algebra basis shape {self.algebra_basis.shape} != ({n}, {d}, {d})"
             )
         if self.family == PRODUCT:
+            if (d, n) != (d_sum, n_sum):
+                raise ValueError("product dimensions != sums of factor dimensions")
             self._check_product_basis()
             return
         flat = self.algebra_basis.reshape(n, -1)
@@ -86,14 +103,10 @@ class GroupDescriptor:
 
     def _check_product_basis(self):
         """Factors are validated descriptors, so a product only has to be
-        their block embedding: matching dimensions, each diagonal block
-        equal to its factor's basis, and nothing outside the blocks."""
-        if self.algebra_dim != sum(f.algebra_dim for f in self.factors):
-            raise ValueError("product algebra_dim != sum of factor dims")
-        if self.matrix_dim != sum(f.matrix_dim for f in self.factors):
-            raise ValueError("product matrix_dim != sum of factor dims")
+        their block embedding: each diagonal block equal to its factor's
+        basis, and nothing outside the blocks."""
         inside = 0
-        for f, (rows, cols) in zip(self.factors, self.factor_slices):
+        for f, rows, cols in self.blocks:
             block = self.algebra_basis[cols, rows, rows]
             if not np.array_equal(block, f.algebra_basis):
                 raise ValueError(f"product basis block differs from factor {f.name}")
@@ -101,16 +114,16 @@ class GroupDescriptor:
         if np.count_nonzero(self.algebra_basis) != inside:
             raise ValueError("product basis has entries outside the factor blocks")
 
-    @property
-    def factor_slices(self) -> list[tuple[slice, slice]]:
-        """(matrix block, coordinate block) slice pairs, one per factor."""
-        out = []
-        r = c = 0
-        for f in self.factors:
-            out.append((slice(r, r + f.matrix_dim), slice(c, c + f.algebra_dim)))
-            r += f.matrix_dim
-            c += f.algebra_dim
-        return out
+
+def block_diagonal(parts) -> np.ndarray:
+    """Square matrices placed corner to corner on the diagonal, zeros
+    elsewhere: a product-group matrix from its factors' blocks."""
+    out = np.zeros((sum(len(p) for p in parts),) * 2)
+    k = 0
+    for p in parts:
+        out[k : k + len(p), k : k + len(p)] = p
+        k += len(p)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -123,11 +136,13 @@ def _vee_solver(descriptor: GroupDescriptor):
 
 
 def _vee_lstsq(X, descriptor: GroupDescriptor):
+    """Coordinates and least-squares residual of each matrix in a
+    (..., d, d) stack."""
     flat, proj = _vee_solver(descriptor)
-    x = np.asarray(X, dtype=float).ravel()
-    coords = proj @ x
-    residual = float(np.linalg.norm(flat.T @ coords - x))
-    return coords, residual
+    x = np.asarray(X, dtype=float)
+    x = x.reshape(x.shape[:-2] + (-1,))
+    coords = x @ proj.T
+    return coords, np.linalg.norm(coords @ flat - x, axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -135,27 +150,26 @@ def structure_constants(descriptor: GroupDescriptor) -> np.ndarray:
     """(n, n, n) tensor C with C[k] = ad_{E_k}, so ad_X = sum_k X^k C[k].
 
     A product is assembled from its factors' blocks (brackets across
-    factors vanish). Other families solve vee([E_i, E_j]) once per pair
-    i < j and raise BasisClosureError when a bracket leaves the span.
+    factors vanish). Other families project every bracket [E_i, E_j] at
+    once and raise BasisClosureError when one leaves the span.
     """
     n = descriptor.algebra_dim
-    C = np.zeros((n, n, n))
     if descriptor.family == PRODUCT:
-        for f, (_, cols) in zip(descriptor.factors, descriptor.factor_slices):
+        C = np.zeros((n, n, n))
+        for f, _, cols in descriptor.blocks:
             C[cols, cols, cols] = structure_constants(f)
         return _frozen(C)
     E = descriptor.algebra_basis
-    for i in range(n):
-        for j in range(i + 1, n):
-            br = E[i] @ E[j] - E[j] @ E[i]
-            coords, res = _vee_lstsq(br, descriptor)
-            if res > _BRACKET_TOL * max(1.0, float(np.abs(br).max())):
-                raise BasisClosureError(
-                    f"basis not closed under bracket at ({i},{j}), residual {res:.2e}"
-                )
-            C[i, :, j] = coords
-            C[j, :, i] = -coords
-    return _frozen(C)
+    EE = E[:, None] @ E  # [i, j] = E_i E_j
+    br = EE - EE.swapaxes(0, 1)
+    coords, res = _vee_lstsq(br, descriptor)
+    bad = res > _BRACKET_TOL * np.maximum(1.0, np.abs(br).max(axis=(-2, -1)))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]  # bad is symmetric, so i < j
+        raise BasisClosureError(
+            f"basis not closed under bracket at ({i},{j}), residual {res[i, j]:.2e}"
+        )
+    return _frozen(coords.transpose(0, 2, 1))  # C[i, :, j] = vee([E_i, E_j])
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,13 +285,13 @@ def _check_membership(mat: np.ndarray, descriptor: GroupDescriptor) -> float:
             raise ValueError("determinant must be positive")
         return 0.0
     if fam == PRODUCT:
-        defect = 0.0
-        for f, (rows, _) in zip(descriptor.factors, descriptor.factor_slices):
-            defect = max(defect, _check_membership(mat[rows, rows], f))
-            off = mat[rows].copy()
-            off[:, rows] = 0.0
-            if np.abs(off).max() > 0:
-                raise ValueError("product element must be block diagonal")
+        defect, inside = 0.0, 0
+        for f, rows, _ in descriptor.blocks:
+            block = mat[rows, rows]
+            defect = max(defect, _check_membership(block, f))
+            inside += np.count_nonzero(block)
+        if np.count_nonzero(mat) != inside:
+            raise ValueError("product element must be block diagonal")
         return defect
     raise ValueError(f"unknown group family {fam!r}")
 
@@ -300,10 +314,9 @@ def _inverse_matrix(mat: np.ndarray, descriptor: GroupDescriptor) -> np.ndarray:
         out[: d - 1, -1] = -R.T @ mat[: d - 1, -1]
         return out
     if fam == PRODUCT:
-        out = np.zeros_like(mat)
-        for f, (rows, _) in zip(descriptor.factors, descriptor.factor_slices):
-            out[rows, rows] = _inverse_matrix(mat[rows, rows], f)
-        return out
+        return block_diagonal(
+            [_inverse_matrix(mat[rows, rows], f) for f, rows, _ in descriptor.blocks]
+        )
     return np.linalg.inv(mat)
 
 
@@ -369,16 +382,10 @@ def product_group(factors, name: str | None = None) -> GroupDescriptor:
 
 @lru_cache(maxsize=None)
 def _product_group(factors, name):
-    d = sum(f.matrix_dim for f in factors)
-    n = sum(f.algebra_dim for f in factors)
+    blocks, d, n = _layout(factors)
     E = np.zeros((n, d, d))
-    r = c = 0
-    for f in factors:
-        E[c : c + f.algebra_dim, r : r + f.matrix_dim, r : r + f.matrix_dim] = (
-            f.algebra_basis
-        )
-        r += f.matrix_dim
-        c += f.algebra_dim
+    for f, rows, cols in blocks:
+        E[cols, rows, rows] = f.algebra_basis
     name = name or " x ".join(f.name for f in factors)
     return GroupDescriptor(name, PRODUCT, d, n, E, factors)
 
@@ -424,32 +431,22 @@ def bracket(X: AlgebraVector, Y: AlgebraVector) -> AlgebraVector:
 # exp
 
 
-def _so3_coeffs(theta: float) -> tuple[float, float]:
-    """(sin t / t, (1 - cos t) / t^2) with 4th-order Taylor near 0."""
-    if theta < _SMALL_ANGLE:
-        t2 = theta * theta
-        return 1.0 - t2 / 6.0 + t2 * t2 / 120.0, 0.5 - t2 / 24.0 + t2 * t2 / 720.0
-    return math.sin(theta) / theta, (1.0 - math.cos(theta)) / theta**2
-
-
-def _so3_exp(omega) -> np.ndarray:
-    theta = float(np.linalg.norm(omega))
-    W = hat(omega)
-    a, b = _so3_coeffs(theta)
-    return _eye(3) + a * W + b * (W @ W)
-
-
-def _so3_left_jacobian(omega) -> np.ndarray:
+def _so3_terms(omega):
+    """(W, W^2, a, b, c) for W = hat(omega), theta = |omega|: a = sin t / t,
+    b = (1 - cos t) / t^2, c = (t - sin t) / t^3, by 4th-order Taylor near
+    0. exp(W) = I + a W + b W^2; the left Jacobian is I + b W + c W^2."""
     theta = float(np.linalg.norm(omega))
     W = hat(omega)
     if theta < _SMALL_ANGLE:
         t2 = theta * theta
+        a = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
         b = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
         c = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
     else:
+        a = math.sin(theta) / theta
         b = (1.0 - math.cos(theta)) / theta**2
         c = (theta - math.sin(theta)) / theta**3
-    return _eye(3) + b * W + c * (W @ W)
+    return W, W @ W, a, b, c
 
 
 def _so3_left_jacobian_inv(omega) -> np.ndarray:
@@ -483,7 +480,8 @@ def exp(X: AlgebraVector) -> GroupElement:
     d = X.descriptor
     fam = d.family
     if fam == SO3:
-        return GroupElement(d, _so3_exp(X.coords))
+        W, W2, a, b, _ = _so3_terms(X.coords)
+        return GroupElement(d, _eye(3) + a * W + b * W2)
     if fam == SE2:
         theta, v = float(X.coords[0]), X.coords[1:]
         c, s = math.cos(theta), math.sin(theta)
@@ -493,15 +491,14 @@ def exp(X: AlgebraVector) -> GroupElement:
         return GroupElement(d, M)
     if fam == SE3:
         omega, v = X.coords[:3], X.coords[3:]
+        W, W2, a, b, c = _so3_terms(omega)
         M = np.eye(4)
-        M[:3, :3] = _so3_exp(omega)
-        M[:3, 3] = _so3_left_jacobian(omega) @ v
+        M[:3, :3] = _eye(3) + a * W + b * W2
+        M[:3, 3] = (_eye(3) + b * W + c * W2) @ v
         return GroupElement(d, M)
     if fam == PRODUCT:
-        M = np.eye(d.matrix_dim)
-        for f, (rows, cols) in zip(d.factors, d.factor_slices):
-            M[rows, rows] = exp(AlgebraVector(f, X.coords[cols])).matrix
-        return GroupElement(d, M)
+        parts = [exp(AlgebraVector(f, X.coords[cols])) for f, _, cols in d.blocks]
+        return GroupElement(d, block_diagonal([p.matrix for p in parts]))
     return GroupElement(d, expm(X.matrix))
 
 
@@ -555,10 +552,8 @@ def log(g: GroupElement) -> AlgebraVector:
         v = _so3_left_jacobian_inv(omega) @ g.matrix[:3, 3]
         return AlgebraVector(d, np.concatenate([omega, v]))
     if fam == PRODUCT:
-        coords = np.zeros(d.algebra_dim)
-        for f, (rows, cols) in zip(d.factors, d.factor_slices):
-            coords[cols] = log(GroupElement(f, g.matrix[rows, rows])).coords
-        return AlgebraVector(d, coords)
+        parts = [log(GroupElement(f, g.matrix[rows, rows])) for f, rows, _ in d.blocks]
+        return AlgebraVector(d, np.concatenate([p.coords for p in parts]))
     # GL(n)+: dense principal log; real-negative eigenvalues have no real log.
     eigvals = np.linalg.eigvals(g.matrix)
     if np.any((eigvals.real < 0) & (np.abs(eigvals.imag) < 1e-12)):
@@ -575,18 +570,27 @@ def log(g: GroupElement) -> AlgebraVector:
 
 def adjoint_matrix(g: GroupElement) -> np.ndarray:
     """Matrix of Ad_g: columns are vee(g E_i g^-1)."""
-    d = g.descriptor
-    ginv = _inverse_matrix(g.matrix, d)
-    cols = []
-    for E in d.algebra_basis:
-        M = g.matrix @ E @ ginv
-        coords, residual = _vee_lstsq(M, d)
-        if residual > _VEE_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(M))):
-            raise BasisClosureError(
-                f"Ad_g left the algebra span: residual {residual:.3e}"
-            )
-        cols.append(coords)
-    return np.array(cols).T
+    return _adjoint(g.matrix, g.descriptor)
+
+
+def _adjoint(mat: np.ndarray, descriptor: GroupDescriptor) -> np.ndarray:
+    """Ad of a group matrix. A product's is block diagonal, one factor's
+    Ad per block, so no (n_G, d, d) conjugate is formed; other families
+    conjugate the whole basis and project it at once."""
+    if descriptor.family == PRODUCT:
+        return block_diagonal(
+            [_adjoint(mat[rows, rows], f) for f, rows, _ in descriptor.blocks]
+        )
+    M = mat @ descriptor.algebra_basis @ _inverse_matrix(mat, descriptor)
+    coords, residual = _vee_lstsq(M, descriptor)
+    bad = residual > _VEE_RESIDUAL_TOL * np.maximum(
+        1.0, np.linalg.norm(M, axis=(-2, -1))
+    )
+    if bad.any():
+        raise BasisClosureError(
+            f"Ad_g left the algebra span: residual {residual[bad][0]:.3e}"
+        )
+    return coords.T
 
 
 def ad_matrix(X: AlgebraVector) -> np.ndarray:
@@ -719,8 +723,9 @@ def polar_project(g: GroupElement) -> GroupElement:
         M[-1, -1] = 1.0
         return GroupElement(d, M)
     if fam == PRODUCT:
-        M = np.array(g.matrix)
-        for f, (rows, _) in zip(d.factors, d.factor_slices):
-            M[rows, rows] = polar_project(GroupElement(f, g.matrix[rows, rows])).matrix
-        return GroupElement(d, M)
+        parts = [
+            polar_project(GroupElement(f, g.matrix[rows, rows]))
+            for f, rows, _ in d.blocks
+        ]
+        return GroupElement(d, block_diagonal([p.matrix for p in parts]))
     return g

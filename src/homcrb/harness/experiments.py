@@ -182,10 +182,12 @@ def _spd_context(config: ExperimentConfig):
         model = SpdModel(n)
         cov = section.get("covariance")
         Sigma = default_spd_covariance(n) if cov is None else np.asarray(cov, float)
-        L = np.linalg.cholesky(Sigma)
+        # cholesky reads only the lower triangle.
+        if not np.array_equal(Sigma, Sigma.T, equal_nan=True):
+            raise ValueError("covariance is not symmetric")
+        g_true = groups.GroupElement(model.descriptor, np.linalg.cholesky(Sigma))
     except (KeyError, TypeError, ValueError, np.linalg.LinAlgError) as exc:
         raise ConfigError(f"bad spd section: {exc}") from exc
-    g_true = groups.GroupElement(model.descriptor, L)
     return model, g_true, [groups.identity_element(model.descriptor)], config.scoring_options()
 
 
@@ -205,12 +207,7 @@ def _estimation_trial(ctx, kind: str, seed: int, m_index: int, m: int, trial: in
         if kind == "spd":
             obs = model.sample(g_true, m, rng)
             x2 = (obs.T @ obs) / m
-            cond = float(np.linalg.cond(x2))
-            if cond > 1e12:
-                raise DegenerateFimError(
-                    "rank-deficient sample second moment",
-                    condition_number=cond,
-                )
+            crb.check_conditioning(x2, DegenerateFimError, "sample second moment")
             trace = scoring.fisher_scoring(model, obs, inits[0], opts)
             sigma_hat = trace.final.matrix @ trace.final.matrix.T
             row.update(

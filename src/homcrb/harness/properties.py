@@ -13,17 +13,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import crb, fisher, groups, homspace, scoring
+from ..exceptions import ConfigError
 from ..models import GaussianMeanModel, LandmarkModel, NetworkModel, SpdModel
 from .config import ExperimentConfig
 
-ALL_SUITES = (
-    "psi",
-    "fim-frames",
-    "variance-invariance",
-    "error-block",
-    "sphere",
-    "gradients",
-)
+# Suite name -> runner of (seed, corrupt). Each runner looks its suite
+# function up when called, so a wrapped module attribute takes effect.
+SUITES = {
+    "psi": lambda seed, corrupt: suite_psi(seed),
+    "fim-frames": lambda seed, corrupt: suite_fim_frames(seed),
+    "variance-invariance": lambda seed, corrupt: suite_variance_invariance(
+        seed, corrupt=corrupt
+    ),
+    "error-block": lambda seed, corrupt: suite_error_block(seed),
+    "sphere": lambda seed, corrupt: suite_sphere(seed),
+    "gradients": lambda seed, corrupt: suite_gradients(seed),
+}
 
 
 @dataclass(frozen=True)
@@ -230,28 +235,25 @@ def suite_gradients(seed: int):
 
 
 def run_property_suite(config: ExperimentConfig) -> PropertySuiteReport:
+    """Run the selected suites in the order given."""
     section = config.check
     selected = section.get("suites", "all")
     if selected == "all":
-        selected = list(ALL_SUITES)
-    unknown = [s for s in selected if s not in ALL_SUITES]
+        selected = list(SUITES)
+    if not isinstance(selected, (list, tuple)) or not all(
+        isinstance(s, str) for s in selected
+    ):
+        raise ConfigError(
+            f'check.suites must be "all" or a list of suite names, got {selected!r}'
+        )
+    unknown = [s for s in selected if s not in SUITES]
     if unknown:
-        from ..exceptions import ConfigError
-
         raise ConfigError(f"unknown property suites: {unknown}")
-    corrupt = bool(section.get("corrupt_inner_product", False))
-    results = {}
-    for name in selected:
-        if name == "psi":
-            results[name] = suite_psi(config.seed)
-        elif name == "fim-frames":
-            results[name] = suite_fim_frames(config.seed)
-        elif name == "variance-invariance":
-            results[name] = suite_variance_invariance(config.seed, corrupt=corrupt)
-        elif name == "error-block":
-            results[name] = suite_error_block(config.seed)
-        elif name == "sphere":
-            results[name] = suite_sphere(config.seed)
-        elif name == "gradients":
-            results[name] = suite_gradients(config.seed)
-    return PropertySuiteReport(results)
+    corrupt = section.get("corrupt_inner_product", False)
+    if not isinstance(corrupt, bool):
+        raise ConfigError(
+            f"check.corrupt_inner_product must be true or false, got {corrupt!r}"
+        )
+    return PropertySuiteReport(
+        {name: SUITES[name](config.seed, corrupt) for name in selected}
+    )

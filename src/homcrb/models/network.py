@@ -132,11 +132,9 @@ def _sample_diagonal_rigid_motion(
     block = np.eye(3)
     block[:2, :2] = [[c, -s], [s, c]]
     block[:2, 2] = t
-    n = len(descriptor.factors)
-    M = np.eye(descriptor.matrix_dim)
-    for k in range(n):
-        M[3 * k : 3 * k + 3, 3 * k : 3 * k + 3] = block
-    return GroupElement(descriptor, M)
+    return GroupElement(
+        descriptor, groups.block_diagonal([block] * len(descriptor.blocks))
+    )
 
 
 class NetworkModel(GaussianModel):
@@ -173,18 +171,8 @@ class NetworkModel(GaussianModel):
         h = [
             self._agent_vector(i, 1.0, -_J @ self.positions[i]) for i in range(n)
         ]
-        rigid_rot = np.zeros(3 * n)
-        rigid_tx = np.zeros(3 * n)
-        rigid_ty = np.zeros(3 * n)
-        for i in range(n):
-            rigid_rot[3 * i] = 1.0
-            rigid_tx[3 * i + 1] = 1.0
-            rigid_ty[3 * i + 2] = 1.0
-        h += [
-            AlgebraVector(self.descriptor, rigid_rot),
-            AlgebraVector(self.descriptor, rigid_tx),
-            AlgebraVector(self.descriptor, rigid_ty),
-        ]
+        # The rigid motions: one se(2) direction repeated in every block.
+        h += [AlgebraVector(self.descriptor, r) for r in np.tile(np.eye(3), n)]
         m = [self._agent_vector(1, 0.0, [0.0, 1.0])]
         for i in range(2, n):
             m.append(self._agent_vector(i, 0.0, [1.0, 0.0]))

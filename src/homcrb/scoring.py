@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fisher, groups
+from . import crb, fisher, groups
 from .exceptions import DegenerateFimError, DivergenceError
 from .groups import GroupElement
 from .homspace import Side
@@ -107,15 +107,6 @@ def _apply_step(model, g: GroupElement, step_m: np.ndarray) -> tuple[GroupElemen
     return g_next, drift
 
 
-def _check_conditioning(F: np.ndarray) -> None:
-    cond = float(np.linalg.cond(F))
-    if not math.isfinite(cond) or cond > 1e12:
-        raise DegenerateFimError(
-            f"reduced FIM singular at iterate (condition number {cond:.3e})",
-            condition_number=cond,
-        )
-
-
 def _ascend(
     model,
     observations,
@@ -197,7 +188,7 @@ def fisher_scoring(
         # An invariant or frozen FIM comes back as the same array every
         # iterate; a per-iterate FIM is a new array and is checked again.
         if F is not checked[0]:
-            _check_conditioning(F)
+            crb.check_conditioning(F, DegenerateFimError, "reduced FIM at iterate")
             checked[0] = F
         return opts.step_scale * np.linalg.solve(F, mean_grad)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from homcrb import groups
-from homcrb.exceptions import CutLocusError, NotInAlgebraError
+from homcrb.exceptions import BasisClosureError, CutLocusError, NotInAlgebraError
 from homcrb.groups import AlgebraVector
 
 
@@ -178,15 +178,36 @@ def test_adjoint_homomorphism(desc, rng):
 
 
 def test_adjoint_so3_equals_rotation(rng):
-    d = groups.so3()
-    R = groups.random_element(d, rng, 1.0)
-    # Columnwise oracle: vee(R E_i R').
-    oracle = np.column_stack(
-        [groups.vee(R.matrix @ E @ R.matrix.T, d) for E in d.algebra_basis]
-    )
-    A = groups.adjoint_matrix(R)
-    assert np.abs(A - oracle).max() <= 1e-12
-    assert np.abs(A - R.matrix).max() <= 1e-12
+    R = groups.random_element(groups.so3(), rng, 1.0)
+    assert np.abs(groups.adjoint_matrix(R) - R.matrix).max() <= 1e-12
+
+
+# Every family, and a product mixing two of them.
+ORACLE_DESCRIPTORS = ALL_DESCRIPTORS() + [
+    groups.product_group([groups.se2(), groups.so3()])
+]
+
+
+@pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS)
+def test_adjoint_matches_conjugated_basis(desc, rng):
+    for _ in range(3):
+        g = groups.random_element(desc, rng, 0.8).matrix
+        # Columnwise oracle: vee(g E_i g^-1).
+        oracle = np.column_stack(
+            [groups.vee(g @ E @ np.linalg.inv(g), desc) for E in desc.algebra_basis]
+        )
+        A = groups.adjoint_matrix(groups.GroupElement(desc, g))
+        assert np.abs(A - oracle).max() <= 1e-12
+
+
+@pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS)
+def test_structure_constants_match_brackets(desc):
+    C = groups.structure_constants(desc)
+    E = desc.algebra_basis
+    for i in range(desc.algebra_dim):
+        for j in range(desc.algebra_dim):
+            oracle = groups.vee(E[i] @ E[j] - E[j] @ E[i], desc)
+            assert np.abs(C[i, :, j] - oracle).max() <= 1e-12
 
 
 def test_ad_annihilates_own_coords(rng):
@@ -385,8 +406,22 @@ def test_descriptor_rejects_dependent_basis():
 def test_descriptor_rejects_non_closed_basis():
     so3 = groups.so3()
     E = so3.algebra_basis[:2]  # [e1, e2] = e3 escapes the span
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"at \(0,1\), residual 1.41e\+00"):
         groups.GroupDescriptor("bad", "SO3", 3, 2, np.array(E))
+    # E_11, E_12, E_21: only [E_12, E_21] = E_11 - E_22 escapes, and the
+    # error names the pair as (1,2).
+    units = groups.glnplus(2).algebra_basis
+    with pytest.raises(ValueError, match=r"at \(1,2\)"):
+        groups.GroupDescriptor("bad", "GLnPlus", 2, 3, units[[0, 1, 2]])
+
+
+def test_adjoint_leaving_the_span_raises():
+    # T(2) is typed GL(3)+, so any positive-determinant matrix is accepted,
+    # but conjugating by one that is not unipotent leaves the span.
+    g = np.diag([1.0, 2.0, 1.0]) + np.eye(3, k=-1)
+    g = groups.GroupElement(groups.translation_group(2), g)
+    with pytest.raises(BasisClosureError, match="Ad_g left the algebra span"):
+        groups.adjoint_matrix(g)
 
 
 def _block_product_basis(factors):
@@ -469,6 +504,44 @@ def test_product_descriptor_blocks(rng):
     off[:3, :3] = 0.0
     off[3:, 3:] = 0.0
     assert np.all(off == 0.0)
+
+
+def test_product_element_rejects_coupling_entries(rng):
+    prod = groups.product_group([groups.se2(), groups.so3()])
+    g = groups.random_element(prod, rng, 0.5)
+    for entry in ((1, 4), (5, 0)):
+        M = np.array(g.matrix)
+        M[entry] = 1e-3
+        with pytest.raises(ValueError, match="block diagonal"):
+            groups.GroupElement(prod, M)
+
+
+def test_product_drift_reports_largest_factor_defect(rng):
+    se2, so3 = groups.se2(), groups.so3()
+    prod = groups.product_group([se2, so3])
+    g = groups.random_element(prod, rng, 0.5)
+    M = np.array(g.matrix)
+    M[:2, :2] *= 1.0 + 1e-11
+    M[3:, 3:] *= 1.0 + 2e-10
+    drifted = groups.GroupElement(prod, M)
+    defects = [
+        groups.manifold_defect(groups.GroupElement(se2, M[:3, :3])),
+        groups.manifold_defect(groups.GroupElement(so3, M[3:, 3:])),
+    ]
+    assert defects[0] < defects[1]
+    assert groups.manifold_defect(drifted) == defects[1] > 1e-10
+    fixed = groups.polar_project(drifted)
+    assert groups.manifold_defect(fixed) <= 1e-12
+    assert np.abs(fixed.matrix - g.matrix).max() <= 1e-9
+
+
+def test_product_inverse_matches_dense_inverse(rng):
+    prod = groups.product_group(
+        [groups.se2(), groups.so3(), groups.se3(), groups.glnplus(2)]
+    )
+    for _ in range(3):
+        g = groups.random_element(prod, rng, 0.8)
+        assert np.abs(g.inverse().matrix - np.linalg.inv(g.matrix)).max() <= 1e-12
 
 
 def test_product_group_is_built_once():

@@ -53,6 +53,25 @@ def test_config_validation_errors():
         load_config({"experiment": "landmark", "scoring": {"stepsize": 2}})
     with pytest.raises(ConfigError):
         load_config(None)  # no experiment declared
+    # Malformed spd and check sections are refused where they are read.
+    for section in BAD_SPD_SECTIONS:
+        with pytest.raises(ConfigError):
+            run_spd_experiment(load_config({"experiment": "spd", "spd": section}))
+    for section in BAD_CHECK_SECTIONS:
+        with pytest.raises(ConfigError):
+            run_property_suite(load_config({"experiment": "check", "check": section}))
+
+
+BAD_SPD_SECTIONS = (
+    {"dimension": 2, "covariance": [[1.0, float("nan")], [float("nan"), 1.0]]},
+    {"dimension": 3, "covariance": [[2.0, 0.0], [0.0, 2.0]]},
+    {"dimension": 2, "covariance": [[2.0, 5.0], [0.0, 2.0]]},  # not symmetric
+)
+BAD_CHECK_SECTIONS = (
+    {"suites": 5},
+    {"suites": "psi"},
+    {"suites": [], "corrupt_inner_product": "false"},  # a string is not False
+)
 
 
 def test_config_hash_ignores_execution_details():
@@ -404,6 +423,16 @@ def test_cli_exit_codes(tmp_path):
     )
     res = runner.invoke(main, ["network", "--config", str(flex), "--out", str(tmp_path / "n.csv")])
     assert res.exit_code == 3
+    # 2: malformed spd and check sections
+    cases = [("spd", {"spd": section}) for section in BAD_SPD_SECTIONS] + [
+        ("check", {"check": section}) for section in BAD_CHECK_SECTIONS
+    ]
+    for experiment, section in cases:
+        cfg = write_config(tmp_path, {"experiment": experiment, **section})
+        res = runner.invoke(
+            main, [experiment, "--config", str(cfg), "--out", str(tmp_path / "s.csv")]
+        )
+        assert res.exit_code == 2 and "config error" in res.output, section
 
 
 def test_cli_crb_report_refuses_flex_graph(tmp_path):
