@@ -221,8 +221,7 @@ def delta_matrix(errors, struct: ReductiveStructure) -> np.ndarray:
 
     ad is linear in eta, so sum_eta ad_eta^2 = sum_r ad_r^2 over the rows
     r of the triangular factor R of the stacked samples (R'R = sum eta
-    eta'), which has at most n_G rows. Each ad_r comes from the cached
-    structure constants: O(n_G^4) with no n_G^3 temporaries.
+    eta'), which has at most n_G rows.
     """
     if isinstance(errors, np.ndarray):
         coords = np.asarray(errors, dtype=float)
@@ -237,11 +236,8 @@ def delta_matrix(errors, struct: ReductiveStructure) -> np.ndarray:
         )
     if len(coords) == 0:
         return np.zeros((struct.n_Theta, struct.n_Theta))
-    C = groups.structure_constants(struct.group)
-    acc = np.zeros(C.shape[1:])
-    for x in np.linalg.qr(coords, mode="r") @ struct.basis_matrix.T:
-        ad = np.tensordot(x, C, axes=1)
-        acc += ad @ ad
+    rows = np.linalg.qr(coords, mode="r") @ struct.basis_matrix.T
+    acc = groups.ad_squared_sum(rows, struct.group)
     mean = struct.in_adapted(acc) / (12.0 * len(coords))
     return mean[struct.n_H :, struct.n_H :].copy()
 

@@ -67,31 +67,32 @@ def _layout(factors):
 @dataclass(frozen=True, eq=False)
 class GroupDescriptor:
     """A matrix Lie group: name tag, matrix size, and ordered algebra basis.
-    A product also records its factors and their `blocks`, one
-    (factor, matrix rows, coordinates) per factor."""
+    A product keeps only its factors and their `blocks`, one
+    (factor, matrix rows, coordinates) per factor; its basis is None."""
 
     name: str
     family: str
     matrix_dim: int
     algebra_dim: int
-    algebra_basis: np.ndarray  # (n_G, d, d), read-only
+    algebra_basis: np.ndarray | None  # (n_G, d, d), read-only; None for a product
     factors: tuple["GroupDescriptor", ...] = ()
     blocks: tuple = field(init=False, repr=False)  # set from factors
 
     def __post_init__(self):
-        object.__setattr__(self, "algebra_basis", _frozen(self.algebra_basis))
         blocks, d_sum, n_sum = _layout(self.factors)
         object.__setattr__(self, "blocks", blocks)
         n, d = self.algebra_dim, self.matrix_dim
+        if self.family == PRODUCT:
+            if self.algebra_basis is not None:
+                raise ValueError("a product keeps only its factors, not a dense basis")
+            if (d, n) != (d_sum, n_sum):
+                raise ValueError("product dimensions != sums of factor dimensions")
+            return
+        object.__setattr__(self, "algebra_basis", _frozen(self.algebra_basis))
         if self.algebra_basis.shape != (n, d, d):
             raise ValueError(
                 f"algebra basis shape {self.algebra_basis.shape} != ({n}, {d}, {d})"
             )
-        if self.family == PRODUCT:
-            if (d, n) != (d_sum, n_sum):
-                raise ValueError("product dimensions != sums of factor dimensions")
-            self._check_product_basis()
-            return
         flat = self.algebra_basis.reshape(n, -1)
         gram = flat @ flat.T
         if np.linalg.matrix_rank(gram) < n:
@@ -100,19 +101,6 @@ class GroupDescriptor:
             structure_constants(self)
         except BasisClosureError as exc:
             raise ValueError(str(exc)) from exc
-
-    def _check_product_basis(self):
-        """Factors are validated descriptors, so a product only has to be
-        their block embedding: each diagonal block equal to its factor's
-        basis, and nothing outside the blocks."""
-        inside = 0
-        for f, rows, cols in self.blocks:
-            block = self.algebra_basis[cols, rows, rows]
-            if not np.array_equal(block, f.algebra_basis):
-                raise ValueError(f"product basis block differs from factor {f.name}")
-            inside += np.count_nonzero(block)
-        if np.count_nonzero(self.algebra_basis) != inside:
-            raise ValueError("product basis has entries outside the factor blocks")
 
 
 def block_diagonal(parts) -> np.ndarray:
@@ -147,18 +135,12 @@ def _vee_lstsq(X, descriptor: GroupDescriptor):
 
 @lru_cache(maxsize=None)
 def structure_constants(descriptor: GroupDescriptor) -> np.ndarray:
-    """(n, n, n) tensor C with C[k] = ad_{E_k}, so ad_X = sum_k X^k C[k].
+    """(n, n, n) tensor C with C[k] = ad_{E_k}, so ad_X = sum_k X^k C[k],
+    for a group that is not a product (a product's ad is block diagonal).
 
-    A product is assembled from its factors' blocks (brackets across
-    factors vanish). Other families project every bracket [E_i, E_j] at
-    once and raise BasisClosureError when one leaves the span.
+    Every bracket [E_i, E_j] is projected at once; BasisClosureError is
+    raised when one leaves the span.
     """
-    n = descriptor.algebra_dim
-    if descriptor.family == PRODUCT:
-        C = np.zeros((n, n, n))
-        for f, _, cols in descriptor.blocks:
-            C[cols, cols, cols] = structure_constants(f)
-        return _frozen(C)
     E = descriptor.algebra_basis
     EE = E[:, None] @ E  # [i, j] = E_i E_j
     br = EE - EE.swapaxes(0, 1)
@@ -283,6 +265,11 @@ def _check_membership(mat: np.ndarray, descriptor: GroupDescriptor) -> float:
     if fam == GLN_PLUS:
         if _det(mat) <= 0:
             raise ValueError("determinant must be positive")
+        # The one proper GL(n)+ subgroup is translation_group: I + its span.
+        d, n = descriptor.matrix_dim, descriptor.algebra_dim
+        residual = _vee_lstsq(mat - _eye(d), descriptor)[1] if d * d > n else 0.0
+        if residual > 1e-9:
+            raise ValueError("matrix is not a translation: g - I leaves the span")
         return 0.0
     if fam == PRODUCT:
         defect, inside = 0.0, 0
@@ -368,7 +355,8 @@ def glnplus(n: int) -> GroupDescriptor:
 
 @lru_cache(maxsize=None)
 def translation_group(d: int) -> GroupDescriptor:
-    """(R^d, +) embedded as unipotent matrices in GL(d+1)+."""
+    """(R^d, +) embedded as unipotent matrices I + t in GL(d+1)+; an
+    element's g - I must lie in the translation span."""
     E = np.zeros((d, d + 1, d + 1))
     for i in range(d):
         E[i, i, d] = 1.0
@@ -382,12 +370,9 @@ def product_group(factors, name: str | None = None) -> GroupDescriptor:
 
 @lru_cache(maxsize=None)
 def _product_group(factors, name):
-    blocks, d, n = _layout(factors)
-    E = np.zeros((n, d, d))
-    for f, rows, cols in blocks:
-        E[cols, rows, rows] = f.algebra_basis
     name = name or " x ".join(f.name for f in factors)
-    return GroupDescriptor(name, PRODUCT, d, n, E, factors)
+    _, d, n = _layout(factors)
+    return GroupDescriptor(name, PRODUCT, d, n, None, factors)
 
 
 def identity_element(descriptor: GroupDescriptor) -> GroupElement:
@@ -399,21 +384,30 @@ def identity_element(descriptor: GroupDescriptor) -> GroupElement:
 
 
 def wedge(v, descriptor: GroupDescriptor) -> np.ndarray:
-    """Map coordinates to the algebra matrix sum_i v^i E_i."""
+    """Map coordinates to the algebra matrix sum_i v^i E_i (block diagonal
+    for a product)."""
     v = np.asarray(v, dtype=float)
     if v.shape != (descriptor.algebra_dim,):
         raise ValueError(
             f"coordinate vector length {v.shape} != ({descriptor.algebra_dim},)"
         )
+    if descriptor.family == PRODUCT:
+        return block_diagonal([wedge(v[cols], f) for f, _, cols in descriptor.blocks])
     return np.tensordot(v, descriptor.algebra_basis, axes=1)
 
 
 def vee(X, descriptor: GroupDescriptor) -> np.ndarray:
-    """Coordinates of an algebra matrix (least squares against the basis)."""
+    """Coordinates of an algebra matrix (least squares against the basis,
+    block by block for a product, whose residual counts off-block entries)."""
     X = np.asarray(X, dtype=float)
     if X.shape != (descriptor.matrix_dim,) * 2:
         raise ValueError(f"matrix shape {X.shape} incompatible with descriptor")
-    coords, residual = _vee_lstsq(X, descriptor)
+    if descriptor.family == PRODUCT:
+        blocks = descriptor.blocks
+        coords = np.concatenate([_vee_lstsq(X[r, r], f)[0] for f, r, _ in blocks])
+        residual = np.linalg.norm(X - wedge(coords, descriptor))
+    else:
+        coords, residual = _vee_lstsq(X, descriptor)
     if residual > _VEE_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(X))):
         raise NotInAlgebraError(
             f"matrix is not in the algebra span: residual {residual:.3e}"
@@ -595,8 +589,24 @@ def _adjoint(mat: np.ndarray, descriptor: GroupDescriptor) -> np.ndarray:
 
 def ad_matrix(X: AlgebraVector) -> np.ndarray:
     """Matrix of ad_X (columns vee([X^, E_i])) from the cached structure
-    constants."""
-    return np.tensordot(X.coords, structure_constants(X.descriptor), axes=1)
+    constants; a product's is block diagonal."""
+    return _ad(X.coords, X.descriptor)
+
+
+def _ad(x, descriptor: GroupDescriptor) -> np.ndarray:
+    if descriptor.family == PRODUCT:
+        return block_diagonal([_ad(x[cols], f) for f, _, cols in descriptor.blocks])
+    return np.tensordot(x, structure_constants(descriptor), axes=1)
+
+
+def ad_squared_sum(rows, descriptor: GroupDescriptor) -> np.ndarray:
+    """sum_r ad_{x_r}^2 over the rows x_r of a (k, n) array; a product's is
+    block diagonal, so no (k, n, n) stack of the whole product is formed."""
+    if descriptor.family == PRODUCT:
+        blocks = descriptor.blocks
+        return block_diagonal([ad_squared_sum(rows[:, c], f) for f, _, c in blocks])
+    ad = _ad(rows, descriptor)
+    return (ad @ ad).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from ..exceptions import ConfigError
-from ..scoring import ScoringOptions
+from ..scoring import ScoringOptions, as_integer
 
 EXPERIMENTS = ("landmark", "network", "spd", "crb-report", "check")
 
@@ -156,10 +156,8 @@ def load_config(
         if not isinstance(m_values, (list, tuple)):
             raise ConfigError(f"m_values must be a list of integers, got {m_values!r}")
         values.update(
-            seed=int(values["seed"]),
-            n_trials=int(values["n_trials"]),
-            m_values=tuple(int(m) for m in m_values),
-            workers=int(values["workers"]),
+            {k: as_integer(values[k], k) for k in ("seed", "n_trials", "workers")},
+            m_values=tuple(as_integer(m, "m_values") for m in m_values),
         )
         config = ExperimentConfig(**values)
     except (TypeError, ValueError) as exc:

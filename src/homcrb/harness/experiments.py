@@ -178,7 +178,7 @@ def default_spd_covariance(n: int) -> np.ndarray:
 def _spd_context(config: ExperimentConfig):
     section = config.spd
     try:
-        n = int(section.get("dimension", 3))
+        n = scoring.as_integer(section.get("dimension", 3), "spd.dimension")
         model = SpdModel(n)
         cov = section.get("covariance")
         Sigma = default_spd_covariance(n) if cov is None else np.asarray(cov, float)

@@ -121,6 +121,18 @@ def rigidity_matrix(positions, edges, sigmas) -> np.ndarray:
     return whitened_gram(_sensitivities(p, i, j, _translation_directions(len(p))), sig)
 
 
+def _network_group(n_agents: int) -> groups.GroupDescriptor:
+    return groups.product_group([groups.se2()] * n_agents, name=f"SE(2)^{n_agents}")
+
+
+def _reference_element(descriptor: groups.GroupDescriptor, positions) -> GroupElement:
+    """The SE(2)^n element with identity rotations at the given positions."""
+    n = len(descriptor.blocks)
+    M = np.eye(3 * n)
+    M[_position_slots(n)] = np.asarray(positions, dtype=float)
+    return GroupElement(descriptor, M)
+
+
 def _sample_diagonal_rigid_motion(
     rng: np.random.Generator, descriptor: groups.GroupDescriptor
 ) -> GroupElement:
@@ -153,7 +165,7 @@ class NetworkModel(GaussianModel):
         self.positions = canonicalize_positions(p)
         n = len(p)
         self.n_agents = n
-        self.descriptor = groups.product_group([groups.se2()] * n, name=f"SE(2)^{n}")
+        self.descriptor = _network_group(n)
         self._i, self._j = _edge_arrays(self.edges)
         self._slots = _position_slots(n)
         self.struct = self._build_structure()
@@ -190,10 +202,8 @@ class NetworkModel(GaussianModel):
     # -- observations --------------------------------------------------------
 
     def reference_element(self, positions=None) -> GroupElement:
-        p = self.positions if positions is None else np.asarray(positions, float)
-        M = np.eye(3 * self.n_agents)
-        M[self._slots] = p
-        return GroupElement(self.descriptor, M)
+        p = self.positions if positions is None else positions
+        return _reference_element(self.descriptor, p)
 
     def positions_of(self, g: GroupElement) -> np.ndarray:
         return g.matrix[self._slots]
@@ -230,11 +240,7 @@ def network_fim(positions, edges, sigmas) -> FimMatrix:
             f"network is not rigid: reduced FIM rank {rank} < {n_theta}",
             rank_gap=n_theta - rank,
         )
-    n = len(p)
-    desc = groups.product_group([groups.se2()] * n, name=f"SE(2)^{n}")
-    M = np.eye(3 * n)
-    M[_position_slots(n)] = p
-    at = GroupElement(desc, M)
+    at = _reference_element(_network_group(len(p)), p)
     return FimMatrix(REDUCED, at, F, ANALYTIC, 0)
 
 

@@ -16,6 +16,7 @@ gradient step norm, which is invariant to basis rescaling.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,16 @@ _DIVERGENCE_DROP = 1e3
 _DRIFT_LIMIT = 1e-12
 
 
+def as_integer(value, name: str) -> int:
+    """value as an int. A bool, a non-number or a number with a fractional
+    part raises ValueError instead of being truncated."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScoringOptions:
     max_iterations: int = 100
@@ -40,10 +51,15 @@ class ScoringOptions:
     mc_fim_samples: int = 20_000
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.gradient_tolerance <= 0:
-            raise ValueError("gradient_tolerance must be positive")
+        for name in ("max_iterations", "mc_fim_samples"):
+            count = as_integer(getattr(self, name), name)
+            if count < 1:
+                raise ValueError(f"{name} must be >= 1")
+            object.__setattr__(self, name, count)
+        for name in ("gradient_tolerance", "step_scale"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive")
         if self.fim_mode not in _FIM_MODES:
             raise ValueError(f"fim_mode must be one of {_FIM_MODES}")
 

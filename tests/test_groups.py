@@ -43,7 +43,19 @@ def test_wedge_so3_e3():
     assert np.array_equal(W, expected)
 
 
-@pytest.mark.parametrize("desc", ALL_DESCRIPTORS())
+# Every family, and a product mixing two of them.
+ORACLE_DESCRIPTORS = ALL_DESCRIPTORS() + [
+    groups.product_group([groups.se2(), groups.so3()])
+]
+
+
+def oracle_basis(desc):
+    """The basis matrices E_i, as the wedges of the unit coordinate vectors
+    (a product stores no dense basis)."""
+    return np.stack([groups.wedge(e, desc) for e in np.eye(desc.algebra_dim)])
+
+
+@pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS)
 def test_vee_wedge_roundtrip(desc, rng):
     for _ in range(20):
         v = rng.standard_normal(desc.algebra_dim)
@@ -63,6 +75,21 @@ def test_vee_rejects_matrix_outside_algebra():
     sym = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.2]])
     with pytest.raises(NotInAlgebraError):
         groups.vee(sym, d)
+
+
+def test_product_wedge_and_vee_work_block_by_block(rng):
+    se2, so3 = groups.se2(), groups.so3()
+    prod = groups.product_group([se2, so3])
+    v = rng.standard_normal(6)
+    X = groups.wedge(v, prod)
+    blocks = groups.block_diagonal([groups.wedge(v[:3], se2), groups.wedge(v[3:], so3)])
+    assert np.array_equal(X, blocks)
+    # One tolerance for the whole residual: off-block entries count too.
+    X[1, 4] = 1e-3
+    with pytest.raises(NotInAlgebraError):
+        groups.vee(X, prod)
+    X[1, 4] = 1e-12
+    assert np.abs(groups.vee(X, prod) - v).max() <= 1e-12
 
 
 def test_wedge_length_mismatch():
@@ -182,19 +209,13 @@ def test_adjoint_so3_equals_rotation(rng):
     assert np.abs(groups.adjoint_matrix(R) - R.matrix).max() <= 1e-12
 
 
-# Every family, and a product mixing two of them.
-ORACLE_DESCRIPTORS = ALL_DESCRIPTORS() + [
-    groups.product_group([groups.se2(), groups.so3()])
-]
-
-
 @pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS)
 def test_adjoint_matches_conjugated_basis(desc, rng):
     for _ in range(3):
         g = groups.random_element(desc, rng, 0.8).matrix
         # Columnwise oracle: vee(g E_i g^-1).
         oracle = np.column_stack(
-            [groups.vee(g @ E @ np.linalg.inv(g), desc) for E in desc.algebra_basis]
+            [groups.vee(g @ E @ np.linalg.inv(g), desc) for E in oracle_basis(desc)]
         )
         A = groups.adjoint_matrix(groups.GroupElement(desc, g))
         assert np.abs(A - oracle).max() <= 1e-12
@@ -202,12 +223,17 @@ def test_adjoint_matches_conjugated_basis(desc, rng):
 
 @pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS)
 def test_structure_constants_match_brackets(desc):
-    C = groups.structure_constants(desc)
-    E = desc.algebra_basis
+    # A product has no structure constants; its ad_{E_i} is checked alone.
+    product = desc.family == groups.PRODUCT
+    C = None if product else groups.structure_constants(desc)
+    E = oracle_basis(desc)
     for i in range(desc.algebra_dim):
+        ad = groups.ad_matrix(AlgebraVector(desc, np.eye(desc.algebra_dim)[i]))
         for j in range(desc.algebra_dim):
             oracle = groups.vee(E[i] @ E[j] - E[j] @ E[i], desc)
-            assert np.abs(C[i, :, j] - oracle).max() <= 1e-12
+            assert np.abs(ad[:, j] - oracle).max() <= 1e-12
+            if not product:
+                assert np.abs(C[i, :, j] - oracle).max() <= 1e-12
 
 
 def test_ad_annihilates_own_coords(rng):
@@ -218,14 +244,13 @@ def test_ad_annihilates_own_coords(rng):
 
 def test_structure_constants_of_product_match_brackets(rng):
     desc = groups.product_group([groups.se2()] * 3)
-    C = groups.structure_constants(desc)
-    assert C is groups.structure_constants(desc)  # cached per descriptor
-    E = desc.algebra_basis
+    E = oracle_basis(desc)
     for k in range(desc.algebra_dim):
         oracle = np.column_stack(
             [groups.vee(E[k] @ Ei - Ei @ E[k], desc) for Ei in E]
         )
-        assert np.abs(C[k] - oracle).max() <= 1e-12
+        ad = groups.ad_matrix(AlgebraVector(desc, np.eye(desc.algebra_dim)[k]))
+        assert np.abs(ad - oracle).max() <= 1e-12
     for _ in range(5):
         X = groups.random_algebra_vector(desc, rng, 0.8)
         A = X.matrix
@@ -416,43 +441,25 @@ def test_descriptor_rejects_non_closed_basis():
 
 
 def test_adjoint_leaving_the_span_raises():
-    # T(2) is typed GL(3)+, so any positive-determinant matrix is accepted,
-    # but conjugating by one that is not unipotent leaves the span.
+    # Conjugating by a matrix that is not unipotent leaves the translation
+    # span; GroupElement refuses such a matrix, so Ad is called on it raw.
     g = np.diag([1.0, 2.0, 1.0]) + np.eye(3, k=-1)
-    g = groups.GroupElement(groups.translation_group(2), g)
     with pytest.raises(BasisClosureError, match="Ad_g left the algebra span"):
-        groups.adjoint_matrix(g)
+        groups._adjoint(g, groups.translation_group(2))
 
 
-def _block_product_basis(factors):
-    n = sum(f.algebra_dim for f in factors)
-    d = sum(f.matrix_dim for f in factors)
-    E = np.zeros((n, d, d))
-    r = c = 0
-    for f in factors:
-        E[c : c + f.algebra_dim, r : r + f.matrix_dim, r : r + f.matrix_dim] = (
-            f.algebra_basis
-        )
-        r, c = r + f.matrix_dim, c + f.algebra_dim
-    return E
-
-
-def test_product_descriptor_checks_basis_against_factors():
+def test_product_descriptor_refuses_a_dense_basis():
     factors = (groups.se2(), groups.se2())
-    E = _block_product_basis(factors)
-    ok = groups.GroupDescriptor("ok", groups.PRODUCT, 6, 6, E, factors)
-    assert np.array_equal(ok.algebra_basis, groups.product_group(factors).algebra_basis)
-    swapped = E.copy()
-    swapped[[0, 1]] = swapped[[1, 0]]  # block 1 no longer matches se2's order
-    outside = E.copy()
-    outside[4, 0, 5] = 1.0  # couples the two factors
-    scaled = E.copy()
-    scaled[3] *= 2.0
-    for bad in (swapped, outside, scaled):
-        with pytest.raises(ValueError):
-            groups.GroupDescriptor("bad", groups.PRODUCT, 6, 6, bad, factors)
-    with pytest.raises(ValueError):
-        groups.GroupDescriptor("bad", groups.PRODUCT, 6, 6, E, (groups.se2(),))
+    ok = groups.GroupDescriptor("ok", groups.PRODUCT, 6, 6, None, factors)
+    assert ok.algebra_basis is None and len(ok.blocks) == 2
+    dense = oracle_basis(groups.product_group(factors))
+    with pytest.raises(ValueError, match="dense basis"):
+        groups.GroupDescriptor("bad", groups.PRODUCT, 6, 6, dense, factors)
+    for d, n in ((6, 5), (5, 6)):
+        with pytest.raises(ValueError, match="sums of factor dimensions"):
+            groups.GroupDescriptor("bad", groups.PRODUCT, d, n, None, factors)
+    with pytest.raises(ValueError, match="sums of factor dimensions"):
+        groups.GroupDescriptor("bad", groups.PRODUCT, 6, 6, None, (groups.se2(),))
 
 
 @pytest.mark.parametrize(
@@ -492,6 +499,12 @@ def test_group_element_membership_checks():
     bad_se3[3, 0] = 0.5
     with pytest.raises(ValueError):
         groups.GroupElement(groups.se3(), bad_se3)
+    # T(2) is typed GL(3)+, but a positive determinant is not enough.
+    with pytest.raises(ValueError, match="not a translation"):
+        groups.GroupElement(groups.translation_group(2), np.diag([1.0, 2.0, 1.0]))
+    shift = np.eye(3)
+    shift[:2, 2] = [0.5, -2.0]
+    groups.GroupElement(groups.translation_group(2), shift)
 
 
 def test_product_descriptor_blocks(rng):

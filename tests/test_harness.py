@@ -53,6 +53,24 @@ def test_config_validation_errors():
         load_config({"experiment": "landmark", "scoring": {"stepsize": 2}})
     with pytest.raises(ConfigError):
         load_config(None)  # no experiment declared
+    # Counts are checked, not truncated; bools are not counts.
+    for bad in (
+        {"n_trials": 2.7},
+        {"m_values": [10.9]},
+        {"workers": 1.9},
+        {"seed": 3.5},
+        {"n_trials": True},
+        {"scoring": {"step_scale": 0}},
+        {"scoring": {"gradient_tolerance": float("nan")}},
+        {"scoring": {"fim_mode": "monte-carlo", "mc_fim_samples": 0}},
+        {"scoring": {"max_iterations": 2.5}},
+    ):
+        with pytest.raises(ConfigError):
+            load_config({"experiment": "landmark", **bad})
+    integral = load_config(
+        {"experiment": "landmark", "n_trials": 2.0, "m_values": [10.0], "seed": 3.0}
+    )
+    assert (integral.n_trials, integral.m_values, integral.seed) == (2, (10,), 3)
     # Malformed spd and check sections are refused where they are read.
     for section in BAD_SPD_SECTIONS:
         with pytest.raises(ConfigError):
@@ -66,6 +84,7 @@ BAD_SPD_SECTIONS = (
     {"dimension": 2, "covariance": [[1.0, float("nan")], [float("nan"), 1.0]]},
     {"dimension": 3, "covariance": [[2.0, 0.0], [0.0, 2.0]]},
     {"dimension": 2, "covariance": [[2.0, 5.0], [0.0, 2.0]]},  # not symmetric
+    {"dimension": 2.5},
 )
 BAD_CHECK_SECTIONS = (
     {"suites": 5},

@@ -1,7 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from homcrb import fisher, groups, homspace
+from homcrb import crb, fisher, groups, homspace
 from homcrb.exceptions import ConfigError, DegenerateModelError, DomainError
 from homcrb.groups import AlgebraVector
 from homcrb.models import (
@@ -336,6 +339,27 @@ def test_rigidity_matrix_matches_per_edge_blocks():
     # The model's reduced FIM is the same computation on the m-basis.
     F = fisher.fim(model, model.reference_element(), fisher.REDUCED).matrix
     assert np.abs(F - S[3:, 3:]).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_network_memory_stays_per_factor():
+    """SE(2)^60 is kept as its factors: building the model and computing
+    one reduced FIM and one Delta over 50 samples allocates far less than
+    a single dense (n_G, n_G, n_G) array, 8 (3 |V|)^3 bytes = 47 MB."""
+    n = 60
+    r = np.random.default_rng(n)
+    p = r.uniform(0.0, 3.0 * math.sqrt(n / 30), (n, 2))
+    dist = np.linalg.norm(p[:, None] - p[None], axis=-1)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if dist[i, j] < 1.5]
+    errors = r.standard_normal((50, 3 * n))
+    tracemalloc.start()
+    try:
+        model = NetworkModel(p, edges, 0.1)
+        model.fim_reduced(model.reference_element())
+        crb.delta_matrix(errors, model.struct)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_load_graph(tmp_path):

@@ -23,6 +23,21 @@ def test_options_validation():
         scoring.ScoringOptions(gradient_tolerance=0.0)
     with pytest.raises(ValueError):
         scoring.ScoringOptions(fim_mode="adaptive")
+    # Each of these would otherwise corrupt or abort a campaign mid-run.
+    for bad in (
+        {"step_scale": 0.0},
+        {"step_scale": math.inf},
+        {"gradient_tolerance": math.nan},
+        {"fim_mode": "monte-carlo", "mc_fim_samples": 0},
+        {"max_iterations": 2.5},
+        {"max_iterations": True},
+        {"mc_fim_samples": False},
+    ):
+        with pytest.raises(ValueError):
+            scoring.ScoringOptions(**bad)
+    opts = scoring.ScoringOptions(max_iterations=5.0, mc_fim_samples=np.int64(7))
+    assert (opts.max_iterations, opts.mc_fim_samples) == (5, 7)
+    assert type(opts.max_iterations) is type(opts.mc_fim_samples) is int
 
 
 def test_scalar_gaussian_one_iteration(gaussian1, rng):
