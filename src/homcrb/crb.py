@@ -101,7 +101,6 @@ def estimator_stats(
     coords_rows = []
     errors = []
     for idx, est in enumerate(estimates):
-        raw_sq.append(struct.norm(raw_error(g_ref, est, struct)) ** 2)
         try:
             ce = coset_error(g_ref, est, struct)
         except LiftFailureError as exc:
@@ -110,6 +109,7 @@ def estimator_stats(
                 iterations=exc.iterations,
                 residual=exc.residual,
             ) from exc
+        raw_sq.append(struct.norm(ce.raw) ** 2)
         errors.append(ce.eta_full)
         coords_rows.append(ce.eta_struct)
     coords = np.array(coords_rows)
@@ -236,7 +236,7 @@ def delta_matrix(errors, struct: ReductiveStructure) -> np.ndarray:
         )
     if len(coords) == 0:
         return np.zeros((struct.n_Theta, struct.n_Theta))
-    rows = np.linalg.qr(coords, mode="r") @ struct.basis_matrix.T
+    rows = np.linalg.qr(coords, mode="r") @ struct.basis
     acc = groups.ad_squared_sum(rows, struct.group)
     mean = struct.in_adapted(acc) / (12.0 * len(coords))
     return mean[struct.n_H :, struct.n_H :].copy()

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import groups
 from .exceptions import UnsupportedMethodError
-from .groups import GroupElement, AlgebraVector
-from .homspace import LIVF, RIVF, ReductiveStructure, Side, natural_operator
+from .groups import GroupElement
+from .homspace import LIVF, RIVF, ReductiveStructure, Side, act, natural_operator
 
 LEFT, RIGHT, REDUCED = "left", "right", "reduced"
 ANALYTIC, MC_GRADIENT, MC_HESSIAN = (
@@ -57,16 +57,14 @@ class FimMatrix:
         return self.matrix.shape[0]
 
 
-def frame_directions(
-    struct: ReductiveStructure, frame: str
-) -> tuple[list[AlgebraVector], str]:
-    """(directions, derivative operator) defining a frame's entries."""
+def frame_directions(struct: ReductiveStructure, frame: str) -> tuple[np.ndarray, str]:
+    """(directions as rows, derivative operator) defining a frame's entries."""
     if frame == REDUCED:
-        return list(struct.m_basis), natural_operator(struct.side)
+        return struct.m_basis, natural_operator(struct.side)
     if frame == LEFT:
-        return list(struct.basis), LIVF
+        return struct.basis, LIVF
     if frame == RIGHT:
-        return list(struct.basis), RIVF
+        return struct.basis, RIVF
     raise ValueError(f"unknown frame {frame!r}")
 
 
@@ -190,7 +188,7 @@ def verify_fim_properties(
     """Check the block/fiber/adjoint relations between the FIM frames."""
     struct = model.struct
     swapped = struct.side == Side.H_MOD_G
-    moved = (h_sample @ g) if swapped else (g @ h_sample)
+    moved = act(g, h_sample, struct.side)
 
     def F(point, frame, salt):
         seed = None if random_state is None else [random_state, salt]

@@ -7,6 +7,10 @@ that basis (the vee form); wedge is the inverse map. Closed-form exp/log
 are provided for SO(3), SE(2) and SE(3); GL(n)+ (and unipotent subgroups
 used for translation groups) fall back to dense scaling-and-squaring.
 
+Each operation is a kernel on raw arrays, and a product's kernel recurses
+over its factors'. A public function boxes the kernel's result once, so
+a GroupElement is validated where it leaves the API, not per factor.
+
 Conventions: SE(2)/SE(3) coordinates are ordered rotation-first, i.e.
 X = (omega, v) with wedge(X) = [[omega^, v], [0, 0]].
 """
@@ -471,29 +475,31 @@ def _se2_V(theta: float) -> np.ndarray:
 
 def exp(X: AlgebraVector) -> GroupElement:
     """Group exponential; closed form per family, expm fallback for GL(n)+."""
-    d = X.descriptor
+    return GroupElement(X.descriptor, _exp(X.coords, X.descriptor))
+
+
+def _exp(x, d: GroupDescriptor) -> np.ndarray:
     fam = d.family
     if fam == SO3:
-        W, W2, a, b, _ = _so3_terms(X.coords)
-        return GroupElement(d, _eye(3) + a * W + b * W2)
+        W, W2, a, b, _ = _so3_terms(x)
+        return _eye(3) + a * W + b * W2
     if fam == SE2:
-        theta, v = float(X.coords[0]), X.coords[1:]
+        theta, v = float(x[0]), x[1:]
         c, s = math.cos(theta), math.sin(theta)
         M = np.eye(3)
         M[:2, :2] = [[c, -s], [s, c]]
         M[:2, 2] = _se2_V(theta) @ v
-        return GroupElement(d, M)
+        return M
     if fam == SE3:
-        omega, v = X.coords[:3], X.coords[3:]
+        omega, v = x[:3], x[3:]
         W, W2, a, b, c = _so3_terms(omega)
         M = np.eye(4)
         M[:3, :3] = _eye(3) + a * W + b * W2
         M[:3, 3] = (_eye(3) + b * W + c * W2) @ v
-        return GroupElement(d, M)
+        return M
     if fam == PRODUCT:
-        parts = [exp(AlgebraVector(f, X.coords[cols])) for f, _, cols in d.blocks]
-        return GroupElement(d, block_diagonal([p.matrix for p in parts]))
-    return GroupElement(d, expm(X.matrix))
+        return block_diagonal([_exp(x[cols], f) for f, _, cols in d.blocks])
+    return expm(wedge(x, d))
 
 
 # ---------------------------------------------------------------------------
@@ -531,31 +537,33 @@ def _so3_log_near_pi(R, cos_theta: float, skew: np.ndarray) -> np.ndarray:
 
 def log(g: GroupElement) -> AlgebraVector:
     """Principal group logarithm; raises CutLocusError near angle pi."""
-    d = g.descriptor
+    return AlgebraVector(g.descriptor, _log(g.matrix, g.descriptor))
+
+
+def _log(mat: np.ndarray, d: GroupDescriptor) -> np.ndarray:
     fam = d.family
     if fam == SO3:
-        return AlgebraVector(d, _so3_log(g.matrix))
+        return _so3_log(mat)
     if fam == SE2:
-        theta = math.atan2(g.matrix[1, 0], g.matrix[0, 0])
+        theta = math.atan2(mat[1, 0], mat[0, 0])
         if math.pi - abs(theta) < _CUT_LOCUS_MARGIN:
             raise CutLocusError(f"rotation angle {theta:.9f} within margin of pi")
-        v = np.linalg.solve(_se2_V(theta), g.matrix[:2, 2])
-        return AlgebraVector(d, np.concatenate([[theta], v]))
+        v = np.linalg.solve(_se2_V(theta), mat[:2, 2])
+        return np.concatenate([[theta], v])
     if fam == SE3:
-        omega = _so3_log(g.matrix[:3, :3])
-        v = _so3_left_jacobian_inv(omega) @ g.matrix[:3, 3]
-        return AlgebraVector(d, np.concatenate([omega, v]))
+        omega = _so3_log(mat[:3, :3])
+        v = _so3_left_jacobian_inv(omega) @ mat[:3, 3]
+        return np.concatenate([omega, v])
     if fam == PRODUCT:
-        parts = [log(GroupElement(f, g.matrix[rows, rows])) for f, rows, _ in d.blocks]
-        return AlgebraVector(d, np.concatenate([p.coords for p in parts]))
+        return np.concatenate([_log(mat[rows, rows], f) for f, rows, _ in d.blocks])
     # GL(n)+: dense principal log; real-negative eigenvalues have no real log.
-    eigvals = np.linalg.eigvals(g.matrix)
+    eigvals = np.linalg.eigvals(mat)
     if np.any((eigvals.real < 0) & (np.abs(eigvals.imag) < 1e-12)):
         raise DomainError("matrix has real-negative eigenvalues; principal log undefined")
-    L = logm(g.matrix)
+    L = logm(mat)
     if np.abs(L.imag).max() > 1e-9:
         raise DomainError("matrix log is not real")
-    return AlgebraVector(d, vee(L.real, d))
+    return vee(L.real, d)
 
 
 # ---------------------------------------------------------------------------
@@ -661,15 +669,15 @@ def default_step(g: GroupElement) -> float:
 def central_difference(
     fn: Callable[[GroupElement], float | np.ndarray],
     g: GroupElement,
-    X: AlgebraVector,
+    x: np.ndarray,
     h: float,
     op: str,
 ) -> float | np.ndarray:
     """(fn(g+) - fn(g-)) / 2h with g+- = g exp(+-hX) for op "livf" and
-    exp(+-hX) g for "rivf"; fn may return an array. Raises EvaluationError
-    on a non-finite result."""
-    e_plus = exp(AlgebraVector(X.descriptor, h * X.coords))
-    e_minus = exp(AlgebraVector(X.descriptor, -h * X.coords))
+    exp(+-hX) g for "rivf", where X has coordinates x in g's descriptor;
+    fn may return an array. Raises EvaluationError on a non-finite result."""
+    e_plus = exp(AlgebraVector(g.descriptor, h * x))
+    e_minus = exp(AlgebraVector(g.descriptor, -h * x))
     if op == LIVF:
         f_plus, f_minus = fn(g @ e_plus), fn(g @ e_minus)
     else:
@@ -683,14 +691,20 @@ def central_difference(
     return value
 
 
+def _field_derivative(fn, g: GroupElement, X: AlgebraVector, h, op: str) -> float:
+    if X.descriptor is not g.descriptor:
+        raise ValueError("direction and point belong to different groups")
+    return float(central_difference(fn, g, X.coords, h or default_step(g), op))
+
+
 def livf_derivative(fn, g: GroupElement, X: AlgebraVector, h: float | None = None) -> float:
     """Central-difference d/dt fn(g exp(tX)) at t = 0."""
-    return float(central_difference(fn, g, X, h or default_step(g), LIVF))
+    return _field_derivative(fn, g, X, h, LIVF)
 
 
 def rivf_derivative(fn, g: GroupElement, X: AlgebraVector, h: float | None = None) -> float:
     """Central-difference d/dt fn(exp(tX) g) at t = 0."""
-    return float(central_difference(fn, g, X, h or default_step(g), RIVF))
+    return _field_derivative(fn, g, X, h, RIVF)
 
 
 # ---------------------------------------------------------------------------
@@ -711,31 +725,31 @@ def random_element(
 
 def polar_project(g: GroupElement) -> GroupElement:
     """Re-orthonormalize rotation blocks via the polar decomposition."""
-    d = g.descriptor
-    fam = d.family
+    return GroupElement(g.descriptor, _polar(g.matrix, g.descriptor))
 
-    def polar(R):
-        U, _, Vt = np.linalg.svd(R)
+
+def _polar_rotation(R) -> np.ndarray:
+    """The rotation nearest R: U V' from the SVD, with det +1 kept."""
+    U, _, Vt = np.linalg.svd(R)
+    P = U @ Vt
+    if np.linalg.det(P) < 0:
+        U = U.copy()
+        U[:, -1] *= -1.0
         P = U @ Vt
-        if np.linalg.det(P) < 0:  # keep det +1
-            U = U.copy()
-            U[:, -1] *= -1.0
-            P = U @ Vt
-        return P
+    return P
 
+
+def _polar(mat: np.ndarray, d: GroupDescriptor) -> np.ndarray:
+    fam = d.family
     if fam == SO3:
-        return GroupElement(d, polar(g.matrix))
+        return _polar_rotation(mat)
     if fam in (SE2, SE3):
-        M = np.array(g.matrix)
+        M = np.array(mat)
         k = d.matrix_dim - 1
-        M[:k, :k] = polar(M[:k, :k])
+        M[:k, :k] = _polar_rotation(M[:k, :k])
         M[-1, :] = 0.0
         M[-1, -1] = 1.0
-        return GroupElement(d, M)
+        return M
     if fam == PRODUCT:
-        parts = [
-            polar_project(GroupElement(f, g.matrix[rows, rows]))
-            for f, rows, _ in d.blocks
-        ]
-        return GroupElement(d, block_diagonal([p.matrix for p in parts]))
-    return g
+        return block_diagonal([_polar(mat[rows, rows], f) for f, rows, _ in d.blocks])
+    return mat

@@ -29,7 +29,7 @@ from ..exceptions import (
     LiftFailureError,
 )
 from ..groups import AlgebraVector
-from ..homspace import coset_error, raw_error
+from ..homspace import coset_error
 from ..models import (
     LandmarkModel,
     NetworkModel,
@@ -38,6 +38,7 @@ from ..models import (
     network_fim,
     rigidity_matrix,
 )
+from ..models.network import nonzero_eigenvalues
 from .config import ExperimentConfig
 
 SCHEMA_VERSIONS = {
@@ -220,10 +221,9 @@ def _estimation_trial(ctx, kind: str, seed: int, m_index: int, m: int, trial: in
         trace = scoring.fisher_scoring(model, obs, inits[0], opts)
         est = trace.final
         ce = coset_error(g_true, est, model.struct)
-        raw_coords = raw_error(g_true, est, model.struct)
         row.update(
             coset_err_sq=float(np.sum(ce.eta_reduced**2)),
-            g_err_sq=float(raw_coords @ raw_coords),
+            g_err_sq=float(ce.raw @ ce.raw),
             iterations=trace.iterations_used,
             loglik=trace.logliks[-1],
             eta=tuple(float(v) for v in ce.eta_struct),
@@ -351,14 +351,14 @@ def run_landmark_experiment(config: ExperimentConfig) -> MonteCarloReport:
 
 
 def _rigidity_spectrum(model: NetworkModel) -> tuple[np.ndarray, float, float]:
-    """Eigenvalues of the rigidity matrix, with those at or below 1e-10 of
-    the largest (rounding noise around the rigid-motion null space) set to
-    0.0 so that no summation order shows in the output; the smallest of
+    """Eigenvalues of the rigidity matrix, with the rounding noise around
+    the rigid-motion null space (nonzero_eigenvalues) set to 0.0 so that
+    no summation order shows in the output; the smallest of
     the others (0.0 if none); and the smallest eigenvalue of the reduced
     FIM, the matrix's block past the first three translations."""
     S = rigidity_matrix(model.positions, model.edges, model.sigmas)
     spectrum = np.linalg.eigvalsh(S)
-    nonzero = spectrum > 1e-10 * max(spectrum.max(initial=0.0), 1.0)
+    nonzero = nonzero_eigenvalues(spectrum)
     lam_min_nonzero = float(spectrum[nonzero].min()) if nonzero.any() else 0.0
     lam_min_fim = float(np.linalg.eigvalsh(S[3:, 3:]).min())
     return np.where(nonzero, spectrum, 0.0), lam_min_nonzero, lam_min_fim

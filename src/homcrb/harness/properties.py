@@ -81,7 +81,7 @@ def suite_psi(seed: int):
             Y = groups.random_algebra_vector(desc, rng, 1.0)
             P = groups.psi_matrix(X)
             fd = groups.central_difference(
-                lambda g: groups.log(g).coords, groups.exp(X), Y, h, groups.LIVF
+                lambda g: groups.log(g).coords, groups.exp(X), Y.coords, h, groups.LIVF
             )
             dev = float(np.abs(P.matrix @ Y.coords - fd).max())
             checks += 1

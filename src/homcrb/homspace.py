@@ -5,7 +5,9 @@ an h-block (the subalgebra of the isotropy/symmetry subgroup H) followed
 by an m-block (the complement modeling the tangent space of the coset
 space). All Fisher/CRB matrices downstream are expressed in this adapted
 basis; the basis is declared orthonormal, i.e. the inner product on the
-algebra is the Euclidean one on adapted coordinates.
+algebra is the Euclidean one on adapted coordinates. A set of algebra
+directions is a (k, n_G) array of descriptor coordinates, one row per
+direction, and the adapted basis is one such array.
 
 Gram-Schmidt runs under an optional factored metric <x, y> = (Mx)'(My)
 given in descriptor coordinates. Passing the Ad-matrix of a translation
@@ -45,13 +47,12 @@ def natural_operator(side: Side) -> str:
 
 
 def translate_directions(directions, g: GroupElement, from_op: str, to_op: str):
-    """Directions to feed a from_op formula so it evaluates to_op
+    """Directions (rows) to feed a from_op formula so it evaluates to_op
     derivatives, via X^L_g = (Ad_g X)^R_g and X^R_g = (Ad_{g^-1} X)^L_g."""
     if from_op == to_op:
-        return list(directions)
+        return directions
     Ad = groups.adjoint_matrix(g if to_op == LIVF else g.inverse())
-    desc = g.descriptor
-    return [AlgebraVector(desc, Ad @ d.coords) for d in directions]
+    return directions @ Ad.T
 
 
 _GS_SKIP_TOL = 1e-8
@@ -64,41 +65,52 @@ _ADH_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class ReductiveStructure:
-    """Adapted basis of g: indices [0, n_H) span h, [n_H, n_G) span m."""
+    """Adapted basis of g, one row per basis vector in descriptor
+    coordinates: rows [0, n_H) span h, [n_H, n_G) span m. The caller owns
+    the validity of the split (build_reductive checks h is a subalgebra)."""
 
     group: GroupDescriptor
     side: Side
     n_H: int
-    n_Theta: int
-    basis: tuple[AlgebraVector, ...]
-    gram: np.ndarray  # inner product of the adapted basis (default identity)
+    basis: np.ndarray
     subgroup_sampler: Callable[[np.random.Generator], GroupElement] | None = None
+    gram: np.ndarray | None = None  # inner product of the adapted basis (None: I)
 
     def __post_init__(self):
         n_G = self.group.algebra_dim
-        if self.n_H + self.n_Theta != n_G or len(self.basis) != n_G:
-            raise ValueError("basis must split n_G as n_H + n_Theta")
-        B = np.column_stack([b.coords for b in self.basis])
+        # Held column-major, so that basis_matrix is C-contiguous: numpy's
+        # matrix-vector product rounds differently for the two layouts,
+        # and the outputs pinned in tests/golden use this one.
+        B = groups._frozen(np.transpose(self.basis)).T
+        if B.shape != (n_G, n_G):
+            raise ValueError(f"basis shape {B.shape} != ({n_G}, {n_G})")
+        if not 0 <= self.n_H <= n_G:
+            raise ValueError(f"n_H = {self.n_H} outside [0, {n_G}]")
         cond = np.linalg.cond(B)
         if not np.isfinite(cond) or cond > 1e12:
             raise ValueError(f"adapted basis is singular (condition {cond:.3e})")
-        object.__setattr__(self, "gram", groups._frozen(self.gram))
-        object.__setattr__(self, "_B", groups._frozen(B))
-        object.__setattr__(self, "_B_inv", groups._frozen(np.linalg.inv(B)))
+        gram = np.eye(n_G) if self.gram is None else self.gram
+        object.__setattr__(self, "basis", B)
+        object.__setattr__(self, "gram", groups._frozen(gram))
+        object.__setattr__(self, "_B_inv", groups._frozen(np.linalg.inv(B.T)))
 
     # -- coordinates ---------------------------------------------------
 
     @property
-    def basis_matrix(self) -> np.ndarray:
-        """Columns are adapted basis vectors in descriptor coordinates."""
-        return self._B
+    def n_Theta(self) -> int:
+        return self.group.algebra_dim - self.n_H
 
     @property
-    def h_basis(self) -> tuple[AlgebraVector, ...]:
+    def basis_matrix(self) -> np.ndarray:
+        """Columns are adapted basis vectors in descriptor coordinates."""
+        return self.basis.T
+
+    @property
+    def h_basis(self) -> np.ndarray:
         return self.basis[: self.n_H]
 
     @property
-    def m_basis(self) -> tuple[AlgebraVector, ...]:
+    def m_basis(self) -> np.ndarray:
         return self.basis[self.n_H :]
 
     def coords_of(self, X: AlgebraVector) -> np.ndarray:
@@ -106,7 +118,7 @@ class ReductiveStructure:
         return self._B_inv @ X.coords
 
     def from_coords(self, coords) -> AlgebraVector:
-        return AlgebraVector(self.group, self._B @ np.asarray(coords, dtype=float))
+        return AlgebraVector(self.group, self.basis_matrix @ np.asarray(coords, float))
 
     def norm(self, coords) -> float:
         c = np.asarray(coords, dtype=float)
@@ -117,7 +129,7 @@ class ReductiveStructure:
     def in_adapted(self, op) -> np.ndarray:
         """Matrix of a linear map on g, given in descriptor coordinates,
         in the adapted basis."""
-        return self._B_inv @ op @ self._B
+        return self._B_inv @ op @ self.basis_matrix
 
     def adjoint(self, g: GroupElement) -> np.ndarray:
         return self.in_adapted(groups.adjoint_matrix(g))
@@ -141,13 +153,14 @@ class ReductiveStructure:
 
 def build_reductive(
     group: GroupDescriptor,
-    h_basis: Sequence[AlgebraVector],
-    seed_m: Sequence[AlgebraVector] | None = None,
+    h_basis: Sequence[np.ndarray],
+    seed_m: Sequence[np.ndarray] | None = None,
     side: Side = Side.G_MOD_H,
     metric: tuple[np.ndarray, np.ndarray] | None = None,
     subgroup_sampler: Callable[[np.random.Generator], GroupElement] | None = None,
 ) -> ReductiveStructure:
-    """Split g = h + m with m built by Gram-Schmidt from seed vectors.
+    """Split g = h + m with m built by Gram-Schmidt from seed vectors;
+    h and the seeds are rows of descriptor coordinates.
 
     The inner product used for orthonormalization is <x, y> = (Mx)'(My)
     in descriptor coordinates, with metric = (M, M^-1) given as a pair so
@@ -166,18 +179,19 @@ def build_reductive(
         return y if M is None else M_inv @ y
 
     # Orthonormalize h in order; verify it is a subalgebra.
+    h_vecs = [AlgebraVector(group, vec) for vec in h_basis]
     h_t: list[np.ndarray] = []
     for vec in h_basis:
-        w = transform(np.array(vec.coords))
+        w = transform(np.array(vec, dtype=float))
         for q in h_t:
             w = w - (q @ w) * q
         nw = float(np.linalg.norm(w))
-        if nw < _GS_SKIP_TOL * max(1.0, float(np.linalg.norm(transform(vec.coords)))):
+        if nw < _GS_SKIP_TOL * max(1.0, float(np.linalg.norm(transform(vec)))):
             raise SubalgebraError("h basis vectors are linearly dependent")
         h_t.append(w / nw)
     for i in range(n_H):
         for j in range(i + 1, n_H):
-            br = groups.bracket(h_basis[i], h_basis[j])
+            br = groups.bracket(h_vecs[i], h_vecs[j])
             y = transform(np.array(br.coords))
             for q in h_t:
                 y = y - (q @ y) * q
@@ -188,16 +202,14 @@ def build_reductive(
                 )
 
     if seed_m is None:
-        seed_m = [
-            AlgebraVector(group, row) for row in np.eye(n_G)
-        ]  # standard basis in index order
+        seed_m = np.eye(n_G)  # standard basis in index order
 
     accepted = list(h_t)
     m_t: list[np.ndarray] = []
     for vec in seed_m:
         if len(m_t) == n_G - n_H:
             break
-        w = transform(np.array(vec.coords))
+        w = transform(np.array(vec, dtype=float))
         scale = float(np.linalg.norm(w))
         for q in accepted:
             w = w - (q @ w) * q
@@ -212,44 +224,8 @@ def build_reductive(
             f"seeds span only {len(m_t)} of the {n_G - n_H} m-directions"
         )
 
-    basis = tuple(
-        AlgebraVector(group, untransform(y)) for y in list(h_t) + m_t
-    )
-    return ReductiveStructure(
-        group=group,
-        side=side,
-        n_H=n_H,
-        n_Theta=n_G - n_H,
-        basis=basis,
-        gram=np.eye(n_G),
-        subgroup_sampler=subgroup_sampler,
-    )
-
-
-def structure_from_bases(
-    group: GroupDescriptor,
-    h_basis: Sequence[AlgebraVector],
-    m_basis: Sequence[AlgebraVector],
-    side: Side,
-    subgroup_sampler: Callable[[np.random.Generator], GroupElement] | None = None,
-) -> ReductiveStructure:
-    """Direct constructor with no orthonormalization or subalgebra checks.
-
-    Needed for models whose symmetry directions are not closed under the
-    bracket (the sensor network's degenerate directions); the caller owns
-    the validity of the split.
-    """
-    n_G = group.algebra_dim
-    basis = tuple(h_basis) + tuple(m_basis)
-    return ReductiveStructure(
-        group=group,
-        side=side,
-        n_H=len(h_basis),
-        n_Theta=n_G - len(h_basis),
-        basis=basis,
-        gram=np.eye(n_G),
-        subgroup_sampler=subgroup_sampler,
-    )
+    basis = np.array([untransform(y) for y in h_t + m_t])
+    return ReductiveStructure(group, side, n_H, basis, subgroup_sampler)
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +295,15 @@ def check_adH_invariance(
 # Coset errors via horizontal lifting
 
 
+def act(g: GroupElement, x: GroupElement, side: Side) -> GroupElement:
+    """g x on G/H, x g on H\\G: x multiplies g on the side H acts on, so
+    for x in H the result stays in g's coset."""
+    return (g @ x) if side == Side.G_MOD_H else (x @ g)
+
+
 def relative_element(g_ref: GroupElement, g: GroupElement, side: Side) -> GroupElement:
     """g_ref^-1 g on G/H, g g_ref^-1 on H\\G: the group error of g
-    against g_ref before any lift."""
+    against g_ref before any lift, so act(g_ref, it, side) is g."""
     return (g_ref.inverse() @ g) if side == Side.G_MOD_H else (g @ g_ref.inverse())
 
 
@@ -339,7 +321,8 @@ class CosetError:
     eta_full is the algebra element Y in m with (G/H side)
     lift = g_ref exp(Y) up to fiber motion, in descriptor coordinates;
     eta_struct are its adapted coordinates (h-block ~ 0 by construction)
-    and eta_reduced the m-block.
+    and eta_reduced the m-block. raw holds the adapted coordinates of the
+    unlifted error, the lift's first iterate: what raw_error returns.
     """
 
     eta_full: AlgebraVector
@@ -347,6 +330,7 @@ class CosetError:
     eta_reduced: np.ndarray
     lift: GroupElement
     iterations: int
+    raw: np.ndarray
 
 
 def coset_error(
@@ -359,12 +343,12 @@ def coset_error(
     Fixed-point iteration on H: kill the h-component of
     log(g_ref^-1 g_est h) (G/H side) or log(h g_est g_ref^-1) (H\\G side).
     """
-    left_side = struct.side == Side.G_MOD_H
-    base = relative_element(g_ref, g_est, struct.side)
+    side = struct.side
+    base = relative_element(g_ref, g_est, side)
     h_acc = groups.identity_element(struct.group)
     last_residual = math.inf
     for it in range(_LIFT_MAX_ITER + 1):
-        arg = (base @ h_acc) if left_side else (h_acc @ base)
+        arg = act(base, h_acc, side)
         try:
             Y = groups.log(arg)
         except CutLocusError as exc:
@@ -374,23 +358,24 @@ def coset_error(
                 residual=last_residual,
             ) from exc
         c = struct.coords_of(Y)
+        if it == 0:
+            raw = c
         h_part = c[: struct.n_H]
         last_residual = float(np.linalg.norm(h_part))
         if last_residual <= _LIFT_TOL:
-            lift = (g_est @ h_acc) if left_side else (h_acc @ g_est)
             c = np.array(c)
             return CosetError(
                 eta_full=Y,
                 eta_struct=c,
                 eta_reduced=c[struct.n_H :].copy(),
-                lift=lift,
+                lift=act(g_est, h_acc, side),
                 iterations=it,
+                raw=raw,
             )
         correction = struct.from_coords(
             np.concatenate([-h_part, np.zeros(struct.n_Theta)])
         )
-        step = groups.exp(correction)
-        h_acc = (h_acc @ step) if left_side else (step @ h_acc)
+        h_acc = act(h_acc, groups.exp(correction), side)
     raise LiftFailureError(
         f"horizontal lift did not converge in {_LIFT_MAX_ITER} iterations "
         f"(h-residual {last_residual:.3e}); estimate too far from the coset",
@@ -418,10 +403,8 @@ def _sample_rotation_about_e3(rng: np.random.Generator) -> GroupElement:
 
 def sphere_structure() -> ReductiveStructure:
     """SO(3)/SO(2) with h = span(e3^): the unit sphere via g -> g e3."""
-    desc = groups.so3()
-    h = [AlgebraVector(desc, np.array([0.0, 0.0, 1.0]))]
     return build_reductive(
-        desc, h, side=Side.G_MOD_H, subgroup_sampler=_sample_rotation_about_e3
+        groups.so3(), np.eye(3)[2:], subgroup_sampler=_sample_rotation_about_e3
     )
 
 
@@ -451,8 +434,9 @@ def sphere_riemannian_check(
 
     # Pushforward of the m-basis LIVFs: d/dt pi(g exp(t E_i)) = g E_i e3.
     e3 = np.array([0.0, 0.0, 1.0])
+    desc = s2_struct.group
     frame = np.column_stack(
-        [g_ref.matrix @ (b.matrix @ e3) for b in s2_struct.m_basis]
+        [g_ref.matrix @ (groups.wedge(b, desc) @ e3) for b in s2_struct.m_basis]
     )
     coords_int, *_ = np.linalg.lstsq(frame, log_uv, rcond=None)
     return err.eta_reduced, coords_int

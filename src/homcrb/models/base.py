@@ -26,6 +26,7 @@ from ..homspace import (
     RIVF,
     ReductiveStructure,
     Side,
+    act,
     natural_operator,
     translate_directions,
 )
@@ -252,7 +253,7 @@ def invariance_defect(
     for _ in range(n_samples):
         x = model.sample(g, 1, rng)
         h = model.struct.subgroup_sampler(rng)
-        moved = (g @ h) if model.side == Side.G_MOD_H else (h @ g)
+        moved = act(g, h, model.side)
         worst = max(
             worst,
             float(

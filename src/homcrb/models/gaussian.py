@@ -57,7 +57,7 @@ class GaussianMeanModel(GaussianModel):
 
     def _terms(self, g, directions) -> np.ndarray:
         """The mean moves along X at its translation part: coordinates."""
-        return np.stack([d.coords for d in directions])
+        return directions
 
     def sample_mean_element(self, observations) -> GroupElement:
         return self.element(np.asarray(observations, dtype=float).mean(axis=0))

@@ -52,20 +52,6 @@ def _sample_point_stabilizer(
     return se3_element(Q, (np.eye(3) - Q) @ point)
 
 
-def _stabilizer_h_basis(a: np.ndarray) -> list[AlgebraVector]:
-    """Basis of the subalgebra fixing the point a: (e_i, a^ e_i).
-
-    The translation part is built with the same hat-matrix arithmetic the
-    gradient/FIM formulas use, so Omega a + v cancels exactly in floats.
-    """
-    desc = groups.se3()
-    a_hat = hat(a)
-    out = []
-    for e in np.eye(3):
-        out.append(AlgebraVector(desc, np.concatenate([e, a_hat @ e])))
-    return out
-
-
 def _translation_metric_factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ad matrices of the translations by -a and +a in (omega, v) coords.
 
@@ -85,8 +71,10 @@ def _landmark_structure(landmarks: np.ndarray) -> ReductiveStructure:
     k = len(landmarks)
     if k == 1:
         a = landmarks[0]
-        h = _stabilizer_h_basis(a)
-        seeds = [AlgebraVector(desc, row) for row in np.eye(6)[3:]]
+        # The subalgebra fixing a is spanned by (e_i, a^ e_i), built with the
+        # hat arithmetic of the FIM formulas so Omega a + v cancels exactly.
+        h = [np.concatenate([e, hat(a) @ e]) for e in np.eye(3)]
+        seeds = np.eye(6)[3:]
         sampler = partial(_sample_point_stabilizer, point=a, axis=None)
         return build_reductive(
             desc,
@@ -100,12 +88,11 @@ def _landmark_structure(landmarks: np.ndarray) -> ReductiveStructure:
         a1, a2 = landmarks
         axis = a1 - a2
         axis = axis / np.linalg.norm(axis)
-        a1_hat = hat(a1)
-        h = [AlgebraVector(desc, np.concatenate([axis, a1_hat @ axis]))]
+        h = [np.concatenate([axis, hat(a1) @ axis])]
         metric = _translation_metric_factors(a1)
         # Ad_{T_{a1}} images of the standard basis keep m Ad_H-invariant:
         # rotations about axes through a1 plus pure translations.
-        seeds = [AlgebraVector(desc, metric[1] @ row) for row in np.eye(6)]
+        seeds = [metric[1] @ row for row in np.eye(6)]
         sampler = partial(_sample_point_stabilizer, point=a1, axis=axis)
         return build_reductive(
             desc,
@@ -161,10 +148,8 @@ class LandmarkModel(GaussianModel):
         """(n_dirs, K, 3) array of Omega_d a_k + v_d, the world-frame
         derivative -R X mu_k at every g."""
         out = np.empty((len(directions), len(self.landmarks), 3))
-        for d, vec in enumerate(directions):
-            W = hat(vec.coords[:3])
-            v = vec.coords[3:]
-            out[d] = self.landmarks @ W.T + v
+        for d, x in enumerate(directions):
+            out[d] = self.landmarks @ hat(x[:3]).T + x[3:]
         return out
 
     def _m_terms(self, g: GroupElement) -> np.ndarray:

@@ -28,8 +28,8 @@ import numpy as np
 from .. import groups
 from ..exceptions import ConfigError, DegenerateModelError
 from ..fisher import ANALYTIC, REDUCED, FimMatrix
-from ..groups import AlgebraVector, GroupElement
-from ..homspace import ReductiveStructure, Side, structure_from_bases
+from ..groups import GroupElement
+from ..homspace import ReductiveStructure, Side
 from .base import GaussianModel, whitened_gram
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -172,28 +172,25 @@ class NetworkModel(GaussianModel):
 
     # -- structure ---------------------------------------------------------
 
-    def _agent_vector(self, agent: int, omega: float, v) -> AlgebraVector:
-        c = np.zeros(3 * self.n_agents)
-        c[3 * agent] = omega
-        c[3 * agent + 1 : 3 * agent + 3] = v
-        return AlgebraVector(self.descriptor, c)
-
     def _build_structure(self) -> ReductiveStructure:
+        """h: per-agent rotations about own position, then the rigid motions
+        (one se(2) direction in every block); m: agent-major translations
+        less the first three. h is not a subalgebra (module docstring)."""
         n = self.n_agents
-        h = [
-            self._agent_vector(i, 1.0, -_J @ self.positions[i]) for i in range(n)
-        ]
-        # The rigid motions: one se(2) direction repeated in every block.
-        h += [AlgebraVector(self.descriptor, r) for r in np.tile(np.eye(3), n)]
-        m = [self._agent_vector(1, 0.0, [0.0, 1.0])]
-        for i in range(2, n):
-            m.append(self._agent_vector(i, 0.0, [1.0, 0.0]))
-            m.append(self._agent_vector(i, 0.0, [0.0, 1.0]))
-        return structure_from_bases(
+        a = np.arange(n)
+        rotations = np.zeros((n, n, 3))
+        rotations[a, a, 0] = 1.0
+        rotations[a, a, 1:] = self.positions @ (-_J).T
+        basis = np.vstack([
+            rotations.reshape(n, 3 * n),
+            np.tile(np.eye(3), n),
+            _translation_directions(n).reshape(2 * n, 3 * n)[3:],
+        ])
+        return ReductiveStructure(
             self.descriptor,
-            h,
-            m,
             Side.H_MOD_G,
+            n + 3,
+            basis,
             subgroup_sampler=partial(
                 _sample_diagonal_rigid_motion, descriptor=self.descriptor
             ),
@@ -217,13 +214,18 @@ class NetworkModel(GaussianModel):
 
     def _terms(self, g: GroupElement, directions) -> np.ndarray:
         """(n_dirs, n_edges) array of d mu_e along each RIVF direction."""
-        coords = np.array([vec.coords for vec in directions])
         return _sensitivities(
             self.positions_of(g),
             self._i,
             self._j,
-            coords.reshape(len(directions), self.n_agents, 3),
+            directions.reshape(len(directions), self.n_agents, 3),
         )
+
+
+def nonzero_eigenvalues(eig: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalues above 1e-10 max(lambda_max, 1); the others
+    are rounding noise around a null space."""
+    return eig > 1e-10 * max(eig.max(initial=0.0), 1.0)
 
 
 def network_fim(positions, edges, sigmas) -> FimMatrix:
@@ -234,7 +236,7 @@ def network_fim(positions, edges, sigmas) -> FimMatrix:
     F = S[3:, 3:].copy()
     n_theta = F.shape[0]
     eig = np.linalg.eigvalsh(F)
-    rank = int(np.sum(eig > 1e-10 * max(eig.max(initial=0.0), 1.0)))
+    rank = int(np.sum(nonzero_eigenvalues(eig)))
     if rank < n_theta:
         raise DegenerateModelError(
             f"network is not rigid: reduced FIM rank {rank} < {n_theta}",

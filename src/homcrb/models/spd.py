@@ -19,7 +19,7 @@ import numpy as np
 
 from .. import groups
 from ..exceptions import DomainError
-from ..groups import AlgebraVector, GroupElement
+from ..groups import GroupElement
 from ..homspace import LIVF, Side, build_reductive
 from .base import ModelBase, translate_directions
 
@@ -38,7 +38,7 @@ def _sample_special_orthogonal(
 
 
 def _spd_bases(n: int):
-    """Normalized skew (h) and symmetric (m) bases as coordinate vectors
+    """Normalized skew (h) and symmetric (m) bases as coordinate rows
     over the matrix-unit descriptor basis."""
     desc = groups.glnplus(n)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
@@ -47,16 +47,16 @@ def _spd_bases(n: int):
         for j in range(i + 1, n):
             A = np.zeros((n, n))
             A[i, j], A[j, i] = inv_sqrt2, -inv_sqrt2
-            h.append(AlgebraVector(desc, A.ravel()))
+            h.append(A.ravel())
     for i in range(n):
         A = np.zeros((n, n))
         A[i, i] = 1.0
-        m.append(AlgebraVector(desc, A.ravel()))
+        m.append(A.ravel())
     for i in range(n):
         for j in range(i + 1, n):
             A = np.zeros((n, n))
             A[i, j] = A[j, i] = inv_sqrt2
-            m.append(AlgebraVector(desc, A.ravel()))
+            m.append(A.ravel())
     return desc, h, m
 
 
@@ -78,7 +78,7 @@ class SpdModel(ModelBase):
             side=Side.G_MOD_H,
             subgroup_sampler=partial(_sample_special_orthogonal, descriptor=desc),
         )
-        self._m_matrices = self._direction_matrices(self.struct.m_basis)
+        self._m_matrices = self.struct.m_basis.reshape(-1, n, n)
         self._m_traces = np.trace(self._m_matrices, axis1=1, axis2=2)
 
     # -- observations ------------------------------------------------------
@@ -101,9 +101,6 @@ class SpdModel(ModelBase):
         x = np.asarray(observations, dtype=float)
         return x.shape[0], (x.T @ x) / x.shape[0]
 
-    def n_observations(self, observations) -> int:
-        return np.asarray(observations).shape[0]
-
     def total_loglik(self, summary, g: GroupElement) -> float:
         m, xbar2 = summary
         U = np.linalg.solve(g.matrix, xbar2) @ np.linalg.inv(g.matrix).T
@@ -112,23 +109,17 @@ class SpdModel(ModelBase):
 
     # -- analytic derivatives -----------------------------------------------
 
-    def _direction_matrices(self, directions) -> np.ndarray:
-        n = self.n
-        return np.stack([d.coords.reshape(n, n) for d in directions])
-
     def analytic_gradient_batch(self, observations, g, directions, op):
-        dirs = translate_directions(directions, g, LIVF, op)
-        D = self._direction_matrices(dirs)
+        D = translate_directions(directions, g, LIVF, op).reshape(-1, self.n, self.n)
         x = np.asarray(observations, dtype=float)
         u = np.linalg.solve(g.matrix, x.T).T
         quad = np.einsum("mi,dij,mj->md", u, D, u)
         return quad - np.trace(D, axis1=1, axis2=2)[None, :]
 
     def analytic_fim(self, g, directions, op):
-        dirs = translate_directions(directions, g, LIVF, op)
-        D = self._direction_matrices(dirs)
+        D = translate_directions(directions, g, LIVF, op).reshape(-1, self.n, self.n)
         S = 0.5 * (D + np.transpose(D, (0, 2, 1)))
-        flat = S.reshape(len(dirs), -1)
+        flat = S.reshape(len(D), -1)
         return 2.0 * (flat @ flat.T)
 
     def total_grad_m(self, summary, g: GroupElement) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 from . import crb, fisher, groups
 from .exceptions import DegenerateFimError, DivergenceError
 from .groups import GroupElement
-from .homspace import Side
+from .homspace import act
 
 ANALYTIC, MONTE_CARLO, FROZEN_AT_INITIAL = "analytic", "monte-carlo", "frozen-at-initial"
 _FIM_MODES = (ANALYTIC, MONTE_CARLO, FROZEN_AT_INITIAL)
@@ -115,8 +115,7 @@ def _fim_provider(model, g0: GroupElement, opts: ScoringOptions, random_state):
 def _apply_step(model, g: GroupElement, step_m: np.ndarray) -> tuple[GroupElement, float]:
     struct = model.struct
     coords = np.concatenate([np.zeros(struct.n_H), step_m])
-    move = groups.exp(struct.from_coords(coords))
-    g_next = (g @ move) if struct.side == Side.G_MOD_H else (move @ g)
+    g_next = act(g, groups.exp(struct.from_coords(coords)), struct.side)
     drift = groups.manifold_defect(g_next)
     if drift > _DRIFT_LIMIT:
         g_next = groups.polar_project(g_next)

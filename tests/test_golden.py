@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import platform
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -152,4 +151,3 @@ def regenerate() -> None:
 
 if __name__ == "__main__":
     regenerate()
-    sys.exit(0)

@@ -407,13 +407,21 @@ def test_livf_rejects_non_finite():
         groups.livf_derivative(lambda _: float("nan"), g, X)
     with pytest.raises(EvaluationError):
         groups.central_difference(
-            lambda _: np.array([0.0, np.nan]), g, X, 1e-6, groups.RIVF
+            lambda _: np.array([0.0, np.nan]), g, X.coords, 1e-6, groups.RIVF
         )
     # inf on both sides: rejected before inf - inf is formed.
     with pytest.raises(EvaluationError):
         groups.central_difference(
-            lambda _: np.array([0.0, np.inf]), g, X, 1e-6, groups.LIVF
+            lambda _: np.array([0.0, np.inf]), g, X.coords, 1e-6, groups.LIVF
         )
+
+
+def test_field_derivatives_refuse_a_direction_of_another_group():
+    g = groups.identity_element(groups.so3())
+    X = AlgebraVector(groups.se2(), np.eye(3)[0])  # same dimension, other group
+    for derivative in (groups.livf_derivative, groups.rivf_derivative):
+        with pytest.raises(ValueError, match="different groups"):
+            derivative(lambda _: 0.0, g, X)
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +554,32 @@ def test_product_drift_reports_largest_factor_defect(rng):
     fixed = groups.polar_project(drifted)
     assert groups.manifold_defect(fixed) <= 1e-12
     assert np.abs(fixed.matrix - g.matrix).max() <= 1e-9
+
+
+def test_product_exp_log_polar_check_each_factor_once(rng, monkeypatch):
+    """A product's exp, log and polar projection run on raw factor
+    blocks: only the boxed result is checked, once per factor."""
+    prod = groups.product_group([groups.se2()] * 5)
+    X = groups.random_algebra_vector(prod, rng, 0.5)
+    g = groups.exp(X)
+    M = np.array(g.matrix)
+    for k in range(5):
+        M[3 * k : 3 * k + 2, 3 * k : 3 * k + 2] *= 1.0 + 1e-11
+    drifted = groups.GroupElement(prod, M)
+    calls = []
+    original = groups._rotation_defect
+    monkeypatch.setattr(
+        groups, "_rotation_defect", lambda R: calls.append(1) or original(R)
+    )
+
+    def count(fn, arg):
+        calls.clear()
+        fn(arg)
+        return len(calls)
+
+    assert count(groups.exp, X) == 5
+    assert count(groups.log, g) == 0
+    assert count(groups.polar_project, drifted) == 5
 
 
 def test_product_inverse_matches_dense_inverse(rng):

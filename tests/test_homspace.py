@@ -29,10 +29,9 @@ def spherical_log(u, v):
 def test_sphere_structure_dimensions():
     s2 = homspace.sphere_structure()
     assert s2.n_H == 1 and s2.n_Theta == 2
-    assert np.array_equal(s2.basis[0].coords, [0.0, 0.0, 1.0])
+    assert np.array_equal(s2.basis[0], [0.0, 0.0, 1.0])
     # m = span(e1, e2)
-    m = np.stack([b.coords for b in s2.m_basis])
-    assert np.array_equal(np.abs(m), np.eye(3)[:2])
+    assert np.array_equal(np.abs(s2.m_basis), np.eye(3)[:2])
 
 
 def test_landmark_structure_dimensions(landmark_one, landmark_two):
@@ -47,23 +46,23 @@ def test_three_landmarks_trivial_subgroup():
 
 def test_non_subalgebra_h_rejected():
     d = groups.so3()
-    h = [AlgebraVector(d, np.eye(3)[0]), AlgebraVector(d, np.eye(3)[1])]
+    h = np.eye(3)[:2]
     with pytest.raises(SubalgebraError):
         build_reductive(d, h)
 
 
 def test_dependent_h_rejected():
     d = groups.so3()
-    h = [AlgebraVector(d, np.eye(3)[2]), AlgebraVector(d, 2.0 * np.eye(3)[2])]
+    h = [np.eye(3)[2], 2.0 * np.eye(3)[2]]
     with pytest.raises(SubalgebraError):
         build_reductive(d, h)
 
 
 def test_degenerate_seeds_rejected():
     d = groups.so3()
-    h = [AlgebraVector(d, np.eye(3)[2])]
+    h = np.eye(3)[2:]
     with pytest.raises(DegenerateSeedError):
-        build_reductive(d, h, seed_m=[AlgebraVector(d, np.eye(3)[2])])
+        build_reductive(d, h, seed_m=np.eye(3)[2:])
 
 
 def test_build_reductive_is_deterministic():
@@ -80,7 +79,10 @@ def test_reductive_invariants_hold(landmark_one):
     # h is a subalgebra: brackets have no m-component.
     for i in range(struct.n_H):
         for j in range(i + 1, struct.n_H):
-            br = groups.bracket(struct.basis[i], struct.basis[j])
+            br = groups.bracket(
+                AlgebraVector(struct.group, struct.basis[i]),
+                AlgebraVector(struct.group, struct.basis[j]),
+            )
             assert np.abs(struct.coords_of(br)[struct.n_H :]).max() <= 1e-9
     # Reductivity: Ad_h(m) stays inside m.
     rng = np.random.default_rng(3)
@@ -88,6 +90,27 @@ def test_reductive_invariants_hold(landmark_one):
         h = struct.subgroup_sampler(rng)
         A = struct.adjoint(h)
         assert np.abs(A[: struct.n_H, struct.n_H :]).max() <= 1e-8
+
+
+def test_structure_refuses_malformed_basis():
+    d = groups.so3()
+    with pytest.raises(ValueError, match="shape"):
+        homspace.ReductiveStructure(d, homspace.Side.G_MOD_H, 1, np.eye(3)[:2])
+    for n_H in (-1, 4):
+        with pytest.raises(ValueError, match="n_H"):
+            homspace.ReductiveStructure(d, homspace.Side.G_MOD_H, n_H, np.eye(3))
+    with pytest.raises(ValueError, match="singular"):
+        homspace.ReductiveStructure(d, homspace.Side.G_MOD_H, 1, np.ones((3, 3)))
+
+
+def test_translate_directions_is_adjoint_per_row(landmark_two, rng):
+    g = groups.random_element(groups.se3(), rng, 0.7)
+    dirs = rng.standard_normal((5, 6))
+    for from_op, to_op, point in (("rivf", "livf", g), ("livf", "rivf", g.inverse())):
+        Ad = groups.adjoint_matrix(point)
+        out = homspace.translate_directions(dirs, g, from_op, to_op)
+        assert np.abs(out - np.array([Ad @ x for x in dirs])).max() <= 1e-12
+    assert homspace.translate_directions(dirs, g, "livf", "livf") is dirs
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +145,17 @@ def test_coset_error_zero_for_same_element(rng):
     g = groups.random_element(groups.so3(), rng, 0.7)
     ce = coset_error(g, g, s2)
     assert np.abs(ce.eta_reduced).max() == 0.0
+
+
+def test_coset_error_records_the_unlifted_error(landmark_two, rng):
+    """The lift's first iterate is the raw error, on G/H and on H\\G."""
+    s2 = homspace.sphere_structure()
+    for struct, desc in ((s2, groups.so3()), (landmark_two.struct, groups.se3())):
+        for _ in range(10):
+            g = groups.random_element(desc, rng, 0.6)
+            est = groups.random_element(desc, rng, 0.6) @ g
+            ce = coset_error(g, est, struct)
+            assert np.array_equal(ce.raw, homspace.raw_error(g, est, struct))
 
 
 def test_coset_error_zero_on_fiber(rng):
@@ -241,7 +275,9 @@ def test_sphere_check_against_external_oracle(rng):
         _, ei = homspace.sphere_riemannian_check(a, b, s2)
         u, v = a.matrix @ e3, b.matrix @ e3
         log_uv = spherical_log(u, v)
-        frame = np.column_stack([a.matrix @ (bb.matrix @ e3) for bb in s2.m_basis])
+        frame = np.column_stack(
+            [a.matrix @ (groups.wedge(bb, s2.group) @ e3) for bb in s2.m_basis]
+        )
         oracle = np.linalg.solve(frame.T @ frame, frame.T @ log_uv)
         assert np.abs(ei - oracle).max() <= 1e-10
 

@@ -52,7 +52,8 @@ def test_landmark_grad_zero_residual(landmark_two, rng):
     g = groups.random_element(groups.se3(), rng, 0.5)
     x = landmark_two.mean_observation(g)
     X = groups.random_algebra_vector(groups.se3(), rng, 1.0)
-    grad = landmark_two.analytic_gradient_batch(x[None], g, [X], "rivf")[0, 0]
+    grad = landmark_two.analytic_gradient_batch(x[None], g, X.coords[None], "rivf")
+    grad = grad[0, 0]
     assert abs(grad) <= 1e-9
 
 
@@ -62,7 +63,8 @@ def test_landmark_grad_matches_rivf_derivative(landmark_two, rng):
         x = landmark_two.sample(g, 1, rng)[0]
         X = groups.random_algebra_vector(groups.se3(), rng, 1.0)
         fd = groups.rivf_derivative(lambda el: landmark_two.loglik(x, el), g, X)
-        grad = landmark_two.analytic_gradient_batch(x[None], g, [X], "rivf")[0, 0]
+        grad = landmark_two.analytic_gradient_batch(x[None], g, X.coords[None], "rivf")
+        grad = grad[0, 0]
         assert abs(grad - fd) <= 1e-6
 
 
@@ -77,8 +79,8 @@ def test_landmark_grad_exactly_zero_on_h(landmark_one, rng):
 def test_landmark_fim_hand_value():
     model = LandmarkModel([[1.0, 0.0, 0.0]])
     g = groups.identity_element(groups.se3())
-    e1_trans = AlgebraVector(groups.se3(), np.eye(6)[3])
-    assert model.analytic_fim(g, [e1_trans], "rivf")[0, 0] == 1.0
+    e1_trans = np.eye(6)[3:4]
+    assert model.analytic_fim(g, e1_trans, "rivf")[0, 0] == 1.0
 
 
 def test_landmark_fim_h_rows_exactly_zero(landmark_one, rng):
@@ -236,6 +238,25 @@ def test_network_fim_eigenvalue_interlacing(triangle_network):
     assert S2[3:, 3:] == pytest.approx(1.0)
 
 
+def test_network_basis_matches_per_agent_construction():
+    model, _ = _random_network(43)
+    n, p = model.n_agents, model.positions
+
+    def agent_vector(agent, omega, v):
+        c = np.zeros(3 * n)
+        c[3 * agent] = omega
+        c[3 * agent + 1 : 3 * agent + 3] = v
+        return c
+
+    rows = [agent_vector(i, 1.0, -_J @ p[i]) for i in range(n)]
+    rows += list(np.tile(np.eye(3), n))
+    rows.append(agent_vector(1, 0.0, [0.0, 1.0]))
+    for i in range(2, n):
+        rows += [agent_vector(i, 0.0, [1.0, 0.0]), agent_vector(i, 0.0, [0.0, 1.0])]
+    assert model.struct.n_H == n + 3
+    assert np.array_equal(model.struct.basis, np.array(rows))
+
+
 def test_network_canonicalization():
     p = canonicalize_positions([[1.0, 2.0], [4.0, 1.0], [2.0, 5.0]])
     assert np.abs(p[0]).max() <= 1e-12
@@ -279,8 +300,7 @@ def _scalar_edge_sensitivities(model, g, directions):
     """Per-direction, per-edge reference: agent a moves at omega_a J p_a + v_a."""
     p = _scalar_positions(model, g)
     out = np.empty((len(directions), len(model.edges)))
-    for d, vec in enumerate(directions):
-        c = vec.coords
+    for d, c in enumerate(directions):
         vel = [c[3 * a] * (_J @ p[a]) + c[3 * a + 1 : 3 * a + 3] for a in range(len(p))]
         for e, (i, j) in enumerate(model.edges):
             out[d, e] = float((p[i] - p[j]) @ (vel[i] - vel[j]))
@@ -307,7 +327,9 @@ def test_network_edge_kernels_match_per_edge_reference():
     p = _scalar_positions(model, g)
     means = [0.5 * float(np.sum((p[i] - p[j]) ** 2)) for i, j in model.edges]
     assert np.abs(model.edge_means(g) - means).max() <= 1e-12 * max(means)
-    dirs = [groups.random_algebra_vector(model.descriptor, r) for _ in range(5)]
+    dirs = np.array(
+        [groups.random_algebra_vector(model.descriptor, r).coords for _ in range(5)]
+    )
     x = model.sample(g, 3, r)
     resid = x - np.asarray(means)[None, :]
     w = 1.0 / model.sigmas**2
@@ -416,9 +438,10 @@ def test_spd_grad_matches_covariance_form_derivative(spd3, rng):
             return float(-0.5 * ld - 0.5 * np.trace(np.linalg.inv(el.matrix) @ X))
 
         G = spd_grad(X, groups.GroupElement(groups.glnplus(3), np.linalg.cholesky(Sigma)))
-        for Z in spd3.struct.m_basis:
+        for z in spd3.struct.m_basis:
+            Z = AlgebraVector(g.descriptor, z)
             fd = groups.livf_derivative(cov_loglik, g, Z, h=1e-6)
-            analytic = float(np.sum(G * Z.coords.reshape(3, 3)))
+            analytic = float(np.sum(G * z.reshape(3, 3)))
             assert abs(fd - analytic) <= 1e-6
 
 
