@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fisher, groups
 from .exceptions import DegenerateModelError, LiftFailureError, UnsupportedMethodError
-from .groups import AlgebraVector, GroupElement
+from .groups import GroupElement
 from .homspace import (
     ReductiveStructure,
     Side,
@@ -73,15 +73,14 @@ HOMOGENEOUS_THIRD_ORDER = "homogeneous-third-order-unbiased"
 class EstimatorStats:
     """Monte-Carlo error statistics of an estimator at a reference point.
 
-    errors hold the lifted invariant errors (left-invariant eta on G/H,
-    right-invariant eta' on H\\G); variance_on_G uses the raw, unlifted
-    group error, which is what fails to approach the CRB in the presence
-    of symmetries.
+    error_coords hold the lifted invariant errors (left-invariant eta on
+    G/H, right-invariant eta' on H\\G); variance_on_G uses the raw,
+    unlifted group error, which is what fails to approach the CRB in the
+    presence of symmetries.
     """
 
     at: GroupElement
     struct: ReductiveStructure
-    errors: tuple[AlgebraVector, ...]
     error_coords: np.ndarray  # (n_trials, n_G) adapted coordinates
     bias: np.ndarray
     covariance: np.ndarray
@@ -99,7 +98,6 @@ def estimator_stats(
     bias, covariance, and the two variances."""
     raw_sq = []
     coords_rows = []
-    errors = []
     for idx, est in enumerate(estimates):
         try:
             ce = coset_error(g_ref, est, struct)
@@ -110,7 +108,6 @@ def estimator_stats(
                 residual=exc.residual,
             ) from exc
         raw_sq.append(struct.norm(ce.raw) ** 2)
-        errors.append(ce.eta_full)
         coords_rows.append(ce.eta_struct)
     coords = np.array(coords_rows)
     n = len(coords)
@@ -123,7 +120,6 @@ def estimator_stats(
     return EstimatorStats(
         at=g_ref,
         struct=struct,
-        errors=tuple(errors),
         error_coords=coords,
         bias=bias,
         covariance=covariance,
@@ -216,24 +212,14 @@ def crb_third_order(fim_reduced: fisher.FimMatrix, delta: np.ndarray) -> CrbRepo
 
 
 def delta_matrix(errors, struct: ReductiveStructure) -> np.ndarray:
-    """Delta = Pi E[ad_eta^2 / 12] Pi' from error samples (adapted
-    coordinates or AlgebraVectors).
+    """Delta = Pi E[ad_eta^2 / 12] Pi' from error samples, an (N, n_G)
+    array of adapted coordinates.
 
     ad is linear in eta, so sum_eta ad_eta^2 = sum_r ad_r^2 over the rows
     r of the triangular factor R of the stacked samples (R'R = sum eta
     eta'), which has at most n_G rows.
     """
-    if isinstance(errors, np.ndarray):
-        coords = np.asarray(errors, dtype=float)
-    else:
-        coords = np.array(
-            [
-                struct.coords_of(e)
-                if isinstance(e, AlgebraVector)
-                else np.asarray(e, dtype=float)
-                for e in errors
-            ]
-        )
+    coords = np.asarray(errors, dtype=float)
     if len(coords) == 0:
         return np.zeros((struct.n_Theta, struct.n_Theta))
     rows = np.linalg.qr(coords, mode="r") @ struct.basis

@@ -676,12 +676,15 @@ def central_difference(
     """(fn(g+) - fn(g-)) / 2h with g+- = g exp(+-hX) for op "livf" and
     exp(+-hX) g for "rivf", where X has coordinates x in g's descriptor;
     fn may return an array. Raises EvaluationError on a non-finite result."""
-    e_plus = exp(AlgebraVector(g.descriptor, h * x))
-    e_minus = exp(AlgebraVector(g.descriptor, -h * x))
-    if op == LIVF:
-        f_plus, f_minus = fn(g @ e_plus), fn(g @ e_minus)
-    else:
-        f_plus, f_minus = fn(e_plus @ g), fn(e_minus @ g)
+    d = g.descriptor
+    if np.shape(x) != (d.algebra_dim,):
+        raise ValueError(f"direction length {np.shape(x)} != ({d.algebra_dim},)")
+
+    def point(t: float) -> GroupElement:
+        e = _exp(t * x, d)
+        return GroupElement(d, g.matrix @ e if op == LIVF else e @ g.matrix)
+
+    f_plus, f_minus = fn(point(h)), fn(point(-h))
     # Checked before subtracting: inf - inf would warn, then read as NaN.
     if not (np.all(np.isfinite(f_plus)) and np.all(np.isfinite(f_minus))):
         raise EvaluationError("function returned a non-finite value")

@@ -140,7 +140,10 @@ def _landmark_context(config: ExperimentConfig):
         model = LandmarkModel(section["landmarks"], section.get("noise", 1.0))
         pose = section["true_pose"]
         axis = np.asarray(pose["rotation_axis"], dtype=float)
-        axis = axis / np.linalg.norm(axis)
+        norm = np.linalg.norm(axis)
+        if not 0.0 < norm < np.inf:
+            raise ConfigError("landmark.true_pose.rotation_axis must be finite and nonzero")
+        axis = axis / norm
         coords = np.concatenate(
             [float(pose["rotation_angle"]) * axis, np.asarray(pose["translation"], float)]
         )

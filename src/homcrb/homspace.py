@@ -134,13 +134,11 @@ class ReductiveStructure:
     def adjoint(self, g: GroupElement) -> np.ndarray:
         return self.in_adapted(groups.adjoint_matrix(g))
 
-    def ad(self, X: AlgebraVector) -> np.ndarray:
-        return self.in_adapted(groups.ad_matrix(X))
-
     def psi(self, struct_coords) -> np.ndarray:
         """Psi matrix (series to order 10) of the element with the given
         adapted coordinates."""
-        return groups._psi_series(self.ad(self.from_coords(struct_coords)), 10)[0]
+        x = self.basis_matrix @ np.asarray(struct_coords, float)
+        return groups._psi_series(self.in_adapted(groups._ad(x, self.group)), 10)[0]
 
     def with_gram(self, gram) -> "ReductiveStructure":
         """Copy with a replaced inner product (used for fault injection)."""
@@ -295,9 +293,9 @@ def check_adH_invariance(
 # Coset errors via horizontal lifting
 
 
-def act(g: GroupElement, x: GroupElement, side: Side) -> GroupElement:
-    """g x on G/H, x g on H\\G: x multiplies g on the side H acts on, so
-    for x in H the result stays in g's coset."""
+def act(g, x, side: Side):
+    """g x on G/H, x g on H\\G, for elements or raw matrices: x multiplies
+    g on the side H acts on, so for x in H the result stays in g's coset."""
     return (g @ x) if side == Side.G_MOD_H else (x @ g)
 
 
@@ -318,14 +316,13 @@ def raw_error(
 class CosetError:
     """Invariant error between an estimate's coset and a reference.
 
-    eta_full is the algebra element Y in m with (G/H side)
-    lift = g_ref exp(Y) up to fiber motion, in descriptor coordinates;
-    eta_struct are its adapted coordinates (h-block ~ 0 by construction)
-    and eta_reduced the m-block. raw holds the adapted coordinates of the
-    unlifted error, the lift's first iterate: what raw_error returns.
+    eta_struct are the adapted coordinates of the algebra element Y in m
+    with (G/H side) lift = g_ref exp(Y) up to fiber motion (h-block ~ 0
+    by construction), and eta_reduced their m-block. lift is g_est itself
+    when it needed no correction. raw holds the adapted coordinates of
+    the unlifted error, the lift's first iterate: what raw_error returns.
     """
 
-    eta_full: AlgebraVector
     eta_struct: np.ndarray
     eta_reduced: np.ndarray
     lift: GroupElement
@@ -343,39 +340,39 @@ def coset_error(
     Fixed-point iteration on H: kill the h-component of
     log(g_ref^-1 g_est h) (G/H side) or log(h g_est g_ref^-1) (H\\G side).
     """
-    side = struct.side
-    base = relative_element(g_ref, g_est, side)
-    h_acc = groups.identity_element(struct.group)
+    side, desc = struct.side, struct.group
+    base = relative_element(g_ref, g_est, side).matrix
+    h_acc = None  # the accumulated h, None until the first correction
     last_residual = math.inf
     for it in range(_LIFT_MAX_ITER + 1):
-        arg = act(base, h_acc, side)
+        arg = base if h_acc is None else act(base, h_acc, side)
         try:
-            Y = groups.log(arg)
+            y = groups._log(arg, desc)
         except CutLocusError as exc:
             raise LiftFailureError(
                 f"horizontal lift left the log domain after {it} iterations: {exc}",
                 iterations=it,
                 residual=last_residual,
             ) from exc
-        c = struct.coords_of(Y)
+        c = struct._B_inv @ y
         if it == 0:
             raw = c
         h_part = c[: struct.n_H]
         last_residual = float(np.linalg.norm(h_part))
         if last_residual <= _LIFT_TOL:
-            c = np.array(c)
+            lift = g_est
+            if h_acc is not None:
+                lift = GroupElement(desc, act(g_est.matrix, h_acc, side))
             return CosetError(
-                eta_full=Y,
                 eta_struct=c,
                 eta_reduced=c[struct.n_H :].copy(),
-                lift=act(g_est, h_acc, side),
+                lift=lift,
                 iterations=it,
                 raw=raw,
             )
-        correction = struct.from_coords(
-            np.concatenate([-h_part, np.zeros(struct.n_Theta)])
-        )
-        h_acc = act(h_acc, groups.exp(correction), side)
+        coords = np.concatenate([-h_part, np.zeros(struct.n_Theta)])
+        correction = groups._exp(struct.basis_matrix @ coords, desc)
+        h_acc = correction if h_acc is None else act(h_acc, correction, side)
     raise LiftFailureError(
         f"horizontal lift did not converge in {_LIFT_MAX_ITER} iterations "
         f"(h-residual {last_residual:.3e}); estimate too far from the coset",

@@ -168,10 +168,12 @@ class GaussianModel(ModelBase):
         """Per-block sigma for observations of the given shape, read-only;
         1/sigma^2 once (None when some sigma is 0: no density); and the
         einsum subscripts of one observation's axes. Returns the
-        (n_blocks,) sigmas."""
+        (n_blocks,) sigmas. Raises ValueError on a non-finite sigma."""
         flat = groups._frozen(
             np.broadcast_to(np.asarray(sigma, dtype=float), shape[:1]).copy()
         )
+        if not np.isfinite(flat).all():
+            raise ValueError("noise standard deviations must be finite")
         self._sigma = flat.reshape(shape[:1] + (1,) * (len(shape) - 1))
         self._inv_var = None if np.any(flat == 0) else groups._frozen(1.0 / flat**2)
         self._axes = "b" + "jkl"[: len(shape) - 1]

@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from .. import groups
-from ..groups import AlgebraVector, GroupElement, hat
+from ..groups import GroupElement, hat
 from ..homspace import ReductiveStructure, Side, build_reductive
 from .base import GaussianModel
 
@@ -48,7 +48,7 @@ def _sample_point_stabilizer(
         axis = rng.standard_normal(3)
         axis = axis / np.linalg.norm(axis)
     angle = rng.uniform(-math.pi, math.pi)
-    Q = groups.exp(AlgebraVector(groups.so3(), angle * axis)).matrix
+    Q = groups._exp(angle * axis, groups.so3())
     return se3_element(Q, (np.eye(3) - Q) @ point)
 
 
@@ -122,6 +122,8 @@ class LandmarkModel(GaussianModel):
         landmarks = np.array(landmarks, dtype=float, ndmin=2)  # a copy
         if landmarks.shape[1] != 3:
             raise ValueError("landmarks must be points in R^3")
+        if not np.isfinite(landmarks).all():
+            raise ValueError("landmarks must be finite")
         if len(landmarks) == 2 and np.allclose(landmarks[0], landmarks[1]):
             raise ValueError("two-landmark model requires distinct landmarks")
         # Read-only: the FIM and the m-basis terms are derived from them once.

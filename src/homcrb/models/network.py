@@ -30,6 +30,7 @@ from ..exceptions import ConfigError, DegenerateModelError
 from ..fisher import ANALYTIC, REDUCED, FimMatrix
 from ..groups import GroupElement
 from ..homspace import ReductiveStructure, Side
+from ..scoring import as_integer
 from .base import GaussianModel, whitened_gram
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -68,7 +69,7 @@ def _validate_edges(n_agents: int, edges) -> list[tuple[int, int]]:
     seen = set()
     out = []
     for i, j in edges:
-        i, j = int(i), int(j)
+        i, j = as_integer(i, "edge endpoint"), as_integer(j, "edge endpoint")
         if i == j:
             raise ConfigError(f"self-loop at agent {i}")
         if not (0 <= i < n_agents and 0 <= j < n_agents):
@@ -158,6 +159,8 @@ class NetworkModel(GaussianModel):
             raise ConfigError("only d = 2 networks are shipped")
         if len(p) < 2:
             raise ConfigError("need at least two agents")
+        if not np.isfinite(p).all():
+            raise ConfigError("agent positions must be finite")
         self.edges = _validate_edges(len(p), edges)
         self.sigmas = self._set_noise(sigmas, (len(self.edges),))
         if np.any(self.sigmas <= 0):
@@ -248,11 +251,11 @@ def network_fim(positions, edges, sigmas) -> FimMatrix:
 
 def load_graph(path) -> dict:
     """Read {"positions": [[x, y], ...], "edges": [[i, j, sigma], ...]}
-    with 0-based agent indices."""
+    with 0-based agent indices, checked as NetworkModel checks its edges."""
     data = json.loads(Path(path).read_text())
     try:
         positions = [[float(c) for c in row] for row in data["positions"]]
-        edges = [(int(e[0]), int(e[1])) for e in data["edges"]]
+        edges = _validate_edges(len(positions), [e[:2] for e in data["edges"]])
         sigmas = [float(e[2]) for e in data["edges"]]
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed graph document {path}: {exc}") from exc

@@ -58,8 +58,8 @@ class ScoringOptions:
             object.__setattr__(self, name, count)
         for name in ("gradient_tolerance", "step_scale"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive")
+            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if self.fim_mode not in _FIM_MODES:
             raise ValueError(f"fim_mode must be one of {_FIM_MODES}")
 
@@ -115,7 +115,8 @@ def _fim_provider(model, g0: GroupElement, opts: ScoringOptions, random_state):
 def _apply_step(model, g: GroupElement, step_m: np.ndarray) -> tuple[GroupElement, float]:
     struct = model.struct
     coords = np.concatenate([np.zeros(struct.n_H), step_m])
-    g_next = act(g, groups.exp(struct.from_coords(coords)), struct.side)
+    step = groups._exp(struct.basis_matrix @ coords, struct.group)
+    g_next = GroupElement(struct.group, act(g.matrix, step, struct.side))
     drift = groups.manifold_defect(g_next)
     if drift > _DRIFT_LIMIT:
         g_next = groups.polar_project(g_next)

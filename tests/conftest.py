@@ -10,6 +10,20 @@ def rng():
     return np.random.default_rng(20260810)
 
 
+@pytest.fixture
+def built_elements(monkeypatch):
+    """A one-item list counting the GroupElements built from here on."""
+    count = [0]
+    validate = groups.GroupElement.__post_init__
+
+    def counted(self):
+        count[0] += 1
+        validate(self)
+
+    monkeypatch.setattr(groups.GroupElement, "__post_init__", counted)
+    return count
+
+
 @pytest.fixture(scope="session")
 def landmark_one():
     return LandmarkModel([[1.0, 0.0, 0.0]])

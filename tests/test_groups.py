@@ -416,6 +416,17 @@ def test_livf_rejects_non_finite():
         )
 
 
+def test_central_difference_boxes_each_point_once(rng, built_elements):
+    g = groups.random_element(groups.se3(), rng, 0.5)
+    x = rng.standard_normal(6)
+    for op in (groups.LIVF, groups.RIVF):
+        before = built_elements[0]
+        groups.central_difference(lambda el: el.matrix, g, x, 1e-6, op)
+        assert built_elements[0] - before == 2
+    with pytest.raises(ValueError, match="direction length"):
+        groups.central_difference(lambda el: 0.0, g, x[:5], 1e-6, groups.LIVF)
+
+
 def test_field_derivatives_refuse_a_direction_of_another_group():
     g = groups.identity_element(groups.so3())
     X = AlgebraVector(groups.se2(), np.eye(3)[0])  # same dimension, other group

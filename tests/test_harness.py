@@ -61,6 +61,8 @@ def test_config_validation_errors():
         {"seed": 3.5},
         {"n_trials": True},
         {"scoring": {"step_scale": 0}},
+        {"scoring": {"step_scale": True}},
+        {"scoring": {"gradient_tolerance": True}},
         {"scoring": {"gradient_tolerance": float("nan")}},
         {"scoring": {"fim_mode": "monte-carlo", "mc_fim_samples": 0}},
         {"scoring": {"max_iterations": 2.5}},
@@ -78,8 +80,41 @@ def test_config_validation_errors():
     for section in BAD_CHECK_SECTIONS:
         with pytest.raises(ConfigError):
             run_property_suite(load_config({"experiment": "check", "check": section}))
+    # Non-finite model inputs and fractional edge endpoints too, each
+    # refused with what the value must be.
+    for section in BAD_LANDMARK_SECTIONS:
+        with pytest.raises(ConfigError, match="must be finite"):
+            run_landmark_experiment(small_landmark_config(landmark=section))
+    with pytest.raises(ConfigError, match="rotation_axis"):
+        run_landmark_experiment(small_landmark_config(landmark=BAD_LANDMARK_SECTIONS[-1]))
+    for section in BAD_NETWORK_SECTIONS:
+        with pytest.raises(ConfigError, match="must be finite|must be an integer"):
+            run_network_experiment(load_config({"experiment": "network", "network": section}))
+        with pytest.raises(ConfigError, match="must be finite|must be an integer"):
+            run_crb_report(
+                load_config({"experiment": "crb-report", "model": "network", "network": section})
+            )
 
 
+NAN, INF = float("nan"), float("inf")
+BAD_LANDMARK_SECTIONS = (
+    {"noise": NAN},
+    {"noise": INF},
+    {"landmarks": [[1.0, 0.0, 0.0], [0.0, NAN, 0.3]]},
+    {
+        "true_pose": {
+            "rotation_axis": [0.0, 0.0, 0.0],
+            "rotation_angle": 1.2,
+            "translation": [0.4, -0.3, 0.5],
+        }
+    },
+)
+BAD_NETWORK_SECTIONS = (
+    {"sigmas": NAN},
+    {"sigmas": INF},
+    {"positions": [[0.0, 0.0], [0.0, 1.0], [NAN, 0.6]]},
+    {"edges": [[0, 1], [1, 2], [0, 2.7]]},
+)
 BAD_SPD_SECTIONS = (
     {"dimension": 2, "covariance": [[1.0, float("nan")], [float("nan"), 1.0]]},
     {"dimension": 3, "covariance": [[2.0, 0.0], [0.0, 2.0]]},
@@ -443,9 +478,16 @@ def test_cli_exit_codes(tmp_path):
     res = runner.invoke(main, ["network", "--config", str(flex), "--out", str(tmp_path / "n.csv")])
     assert res.exit_code == 3
     # 2: malformed spd and check sections
-    cases = [("spd", {"spd": section}) for section in BAD_SPD_SECTIONS] + [
-        ("check", {"check": section}) for section in BAD_CHECK_SECTIONS
-    ]
+    cases = (
+        [("spd", {"spd": section}) for section in BAD_SPD_SECTIONS]
+        + [("check", {"check": section}) for section in BAD_CHECK_SECTIONS]
+        + [("landmark", {"landmark": section}) for section in BAD_LANDMARK_SECTIONS]
+        + [("network", {"network": section}) for section in BAD_NETWORK_SECTIONS]
+        + [
+            ("crb-report", {"model": "network", "network": section})
+            for section in BAD_NETWORK_SECTIONS
+        ]
+    )
     for experiment, section in cases:
         cfg = write_config(tmp_path, {"experiment": experiment, **section})
         res = runner.invoke(

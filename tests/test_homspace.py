@@ -201,6 +201,31 @@ def test_coset_error_inverts_perturbations_up_to_half(landmark_one, rng):
         assert np.abs(ce.eta_reduced - y).max() <= 1e-9
 
 
+def test_coset_error_boxes_only_the_lift(landmark_two, rng, built_elements):
+    """relative_element builds two elements and a corrected lift one
+    more, whatever the number of iterations; an estimate that needs no
+    correction is its own lift."""
+    struct = landmark_two.struct
+    built = {}
+    for _ in range(20):
+        g = groups.random_element(groups.se3(), rng, 0.6)
+        est = groups.random_element(groups.se3(), rng, 0.6) @ g
+        before = built_elements[0]
+        ce = coset_error(g, est, struct)
+        built.setdefault(ce.iterations, set()).add(built_elements[0] - before)
+        # The lift stays in est's coset, and its error against g is eta.
+        fiber_move = homspace.raw_error(est, ce.lift, struct)
+        assert np.abs(fiber_move[struct.n_H :]).max() <= 1e-9
+        lifted = homspace.raw_error(g, ce.lift, struct)
+        assert np.abs(lifted - ce.eta_struct).max() <= 1e-9
+    assert len(built) >= 3 and 0 not in built
+    assert all(counts == {3} for counts in built.values())
+    before = built_elements[0]
+    ce = coset_error(g, g, struct)
+    assert ce.iterations == 0 and ce.lift is g
+    assert built_elements[0] - before == 2
+
+
 def test_lift_failure_far_from_coset():
     s2 = homspace.sphere_structure()
     g = groups.identity_element(groups.so3())

@@ -393,9 +393,15 @@ def test_load_graph(tmp_path):
     assert graph["edges"] == [(0, 1), (1, 2)]
     assert graph["sigmas"] == [0.2, 0.3]
     bad = tmp_path / "bad.json"
-    bad.write_text('{"positions": [[0,0]]}')
-    with pytest.raises(ConfigError):
-        load_graph(bad)
+    for text in (
+        '{"positions": [[0,0]]}',
+        # An endpoint is read, not truncated: 2.7 is not agent 2.
+        '{"positions": [[0,0],[0,1],[1,0.5]], "edges": [[0,2.7,0.2]]}',
+        '{"positions": [[0,0],[0,1],[1,0.5]], "edges": [[0,true,0.2]]}',
+    ):
+        bad.write_text(text)
+        with pytest.raises(ConfigError):
+            load_graph(bad)
 
 
 # ---------------------------------------------------------------------------

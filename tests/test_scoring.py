@@ -101,6 +101,36 @@ def test_iterate_drift_is_projected(landmark_two):
         assert groups.manifold_defect(it) <= 1e-9
 
 
+def test_drifted_start_is_projected_on_the_first_step(landmark_two):
+    """A start whose rotation block is scaled by 1 + 1e-11 is a valid
+    element (defect 2e-11 <= 1e-9); the first step measures that drift
+    and polar-projects it away."""
+    g_true = landmark_truth()
+    M = np.array(g_true.matrix)
+    M[:3, :3] *= 1.0 + 1e-11
+    g0 = groups.GroupElement(groups.se3(), M)
+    obs = landmark_two.sample(g_true, 100, np.random.default_rng(8))
+    trace = scoring.fisher_scoring(landmark_two, obs, g0)
+    assert trace.iterations_used >= 1
+    assert trace.max_drift > 1e-12
+    assert groups.manifold_defect(trace.iterates[1]) <= 1e-12
+
+
+def test_nan_step_is_rejected_at_the_box(landmark_two):
+    step = np.full(landmark_two.struct.n_Theta, np.nan)
+    with pytest.raises(ValueError, match="non-finite"):
+        scoring._apply_step(landmark_two, landmark_truth(), step)
+
+
+def test_scoring_boxes_one_element_per_step(landmark_two, built_elements):
+    obs = landmark_two.sample(landmark_truth(), 100, np.random.default_rng(6))
+    g0 = groups.identity_element(groups.se3())
+    before = built_elements[0]
+    trace = scoring.fisher_scoring(landmark_two, obs, g0)
+    assert trace.iterations_used >= 3 and trace.max_drift <= 1e-12
+    assert built_elements[0] - before == trace.iterations_used
+
+
 def test_determinism_bit_identical(landmark_two):
     g_true = landmark_truth()
     obs = landmark_two.sample(g_true, 200, np.random.default_rng(8))
