@@ -16,13 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fisher, groups
+from . import fisher, groups, scoring
 from .exceptions import DegenerateModelError, LiftFailureError, UnsupportedMethodError
 from .groups import GroupElement
 from .homspace import (
     ReductiveStructure,
     Side,
-    coset_error,
+    coset_errors,
     natural_operator,
     raw_error,
     selector_pi,
@@ -34,16 +34,29 @@ PINV_RCOND = 1e-10
 COND_LIMIT = 1e12
 
 
+def conditioning_errors(
+    F: np.ndarray, error: type[DegenerateModelError], what: str
+) -> list:
+    """Per matrix of an (n, n) F or an (A, n, n) stack, None when its
+    condition number is <= COND_LIMIT, else an error carrying it."""
+    return [
+        None
+        if math.isfinite(cond) and cond <= COND_LIMIT
+        else error(
+            f"{what} is numerically singular (condition number {cond:.3e})",
+            condition_number=cond,
+        )
+        for cond in np.atleast_1d(np.linalg.cond(F)).tolist()
+    ]
+
+
 def check_conditioning(
     F: np.ndarray, error: type[DegenerateModelError], what: str
 ) -> None:
     """Raise error, with F's condition number, unless it is <= COND_LIMIT."""
-    cond = float(np.linalg.cond(F))
-    if not math.isfinite(cond) or cond > COND_LIMIT:
-        raise error(
-            f"{what} is numerically singular (condition number {cond:.3e})",
-            condition_number=cond,
-        )
+    exc = conditioning_errors(F, error, what)[0]
+    if exc is not None:
+        raise exc
 
 
 def _bound_ready_matrix(fim_matrix: fisher.FimMatrix) -> np.ndarray:
@@ -79,7 +92,6 @@ class EstimatorStats:
     presence of symmetries.
     """
 
-    at: GroupElement
     struct: ReductiveStructure
     error_coords: np.ndarray  # (n_trials, n_G) adapted coordinates
     bias: np.ndarray
@@ -94,22 +106,22 @@ def estimator_stats(
     estimates,
     struct: ReductiveStructure,
 ) -> EstimatorStats:
-    """Lift each estimate onto the cross-section through g_ref and form
-    bias, covariance, and the two variances."""
-    raw_sq = []
-    coords_rows = []
-    for idx, est in enumerate(estimates):
-        try:
-            ce = coset_error(g_ref, est, struct)
-        except LiftFailureError as exc:
+    """Lift the estimates, as one stack, onto the cross-section through
+    g_ref and form bias, covariance, and the two variances. The first
+    trial whose lift fails raises, LiftFailureError naming its index."""
+    lifted = coset_errors(g_ref, np.array([est.matrix for est in estimates]), struct)
+    if lifted.errors:
+        idx = min(lifted.errors)
+        exc = lifted.errors[idx]
+        if isinstance(exc, LiftFailureError):
             raise LiftFailureError(
                 f"trial {idx}: {exc}",
                 iterations=exc.iterations,
                 residual=exc.residual,
             ) from exc
-        raw_sq.append(struct.norm(ce.raw) ** 2)
-        coords_rows.append(ce.eta_struct)
-    coords = np.array(coords_rows)
+        raise exc
+    raw_sq = [struct.norm(raw) ** 2 for raw in lifted.raw]
+    coords = lifted.eta_struct
     n = len(coords)
     bias = coords.mean(axis=0)
     centered = coords - bias
@@ -118,7 +130,6 @@ def estimator_stats(
     reduced = coords[:, struct.n_H :]
     variance_on_coset = float(np.mean(np.einsum("ti,ij,tj->t", reduced, G_m, reduced)))
     return EstimatorStats(
-        at=g_ref,
         struct=struct,
         error_coords=coords,
         bias=bias,
@@ -254,17 +265,18 @@ def efficiency_residual(
         raise ValueError("need one observation set per estimate")
     stats = estimator_stats(g_ref, estimates, struct)
     phi = phi_matrix(stats)
-    F1 = model.fim_reduced(g_ref)
+    F1 = model.fim_reduced(g_ref.matrix[None])
     if F1 is None:
         raise UnsupportedMethodError("model provides no analytic reduced FIM")
+    F1 = F1 if F1.ndim == 2 else F1[0]
     Pi = selector_pi(struct)
     core = phi @ Pi.T
-    predictions = []
-    for obs in observations:
-        m = model.n_observations(obs)
-        grad_tot = model.total_grad_m(model.summarize(obs), g_ref)
-        predictions.append(core @ np.linalg.solve(m * F1, grad_tot))
-    V = np.array(predictions)
+    summary = scoring.stack_summaries([model.summarize(obs) for obs in observations])
+    G = np.broadcast_to(g_ref.matrix, (len(observations),) + g_ref.matrix.shape)
+    grads = model.total_grad_m(summary, G)
+    V = np.array(
+        [core @ np.linalg.solve(m * F1, grad) for m, grad in zip(summary[0], grads)]
+    )
     E = stats.error_coords
     if c is None:
         denom = float(np.einsum("ti,ij,tj->", V, struct.gram, V))

@@ -7,9 +7,12 @@ that basis (the vee form); wedge is the inverse map. Closed-form exp/log
 are provided for SO(3), SE(2) and SE(3); GL(n)+ (and unipotent subgroups
 used for translation groups) fall back to dense scaling-and-squaring.
 
-Each operation is a kernel on raw arrays, and a product's kernel recurses
-over its factors'. A public function boxes the kernel's result once, so
-a GroupElement is validated where it leaves the API, not per factor.
+Each operation is a kernel on raw arrays, and a product's kernel runs its
+factors as stacks, one per factor family. A public function boxes the
+kernel's result once, so a GroupElement is validated where it leaves the
+API, not per factor. Stack kernels (_exp_stack, _log_stack,
+_membership_stack) run the same closed forms over a leading axis of rows,
+the trials of a campaign or the factors of a product.
 
 Conventions: SE(2)/SE(3) coordinates are ordered rotation-first, i.e.
 X = (omega, v) with wedge(X) = [[omega^, v], [0, 0]].
@@ -31,6 +34,7 @@ from .exceptions import (
     CutLocusError,
     DomainError,
     EvaluationError,
+    HomCrbError,
     NotInAlgebraError,
 )
 
@@ -232,21 +236,29 @@ def _eye(k: int) -> np.ndarray:
     return _frozen(np.eye(k))
 
 
-def _det(M) -> float:
-    """Determinant, by cofactor expansion up to 3 x 3: a LAPACK call
-    costs several times more on these sizes."""
-    n = M.shape[0]
+def _det(M):
+    """Determinant of a matrix or of each matrix of a (B, n, n) stack, by
+    cofactor expansion up to 3 x 3: a LAPACK call costs several times
+    more on these sizes."""
+    n = M.shape[-1]
+    if n not in (2, 3):
+        return np.linalg.det(M)
+    # Python floats for one matrix, (B,) arrays for a stack: the same
+    # operations either way.
+    entries = M.tolist() if M.ndim == 2 else M.transpose(1, 2, 0)
     if n == 2:
-        (a, b), (c, d) = M.tolist()
+        (a, b), (c, d) = entries
         return a * d - b * c
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = M.tolist()
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return float(np.linalg.det(M))
+    (a, b, c), (d, e, f), (g, h, i) = entries
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def _rotation_defect(R) -> float:
-    return max(float(np.abs(R.T @ R - _eye(R.shape[0])).max()), abs(_det(R) - 1.0))
+def _rotation_defect(R):
+    """max |R'R - I| and |det R - 1|, for one matrix or per matrix of a stack."""
+    if R.ndim == 2:
+        return max(float(np.abs(R.T @ R - _eye(R.shape[0])).max()), abs(_det(R) - 1.0))
+    gap = np.abs(R.transpose(0, 2, 1) @ R - _eye(R.shape[-1])).reshape(len(R), -1)
+    return np.maximum(gap.max(axis=1), np.abs(_det(R) - 1.0))
 
 
 def _check_membership(mat: np.ndarray, descriptor: GroupDescriptor) -> float:
@@ -276,14 +288,10 @@ def _check_membership(mat: np.ndarray, descriptor: GroupDescriptor) -> float:
             raise ValueError("matrix is not a translation: g - I leaves the span")
         return 0.0
     if fam == PRODUCT:
-        defect, inside = 0.0, 0
-        for f, rows, _ in descriptor.blocks:
-            block = mat[rows, rows]
-            defect = max(defect, _check_membership(block, f))
-            inside += np.count_nonzero(block)
-        if np.count_nonzero(mat) != inside:
-            raise ValueError("product element must be block diagonal")
-        return defect
+        defects, errors = _family_membership(mat[None], descriptor)
+        if errors:
+            raise errors[0]
+        return float(defects[0])
     raise ValueError(f"unknown group family {fam!r}")
 
 
@@ -299,7 +307,7 @@ def _inverse_matrix(mat: np.ndarray, descriptor: GroupDescriptor) -> np.ndarray:
         return mat.T.copy()
     if fam in (SE2, SE3):
         d = descriptor.matrix_dim
-        out = np.eye(d)
+        out = _eye(d).copy()
         R = mat[: d - 1, : d - 1]
         out[: d - 1, : d - 1] = R.T
         out[: d - 1, -1] = -R.T @ mat[: d - 1, -1]
@@ -316,9 +324,18 @@ def _inverse_matrix(mat: np.ndarray, descriptor: GroupDescriptor) -> np.ndarray:
 
 
 def hat(v) -> np.ndarray:
-    """Skew matrix of a 3-vector: hat(v) @ w = v x w."""
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """Skew matrix of a 3-vector, or of each row of a (B, 3) array:
+    hat(v) @ w = v x w."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 1:
+        x, y, z = v
+        return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    W = np.zeros(v.shape[:-1] + (3, 3))
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    W[..., 0, 1], W[..., 0, 2] = -z, y
+    W[..., 1, 0], W[..., 1, 2] = z, -x
+    W[..., 2, 0], W[..., 2, 1] = -y, x
+    return W
 
 
 @lru_cache(maxsize=None)
@@ -433,7 +450,7 @@ def _so3_terms(omega):
     """(W, W^2, a, b, c) for W = hat(omega), theta = |omega|: a = sin t / t,
     b = (1 - cos t) / t^2, c = (t - sin t) / t^3, by 4th-order Taylor near
     0. exp(W) = I + a W + b W^2; the left Jacobian is I + b W + c W^2."""
-    theta = float(np.linalg.norm(omega))
+    theta = math.sqrt(omega @ omega)  # np.linalg.norm's arithmetic
     W = hat(omega)
     if theta < _SMALL_ANGLE:
         t2 = theta * theta
@@ -448,7 +465,7 @@ def _so3_terms(omega):
 
 
 def _so3_left_jacobian_inv(omega) -> np.ndarray:
-    theta = float(np.linalg.norm(omega))
+    theta = math.sqrt(omega @ omega)
     W = hat(omega)
     if theta < _SMALL_ANGLE:
         c = 1.0 / 12.0
@@ -486,19 +503,19 @@ def _exp(x, d: GroupDescriptor) -> np.ndarray:
     if fam == SE2:
         theta, v = float(x[0]), x[1:]
         c, s = math.cos(theta), math.sin(theta)
-        M = np.eye(3)
+        M = _eye(3).copy()
         M[:2, :2] = [[c, -s], [s, c]]
         M[:2, 2] = _se2_V(theta) @ v
         return M
     if fam == SE3:
         omega, v = x[:3], x[3:]
         W, W2, a, b, c = _so3_terms(omega)
-        M = np.eye(4)
+        M = _eye(4).copy()
         M[:3, :3] = _eye(3) + a * W + b * W2
         M[:3, 3] = (_eye(3) + b * W + c * W2) @ v
         return M
     if fam == PRODUCT:
-        return block_diagonal([_exp(x[cols], f) for f, _, cols in d.blocks])
+        return _exp_stack(x[None], d)[0]
     return expm(wedge(x, d))
 
 
@@ -555,7 +572,10 @@ def _log(mat: np.ndarray, d: GroupDescriptor) -> np.ndarray:
         v = _so3_left_jacobian_inv(omega) @ mat[:3, 3]
         return np.concatenate([omega, v])
     if fam == PRODUCT:
-        return np.concatenate([_log(mat[rows, rows], f) for f, rows, _ in d.blocks])
+        coords, errors = _log_stack(mat[None], d)
+        if errors:
+            raise errors[0]
+        return coords[0]
     # GL(n)+: dense principal log; real-negative eigenvalues have no real log.
     eigvals = np.linalg.eigvals(mat)
     if np.any((eigvals.real < 0) & (np.abs(eigvals.imag) < 1e-12)):
@@ -756,3 +776,262 @@ def _polar(mat: np.ndarray, d: GroupDescriptor) -> np.ndarray:
     if fam == PRODUCT:
         return block_diagonal([_polar(mat[rows, rows], f) for f, rows, _ in d.blocks])
     return mat
+
+
+# ---------------------------------------------------------------------------
+# Stack kernels
+#
+# The closed forms above over a leading axis of B rows: the trials of a
+# campaign, or the factors of a product. Each row comes out bit for bit as
+# the one-element kernel computes it: norms are vecdot square roots, as in
+# np.linalg.norm; powers, acos and atan2 come from libm, as for Python
+# floats; matrix-vector products are batched matmuls. A stack of one, and
+# each rare row near pi, runs the one-element kernel itself. A row that
+# fails comes back in an {index: exception} dict instead of raising.
+
+
+@lru_cache(maxsize=None)
+def _factor_stacks(descriptor: GroupDescriptor):
+    """A product's factors grouped by descriptor, in order of first
+    appearance: (factor, block entries, coordinates (k, n_f), block
+    positions (k,)) per group, each group one stack of B k rows. The
+    block entries index a flattened product matrix, block by block."""
+    d = descriptor.matrix_dim
+    grouped = {}
+    for pos, (f, rows, cols) in enumerate(descriptor.blocks):
+        r = np.arange(rows.start, rows.stop)
+        entry = grouped.setdefault(id(f), (f, [], [], []))
+        entry[1].append((r[:, None] * d + r[None, :]).ravel())
+        entry[2].append(np.arange(cols.start, cols.stop))
+        entry[3].append(pos)
+    return tuple(
+        (f, np.concatenate(e), np.array(c), np.array(p)) for f, e, c, p in grouped.values()
+    )
+
+
+def _blocks(mats: np.ndarray, entries: np.ndarray, f: GroupDescriptor) -> np.ndarray:
+    """(B k, d_f, d_f) diagonal blocks at the given entries of a stack."""
+    blocks = mats.reshape(len(mats), -1)[:, entries]
+    return blocks.reshape(-1, f.matrix_dim, f.matrix_dim)
+
+
+def _first_factor_errors(errors: dict, pos: np.ndarray, failed: dict) -> None:
+    """Fold a factor stack's {B k row: exception} into failed, {row:
+    (block position, exception)}, keeping each row's first block."""
+    k = len(pos)
+    for i, exc in errors.items():
+        row, j = divmod(i, k)
+        if row not in failed or pos[j] < failed[row][0]:
+            failed[row] = (pos[j], exc)
+
+
+def _one_by_one(kernel, mats, d: GroupDescriptor, rows, out):
+    """out[i] = kernel(mats[i], d) for the given rows; a row whose kernel
+    raises a package error is NaN, with the error in the returned dict."""
+    errors = {}
+    for i in rows:
+        try:
+            out[i] = kernel(mats[i], d)
+        except HomCrbError as exc:
+            out[i] = np.nan
+            errors[i] = exc
+    return out, errors
+
+
+def _so3_terms_stack(omega):
+    """_so3_terms of each row of a (B, 3) array; a, b, c shaped (B, 1, 1)."""
+    theta = np.sqrt(np.vecdot(omega, omega))
+    t2 = theta * theta
+    a = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
+    b = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
+    c = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
+    big = theta >= _SMALL_ANGLE
+    t = theta[big]
+    s = np.sin(t)
+    a[big] = s / t
+    b[big] = (1.0 - np.cos(t)) / np.float_power(t, 2)
+    c[big] = (t - s) / np.float_power(t, 3)
+    W = hat(omega)
+    return W, W @ W, a[:, None, None], b[:, None, None], c[:, None, None]
+
+
+def _se2_V_stack(theta) -> np.ndarray:
+    t2 = theta * theta
+    a = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
+    b = theta / 2.0 - theta * t2 / 24.0
+    big = np.abs(theta) >= _SMALL_ANGLE
+    t = theta[big]
+    a[big] = np.sin(t) / t
+    b[big] = (1.0 - np.cos(t)) / t
+    V = np.empty((len(theta), 2, 2))
+    V[:, 0, 0], V[:, 0, 1], V[:, 1, 0], V[:, 1, 1] = a, -b, b, a
+    return V
+
+
+def _exp_stack(x, d: GroupDescriptor) -> np.ndarray:
+    """_exp of each row of a (B, n) coordinate array: (B, dim, dim)."""
+    fam, B = d.family, len(x)
+    if fam == PRODUCT:
+        out = np.zeros((B, d.matrix_dim, d.matrix_dim))
+        flat = out.reshape(B, -1)
+        for f, entries, cols, _ in _factor_stacks(d):
+            blocks = _exp_stack(x[:, cols].reshape(-1, f.algebra_dim), f)
+            flat[:, entries] = blocks.reshape(B, -1)
+        return out
+    if B == 1:
+        return _exp(x[0], d)[None]
+    if fam == SO3:
+        W, W2, a, b, _ = _so3_terms_stack(x)
+        return _eye(3) + a * W + b * W2
+    if fam == SE2:
+        theta = x[:, 0]
+        c, s = np.cos(theta), np.sin(theta)
+        M = np.zeros((B, 3, 3))
+        M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1], M[:, 2, 2] = c, -s, s, c, 1.0
+        M[:, :2, 2] = (_se2_V_stack(theta) @ x[:, 1:, None])[..., 0]
+        return M
+    if fam == SE3:
+        W, W2, a, b, c = _so3_terms_stack(x[:, :3])
+        M = np.zeros((B, 4, 4))
+        M[:, 3, 3] = 1.0
+        M[:, :3, :3] = _eye(3) + a * W + b * W2
+        M[:, :3, 3] = ((_eye(3) + b * W + c * W2) @ x[:, 3:, None])[..., 0]
+        return M
+    flat = d.algebra_basis.reshape(d.algebra_dim, -1)
+    return expm((x[:, None, :] @ flat).reshape(B, d.matrix_dim, d.matrix_dim))
+
+
+def _so3_log_stack(R):
+    """_so3_log of the rows of a (B, 3, 3) stack that are not within
+    _NEAR_PI of pi, and the mask of those that are (left NaN)."""
+    cos_theta = np.minimum(
+        1.0, np.maximum(-1.0, 0.5 * (R[:, 0, 0] + R[:, 1, 1] + R[:, 2, 2] - 1.0))
+    )
+    theta = np.array([math.acos(c) for c in cos_theta.tolist()])
+    skew = 0.5 * np.stack(
+        [R[:, 2, 1] - R[:, 1, 2], R[:, 0, 2] - R[:, 2, 0], R[:, 1, 0] - R[:, 0, 1]],
+        axis=-1,
+    )
+    near_pi = math.pi - theta < _NEAR_PI
+    t2 = theta * theta
+    scale = 1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0
+    big = (theta >= _SMALL_ANGLE) & ~near_pi
+    scale[big] = theta[big] / np.sin(theta[big])
+    scale[near_pi] = np.nan
+    return scale[:, None] * skew, near_pi
+
+
+def _log_stack(mats, d: GroupDescriptor) -> tuple[np.ndarray, dict]:
+    """_log of each matrix of a (B, dim, dim) stack: (B, n) coordinates,
+    NaN in the rows whose log is undefined, and {row: exception} for
+    those rows (CutLocusError, or DomainError for GL(n)+)."""
+    fam, B = d.family, len(mats)
+    out = np.empty((B, d.algebra_dim))
+    if fam == PRODUCT:
+        failed = {}
+        for f, entries, cols, pos in _factor_stacks(d):
+            coords, errors = _log_stack(_blocks(mats, entries, f), f)
+            out[:, cols] = coords.reshape((B,) + cols.shape)
+            _first_factor_errors(errors, pos, failed)
+        return out, {row: exc for row, (_, exc) in failed.items()}
+    if B == 1 or fam not in (SO3, SE2, SE3):
+        return _one_by_one(_log, mats, d, range(B), out)
+    if fam == SO3:
+        out[:], special = _so3_log_stack(mats)
+    elif fam == SE2:
+        theta = np.array(
+            [math.atan2(s, c) for s, c in zip(mats[:, 1, 0].tolist(), mats[:, 0, 0].tolist())]
+        )
+        special = math.pi - np.abs(theta) < _CUT_LOCUS_MARGIN
+        out[:, 0] = theta
+        out[:, 1:] = np.linalg.solve(_se2_V_stack(theta), mats[:, :2, 2, None])[..., 0]
+    else:
+        omega, special = _so3_log_stack(mats[:, :3, :3])
+        # _so3_left_jacobian_inv takes theta from omega again.
+        theta = np.sqrt(np.vecdot(omega, omega))
+        special |= math.pi - theta < _NEAR_PI
+        c = np.full(B, 1.0 / 12.0)
+        big = (theta >= _SMALL_ANGLE) & ~special
+        t = theta[big]
+        c[big] = 1.0 / np.float_power(t, 2) - (1.0 + np.cos(t)) / (2.0 * t * np.sin(t))
+        W = hat(omega)
+        J_inv = _eye(3) - 0.5 * W + c[:, None, None] * (W @ W)
+        out[:, :3] = omega
+        out[:, 3:] = (J_inv @ mats[:, :3, 3, None])[..., 0]
+    return _one_by_one(_log, mats, d, np.flatnonzero(special), out)
+
+
+def _row_errors(*checks, errors=None) -> dict:
+    """{row: ValueError}, added to errors, from (mask, message) checks in
+    order: a row gets the message of the first check that flags it."""
+    errors = {} if errors is None else errors
+    for mask, message in checks:
+        if np.count_nonzero(mask):
+            for i in np.flatnonzero(mask):
+                errors.setdefault(i, ValueError(message))
+    return errors
+
+
+@lru_cache(maxsize=None)
+def _block_entries(descriptor: GroupDescriptor) -> np.ndarray:
+    """Every diagonal-block entry of a flattened product matrix."""
+    return np.concatenate([entries for _, entries, _, _ in _factor_stacks(descriptor)])
+
+
+def _family_membership(mats, d: GroupDescriptor) -> tuple[np.ndarray, dict]:
+    """_check_membership of each finite matrix of a (B, dim, dim) stack:
+    the defects, and {row: ValueError} for the rows outside the group,
+    with the message that row would raise alone."""
+    fam, B, dim = d.family, len(mats), d.matrix_dim
+    if B == 1 and fam != PRODUCT:
+        try:
+            return np.array([_check_membership(mats[0], d)]), {}
+        except ValueError as exc:
+            return np.zeros(1), {0: exc}
+    if fam == SO3:
+        defect = _rotation_defect(mats)
+        return defect, _row_errors((defect > 1e-9, "matrix is not in SO(3) to 1e-9"))
+    if fam in (SE2, SE3):
+        defect = _rotation_defect(mats[:, : dim - 1, : dim - 1])
+        bottom = np.abs(mats[:, -1] - _eye(dim)[-1]).max(axis=1)
+        return defect, _row_errors(
+            (defect > 1e-9, f"rotation block is not in SO({dim - 1}) to 1e-9"),
+            (bottom > 1e-9, "bottom row must be (0, ..., 0, 1)"),
+        )
+    if fam == GLN_PLUS:
+        checks = [(_det(mats) <= 0, "determinant must be positive")]
+        if dim * dim > d.algebra_dim:
+            residual = _vee_lstsq(mats - _eye(dim), d)[1]
+            checks.append(
+                (residual > 1e-9, "matrix is not a translation: g - I leaves the span")
+            )
+        return np.zeros(B), _row_errors(*checks)
+    if fam == PRODUCT:
+        defect, failed = None, {}
+        for f, entries, _, pos in _factor_stacks(d):
+            factor_defect, errors = _family_membership(_blocks(mats, entries, f), f)
+            factor_defect = factor_defect.reshape(B, -1).max(axis=1)
+            defect = factor_defect if defect is None else np.maximum(defect, factor_defect)
+            _first_factor_errors(errors, pos, failed)
+        nonzero = mats.reshape(B, -1) != 0
+        outside = nonzero.sum(axis=1) != nonzero[:, _block_entries(d)].sum(axis=1)
+        return defect, _row_errors(
+            (outside, "product element must be block diagonal"),
+            errors={row: exc for row, (_, exc) in failed.items()},
+        )
+    raise ValueError(f"unknown group family {fam!r}")
+
+
+def _membership_stack(mats, d: GroupDescriptor) -> tuple[np.ndarray, dict]:
+    """The GroupElement checks, finiteness first, of each matrix of a
+    (B, dim, dim) stack: the defects, and {row: ValueError} for the rows
+    that would not box."""
+    finite = np.isfinite(mats).reshape(len(mats), -1).all(axis=1)
+    if np.count_nonzero(finite) == len(mats):
+        return _family_membership(mats, d)
+    defects, errors = _family_membership(
+        np.where(finite[:, None, None], mats, _eye(d.matrix_dim)), d
+    )
+    for i in np.flatnonzero(~finite):
+        errors[i] = ValueError("matrix has non-finite entries")
+    return defects, errors

@@ -1,15 +1,18 @@
 """Monte-Carlo experiment campaigns with deterministic CSV output.
 
 Per-trial randomness comes from the stream (seed, m_index, trial_index),
-so results are independent of the worker count and reruns are
-byte-identical. Worker processes receive contiguous trial chunks and
-results are merged in index order.
+and a trial's Monte-Carlo FIMs from entropy derived from the same key,
+so results are independent of the worker count and of how trials are
+stacked, and reruns are byte-identical. Worker processes receive
+contiguous trial chunks and results are merged in index order; within a
+chunk the trials of each m run as one stack.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -28,8 +31,8 @@ from ..exceptions import (
     EvaluationError,
     LiftFailureError,
 )
-from ..groups import AlgebraVector
-from ..homspace import coset_error
+from ..groups import AlgebraVector, GroupElement
+from ..homspace import coset_error, coset_errors
 from ..models import (
     LandmarkModel,
     NetworkModel,
@@ -202,61 +205,114 @@ _CONTEXTS = {
 }
 
 
-def _estimation_trial(ctx, kind: str, seed: int, m_index: int, m: int, trial: int) -> dict:
-    """One Monte-Carlo trial: sample, score, record invariant errors."""
+def _estimation_stack(ctx, kind: str, seed: int, m_index: int, m: int, trials) -> list[dict]:
+    """The given trials of one m as one stack: each trial samples from its
+    own stream (seed, m_index, trial) and is summarised at once, then
+    scoring and the horizontal lift run over the stack. A trial that fails
+    leaves it with status failed:<Class>; the others are unaffected."""
     model, g_true, inits, opts = ctx
-    rng = np.random.default_rng([seed, m_index, trial])
-    row = {"record": "trial", "m": m, "trial": trial, "status": "ok"}
-    try:
-        if kind == "spd":
-            obs = model.sample(g_true, m, rng)
-            x2 = (obs.T @ obs) / m
-            crb.check_conditioning(x2, DegenerateFimError, "sample second moment")
-            trace = scoring.fisher_scoring(model, obs, inits[0], opts)
-            sigma_hat = trace.final.matrix @ trace.final.matrix.T
-            row.update(
-                frobenius_gap=float(np.linalg.norm(sigma_hat - x2)),
+
+    def row(t: int, status: str = "ok") -> dict:
+        return {"record": "trial", "m": m, "trial": t, "status": status}
+
+    rows = [row(t) for t in trials]
+    summary = scoring.stack_summaries([
+        model.summarize(model.sample(g_true, m, np.random.default_rng([seed, m_index, t])))
+        for t in trials
+    ])
+    live = np.arange(len(trials))  # stack rows still in the running
+
+    def fail(i: int, exc: Exception) -> None:
+        if not isinstance(exc, _TRIAL_FAILURES):
+            raise exc
+        rows[i] = row(trials[i], f"failed:{type(exc).__name__}")
+
+    def drop(errors: dict) -> np.ndarray:
+        """Fail the live rows at the given positions; the mask of the rest."""
+        nonlocal live
+        for i, exc in errors.items():
+            fail(live[i], exc)
+        kept = np.ones(len(live), dtype=bool)
+        kept[list(errors)] = False
+        live = live[kept]
+        return kept
+
+    def score(g0: GroupElement, start: int) -> list:
+        """Traces of the live rows from g0, each trial's Monte-Carlo FIM
+        entropy (seed, m_index, trial, start)."""
+        if not len(live):
+            return []
+        outcome = scoring.fisher_scoring_stack(
+            model,
+            tuple(part[live] for part in summary),
+            np.broadcast_to(g0.matrix, (len(live),) + g0.matrix.shape),
+            opts,
+            [(seed, m_index, trials[i], start) for i in live],
+        )
+        kept = drop({i: o for i, o in enumerate(outcome) if isinstance(o, Exception)})
+        return list(itertools.compress(outcome, kept))
+
+    if kind == "spd":
+        x2 = summary[1]
+        errors = crb.conditioning_errors(x2, DegenerateFimError, "sample second moment")
+        drop({i: exc for i, exc in enumerate(errors) if exc})
+        for i, trace in zip(live, score(inits[0], 0)):
+            final = trace.matrices[-1]
+            rows[i].update(
+                frobenius_gap=float(np.linalg.norm(final @ final.T - x2[i])),
                 iterations=trace.iterations_used,
                 loglik=trace.logliks[-1],
             )
-            return row
-        obs = model.sample(g_true, m, rng)
-        trace = scoring.fisher_scoring(model, obs, inits[0], opts)
-        est = trace.final
-        ce = coset_error(g_true, est, model.struct)
-        row.update(
-            coset_err_sq=float(np.sum(ce.eta_reduced**2)),
-            g_err_sq=float(ce.raw @ ce.raw),
+        return rows
+    traces = score(inits[0], 0)
+    if not traces:
+        return rows
+    lifted = coset_errors(g_true, np.array([t.matrices[-1] for t in traces]), model.struct)
+    kept = drop(lifted.errors)
+    traces = list(itertools.compress(traces, kept))
+    n_H = model.struct.n_H
+    for i, trace, eta, raw in zip(live, traces, lifted.eta_struct[kept], lifted.raw[kept]):
+        rows[i].update(
+            coset_err_sq=float(np.sum(eta[n_H:] ** 2)),
+            g_err_sq=float(raw @ raw),
             iterations=trace.iterations_used,
             loglik=trace.logliks[-1],
-            eta=tuple(float(v) for v in ce.eta_struct),
+            eta=tuple(float(v) for v in eta),
         )
-        if kind == "landmark" and len(inits) > 1:
-            finals = [est] + [
-                scoring.fisher_scoring(model, obs, g0, opts).final for g0 in inits[1:]
-            ]
-            max_coset, min_gdist = 0.0, np.inf
-            for i in range(len(finals)):
-                for j in range(i + 1, len(finals)):
-                    pair = coset_error(finals[i], finals[j], model.struct)
-                    max_coset = max(max_coset, float(np.linalg.norm(pair.eta_reduced)))
-                    d = groups.log(finals[j] @ finals[i].inverse())
-                    min_gdist = min(min_gdist, float(np.linalg.norm(d.coords)))
-            row.update(
-                multistart_max_coset=max_coset, multistart_min_gdist=min_gdist
-            )
-        return row
-    except _TRIAL_FAILURES as exc:
-        return {
-            "record": "trial",
-            "m": m,
-            "trial": trial,
-            "status": f"failed:{type(exc).__name__}",
-        }
+    if kind == "landmark" and len(inits) > 1:
+        finals = {i: [trace.matrices[-1]] for i, trace in zip(live, traces)}
+        for start, g0 in enumerate(inits[1:], 1):
+            for i, trace in zip(live, score(g0, start)):
+                finals[i].append(trace.matrices[-1])
+        for i in live:
+            try:
+                rows[i].update(_multistart_spread(finals[i], model))
+            except _TRIAL_FAILURES as exc:
+                fail(i, exc)
+    return rows
+
+
+def _multistart_spread(finals, model) -> dict:
+    """The largest coset distance and the smallest group distance between
+    a trial's estimates from its starting points."""
+    finals = [GroupElement(model.descriptor, M) for M in finals]
+    max_coset, min_gdist = 0.0, np.inf
+    for i in range(len(finals)):
+        for j in range(i + 1, len(finals)):
+            pair = coset_error(finals[i], finals[j], model.struct)
+            max_coset = max(max_coset, float(np.linalg.norm(pair.eta_reduced)))
+            d = groups.log(finals[j] @ finals[i].inverse())
+            min_gdist = min(min_gdist, float(np.linalg.norm(d.coords)))
+    return {"multistart_max_coset": max_coset, "multistart_min_gdist": min_gdist}
 
 
 def _run_trials(ctx, kind: str, seed: int, pairs) -> list[dict]:
-    return [_estimation_trial(ctx, kind, seed, mi, m, t) for (mi, m, t) in pairs]
+    """Rows of the (m index, m, trial) triples, in order; the trials of
+    each m run as one stack."""
+    rows = []
+    for (mi, m), group in itertools.groupby(pairs, key=lambda pair: pair[:2]):
+        rows += _estimation_stack(ctx, kind, seed, mi, m, [t for *_, t in group])
+    return rows
 
 
 def _worker_chunk(kind: str, config: ExperimentConfig, pairs) -> list[dict]:

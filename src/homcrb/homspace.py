@@ -299,17 +299,19 @@ def act(g, x, side: Side):
     return (g @ x) if side == Side.G_MOD_H else (x @ g)
 
 
-def relative_element(g_ref: GroupElement, g: GroupElement, side: Side) -> GroupElement:
-    """g_ref^-1 g on G/H, g g_ref^-1 on H\\G: the group error of g
-    against g_ref before any lift, so act(g_ref, it, side) is g."""
-    return (g_ref.inverse() @ g) if side == Side.G_MOD_H else (g @ g_ref.inverse())
+def relative_matrix(g_ref: GroupElement, G, side: Side) -> np.ndarray:
+    """g_ref^-1 g on G/H, g g_ref^-1 on H\\G, for a raw matrix g or each
+    matrix of a (B, d, d) stack: the group error of g against g_ref
+    before any lift, so act(g_ref, it, side) is g. Nothing is boxed."""
+    return act(groups._inverse_matrix(g_ref.matrix, g_ref.descriptor), G, side)
 
 
 def raw_error(
     g_ref: GroupElement, g: GroupElement, struct: ReductiveStructure
 ) -> np.ndarray:
-    """Adapted coordinates of log(relative_element(g_ref, g)), unlifted."""
-    return struct.coords_of(groups.log(relative_element(g_ref, g, struct.side)))
+    """Adapted coordinates of the log of relative_matrix(g_ref, g), unlifted."""
+    rel = relative_matrix(g_ref, g.matrix, struct.side)
+    return struct._B_inv @ groups._log(rel, struct.group)
 
 
 @dataclass(frozen=True)
@@ -330,54 +332,115 @@ class CosetError:
     raw: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class CosetErrors:
+    """The coset errors of a stack of estimates against one reference,
+    one row per estimate (see CosetError). A row whose lift failed is NaN
+    in eta_struct, with its exception in errors; raw is NaN too when its
+    first log failed. corrections holds each row's accumulated h, set in
+    the rows lifted with 1 or more iterations."""
+
+    eta_struct: np.ndarray  # (B, n_G)
+    raw: np.ndarray  # (B, n_G)
+    iterations: np.ndarray  # (B,)
+    errors: dict  # {row: exception}
+    corrections: np.ndarray  # (B, d, d)
+
+
+def coset_errors(
+    g_ref: GroupElement, estimates, struct: ReductiveStructure
+) -> CosetErrors:
+    """Horizontally lift each matrix of a (B, d, d) stack of estimates
+    onto the cross-section through g_ref; the one lift, run on the rows
+    still active.
+
+    Fixed-point iteration on H: kill the h-component of
+    log(g_ref^-1 g_est h) (G/H side) or log(h g_est g_ref^-1) (H\\G side).
+    A row leaves the stack with LiftFailureError when its log reaches the
+    cut locus or it has not converged after 100 iterations; another
+    package error of its log (DomainError) is kept as it is.
+    """
+    side, desc, n_H = struct.side, struct.group, struct.n_H
+    base = relative_matrix(g_ref, np.asarray(estimates, dtype=float), side)
+    B = len(base)
+    eta = np.full((B, desc.algebra_dim), np.nan)
+    iterations = np.zeros(B, dtype=int)
+    residual = [math.inf] * B  # per row, its last h-residual
+    h_acc = np.empty_like(base)
+    errors = {}
+    # The stack rows still lifting, their relative elements and their
+    # accumulated h (None until the first correction).
+    rows, arg, h = np.arange(B), base, None
+    for it in range(_LIFT_MAX_ITER + 1):
+        y, failed = groups._log_stack(arg, desc)
+        c = (struct._B_inv @ y[..., None])[..., 0]
+        if it == 0:
+            raw = c
+        h_part = c[:, :n_H]
+        going, done = [], []
+        norms = np.sqrt(np.vecdot(h_part, h_part)).tolist()
+        for i, (r, norm) in enumerate(zip(rows.tolist(), norms)):
+            if i in failed:
+                exc = failed[i]
+                if isinstance(exc, CutLocusError):
+                    lift_exc = LiftFailureError(
+                        f"horizontal lift left the log domain after {it} iterations: {exc}",
+                        iterations=it,
+                        residual=residual[r],
+                    )
+                    lift_exc.__cause__, exc = exc, lift_exc
+                errors[r] = exc
+                continue
+            residual[r] = norm
+            (done if norm <= _LIFT_TOL else going).append(i)
+        if done:
+            eta[rows[done]] = c[done]
+            iterations[rows[done]] = it
+            if h is not None:
+                h_acc[rows[done]] = h[done]
+        if not going:
+            break
+        if len(going) < len(rows):
+            rows, base, h_part = rows[going], base[going], h_part[going]
+            h = None if h is None else h[going]
+        coords = np.zeros((len(rows), desc.algebra_dim))
+        coords[:, :n_H] = -h_part
+        correction = groups._exp_stack((struct.basis_matrix @ coords[..., None])[..., 0], desc)
+        h = correction if h is None else act(h, correction, side)
+        arg = act(base, h, side)
+    else:
+        for r in rows.tolist():
+            errors[r] = LiftFailureError(
+                f"horizontal lift did not converge in {_LIFT_MAX_ITER} iterations "
+                f"(h-residual {residual[r]:.3e}); estimate too far from the coset",
+                iterations=_LIFT_MAX_ITER,
+                residual=residual[r],
+            )
+    return CosetErrors(eta, raw, iterations, errors, h_acc)
+
+
 def coset_error(
     g_ref: GroupElement,
     g_est: GroupElement,
     struct: ReductiveStructure,
 ) -> CosetError:
-    """Horizontally lift g_est onto the cross-section through g_ref.
-
-    Fixed-point iteration on H: kill the h-component of
-    log(g_ref^-1 g_est h) (G/H side) or log(h g_est g_ref^-1) (H\\G side).
-    """
-    side, desc = struct.side, struct.group
-    base = relative_element(g_ref, g_est, side).matrix
-    h_acc = None  # the accumulated h, None until the first correction
-    last_residual = math.inf
-    for it in range(_LIFT_MAX_ITER + 1):
-        arg = base if h_acc is None else act(base, h_acc, side)
-        try:
-            y = groups._log(arg, desc)
-        except CutLocusError as exc:
-            raise LiftFailureError(
-                f"horizontal lift left the log domain after {it} iterations: {exc}",
-                iterations=it,
-                residual=last_residual,
-            ) from exc
-        c = struct._B_inv @ y
-        if it == 0:
-            raw = c
-        h_part = c[: struct.n_H]
-        last_residual = float(np.linalg.norm(h_part))
-        if last_residual <= _LIFT_TOL:
-            lift = g_est
-            if h_acc is not None:
-                lift = GroupElement(desc, act(g_est.matrix, h_acc, side))
-            return CosetError(
-                eta_struct=c,
-                eta_reduced=c[struct.n_H :].copy(),
-                lift=lift,
-                iterations=it,
-                raw=raw,
-            )
-        coords = np.concatenate([-h_part, np.zeros(struct.n_Theta)])
-        correction = groups._exp(struct.basis_matrix @ coords, desc)
-        h_acc = correction if h_acc is None else act(h_acc, correction, side)
-    raise LiftFailureError(
-        f"horizontal lift did not converge in {_LIFT_MAX_ITER} iterations "
-        f"(h-residual {last_residual:.3e}); estimate too far from the coset",
-        iterations=_LIFT_MAX_ITER,
-        residual=last_residual,
+    """Horizontally lift g_est onto the cross-section through g_ref: a
+    stack of one through coset_errors, whose failure is raised here."""
+    out = coset_errors(g_ref, g_est.matrix[None], struct)
+    if out.errors:
+        raise out.errors[0]
+    lift = g_est
+    if out.iterations[0] > 0:
+        lift = GroupElement(
+            struct.group, act(g_est.matrix, out.corrections[0], struct.side)
+        )
+    eta = out.eta_struct[0]
+    return CosetError(
+        eta_struct=eta,
+        eta_reduced=eta[struct.n_H :].copy(),
+        lift=lift,
+        iterations=int(out.iterations[0]),
+        raw=out.raw[0],
     )
 
 

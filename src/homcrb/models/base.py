@@ -10,6 +10,11 @@ differentiates t -> l(x | g exp(tX)), "rivf" t -> l(x | exp(tX) g).
 Models implement their analytic formulas in one natural operator and
 translate directions through Ad for the other, using
 X^L_g = (Ad_g X)^R_g and X^R_g = (Ad_{g^-1} X)^L_g.
+
+Scoring runs many trials at once, so the methods it reads (total_loglik,
+total_grad_m, fim_reduced) take a stack of raw (B, d, d) iterate matrices
+and a stack of per-trial summaries (scoring.stack_summaries), one row per
+trial.
 """
 
 from __future__ import annotations
@@ -81,12 +86,19 @@ class ModelBase:
         return np.asarray(x, dtype=float)[None, ...]
 
     def summarize(self, observations):
-        """Sufficient statistic for total likelihood/gradient; default is
-        the raw observation array."""
-        return observations
+        """Sufficient statistic for the total likelihood and gradient,
+        led by the observation count; default is the raw observations."""
+        return self.n_observations(observations), np.asarray(observations, dtype=float)
 
-    def total_loglik(self, summary, g: GroupElement) -> float:
-        return float(np.sum(self.loglik_batch(summary, g)))
+    def _element(self, M) -> GroupElement:
+        return GroupElement(self.descriptor, M)
+
+    def total_loglik(self, summary, G) -> np.ndarray:
+        """(B,) total log-likelihoods, one per trial of a stacked summary
+        at the matching matrix of G; the default loops over the trials."""
+        return np.array(
+            [np.sum(self.loglik_batch(x, self._element(M))) for x, M in zip(summary[1], G)]
+        )
 
     # -- analytic derivatives (optional) ----------------------------------
 
@@ -117,33 +129,49 @@ class ModelBase:
             [groups.central_difference(loglik, g, d, h, op) for d in directions]
         )
 
-    def total_grad_m(self, summary, g: GroupElement) -> np.ndarray:
-        """Sum over observations of the m-basis gradient (natural operator
-        of the model's side). Subclasses override with sufficient-statistic
-        fast paths."""
-        grads = self.gradient_batch(
-            summary, g, self.struct.m_basis, natural_operator(self.side)
+    def total_grad_m(self, summary, G) -> np.ndarray:
+        """(B, n_Theta): per trial, the sum over its observations of the
+        m-basis gradient (natural operator of the model's side). The
+        default loops over the trials; subclasses override with
+        sufficient-statistic stack formulas."""
+        op = natural_operator(self.side)
+        return np.array(
+            [
+                self.gradient_batch(x, self._element(M), self.struct.m_basis, op).sum(axis=0)
+                for x, M in zip(summary[1], G)
+            ]
         )
-        return grads.sum(axis=0)
 
-    def fim_reduced(self, g: GroupElement) -> np.ndarray | None:
-        """Single-observation reduced FIM over the m-basis, if analytic.
-        With invariant_fim, the first result is kept and the same
-        read-only array is returned at every g."""
+    def fim_reduced(self, G) -> np.ndarray | None:
+        """Single-observation reduced FIM over the m-basis at each matrix
+        of a (B, d, d) stack, if analytic. With invariant_fim it is one
+        read-only (n, n) array for every row, computed once per model;
+        otherwise a (B, n, n) stack."""
         if self._reduced_fim is not None:
             return self._reduced_fim
-        F = self.analytic_fim(g, self.struct.m_basis, natural_operator(self.side))
-        if self.invariant_fim and F is not None:
+        if not self.invariant_fim:
+            return self._fim_stack(G)
+        F = self.analytic_fim(
+            self._element(G[0]), self.struct.m_basis, natural_operator(self.side)
+        )
+        if F is not None:
             F = self._reduced_fim = groups._frozen(F)
         return F
+
+    def _fim_stack(self, G) -> np.ndarray | None:
+        op = natural_operator(self.side)
+        fims = [self.analytic_fim(self._element(M), self.struct.m_basis, op) for M in G]
+        return None if fims[0] is None else np.array(fims)
 
 
 def whitened_gram(terms, sigma) -> np.ndarray:
     """Gram matrix sum_b t_b t_b' / sigma_b^2 of direction terms t
-    (n_dirs, n_blocks, ...), with sigma shaped to broadcast over one
-    direction's terms: the single-observation FIM of Gaussian blocks."""
-    A = (terms / sigma).reshape(len(terms), -1)
-    return A @ A.T
+    (..., n_dirs, n_blocks, ...), with sigma shaped to broadcast over one
+    direction's terms: the single-observation FIM of Gaussian blocks, one
+    per leading stack index."""
+    A = terms / sigma
+    A = A.reshape(A.shape[: A.ndim - np.ndim(sigma)] + (-1,))
+    return A @ np.swapaxes(A, -1, -2)
 
 
 class GaussianModel(ModelBase):
@@ -156,10 +184,13 @@ class GaussianModel(ModelBase):
     measurements, the classical form of Patwari et al., IEEE SPM 2005).
 
     Subclasses set .descriptor and .struct, call _set_noise, and write
-    _mean(g), the noise-free observation, and _terms(g, directions), the
-    (n_dirs, *shape) derivatives of the mean along terms_op directions.
-    _terms and _residual (x - mu by default) may both be taken through
-    one orthogonal map per block, which changes neither score nor FIM.
+    _mean(G), the noise-free observation, and _terms(G, directions), the
+    (n_dirs, *shape) derivatives of the mean along terms_op directions,
+    which must be the natural operator of the model's side. Both take a
+    raw matrix G or a (B, d, d) stack of them and then gain a leading
+    stack axis; terms that do not depend on g may leave it out. _terms
+    and _residual (x - mu by default) may both be taken through one
+    orthogonal map per block, which changes neither score nor FIM.
     """
 
     terms_op = RIVF
@@ -185,26 +216,27 @@ class GaussianModel(ModelBase):
             raise DomainError("zero-noise model has no likelihood density")
         return self._inv_var
 
-    def _mean(self, g: GroupElement) -> np.ndarray:
+    def _mean(self, G) -> np.ndarray:
         raise NotImplementedError
 
-    def _terms(self, g: GroupElement, directions) -> np.ndarray:
+    def _terms(self, G, directions) -> np.ndarray:
         raise NotImplementedError
 
-    def _residual(self, x, g: GroupElement) -> np.ndarray:
-        """x - mu(g), for one observation or a batch, in the frame of _terms."""
-        return x - self._mean(g)
+    def _residual(self, x, G) -> np.ndarray:
+        """x - mu(G), for one observation or a batch at one matrix, or one
+        row of x per matrix of a stack, in the frame of _terms."""
+        return x - self._mean(G)
 
-    def _m_terms(self, g: GroupElement) -> np.ndarray:
-        return self._terms(g, self.struct.m_basis)
+    def _m_terms(self, G) -> np.ndarray:
+        return self._terms(G, self.struct.m_basis)
 
     def sample(self, g: GroupElement, m: int, rng: np.random.Generator):
-        mu = self._mean(g)
+        mu = self._mean(g.matrix)
         return mu[None] + self._sigma * rng.standard_normal((m,) + mu.shape)
 
     def loglik_batch(self, observations, g: GroupElement) -> np.ndarray:
         x = np.asarray(observations, dtype=float)
-        mu = self._mean(g)
+        mu = self._mean(g.matrix)
         if x.shape[1:] != mu.shape:
             raise ValueError(f"observations must be (n, *{mu.shape})")
         resid = x - mu
@@ -217,29 +249,35 @@ class GaussianModel(ModelBase):
         a = self._axes
         return x.shape[0], x.mean(axis=0), np.einsum(f"m{a},m{a}->b", x, x)
 
-    def total_loglik(self, summary, g: GroupElement) -> float:
+    def total_loglik(self, summary, G) -> np.ndarray:
         m, xbar, sq = summary
-        mu = self._mean(g)
-        dot = f"{self._axes},{self._axes}->b"
+        m = m[:, None]
+        mu = self._mean(G)
+        dot = f"z{self._axes},z{self._axes}->zb"
         per_block = sq - 2.0 * m * np.einsum(dot, xbar, mu) + m * np.einsum(dot, mu, mu)
-        return float(-0.5 * np.sum(self._weights() * per_block))
+        return -0.5 * np.sum(self._weights() * per_block, axis=-1)
 
     def analytic_gradient_batch(self, observations, g, directions, op):
-        terms = self._terms(g, translate_directions(directions, g, self.terms_op, op))
-        resid = self._residual(np.asarray(observations, dtype=float), g)
+        terms = self._terms(g.matrix, translate_directions(directions, g, self.terms_op, op))
+        resid = self._residual(np.asarray(observations, dtype=float), g.matrix)
         a = self._axes
         return np.einsum(f"d{a},m{a},b->md", terms, resid, self._weights())
 
     def analytic_fim(self, g, directions, op):
         self._weights()  # raises for a zero-noise model
-        terms = self._terms(g, translate_directions(directions, g, self.terms_op, op))
+        terms = self._terms(g.matrix, translate_directions(directions, g, self.terms_op, op))
         return whitened_gram(terms, self._sigma)
 
-    def total_grad_m(self, summary, g: GroupElement) -> np.ndarray:
+    def _fim_stack(self, G) -> np.ndarray:
+        self._weights()  # raises for a zero-noise model
+        return whitened_gram(self._m_terms(G), self._sigma)
+
+    def total_grad_m(self, summary, G) -> np.ndarray:
         m, xbar, _ = summary
-        resid = self._residual(xbar, g)
+        resid = self._residual(xbar, G)
         a = self._axes
-        return m * np.einsum(f"d{a},{a},b->d", self._m_terms(g), resid, self._weights())
+        grad = np.einsum(f"...d{a},...{a},b->...d", self._m_terms(G), resid, self._weights())
+        return m[:, None] * grad
 
 
 def invariance_defect(

@@ -46,16 +46,17 @@ class GaussianMeanModel(GaussianModel):
         )
 
     def translation(self, g: GroupElement) -> np.ndarray:
-        return g.matrix[: self.dim, self.dim]
+        return self._mean(g.matrix)
+
+    def _mean(self, G) -> np.ndarray:
+        return G[..., : self.dim, self.dim]
 
     def element(self, t) -> GroupElement:
         M = np.eye(self.dim + 1)
         M[: self.dim, self.dim] = np.asarray(t, dtype=float)
         return GroupElement(self.descriptor, M)
 
-    _mean = translation
-
-    def _terms(self, g, directions) -> np.ndarray:
+    def _terms(self, G, directions) -> np.ndarray:
         """The mean moves along X at its translation part: coordinates."""
         return directions
 

@@ -136,17 +136,19 @@ class LandmarkModel(GaussianModel):
         self._m_basis_terms = self._terms(None, self.struct.m_basis)
 
     def mean_observation(self, g: GroupElement) -> np.ndarray:
-        R, p = pose_parts(g)
-        return (self.landmarks - p) @ R  # rows R'(a_k - p)
+        return self._mean(g.matrix)
 
-    _mean = mean_observation
+    def _mean(self, G) -> np.ndarray:
+        """Rows R'(a_k - p) at a pose matrix or at each of a stack."""
+        R, p = G[..., :3, :3], G[..., :3, 3]
+        return (self.landmarks - p[..., None, :]) @ R
 
-    def _residual(self, x, g: GroupElement) -> np.ndarray:
+    def _residual(self, x, G) -> np.ndarray:
         """World-frame residual R(mu_k - x_k) = (a_k - p) - R x_k."""
-        R, p = pose_parts(g)
-        return (self.landmarks - p) - x @ R.T
+        R, p = G[..., :3, :3], G[..., :3, 3]
+        return (self.landmarks - p[..., None, :]) - x @ np.swapaxes(R, -1, -2)
 
-    def _terms(self, g, directions) -> np.ndarray:
+    def _terms(self, G, directions) -> np.ndarray:
         """(n_dirs, K, 3) array of Omega_d a_k + v_d, the world-frame
         derivative -R X mu_k at every g."""
         out = np.empty((len(directions), len(self.landmarks), 3))
@@ -154,5 +156,5 @@ class LandmarkModel(GaussianModel):
             out[d] = self.landmarks @ hat(x[:3]).T + x[3:]
         return out
 
-    def _m_terms(self, g: GroupElement) -> np.ndarray:
+    def _m_terms(self, G) -> np.ndarray:
         return self._m_basis_terms

@@ -95,11 +95,15 @@ def _position_slots(n_agents: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sensitivities(p, i, j, directions) -> np.ndarray:
-    """(n_dirs, n_edges) derivatives of the edge means |p_i - p_j|^2 / 2
-    along RIVF directions with per-agent coordinates (omega, v), shaped
-    (n_dirs, n_agents, 3): agent a moves at omega_a J p_a + v_a."""
-    vel = directions[..., :1] * (p @ _J.T) + directions[..., 1:]
-    return np.einsum("ek,dek->de", p[i] - p[j], vel[:, i] - vel[:, j])
+    """(..., n_dirs, n_edges) derivatives of the edge means
+    |p_i - p_j|^2 / 2 along RIVF directions with per-agent coordinates
+    (omega, v), shaped (n_dirs, n_agents, 3): agent a moves at
+    omega_a J p_a + v_a. p is (..., n_agents, 2), one leading index per
+    network state."""
+    vel = directions[..., :1] * (p @ _J.T)[..., None, :, :] + directions[..., 1:]
+    return np.einsum(
+        "...ek,...dek->...de", p[..., i, :] - p[..., j, :], vel[..., i, :] - vel[..., j, :]
+    )
 
 
 def _translation_directions(n_agents: int) -> np.ndarray:
@@ -206,19 +210,25 @@ class NetworkModel(GaussianModel):
         return _reference_element(self.descriptor, p)
 
     def positions_of(self, g: GroupElement) -> np.ndarray:
-        return g.matrix[self._slots]
+        return self._positions(g.matrix)
+
+    def _positions(self, G) -> np.ndarray:
+        """(..., n_agents, 2) positions of a matrix or of each of a stack."""
+        rows, cols = self._slots
+        return G[..., rows, cols]
 
     def edge_means(self, g: GroupElement) -> np.ndarray:
-        p = self.positions_of(g)
-        d = p[self._i] - p[self._j]
-        return 0.5 * np.sum(d * d, axis=1)
+        return self._mean(g.matrix)
 
-    _mean = edge_means
+    def _mean(self, G) -> np.ndarray:
+        p = self._positions(G)
+        d = p[..., self._i, :] - p[..., self._j, :]
+        return 0.5 * np.sum(d * d, axis=-1)
 
-    def _terms(self, g: GroupElement, directions) -> np.ndarray:
-        """(n_dirs, n_edges) array of d mu_e along each RIVF direction."""
+    def _terms(self, G, directions) -> np.ndarray:
+        """(..., n_dirs, n_edges) array of d mu_e along each RIVF direction."""
         return _sensitivities(
-            self.positions_of(g),
+            self._positions(G),
             self._i,
             self._j,
             directions.reshape(len(directions), self.n_agents, 3),

@@ -101,11 +101,11 @@ class SpdModel(ModelBase):
         x = np.asarray(observations, dtype=float)
         return x.shape[0], (x.T @ x) / x.shape[0]
 
-    def total_loglik(self, summary, g: GroupElement) -> float:
+    def total_loglik(self, summary, G) -> np.ndarray:
         m, xbar2 = summary
-        U = np.linalg.solve(g.matrix, xbar2) @ np.linalg.inv(g.matrix).T
-        _, logabsdet = np.linalg.slogdet(g.matrix)
-        return float(m * (-logabsdet - 0.5 * np.trace(U)))
+        U = np.linalg.solve(G, xbar2) @ np.swapaxes(np.linalg.inv(G), -1, -2)
+        _, logabsdet = np.linalg.slogdet(G)
+        return m * (-logabsdet - 0.5 * np.trace(U, axis1=-2, axis2=-1))
 
     # -- analytic derivatives -----------------------------------------------
 
@@ -122,11 +122,27 @@ class SpdModel(ModelBase):
         flat = S.reshape(len(D), -1)
         return 2.0 * (flat @ flat.T)
 
-    def total_grad_m(self, summary, g: GroupElement) -> np.ndarray:
+    def total_grad_m(self, summary, G) -> np.ndarray:
         m, xbar2 = summary
-        ginv = np.linalg.inv(g.matrix)
-        Ubar = ginv @ xbar2 @ ginv.T
-        return m * (np.einsum("ij,dji->d", Ubar, self._m_matrices) - self._m_traces)
+        ginv = np.linalg.inv(G)
+        Ubar = ginv @ xbar2 @ np.swapaxes(ginv, -1, -2)
+        return m[:, None] * (_trace_products(Ubar, self._m_matrices) - self._m_traces)
+
+
+def _trace_products(U, M) -> np.ndarray:
+    """(B, k) traces tr(U_b M_d) of a (B, n, n) stack U and a (k, n, n)
+    stack M, summed over j within each row i and then over the rows, the
+    order in which einsum("ij,dji->d") sums one U: the pinned SPD
+    outputs keep their bits."""
+    P = U[:, None] * np.swapaxes(M, -1, -2)  # [b, d, i, j] = U_ij M_dji
+    n = U.shape[-1]
+    rows = P[..., 0]
+    for j in range(1, n):
+        rows = rows + P[..., j]
+    out = rows[..., 0]
+    for i in range(1, n):
+        out = out + rows[..., i]
+    return out
 
 
 def spd_grad(x_second_moment, g: GroupElement) -> np.ndarray:

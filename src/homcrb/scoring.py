@@ -11,19 +11,25 @@ reduced FIM and retracts through the group exponential:
 The h-components of every step are zero by construction, so iterates
 never move along the fiber. Convergence is declared on the natural-
 gradient step norm, which is invariant to basis rescaling.
+
+The loop runs a stack of trials at once: raw (B, d, d) iterates, the
+trials' stacked summaries, and the rows still active. Each trial keeps
+its own convergence test, iteration cap and divergence test, and a trial
+that fails leaves the stack with its exception. fisher_scoring and
+gradient_ascent are stacks of one.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import crb, fisher, groups
 from .exceptions import DegenerateFimError, DivergenceError
-from .groups import GroupElement
+from .groups import GroupDescriptor, GroupElement
 from .homspace import act
 
 ANALYTIC, MONTE_CARLO, FROZEN_AT_INITIAL = "analytic", "monte-carlo", "frozen-at-initial"
@@ -42,6 +48,18 @@ def as_integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _count(value, name: str) -> int:
+    count = as_integer(value, name)
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return count
+
+
+def _positive(value, name: str) -> None:
+    if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScoringOptions:
     max_iterations: int = 100
@@ -52,133 +70,255 @@ class ScoringOptions:
 
     def __post_init__(self):
         for name in ("max_iterations", "mc_fim_samples"):
-            count = as_integer(getattr(self, name), name)
-            if count < 1:
-                raise ValueError(f"{name} must be >= 1")
-            object.__setattr__(self, name, count)
+            object.__setattr__(self, name, _count(getattr(self, name), name))
         for name in ("gradient_tolerance", "step_scale"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+            _positive(getattr(self, name), name)
         if self.fim_mode not in _FIM_MODES:
             raise ValueError(f"fim_mode must be one of {_FIM_MODES}")
 
 
 @dataclass
 class ScoringTrace:
-    iterates: list[GroupElement]
+    """One trial's run. Its iterates are recorded as raw matrices and
+    boxed, each a validated GroupElement, when read."""
+
+    descriptor: GroupDescriptor
+    matrices: list[np.ndarray]
     logliks: list[float]
-    step_norms: list[float]
-    grad_norms: list[float]
-    converged: bool
-    iterations_used: int
+    step_norms: list[float] = field(default_factory=list)
+    grad_norms: list[float] = field(default_factory=list)
+    converged: bool = False
+    iterations_used: int = 0
     max_drift: float = 0.0
 
     @property
+    def iterates(self) -> list[GroupElement]:
+        return [GroupElement(self.descriptor, M) for M in self.matrices]
+
+    @property
     def final(self) -> GroupElement:
-        return self.iterates[-1]
+        return GroupElement(self.descriptor, self.matrices[-1])
 
 
-def _fim_provider(model, g0: GroupElement, opts: ScoringOptions, random_state):
-    """Reduced FIM callable (k, g) for iterate k at g: analytic per
-    iterate (iterate 0 reuses the FIM at g0) when available, frozen
-    Monte-Carlo at g0 otherwise."""
-    if opts.fim_mode == MONTE_CARLO:
+def stack_summaries(summaries) -> tuple:
+    """One stacked summary from per-trial model summaries: each part gains
+    a leading trial axis. The first part is the observation counts."""
+    return tuple(np.array(parts) for parts in zip(*summaries))
 
-        def per_iterate_mc(k, g):
-            seed = None if random_state is None else [random_state, k + 1]
-            return fisher.fim(
+
+def _check_observations(summary) -> None:
+    """ValueError, before any step, when a trial's summary is not finite:
+    a NaN or inf observation would otherwise surface as a non-finite
+    iterate."""
+    if all(np.isfinite(part).all() for part in summary):
+        return
+    finite = np.logical_and.reduce(
+        [np.isfinite(part).reshape(len(part), -1).all(axis=1) for part in summary]
+    )
+    raise ValueError(
+        f"observations of trial {int(np.argmin(finite))} of the stack "
+        "have non-finite entries"
+    )
+
+
+def _child_seed(entropy, k: int):
+    """Seed of iterate k's Monte-Carlo FIM in a trial's entropy (an int or
+    a sequence of ints); None draws fresh entropy."""
+    return None if entropy is None else [*np.ravel(entropy).tolist(), k + 1]
+
+
+def _natural_step(model, G0, opts: ScoringOptions, entropies):
+    """Step rule F^-1 grad over a stack. The reduced FIM is analytic per
+    iterate (iterate 0 reuses the FIM at g0) or frozen at g0; without an
+    analytic FIM it is a Monte-Carlo estimate at g0, and in monte-carlo
+    mode one per iterate, each from its trial's own entropy. Each
+    distinct FIM array is checked once; a trial whose FIM has a
+    condition number above 1e12 leaves with DegenerateFimError."""
+    desc = model.struct.group
+
+    def monte_carlo(rows, G, seed_of):
+        return np.array([
+            fisher.fim(
                 model,
-                g,
+                GroupElement(desc, M),
                 fisher.REDUCED,
                 fisher.MC_GRADIENT,
                 opts.mc_fim_samples,
-                random_state=seed,
+                random_state=seed_of(entropies[r]),
             ).matrix
+            for r, M in zip(rows, G)
+        ])
 
-        return per_iterate_mc
-    F0 = model.fim_reduced(g0)
-    if F0 is None:
-        F0 = fisher.fim(
-            model,
-            g0,
-            fisher.REDUCED,
-            fisher.MC_GRADIENT,
-            opts.mc_fim_samples,
-            random_state=random_state,
-        ).matrix
-    elif opts.fim_mode == ANALYTIC:
-        return lambda k, g: F0 if k == 0 else model.fim_reduced(g)
-    return lambda k, g: F0
+    F0, per_iterate = None, False
+    if opts.fim_mode != MONTE_CARLO:
+        F0 = model.fim_reduced(G0)
+        per_iterate = F0 is not None and opts.fim_mode == ANALYTIC
+        if F0 is None:
+            F0 = monte_carlo(range(len(G0)), G0, lambda entropy: entropy)
+    checked = [None, None]  # the last FIM array checked, and its errors
+
+    def rule(k, rows, G, mean_grad):
+        # F0 and an invariant FIM are the same array at every iterate,
+        # (n, n) for every row or (B, n, n) by stack row; a per-iterate
+        # FIM is a new (A, n, n) array, one matrix per active row.
+        if F0 is None:
+            S = monte_carlo(rows, G, lambda entropy: _child_seed(entropy, k))
+        elif k > 0 and per_iterate:
+            S = model.fim_reduced(G)
+        else:
+            S = F0
+        if S is not checked[0]:
+            checked[:] = S, crb.conditioning_errors(S, DegenerateFimError, "reduced FIM at iterate")
+        errors = checked[1]
+        if S.ndim == 2:
+            errors = dict.fromkeys(range(len(rows)), errors[0]) if errors[0] else {}
+        else:
+            if S is F0:
+                S, errors = S[rows], [errors[r] for r in rows]
+            errors = {i: exc for i, exc in enumerate(errors) if exc}
+        if not errors:
+            return opts.step_scale * np.linalg.solve(S, mean_grad[..., None])[..., 0], {}
+        steps = np.full(mean_grad.shape, np.nan)
+        ok = np.array([i not in errors for i in range(len(rows))])
+        if ok.any():
+            F = S if S.ndim == 2 else S[ok]
+            steps[ok] = opts.step_scale * np.linalg.solve(F, mean_grad[ok, :, None])[..., 0]
+        return steps, errors
+
+    return rule
 
 
-def _apply_step(model, g: GroupElement, step_m: np.ndarray) -> tuple[GroupElement, float]:
+def _apply_steps(model, G, steps) -> tuple[np.ndarray, np.ndarray]:
+    """Retract each row's m-step side-aware: the next iterates and their
+    drift before projection; rows drifted past 1e-12 are polar-projected.
+    Raises ValueError, as boxing would, when an iterate is not finite or
+    not in the group."""
     struct = model.struct
-    coords = np.concatenate([np.zeros(struct.n_H), step_m])
-    step = groups._exp(struct.basis_matrix @ coords, struct.group)
-    g_next = GroupElement(struct.group, act(g.matrix, step, struct.side))
-    drift = groups.manifold_defect(g_next)
-    if drift > _DRIFT_LIMIT:
-        g_next = groups.polar_project(g_next)
-    return g_next, drift
+    desc = struct.group
+    coords = np.zeros((len(steps), desc.algebra_dim))
+    coords[:, struct.n_H :] = steps
+    E = groups._exp_stack((struct.basis_matrix @ coords[..., None])[..., 0], desc)
+    G_next = act(G, E, struct.side)
+    drift, errors = groups._membership_stack(G_next, desc)
+    drifted = drift > _DRIFT_LIMIT
+    if not errors and np.count_nonzero(drifted):
+        G_next[drifted] = [groups._polar(M, desc) for M in G_next[drifted]]
+        errors = groups._membership_stack(G_next[drifted], desc)[1]
+    if errors:
+        raise errors[min(errors)]
+    return G_next, drift
 
 
-def _ascend(
-    model,
-    observations,
-    g0: GroupElement,
-    step_rule,
-    max_iterations: int,
-    gradient_tolerance: float,
-) -> ScoringTrace:
-    """The one ascent loop: step = step_rule(k, g, mean m-gradient) is
-    retracted side-aware; stops once the step norm falls below the
-    tolerance (recorded, not applied) or after max_iterations applications.
-    Raises DivergenceError when the log-likelihood is not finite or drops
-    by more than 1e3 below its best value."""
+def _ascend(model, summary, G0, step_rule, max_iterations: int, gradient_tolerance: float):
+    """The one ascent loop, over a stack of trials: a row's step =
+    step_rule(k, rows, G, mean m-gradients) is retracted side-aware; the
+    row stops once its step norm falls below the tolerance (recorded, not
+    applied) or after max_iterations applications, and leaves with
+    DivergenceError when its log-likelihood is not finite or drops by
+    more than 1e3 below its best value. Returns per trial its
+    ScoringTrace, or the exception that ended it."""
     struct = model.struct
-    m = model.n_observations(observations)
-    summary = model.summarize(observations)
     gram_m = struct.gram[struct.n_H :, struct.n_H :]
+    _check_observations(summary)
+    ll = model.total_loglik(summary, G0).tolist()
+    traces = [ScoringTrace(struct.group, [M], [v]) for M, v in zip(G0, ll)]
+    outcome = list(traces)
+    best = list(ll)  # per trial, its best log-likelihood so far
+    # The stack rows still ascending, their summaries and iterates. The
+    # per-trial decisions below run on Python floats, one loop per step.
+    rows, part, G = np.arange(len(G0)), summary, G0
 
-    g = g0
-    trace = ScoringTrace(
-        iterates=[g0],
-        logliks=[model.total_loglik(summary, g0)],
-        step_norms=[],
-        grad_norms=[],
-        converged=False,
-        iterations_used=0,
-    )
+    def measure(k):
+        """Each active row's step and step norm, recorded in its trace;
+        a row whose step rule failed gets NaN and its exception."""
+        mean_grad = model.total_grad_m(part, G) / part[0][:, None]
+        steps, errors = step_rule(k, rows, G, mean_grad)
+        grad_norms = np.sqrt(np.vecdot(mean_grad, mean_grad)).tolist()
+        norms = np.sqrt(((steps[:, None, :] @ gram_m) @ steps[:, :, None])[:, 0, 0]).tolist()
+        for i, r in enumerate(rows.tolist()):
+            if i in errors:
+                outcome[r] = errors[i]
+            else:
+                traces[r].grad_norms.append(grad_norms[i])
+                traces[r].step_norms.append(norms[i])
+        return steps, norms, errors
 
-    def measure(k: int, point: GroupElement) -> np.ndarray:
-        mean_grad = model.total_grad_m(summary, point) / m
-        step = step_rule(k, point, mean_grad)
-        trace.grad_norms.append(float(np.linalg.norm(mean_grad)))
-        trace.step_norms.append(math.sqrt(float(step @ gram_m @ step)))
-        return step
+    def keep(going: list) -> bool:
+        """Narrow the stack to the rows at the positions going; False
+        when none is left."""
+        nonlocal rows, part, G
+        if len(going) < len(rows):
+            rows, part, G = rows[going], tuple(p[going] for p in part), G[going]
+        return bool(going)
 
     for k in range(max_iterations):
-        step = measure(k, g)
-        if trace.step_norms[-1] <= gradient_tolerance:
-            trace.converged = True
+        steps, norms, errors = measure(k)
+        going = []
+        for i, r in enumerate(rows.tolist()):
+            if norms[i] <= gradient_tolerance:
+                traces[r].converged = True
+            elif i not in errors:
+                going.append(i)
+        if not keep(going):
             break
-        g, drift = _apply_step(model, g, step)
-        trace.max_drift = max(trace.max_drift, drift)
-        ll = model.total_loglik(summary, g)
-        trace.iterates.append(g)
-        trace.logliks.append(ll)
-        if not math.isfinite(ll) or ll < max(trace.logliks) - _DIVERGENCE_DROP:
-            raise DivergenceError(
-                f"log-likelihood {ll:g} is not finite or dropped by more than "
-                f"{_DIVERGENCE_DROP:g}",
-                trace=trace,
-            )
+        G, drift = _apply_steps(model, G, steps[going])
+        ll = model.total_loglik(part, G).tolist()
+        going = []
+        for i, (r, v, dv) in enumerate(zip(rows.tolist(), ll, drift.tolist())):
+            trace = traces[r]
+            trace.max_drift = max(trace.max_drift, dv)
+            trace.matrices.append(G[i])
+            trace.logliks.append(v)
+            best[r] = max(best[r], v)
+            if not math.isfinite(v) or v < best[r] - _DIVERGENCE_DROP:
+                outcome[r] = DivergenceError(
+                    f"log-likelihood {v:g} is not finite or dropped by more than "
+                    f"{_DIVERGENCE_DROP:g}",
+                    trace=trace,
+                )
+            else:
+                going.append(i)
+        if not keep(going):
+            break
     else:
-        measure(max_iterations, g)
-        trace.converged = trace.step_norms[-1] <= gradient_tolerance
-    trace.iterations_used = len(trace.iterates) - 1
-    return trace
+        _, norms, errors = measure(max_iterations)
+        for i, r in enumerate(rows.tolist()):
+            traces[r].converged = i not in errors and norms[i] <= gradient_tolerance
+    for trace in traces:
+        trace.iterations_used = len(trace.matrices) - 1
+    return outcome
+
+
+def _one(outcome) -> ScoringTrace:
+    """The trace of a stack of one, or its failure raised."""
+    if isinstance(outcome[0], Exception):
+        raise outcome[0]
+    return outcome[0]
+
+
+def fisher_scoring_stack(
+    model,
+    summary,
+    G0,
+    opts: ScoringOptions | None = None,
+    random_states=None,
+) -> list:
+    """Natural-gradient maximum-likelihood iteration for a stack of
+    trials: summary from stack_summaries, G0 their (B, d, d) starting
+    matrices, random_states each trial's Monte-Carlo FIM entropy (an
+    int, a sequence of ints, or None). Returns per trial its
+    ScoringTrace, or the exception that ended it: DivergenceError, or
+    DegenerateFimError on a FIM with condition number above 1e12."""
+    opts = opts or ScoringOptions()
+    entropies = [None] * len(G0) if random_states is None else list(random_states)
+    return _ascend(
+        model,
+        summary,
+        G0,
+        _natural_step(model, G0, opts, entropies),
+        opts.max_iterations,
+        opts.gradient_tolerance,
+    )
 
 
 def fisher_scoring(
@@ -193,29 +333,10 @@ def fisher_scoring(
     Stops once the preconditioned step norm falls below the tolerance
     (recorded, not applied) or after max_iterations applications. Raises
     DegenerateFimError on a FIM with condition number above 1e12; each
-    distinct FIM array is checked once.
+    distinct FIM array is checked once. A stack of one.
     """
-    opts = opts or ScoringOptions()
-    provider = _fim_provider(model, g0, opts, random_state)
-    checked = [None]  # the last FIM whose conditioning passed
-
-    def natural_step(k: int, g: GroupElement, mean_grad: np.ndarray) -> np.ndarray:
-        F = provider(k, g)
-        # An invariant or frozen FIM comes back as the same array every
-        # iterate; a per-iterate FIM is a new array and is checked again.
-        if F is not checked[0]:
-            crb.check_conditioning(F, DegenerateFimError, "reduced FIM at iterate")
-            checked[0] = F
-        return opts.step_scale * np.linalg.solve(F, mean_grad)
-
-    return _ascend(
-        model,
-        observations,
-        g0,
-        natural_step,
-        opts.max_iterations,
-        opts.gradient_tolerance,
-    )
+    summary = stack_summaries([model.summarize(observations)])
+    return _one(fisher_scoring_stack(model, summary, g0.matrix[None], opts, [random_state]))
 
 
 def gradient_ascent(
@@ -228,17 +349,20 @@ def gradient_ascent(
     gradient_tolerance: float = 1e-10,
 ) -> ScoringTrace:
     """First-order baseline g <- g exp((alpha_k Pi' grad / m)^) with
-    alpha_k = step0 decay^k; needs tuning, unlike Fisher scoring."""
-    if step0 <= 0:
-        raise ValueError("step0 must be positive")
-    if not (0.0 < decay <= 1.0):
-        raise ValueError("decay must be in (0, 1]")
+    alpha_k = step0 decay^k; needs tuning, unlike Fisher scoring. The
+    arguments are checked as ScoringOptions checks its own."""
+    _positive(step0, "step0")
+    if isinstance(decay, bool) or not (0.0 < decay <= 1.0):
+        raise ValueError(f"decay must be in (0, 1], got {decay!r}")
+    max_iterations = _count(max_iterations, "max_iterations")
+    _positive(gradient_tolerance, "gradient_tolerance")
 
-    def decayed_step(k: int, g: GroupElement, mean_grad: np.ndarray) -> np.ndarray:
-        return step0 * decay**k * mean_grad
+    def decayed_step(k, rows, G, mean_grad):
+        return step0 * decay**k * mean_grad, {}
 
-    return _ascend(
-        model, observations, g0, decayed_step, max_iterations, gradient_tolerance
+    summary = stack_summaries([model.summarize(observations)])
+    return _one(
+        _ascend(model, summary, g0.matrix[None], decayed_step, max_iterations, gradient_tolerance)
     )
 
 

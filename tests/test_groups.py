@@ -569,7 +569,7 @@ def test_product_drift_reports_largest_factor_defect(rng):
 
 def test_product_exp_log_polar_check_each_factor_once(rng, monkeypatch):
     """A product's exp, log and polar projection run on raw factor
-    blocks: only the boxed result is checked, once per factor."""
+    blocks: only the boxed result is checked, its factors as one stack."""
     prod = groups.product_group([groups.se2()] * 5)
     X = groups.random_algebra_vector(prod, rng, 0.5)
     g = groups.exp(X)
@@ -588,9 +588,9 @@ def test_product_exp_log_polar_check_each_factor_once(rng, monkeypatch):
         fn(arg)
         return len(calls)
 
-    assert count(groups.exp, X) == 5
+    assert count(groups.exp, X) == 1
     assert count(groups.log, g) == 0
-    assert count(groups.polar_project, drifted) == 5
+    assert count(groups.polar_project, drifted) == 1
 
 
 def test_product_inverse_matches_dense_inverse(rng):

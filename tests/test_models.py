@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from homcrb import crb, fisher, groups, homspace
+from homcrb import crb, fisher, groups, homspace, scoring
 from homcrb.exceptions import ConfigError, DegenerateModelError, DomainError
 from homcrb.groups import AlgebraVector
 from homcrb.models import (
@@ -336,7 +336,7 @@ def test_network_edge_kernels_match_per_edge_reference():
     for op in ("rivf", "livf"):
         translated = homspace.translate_directions(dirs, g, "rivf", op)
         ref = _scalar_edge_sensitivities(model, g, translated)
-        sens = model._terms(g, translated)
+        sens = model._terms(g.matrix, translated)
         assert np.abs(sens - ref).max() <= 1e-12 * np.abs(ref).max()
         grad = model.analytic_gradient_batch(x, g, dirs, op)
         grad_ref = np.einsum("me,de,e->md", resid, ref, w)
@@ -376,7 +376,7 @@ def test_network_memory_stays_per_factor():
     tracemalloc.start()
     try:
         model = NetworkModel(p, edges, 0.1)
-        model.fim_reduced(model.reference_element())
+        model.fim_reduced(model.reference_element().matrix[None])
         crb.delta_matrix(errors, model.struct)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -462,7 +462,7 @@ def test_spd_model_grad_matches_fd(spd3, rng):
 
 def test_spd_reduced_fim_is_two_identity(spd3, rng):
     g = groups.random_element(spd3.descriptor, rng, 0.5)
-    F = spd3.fim_reduced(g)
+    F = spd3.fim_reduced(g.matrix[None])
     assert np.abs(F - 2.0 * np.eye(spd3.struct.n_Theta)).max() <= 1e-12
 
 
@@ -500,11 +500,11 @@ def test_cached_reduced_fim_is_the_fim_at_every_g(name, rng):
     model = INVARIANT_FIM_MODELS[name]()
     fresh = INVARIANT_FIM_MODELS[name]()
     op = natural_operator(model.side)
-    first = model.fim_reduced(groups.random_element(model.descriptor, rng, 0.5))
+    first = model.fim_reduced(groups.random_element(model.descriptor, rng, 0.5).matrix[None])
     assert not first.flags.writeable
     for _ in range(20):
         g = groups.random_element(model.descriptor, rng, 1.0)
-        F = model.fim_reduced(g)
+        F = model.fim_reduced(g.matrix[None])
         assert F is first
         expected = fresh.analytic_fim(g, fresh.struct.m_basis, op)
         assert np.abs(F - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -517,12 +517,13 @@ def test_zero_noise_landmark_fim_raises_on_every_use(rng):
     g = groups.random_element(groups.se3(), rng, 0.5)
     for _ in range(2):
         with pytest.raises(DomainError):
-            model.fim_reduced(g)
+            model.fim_reduced(g.matrix[None])
 
 
 def test_network_fim_is_computed_per_iterate(triangle_network):
     g = triangle_network.reference_element()
-    assert triangle_network.fim_reduced(g) is not triangle_network.fim_reduced(g)
+    G = g.matrix[None]
+    assert triangle_network.fim_reduced(G) is not triangle_network.fim_reduced(G)
 
 
 # ---------------------------------------------------------------------------
@@ -566,12 +567,12 @@ def test_sufficient_statistics_match_per_observation_sums(name, rng):
         g_true = groups.random_element(model.descriptor, rng, 0.4)
     g = g_true @ groups.random_element(model.descriptor, rng, 0.3)
     x = model.sample(g_true, 50, rng)
-    summary = model.summarize(x)
+    summary = scoring.stack_summaries([model.summarize(x)])
     ll = np.sum(model.loglik_batch(x, g))
-    assert abs(model.total_loglik(summary, g) - ll) <= 1e-12 * abs(ll)
+    assert abs(model.total_loglik(summary, g.matrix[None])[0] - ll) <= 1e-12 * abs(ll)
     op = natural_operator(model.side)
     grad = model.gradient_batch(x, g, model.struct.m_basis, op).sum(axis=0)
-    dev = np.abs(model.total_grad_m(summary, g) - grad).max()
+    dev = np.abs(model.total_grad_m(summary, g.matrix[None])[0] - grad).max()
     assert dev <= 1e-12 * np.abs(grad).max()
 
 

@@ -119,16 +119,19 @@ def test_drifted_start_is_projected_on_the_first_step(landmark_two):
 def test_nan_step_is_rejected_at_the_box(landmark_two):
     step = np.full(landmark_two.struct.n_Theta, np.nan)
     with pytest.raises(ValueError, match="non-finite"):
-        scoring._apply_step(landmark_two, landmark_truth(), step)
+        scoring._apply_steps(landmark_two, landmark_truth().matrix[None], step[None])
 
 
 def test_scoring_boxes_one_element_per_step(landmark_two, built_elements):
+    """The loop boxes nothing: an iterate is boxed when it is read."""
     obs = landmark_two.sample(landmark_truth(), 100, np.random.default_rng(6))
     g0 = groups.identity_element(groups.se3())
     before = built_elements[0]
     trace = scoring.fisher_scoring(landmark_two, obs, g0)
     assert trace.iterations_used >= 3 and trace.max_drift <= 1e-12
-    assert built_elements[0] - before == trace.iterations_used
+    assert built_elements[0] - before == 0
+    trace.final
+    assert built_elements[0] - before == 1
 
 
 def test_determinism_bit_identical(landmark_two):
@@ -182,12 +185,12 @@ class StubFimModel(GaussianMeanModel):
         self.fim_at = fim_at
         self.measured = 0
 
-    def fim_reduced(self, g):
-        return self.fim_at(g)
+    def fim_reduced(self, G):
+        return self.fim_at(G)
 
-    def total_grad_m(self, summary, g):
+    def total_grad_m(self, summary, G):
         self.measured += 1
-        return super().total_grad_m(summary, g)
+        return super().total_grad_m(summary, G)
 
 
 WELL_CONDITIONED = groups._frozen(np.eye(2))
@@ -200,7 +203,9 @@ def test_conditioning_guard_fires_when_the_fim_turns_singular(fresh, rng):
         return F.copy() if fresh else F
 
     g0 = GaussianMeanModel(2).element([0.0, 0.0])
-    model = StubFimModel(lambda g: pick(WELL_CONDITIONED if g is g0 else SINGULAR))
+    model = StubFimModel(
+        lambda G: pick(WELL_CONDITIONED if np.array_equal(G, g0.matrix[None]) else SINGULAR)
+    )
     obs = model.sample(model.element([2.0, -1.0]), 30, rng)
     with pytest.raises(DegenerateFimError):
         scoring.fisher_scoring(model, obs, g0)
@@ -208,7 +213,7 @@ def test_conditioning_guard_fires_when_the_fim_turns_singular(fresh, rng):
 
 
 def test_conditioning_guard_fires_on_a_constant_singular_fim(rng):
-    model = StubFimModel(lambda g: SINGULAR)
+    model = StubFimModel(lambda G: SINGULAR)
     obs = model.sample(model.element([2.0, -1.0]), 30, rng)
     with pytest.raises(DegenerateFimError):
         scoring.fisher_scoring(model, obs, model.element([0.0, 0.0]))
@@ -273,8 +278,12 @@ def test_rotation_defect_runs_once_per_element(landmark_two, monkeypatch):
     defects = count_calls(monkeypatch, groups, "_rotation_defect")
     built = count_calls(monkeypatch, groups.GroupElement, "__post_init__")
     trace = scoring.fisher_scoring(landmark_two, obs, g0)
-    assert trace.iterations_used >= 3
-    assert built[0] > 0 and defects[0] == built[0]
+    assert trace.iterations_used >= 3 and trace.max_drift <= 1e-12
+    # The loop measures each new iterate once and boxes none.
+    assert built[0] == 0 and defects[0] == trace.iterations_used
+    trace.iterates
+    assert built[0] == len(trace.matrices)
+    assert defects[0] == trace.iterations_used + built[0]
 
 
 def test_network_fim_is_checked_every_iterate(triangle_network, monkeypatch):
@@ -292,10 +301,10 @@ def test_network_fim_is_checked_every_iterate(triangle_network, monkeypatch):
     defects = count_calls(monkeypatch, groups, "_rotation_defect")
     monkeypatch.setattr(groups.GroupElement, "__post_init__", tally)
     trace = scoring.fisher_scoring(triangle_network, obs, g)
-    assert len(trace.step_norms) >= 3
+    assert len(trace.step_norms) >= 3 and trace.max_drift <= 1e-12
     assert conds[0] == fims[0] == len(trace.step_norms)
-    # One rotation block per SE(2) element, one per factor of a product.
-    assert defects[0] == sum(max(1, len(d.factors)) for d in families)
+    # Nothing is boxed, and each iterate's factors are checked as one stack.
+    assert families == [] and defects[0] == trace.iterations_used
     frozen = scoring.fisher_scoring(
         triangle_network, obs, g, scoring.ScoringOptions(fim_mode="frozen-at-initial")
     )
@@ -321,7 +330,9 @@ def test_divergence_guard_catches_non_finite_loglik(rng):
     obs = model.sample(model.element([2.0]), 40, rng)
     finite = model.total_loglik
     # Stub: the log-likelihood turns NaN once the iterate leaves g0.
-    model.total_loglik = lambda s, g: finite(s, g) if g is g0 else float("nan")
+    model.total_loglik = lambda s, G: np.where(
+        (G == g0.matrix).all(axis=(-2, -1)), finite(s, G), np.nan
+    )
     runs = (
         lambda: scoring.fisher_scoring(model, obs, g0),
         lambda: scoring.gradient_ascent(model, obs, g0, step0=0.5),
@@ -384,6 +395,50 @@ def test_gradient_ascent_parameter_validation(landmark_two):
         scoring.gradient_ascent(landmark_two, obs, g, step0=0.0)
     with pytest.raises(ValueError):
         scoring.gradient_ascent(landmark_two, obs, g, step0=0.1, decay=1.5)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"step0": math.nan},
+        {"step0": math.inf},
+        {"step0": True},
+        {"decay": math.nan},
+        {"decay": True},
+        {"max_iterations": 0},
+        {"max_iterations": True},
+        {"max_iterations": 2.5},
+        {"gradient_tolerance": 0.0},
+        {"gradient_tolerance": math.nan},
+    ],
+    ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+)
+def test_gradient_ascent_validates_like_scoring_options(landmark_two, bad):
+    """The rules of ScoringOptions: finite positive numbers, integer
+    counts >= 1, no bools, refused before any step."""
+    g = landmark_truth()
+    obs = landmark_two.sample(g, 10, np.random.default_rng(14))
+    with pytest.raises(ValueError):
+        scoring.gradient_ascent(landmark_two, obs, g, **{"step0": 0.1, **bad})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("kind", ["landmark", "spd"])
+def test_non_finite_observations_are_refused_before_the_first_step(kind, value, spd3):
+    """The error names the observations, not the iterate; and no
+    RuntimeWarning comes first (the suite turns those into errors)."""
+    if kind == "landmark":
+        model = LandmarkModel([[1.0, 0.0, 0.0], [0.0, 1.0, 0.3]])
+        g_true, g0 = landmark_truth(), groups.identity_element(groups.se3())
+    else:
+        model, g0 = spd3, groups.identity_element(spd3.descriptor)
+        g_true = groups.GroupElement(model.descriptor, np.diag([1.2, 0.9, 1.4]))
+    obs = model.sample(g_true, 50, np.random.default_rng(21))
+    obs[7].flat[1] = value
+    with pytest.raises(ValueError, match="observations"):
+        scoring.fisher_scoring(model, obs, g0)
+    with pytest.raises(ValueError, match="observations"):
+        scoring.gradient_ascent(model, obs, g0, step0=0.1)
 
 
 # ---------------------------------------------------------------------------
