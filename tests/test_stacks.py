@@ -290,7 +290,9 @@ def test_a_diverging_row_raises_alone_through_fisher_scoring(rng):
         assert np.array_equal(outcome[i].final.matrix, alone.final.matrix)
 
 
-def test_a_lift_at_the_cut_locus_leaves_the_stack_alone(rng):
+def sphere_estimates(rng):
+    """A reference rotation and four S^2 estimates of it, of which 1 and 2
+    fail their lift."""
     s2 = homspace.sphere_structure()
     g = groups.random_element(groups.so3(), rng, 0.5)
     flip = groups.GroupElement(groups.so3(), np.diag([1.0, -1.0, -1.0]))
@@ -303,6 +305,11 @@ def test_a_lift_at_the_cut_locus_leaves_the_stack_alone(rng):
         g @ far,  # nearly antipodal coset: the lift does not converge
         g @ groups.exp(s2.from_coords(np.array([0.0, -0.1, 0.5]))),
     ]
+    return s2, g, ests
+
+
+def test_a_lift_at_the_cut_locus_leaves_the_stack_alone(rng):
+    s2, g, ests = sphere_estimates(rng)
     lifted = homspace.coset_errors(g, np.array([e.matrix for e in ests]), s2)
     assert sorted(lifted.errors) == [1, 2]
     assert isinstance(lifted.errors[1].__cause__, CutLocusError)
@@ -319,6 +326,48 @@ def test_a_lift_at_the_cut_locus_leaves_the_stack_alone(rng):
         assert ce.iterations == lifted.iterations[i]
     with pytest.raises(LiftFailureError, match="trial 1"):
         crb.estimator_stats(g, ests, s2)
+
+
+def test_a_trial_alone_lifts_like_the_stack(rng):
+    s2, g, ests = sphere_estimates(rng)
+    traces = [scoring.ScoringTrace(groups.so3(), [e.matrix], [0.0]) for e in ests]
+    eta, raw, errors = experiments._lift(g, traces, s2, alone=False)
+    assert sorted(errors) == [1, 2]
+    for i, trace in enumerate(traces):
+        eta_1, raw_1, errors_1 = experiments._lift(g, [trace], s2, alone=True)
+        if i in errors:
+            assert type(errors_1[0]) is type(errors[i])
+            assert str(errors_1[0]) == str(errors[i])
+        else:
+            assert errors_1 == {}
+            assert np.array_equal(eta_1[0], eta[i])
+            assert np.array_equal(raw_1[0], raw[i])
+
+
+def test_fewer_trials_than_a_stack_run_through_fisher_scoring(monkeypatch):
+    calls = []
+    one_trial = scoring.fisher_scoring
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return one_trial(*args, **kwargs)
+
+    monkeypatch.setattr(scoring, "fisher_scoring", counted)
+    doc = {"experiment": "landmark", "seed": 3, "m_values": [10, 100], "workers": 1}
+    texts = {}
+    for n in (experiments._MIN_STACK - 1, experiments._MIN_STACK):
+        calls.clear()
+        texts[n] = experiments.run_landmark_experiment(
+            load_config({**doc, "n_trials": n})
+        ).to_csv_text()
+        assert len(calls) == (2 * n if n < experiments._MIN_STACK else 0)
+
+    def trial_rows(text, n):
+        return [l for l in text.splitlines() if l.startswith("trial,") and int(l.split(",")[2]) < n]
+
+    n = experiments._MIN_STACK - 1
+    assert trial_rows(texts[n], n) == trial_rows(texts[n + 1], n)
+    assert len(trial_rows(texts[n], n)) == 2 * n
 
 
 class SingularAt(GaussianMeanModel):
