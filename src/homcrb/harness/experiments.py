@@ -253,14 +253,16 @@ def _estimation_stack(ctx, kind: str, seed: int, m_index: int, m: int, trials) -
         return kept
 
     def score(g0: GroupElement, start: int) -> list:
-        """Traces of the live rows from g0, each trial's Monte-Carlo FIM
-        entropy (seed, m_index, trial, start)."""
+        """(stack row, trace) of each live row that scores from g0, with
+        each trial's Monte-Carlo FIM entropy (seed, m_index, trial,
+        start); the rows that fail leave live."""
         if not len(live):
             return []
         entropies = [(seed, m_index, trials[i], start) for i in live]
         if alone:
             try:
-                return [scoring.fisher_scoring(model, observations, g0, opts, entropies[0])]
+                trace = scoring.fisher_scoring(model, observations, g0, opts, entropies[0])
+                return [(live[0], trace)]
             except _TRIAL_FAILURES as exc:
                 outcome = [exc]
         else:
@@ -272,13 +274,13 @@ def _estimation_stack(ctx, kind: str, seed: int, m_index: int, m: int, trials) -
                 entropies,
             )
         kept = drop({i: o for i, o in enumerate(outcome) if isinstance(o, Exception)})
-        return list(itertools.compress(outcome, kept))
+        return list(zip(live, itertools.compress(outcome, kept)))
 
     if kind == "spd":
         x2 = summary[1]
         errors = crb.conditioning_errors(x2, DegenerateFimError, "sample second moment")
         drop({i: exc for i, exc in enumerate(errors) if exc})
-        for i, trace in zip(live, score(inits[0], 0)):
+        for i, trace in score(inits[0], 0):
             final = trace.matrices[-1]
             rows[i].update(
                 frobenius_gap=float(np.linalg.norm(final @ final.T - x2[i])),
@@ -286,14 +288,16 @@ def _estimation_stack(ctx, kind: str, seed: int, m_index: int, m: int, trials) -
                 loglik=trace.logliks[-1],
             )
         return rows
-    traces = score(inits[0], 0)
-    if not traces:
+    scored = score(inits[0], 0)
+    if not scored:
         return rows
-    eta_struct, raw_errors, errors = _lift(g_true, traces, model.struct, alone)
+    eta_struct, raw_errors, errors = _lift(
+        g_true, [trace for _, trace in scored], model.struct, alone
+    )
     kept = drop(errors)
-    traces = list(itertools.compress(traces, kept))
     n_H = model.struct.n_H
-    for i, trace, eta, raw in zip(live, traces, eta_struct[kept], raw_errors[kept]):
+    finals = {}  # per live row, its final estimate from each starting point
+    for (i, trace), eta, raw in itertools.compress(zip(scored, eta_struct, raw_errors), kept):
         rows[i].update(
             coset_err_sq=float(np.sum(eta[n_H:] ** 2)),
             g_err_sq=float(raw @ raw),
@@ -301,10 +305,10 @@ def _estimation_stack(ctx, kind: str, seed: int, m_index: int, m: int, trials) -
             loglik=trace.logliks[-1],
             eta=tuple(float(v) for v in eta),
         )
+        finals[i] = [trace.matrices[-1]]
     if kind == "landmark" and len(inits) > 1:
-        finals = {i: [trace.matrices[-1]] for i, trace in zip(live, traces)}
         for start, g0 in enumerate(inits[1:], 1):
-            for i, trace in zip(live, score(g0, start)):
+            for i, trace in score(g0, start):
                 finals[i].append(trace.matrices[-1])
         for i in live:
             try:

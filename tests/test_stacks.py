@@ -18,7 +18,7 @@ from homcrb.exceptions import (
 )
 from homcrb.groups import AlgebraVector
 from homcrb.harness import experiments, load_config
-from homcrb.models import GaussianMeanModel, LandmarkModel
+from homcrb.models import GaussianMeanModel, LandmarkModel, SpdModel
 
 PROPERTY = settings(deadline=None, max_examples=100)
 
@@ -267,6 +267,70 @@ def test_a_diverging_trial_leaves_the_stack_alone():
     assert [r for i, r in enumerate(stacked) if i != 3] == [
         r for i, r in enumerate(clean) if i != 3
     ]
+
+
+class DivergingSpd(SpdModel):
+    """An SPD model whose log-likelihood turns -inf after the first step
+    for the trial whose sample second moment starts with `marker`."""
+
+    marker = None
+
+    def total_loglik(self, summary, G):
+        ll = super().total_loglik(summary, G)
+        moved = ~(G == np.eye(self.n)).all(axis=(-2, -1))
+        return np.where((summary[1][:, 0, 0] == self.marker) & moved, -np.inf, ll)
+
+
+def test_a_diverging_spd_trial_leaves_the_stack_alone():
+    ctx, seed = context({"experiment": "spd", "seed": 6})
+    model, g_true, inits, opts = ctx
+    diverging = DivergingSpd(model.n)
+    rng = np.random.default_rng([seed, 0, 2])
+    diverging.marker = diverging.summarize(diverging.sample(g_true, 50, rng))[1][0, 0]
+    ctx = (diverging, g_true, inits, opts)
+    trials = list(range(6))
+    stacked = stack_rows(ctx, "spd", seed, 0, 50, trials)
+    alone = alone_rows(ctx, "spd", seed, 0, 50, trials)
+    assert stacked[2]["status"] == alone[2]["status"] == "failed:DivergenceError"
+    assert stacked == alone
+    clean = stack_rows((model, g_true, inits, opts), "spd", seed, 0, 50, trials)
+    assert [r for i, r in enumerate(stacked) if i != 2] == [
+        r for i, r in enumerate(clean) if i != 2
+    ]
+    assert all("frobenius_gap" in r for i, r in enumerate(stacked) if i != 2)
+
+
+def test_a_trial_diverging_from_a_later_start_leaves_the_stack_alone(monkeypatch):
+    """Trial 2 diverges from the second starting point only: its row
+    fails and every other row keeps its own multistart spread."""
+    stack, one = scoring.fisher_scoring_stack, scoring.fisher_scoring
+
+    def forced(entropy):
+        return tuple(entropy[2:]) == (2, 1)
+
+    def stack_diverging(model, summary, G0, opts=None, random_states=None):
+        outcome = stack(model, summary, G0, opts, random_states)
+        return [DivergenceError("forced") if forced(e) else o
+                for o, e in zip(outcome, random_states)]
+
+    def one_diverging(model, observations, g0, opts=None, random_state=None):
+        if forced(random_state):
+            raise DivergenceError("forced")
+        return one(model, observations, g0, opts, random_state)
+
+    ctx, seed = context({"experiment": "landmark", "seed": 7, "landmark": MULTISTART})
+    trials = list(range(6))
+    clean = stack_rows(ctx, "landmark", seed, 0, 100, trials)
+    monkeypatch.setattr(scoring, "fisher_scoring_stack", stack_diverging)
+    monkeypatch.setattr(scoring, "fisher_scoring", one_diverging)
+    stacked = stack_rows(ctx, "landmark", seed, 0, 100, trials)
+    alone = alone_rows(ctx, "landmark", seed, 0, 100, trials)
+    assert stacked[2]["status"] == alone[2]["status"] == "failed:DivergenceError"
+    assert stacked == alone
+    assert [r for i, r in enumerate(stacked) if i != 2] == [
+        r for i, r in enumerate(clean) if i != 2
+    ]
+    assert all("multistart_max_coset" in r for i, r in enumerate(stacked) if i != 2)
 
 
 def test_a_diverging_row_raises_alone_through_fisher_scoring(rng):
