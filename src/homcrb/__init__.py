@@ -15,7 +15,6 @@ from .exceptions import (
     LiftFailureError,
     NotInAlgebraError,
     SubalgebraError,
-    UnsupportedMethodError,
 )
 from .groups import AlgebraVector, GroupDescriptor, GroupElement, PsiMatrix
 from .homspace import CosetError, ReductiveStructure, Side
@@ -41,7 +40,6 @@ __all__ = [
     "ReductiveStructure",
     "Side",
     "SubalgebraError",
-    "UnsupportedMethodError",
     "__version__",
     "crb",
     "fisher",

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fisher, groups, scoring
-from .exceptions import DegenerateModelError, LiftFailureError, UnsupportedMethodError
+from .exceptions import DegenerateModelError, LiftFailureError
 from .groups import GroupElement
 from .homspace import (
+    COND_LIMIT,
     ReductiveStructure,
     Side,
     coset_errors,
@@ -31,7 +32,6 @@ from .homspace import (
 log = logging.getLogger("homcrb.crb")
 
 PINV_RCOND = 1e-10
-COND_LIMIT = 1e12
 
 
 def conditioning_errors(
@@ -266,8 +266,6 @@ def efficiency_residual(
     stats = estimator_stats(g_ref, estimates, struct)
     phi = phi_matrix(stats)
     F1 = model.fim_reduced(g_ref.matrix[None])
-    if F1 is None:
-        raise UnsupportedMethodError("model provides no analytic reduced FIM")
     F1 = F1 if F1.ndim == 2 else F1[0]
     Pi = selector_pi(struct)
     core = phi @ Pi.T

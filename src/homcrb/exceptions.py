@@ -2,7 +2,8 @@
 
 The CLI maps these onto exit codes: ConfigError -> 2,
 DegenerateModelError/DegenerateFimError -> 3, numerical failures
-(LiftFailureError, DivergenceError, CutLocusError, EvaluationError) -> 4.
+(CutLocusError, DivergenceError, DomainError, EvaluationError,
+LiftFailureError, NotInAlgebraError) -> 4.
 """
 
 
@@ -45,10 +46,6 @@ class LiftFailureError(HomCrbError):
         super().__init__(message)
         self.iterations = iterations
         self.residual = residual
-
-
-class UnsupportedMethodError(HomCrbError):
-    """Requested an analytic quantity the model does not provide."""
 
 
 class DegenerateModelError(HomCrbError):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groups
-from .exceptions import UnsupportedMethodError
 from .groups import GroupElement
 from .homspace import LIVF, RIVF, ReductiveStructure, Side, act, natural_operator
 
@@ -79,24 +78,19 @@ def fim(
     """E[D_i l D_j l] over the frame's directions.
 
     Analytic dispatches to the model; the Monte-Carlo gradient form
-    averages outer products of per-draw gradients over common draws,
-    which keeps the estimate positive semidefinite exactly.
+    averages outer products of per-draw analytic scores over common
+    draws, which keeps the estimate positive semidefinite exactly.
     """
     directions, op = frame_directions(model.struct, frame)
     if method == ANALYTIC:
-        F = model.analytic_fim(g, directions, op)
-        if F is None:
-            raise UnsupportedMethodError(
-                f"{type(model).__name__} provides no analytic FIM"
-            )
-        return FimMatrix(frame, g, F, ANALYTIC, 0)
+        return FimMatrix(frame, g, model.analytic_fim(g, directions, op), ANALYTIC, 0)
     if method != MC_GRADIENT:
         raise ValueError(f"unknown FIM method {method!r}")
     if n_samples < 1:
         raise ValueError("Monte-Carlo estimation needs n_samples >= 1")
     rng = np.random.default_rng(random_state)
     draws = model.sample(g, n_samples, rng)
-    G = model.gradient_batch(draws, g, directions, op)
+    G = model.analytic_gradient_batch(draws, g, directions, op)
     return FimMatrix(frame, g, (G.T @ G) / n_samples, MC_GRADIENT, n_samples)
 
 
@@ -137,9 +131,9 @@ def fim_hessian(
 
 def grad_loglik(model, x, g: GroupElement) -> np.ndarray:
     """Gradient of l(x|.) at g along the m-basis invariant vector fields
-    (LIVFs on G/H, RIVFs on H\\G); analytic when available."""
+    (LIVFs on G/H, RIVFs on H\\G), from the model's analytic score."""
     directions, op = frame_directions(model.struct, REDUCED)
-    G = model.gradient_batch(model._as_batch(x), g, directions, op)
+    G = model.analytic_gradient_batch(model._as_batch(x), g, directions, op)
     return G[0]
 
 

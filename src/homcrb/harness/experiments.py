@@ -477,7 +477,6 @@ def run_network_experiment(config: ExperimentConfig) -> MonteCarloReport:
             fim_lambda_min=lam_min_fim, rigidity_lambda_min_nonzero=lam_min_nonzero
         )
     report.metadata["rigidity-spectrum"] = ",".join(repr(float(v)) for v in spectrum)
-    report.extras["rigidity_spectrum"] = spectrum
     return report
 
 

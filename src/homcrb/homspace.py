@@ -61,6 +61,8 @@ _LIFT_MAX_ITER = 100
 # Ad_H invariance: unit m-directions tested per sampled h, and the tolerance.
 _ADH_DIRECTIONS = 20
 _ADH_TOL = 1e-8
+# Condition number above which a basis or a FIM is numerically singular.
+COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +89,7 @@ class ReductiveStructure:
         if not 0 <= self.n_H <= n_G:
             raise ValueError(f"n_H = {self.n_H} outside [0, {n_G}]")
         cond = np.linalg.cond(B)
-        if not np.isfinite(cond) or cond > 1e12:
+        if not np.isfinite(cond) or cond > COND_LIMIT:
             raise ValueError(f"adapted basis is singular (condition {cond:.3e})")
         gram = np.eye(n_G) if self.gram is None else self.gram
         object.__setattr__(self, "basis", B)

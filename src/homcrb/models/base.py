@@ -49,11 +49,15 @@ __all__ = [
 
 
 class ModelBase:
-    """Default plumbing over the required per-model methods.
+    """Shared plumbing of a model given by its analytic formulas.
 
-    Subclasses must set .descriptor and .struct and implement
-    sample(g, m, rng), loglik_batch(x, g), and (optionally) the analytic
-    methods analytic_gradient_batch / analytic_fim.
+    Subclasses set .descriptor and .struct and implement sample(g, m,
+    rng); summarize(x), a sufficient statistic led by the observation
+    count; loglik_batch(x, g); total_loglik(summary, G) and
+    total_grad_m(summary, G) over a stack; analytic_gradient_batch(x, g,
+    directions, op); analytic_fim(g, directions, op); and, unless
+    invariant_fim is set, _fim_stack(G), the reduced FIM at each matrix
+    of a (B, d, d) stack.
     """
 
     descriptor: groups.GroupDescriptor
@@ -68,13 +72,8 @@ class ModelBase:
     def side(self) -> Side:
         return self.struct.side
 
-    # -- observations ----------------------------------------------------
-
     def sample(self, g: GroupElement, m: int, rng: np.random.Generator):
         raise NotImplementedError
-
-    def n_observations(self, observations) -> int:
-        return len(observations)
 
     def loglik_batch(self, observations, g: GroupElement) -> np.ndarray:
         raise NotImplementedError
@@ -85,83 +84,28 @@ class ModelBase:
     def _as_batch(self, x):
         return np.asarray(x, dtype=float)[None, ...]
 
-    def summarize(self, observations):
-        """Sufficient statistic for the total likelihood and gradient,
-        led by the observation count; default is the raw observations."""
-        return self.n_observations(observations), np.asarray(observations, dtype=float)
-
-    def _element(self, M) -> GroupElement:
-        return GroupElement(self.descriptor, M)
-
-    def total_loglik(self, summary, G) -> np.ndarray:
-        """(B,) total log-likelihoods, one per trial of a stacked summary
-        at the matching matrix of G; the default loops over the trials."""
-        return np.array(
-            [np.sum(self.loglik_batch(x, self._element(M))) for x, M in zip(summary[1], G)]
-        )
-
-    # -- analytic derivatives (optional) ----------------------------------
-
-    def analytic_gradient_batch(
-        self, observations, g: GroupElement, directions, op: str
-    ) -> np.ndarray | None:
-        return None
-
-    def analytic_fim(self, g: GroupElement, directions, op: str) -> np.ndarray | None:
-        return None
-
-    # -- derived conveniences ---------------------------------------------
-
-    def gradient_batch(
-        self, observations, g: GroupElement, directions, op: str
-    ) -> np.ndarray:
-        """(n_obs, n_directions) derivative array; analytic if available,
-        vectorized central differences otherwise."""
-        out = self.analytic_gradient_batch(observations, g, directions, op)
-        if out is not None:
-            return out
-        return self._fd_gradient_batch(observations, g, directions, op)
-
     def _fd_gradient_batch(self, observations, g, directions, op):
+        """Central-difference reference for analytic_gradient_batch."""
         h = groups.default_step(g)
         loglik = partial(self.loglik_batch, observations)
         return np.column_stack(
             [groups.central_difference(loglik, g, d, h, op) for d in directions]
         )
 
-    def total_grad_m(self, summary, G) -> np.ndarray:
-        """(B, n_Theta): per trial, the sum over its observations of the
-        m-basis gradient (natural operator of the model's side). The
-        default loops over the trials; subclasses override with
-        sufficient-statistic stack formulas."""
-        op = natural_operator(self.side)
-        return np.array(
-            [
-                self.gradient_batch(x, self._element(M), self.struct.m_basis, op).sum(axis=0)
-                for x, M in zip(summary[1], G)
-            ]
-        )
-
-    def fim_reduced(self, G) -> np.ndarray | None:
+    def fim_reduced(self, G) -> np.ndarray:
         """Single-observation reduced FIM over the m-basis at each matrix
-        of a (B, d, d) stack, if analytic. With invariant_fim it is one
-        read-only (n, n) array for every row, computed once per model;
-        otherwise a (B, n, n) stack."""
+        of a (B, d, d) stack. With invariant_fim it is one read-only
+        (n, n) array for every row, computed once per model; otherwise a
+        (B, n, n) stack."""
         if self._reduced_fim is not None:
             return self._reduced_fim
         if not self.invariant_fim:
             return self._fim_stack(G)
         F = self.analytic_fim(
-            self._element(G[0]), self.struct.m_basis, natural_operator(self.side)
+            GroupElement(self.descriptor, G[0]), self.struct.m_basis, natural_operator(self.side)
         )
-        if F is not None:
-            F = self._reduced_fim = groups._frozen(F)
-        return F
-
-    def _fim_stack(self, G) -> np.ndarray | None:
-        op = natural_operator(self.side)
-        fims = [self.analytic_fim(self._element(M), self.struct.m_basis, op) for M in G]
-        return None if fims[0] is None else np.array(fims)
+        self._reduced_fim = groups._frozen(F)
+        return self._reduced_fim
 
 
 def whitened_gram(terms, sigma) -> np.ndarray:

@@ -129,32 +129,14 @@ def _child_seed(entropy, k: int):
 
 def _natural_step(model, G0, opts: ScoringOptions, entropies):
     """Step rule F^-1 grad over a stack. The reduced FIM is analytic per
-    iterate (iterate 0 reuses the FIM at g0) or frozen at g0; without an
-    analytic FIM it is a Monte-Carlo estimate at g0, and in monte-carlo
-    mode one per iterate, each from its trial's own entropy. Each
-    distinct FIM array is checked once; a trial whose FIM has a
-    condition number above 1e12 leaves with DegenerateFimError."""
+    iterate (iterate 0 reuses the FIM at g0), frozen at g0, or in
+    monte-carlo mode a Monte-Carlo estimate per iterate, each from its
+    trial's own entropy. Each distinct FIM array is checked once; a
+    trial whose FIM has a condition number above 1e12 leaves with
+    DegenerateFimError."""
     desc = model.struct.group
-
-    def monte_carlo(rows, G, seed_of):
-        return np.array([
-            fisher.fim(
-                model,
-                GroupElement(desc, M),
-                fisher.REDUCED,
-                fisher.MC_GRADIENT,
-                opts.mc_fim_samples,
-                random_state=seed_of(entropies[r]),
-            ).matrix
-            for r, M in zip(rows, G)
-        ])
-
-    F0, per_iterate = None, False
-    if opts.fim_mode != MONTE_CARLO:
-        F0 = model.fim_reduced(G0)
-        per_iterate = F0 is not None and opts.fim_mode == ANALYTIC
-        if F0 is None:
-            F0 = monte_carlo(range(len(G0)), G0, lambda entropy: entropy)
+    F0 = None if opts.fim_mode == MONTE_CARLO else model.fim_reduced(G0)
+    per_iterate = opts.fim_mode == ANALYTIC
     checked = [None, None]  # the last FIM array checked, and its errors
 
     def rule(k, rows, G, mean_grad):
@@ -162,7 +144,17 @@ def _natural_step(model, G0, opts: ScoringOptions, entropies):
         # (n, n) for every row or (B, n, n) by stack row; a per-iterate
         # FIM is a new (A, n, n) array, one matrix per active row.
         if F0 is None:
-            S = monte_carlo(rows, G, lambda entropy: _child_seed(entropy, k))
+            S = np.array([
+                fisher.fim(
+                    model,
+                    GroupElement(desc, M),
+                    fisher.REDUCED,
+                    fisher.MC_GRADIENT,
+                    opts.mc_fim_samples,
+                    random_state=_child_seed(entropies[r], k),
+                ).matrix
+                for r, M in zip(rows, G)
+            ])
         elif k > 0 and per_iterate:
             S = model.fim_reduced(G)
         else:

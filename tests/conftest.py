@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from homcrb import groups
 from homcrb.models import GaussianMeanModel, LandmarkModel, NetworkModel, SpdModel
+
+# Property tests draw the same examples on every run of the same code,
+# so a test cannot pass on one run and fail on the next; each module
+# sets its own max_examples.
+settings.register_profile("deterministic", deadline=None, derandomize=True)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture
@@ -80,9 +87,6 @@ class ReplicatedModel:
 
     def analytic_fim(self, g, directions, op):
         return self.r * self.base.analytic_fim(g, directions, op)
-
-    def gradient_batch(self, observations, g, directions, op):
-        return self.analytic_gradient_batch(observations, g, directions, op)
 
     def _as_batch(self, x):
         return np.asarray(x, dtype=float)[None, ...]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from homcrb import fisher, groups
-from homcrb.exceptions import UnsupportedMethodError
 from homcrb.groups import AlgebraVector
 from homcrb.models import GaussianMeanModel
 
@@ -30,22 +29,6 @@ def test_mc_gradient_fim_close_to_analytic(landmark_one):
     )
     assert Fmc.n_samples == 100_000
     assert np.linalg.norm(Fa.matrix - Fmc.matrix, 2) <= 0.05
-
-
-def test_mc_fim_via_finite_differences(gaussian1):
-    """FD fallback path: strip the analytic gradient and compare."""
-    model = GaussianMeanModel(2)
-    model.analytic_gradient_batch = lambda *a, **k: None
-    g = model.element([0.3, -0.4])
-    F = fisher.fim(model, g, fisher.REDUCED, fisher.MC_GRADIENT, 20_000, random_state=3)
-    assert np.abs(F.matrix - np.eye(2)).max() <= 0.05
-
-
-def test_fim_requires_analytic_when_asked():
-    model = GaussianMeanModel(1)
-    model.analytic_fim = lambda *a, **k: None
-    with pytest.raises(UnsupportedMethodError):
-        fisher.fim(model, model.element([0.0]), fisher.REDUCED)
 
 
 def test_fim_rejects_bad_sample_count(gaussian1):

@@ -1,5 +1,6 @@
-"""Property tests (hypothesis) for the closed-form exp/log maps and the
-membership test's rotation defect."""
+"""Property tests (hypothesis) for the closed-form exp/log maps, the
+log-derivative operator Psi, the membership test's rotation defect and
+the radius within which the horizontal lift converges."""
 
 import math
 
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 
 from homcrb import groups
 from homcrb.groups import AlgebraVector
+from homcrb.homspace import coset_error
+from homcrb.models import LandmarkModel, se3_element
 
-PROPERTY = settings(deadline=None, max_examples=200)
+PROPERTY = settings(max_examples=200)
 
 # Rotation angles on both sides of the small-angle switch (1e-4), through
 # the middle range, on both sides of the near-pi switch (pi - 0.1), and up
@@ -78,3 +81,43 @@ def test_rotation_defect_matches_lapack_determinant(n, angle, axis, noise):
         R = groups.exp(AlgebraVector(groups.so3(), angle * axis)).matrix
     R = R + np.reshape(noise[: n * n], (n, n))
     assert abs(groups._rotation_defect(R) - lapack_rotation_defect(R)) <= 1e-15
+
+
+def ball(dim, radius):
+    """Coordinate vectors of norm at most radius."""
+    return st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim).map(
+        lambda v: radius * np.asarray(v) / max(1.0, float(np.linalg.norm(v)))
+    )
+
+
+@PROPERTY
+@given(st.sampled_from(["se2", "gl2+"]), st.data())
+def test_psi_matches_central_differences_of_log(name, data):
+    desc = groups.se2() if name == "se2" else groups.glnplus(2)
+    X = AlgebraVector(desc, data.draw(ball(desc.algebra_dim, 1.0)))
+    y = data.draw(ball(desc.algebra_dim, 1.0))
+    fd = groups.central_difference(
+        lambda g: groups.log(g).coords, groups.exp(X), y, 1e-5, groups.LIVF
+    )
+    assert np.abs(groups.psi_matrix(X).matrix @ y - fd).max() <= 1e-5
+
+
+TWO_LANDMARKS = LandmarkModel([[1.0, 0.0, 0.0], [0.0, 1.0, 0.3]])
+# Fiber rotations up to twice the cut-locus margin short of a half turn:
+# at a half turn the log of the raw error h exp(y) is at the cut locus.
+FIBER_ANGLE = math.pi - 2.0 * groups._CUT_LOCUS_MARGIN
+
+
+@PROPERTY
+@given(st.floats(-FIBER_ANGLE, FIBER_ANGLE), ball(5, 0.5), ball(6, 1.0))
+def test_lift_recovers_errors_within_half_of_the_coset(angle, y, g_coords):
+    """An estimate h exp(y) g, with h a rotation about the landmark axis
+    through a1 and |y| <= 0.5, lifts back to the m-error y."""
+    struct = TWO_LANDMARKS.struct
+    a1, a2 = TWO_LANDMARKS.landmarks
+    axis = (a1 - a2) / np.linalg.norm(a1 - a2)
+    Q = groups.exp(AlgebraVector(groups.so3(), angle * axis)).matrix
+    h = se3_element(Q, (np.eye(3) - Q) @ a1)
+    g = groups.exp(AlgebraVector(groups.se3(), g_coords))
+    est = h @ groups.exp(struct.from_coords(np.concatenate([[0.0], y]))) @ g
+    assert np.abs(coset_error(g, est, struct).eta_reduced - y).max() <= 1e-9

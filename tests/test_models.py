@@ -558,8 +558,9 @@ SUFFICIENT_STATISTIC_MODELS = {
 @pytest.mark.parametrize("name", sorted(SUFFICIENT_STATISTIC_MODELS))
 def test_sufficient_statistics_match_per_observation_sums(name, rng):
     """Scoring reads total_loglik(summarize(x)) and total_grad_m; the
-    Monte-Carlo FIM reads loglik_batch and gradient_batch. Both paths
-    must give the same totals, here at a g away from the sampling point."""
+    per-observation paths read loglik_batch and analytic_gradient_batch.
+    Both must give the same totals, here at a g away from the sampling
+    point."""
     model = SUFFICIENT_STATISTIC_MODELS[name]()
     if isinstance(model, NetworkModel):
         g_true = model.reference_element()
@@ -571,7 +572,7 @@ def test_sufficient_statistics_match_per_observation_sums(name, rng):
     ll = np.sum(model.loglik_batch(x, g))
     assert abs(model.total_loglik(summary, g.matrix[None])[0] - ll) <= 1e-12 * abs(ll)
     op = natural_operator(model.side)
-    grad = model.gradient_batch(x, g, model.struct.m_basis, op).sum(axis=0)
+    grad = model.analytic_gradient_batch(x, g, model.struct.m_basis, op).sum(axis=0)
     dev = np.abs(model.total_grad_m(summary, g.matrix[None])[0] - grad).max()
     assert dev <= 1e-12 * np.abs(grad).max()
 

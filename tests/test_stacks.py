@@ -20,7 +20,7 @@ from homcrb.groups import AlgebraVector
 from homcrb.harness import experiments, load_config
 from homcrb.models import GaussianMeanModel, LandmarkModel, SpdModel
 
-PROPERTY = settings(deadline=None, max_examples=100)
+PROPERTY = settings(max_examples=100)
 
 # Rotation angles near 0 (both sides of the small-angle switch), generic,
 # near pi (both sides of the near-pi switch) and at the cut locus.
