@@ -84,13 +84,11 @@ def _run_experiment(experiment: str, config_path, out_path, seed, workers) -> in
                 with open(config.output, "w") as fh:
                     fh.write("\n".join(report.lines()) + "\n")
             return EXIT_OK if report.passed else EXIT_NUMERICAL
-        runner = _RUNNERS[experiment]
-        report = runner(config)
-        destination = config.output
-        if destination is None:
+        if config.output is None:  # before the campaign, not after it
             raise ConfigError("no output path: pass --out or set 'output' in the config")
-        report.write(destination)
-        log.info("wrote %s", destination)
+        report = _RUNNERS[experiment](config)
+        report.write(config.output)
+        log.info("wrote %s", config.output)
         for row in report.summaries:
             click.echo(
                 ", ".join(f"{k}={v}" for k, v in row.items() if v not in (None, ""))

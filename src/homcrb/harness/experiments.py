@@ -5,7 +5,8 @@ and a trial's Monte-Carlo FIMs from entropy derived from the same key,
 so results are independent of the worker count and of how trials are
 stacked, and reruns are byte-identical. Worker processes receive
 contiguous trial chunks and results are merged in index order; within a
-chunk the trials of each m run as one stack.
+chunk the trials of all its m values run as one stack, each row with its
+own m.
 """
 
 from __future__ import annotations
@@ -60,10 +61,11 @@ _TRIAL_FAILURES = (
     EvaluationError,
 )
 
-# The trials of one m run as one stack when there are at least
-# _MIN_STACK of them; fewer run one at a time through fisher_scoring and
-# coset_error, the one-trial entry points. Those are stacks of one through
-# the same loop and lift, so no row's bytes depend on the choice.
+# The trials of one m in a chunk join the chunk's stack when there are at
+# least _MIN_STACK of them; fewer run one at a time through fisher_scoring
+# and coset_error, the one-trial entry points. Those are stacks of one
+# through the same loop and lift, and every stack kernel gives each row the
+# same bits whatever the stack holds, so no row's bytes depend on the choice.
 # perfbench's per-layer trace wraps the two one-trial entry points and
 # pins their counts on a round of two trials per m; this rule goes when
 # the benchmark traces the stack entry points instead.
@@ -214,33 +216,35 @@ _CONTEXTS = {
 }
 
 
-def _estimation_stack(ctx, kind: str, seed: int, m_index: int, m: int, trials) -> list[dict]:
-    """The given trials of one m as one stack: each trial samples from its
-    own stream (seed, m_index, trial) and is summarised at once, then
-    scoring and the horizontal lift run over the stack; a stack of one
-    keeps its observations for fisher_scoring and lifts through
-    coset_error. A trial that fails leaves the stack with status
-    failed:<Class>; the others are unaffected."""
+def _estimation_stack(ctx, kind: str, seed: int, items) -> list[dict]:
+    """The (m_index, m, trial) triples as one stack: each trial samples m
+    observations from its own stream (seed, m_index, trial) and is
+    summarised at once, then scoring and the horizontal lift run over the
+    stack, each row with its own m; a stack of one keeps its observations
+    for fisher_scoring and lifts through coset_error. A trial that fails
+    leaves the stack with status failed:<Class>; the others are
+    unaffected."""
     model, g_true, inits, opts = ctx
 
-    def row(t: int, status: str = "ok") -> dict:
+    def row(i: int, status: str = "ok") -> dict:
+        _, m, t = items[i]
         return {"record": "trial", "m": m, "trial": t, "status": status}
 
-    rows = [row(t) for t in trials]
+    rows = [row(i) for i in range(len(items))]
     summaries = []
-    for t in trials:
-        observations = model.sample(g_true, m, np.random.default_rng([seed, m_index, t]))
+    for mi, m, t in items:
+        observations = model.sample(g_true, m, np.random.default_rng([seed, mi, t]))
         summaries.append(model.summarize(observations))
     summary = scoring.stack_summaries(summaries)
-    alone = len(trials) == 1  # runs through fisher_scoring and coset_error
+    alone = len(items) == 1  # runs through fisher_scoring and coset_error
     if not alone:
         observations = None  # a stack holds summaries, never observations
-    live = np.arange(len(trials))  # stack rows still in the running
+    live = np.arange(len(items))  # stack rows still in the running
 
     def fail(i: int, exc: Exception) -> None:
         if not isinstance(exc, _TRIAL_FAILURES):
             raise exc
-        rows[i] = row(trials[i], f"failed:{type(exc).__name__}")
+        rows[i] = row(i, f"failed:{type(exc).__name__}")
 
     def drop(errors: dict) -> np.ndarray:
         """Fail the live rows at the given positions; the mask of the rest."""
@@ -258,7 +262,7 @@ def _estimation_stack(ctx, kind: str, seed: int, m_index: int, m: int, trials) -
         start); the rows that fail leave live."""
         if not len(live):
             return []
-        entropies = [(seed, m_index, trials[i], start) for i in live]
+        entropies = [(seed, items[i][0], items[i][2], start) for i in live]
         if alone:
             try:
                 trace = scoring.fisher_scoring(model, observations, g0, opts, entropies[0])
@@ -347,15 +351,16 @@ def _multistart_spread(finals, model) -> dict:
 
 
 def _run_trials(ctx, kind: str, seed: int, pairs) -> list[dict]:
-    """Rows of the (m index, m, trial) triples, in order; the trials of
-    each m run as one stack, or one at a time below _MIN_STACK."""
-    rows = []
-    for (mi, m), group in itertools.groupby(pairs, key=lambda pair: pair[:2]):
-        trials = [t for *_, t in group]
-        stacks = [trials] if len(trials) >= _MIN_STACK else [[t] for t in trials]
-        for stack in stacks:
-            rows += _estimation_stack(ctx, kind, seed, mi, m, stack)
-    return rows
+    """Rows of the (m index, m, trial) triples, in order. Every m with at
+    least _MIN_STACK of the trials joins one stack; the trials of the
+    other m run one at a time."""
+    by_m = [list(group) for _, group in itertools.groupby(pairs, key=lambda p: p[:2])]
+    stacks = [[p for group in by_m if len(group) >= _MIN_STACK for p in group]]
+    stacks += [[p] for group in by_m if len(group) < _MIN_STACK for p in group]
+    rows = {}
+    for stack in filter(None, stacks):
+        rows.update(zip(stack, _estimation_stack(ctx, kind, seed, stack)))
+    return [rows[p] for p in pairs]
 
 
 def _worker_chunk(kind: str, config: ExperimentConfig, pairs) -> list[dict]:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from homcrb import groups
+from homcrb import cli, groups
 from homcrb.cli import main
 from homcrb.exceptions import ConfigError, DegenerateModelError
 from homcrb.models import LandmarkModel, NetworkModel, SpdModel, rigidity_matrix
@@ -494,6 +494,18 @@ def test_cli_exit_codes(tmp_path):
             main, [experiment, "--config", str(cfg), "--out", str(tmp_path / "s.csv")]
         )
         assert res.exit_code == 2 and "config error" in res.output, section
+
+
+def test_cli_refuses_a_missing_output_path_before_the_campaign(tmp_path, monkeypatch):
+    def runner(config):
+        pytest.fail("the campaign ran without an output path")
+
+    for experiment in ("landmark", "network", "spd", "crb-report"):
+        monkeypatch.setitem(cli._RUNNERS, experiment, runner)
+        cfg = write_config(tmp_path, {"experiment": experiment})
+        res = CliRunner().invoke(main, [experiment, "--config", str(cfg)])
+        assert res.exit_code == 2, res.output
+        assert "no output path" in res.output
 
 
 def test_cli_crb_report_refuses_flex_graph(tmp_path):

@@ -1,6 +1,7 @@
-"""The trials of one m run as one stack: stack kernels agree bit for bit
-with the one-element kernels, every trial's row is the same in a stack of
-one as in a stack of all, and a trial that fails leaves the stack alone."""
+"""The trials of a chunk run as one stack across their m values: stack
+kernels agree bit for bit with the one-element kernels, every trial's row
+is the same in a stack of one as in a stack of all, and a trial that fails
+leaves the stack alone."""
 
 import math
 
@@ -17,7 +18,7 @@ from homcrb.exceptions import (
     LiftFailureError,
 )
 from homcrb.groups import AlgebraVector
-from homcrb.harness import experiments, load_config
+from homcrb.harness import experiments, load_config, properties
 from homcrb.models import GaussianMeanModel, LandmarkModel, SpdModel
 
 PROPERTY = settings(max_examples=100)
@@ -148,12 +149,17 @@ def test_factor_stack_membership_rejects_off_block_and_bad_factor(rng):
 # Row independence: a stack of one per trial against a stack of all
 
 
-def stack_rows(ctx, kind, seed, m_index, m, trials):
-    return experiments._estimation_stack(ctx, kind, seed, m_index, m, trials)
+def stack_rows(ctx, kind, seed, items):
+    return experiments._estimation_stack(ctx, kind, seed, items)
 
 
-def alone_rows(ctx, kind, seed, m_index, m, trials):
-    return [stack_rows(ctx, kind, seed, m_index, m, [t])[0] for t in trials]
+def alone_rows(ctx, kind, seed, items):
+    return [stack_rows(ctx, kind, seed, [item])[0] for item in items]
+
+
+def triples(m_values, trials):
+    """The (m_index, m, trial) triples of the trials at each m, m by m."""
+    return [(mi, m, t) for mi, m in enumerate(m_values) for t in trials]
 
 
 def context(doc):
@@ -173,27 +179,34 @@ TRIANGLE = {
     [
         ({"experiment": "landmark", "seed": 11}, [10, 100], 200),
         ({"experiment": "spd", "seed": 12}, [10, 100], 60),
-        ({"experiment": "network", "seed": 13, "network": TRIANGLE}, [100], 20),
+        ({"experiment": "network", "seed": 13, "network": TRIANGLE}, [10, 100], 20),
     ],
     ids=["landmark", "spd", "triangle-network"],
 )
 def test_rows_do_not_depend_on_the_stack(doc, m_values, n_trials):
+    """A stack of one m and a stack of every m give each trial the row it
+    gets alone."""
     ctx, seed = context(doc)
     kind = doc["experiment"]
-    for m_index, m in enumerate(m_values):
-        trials = list(range(n_trials))
-        stacked = stack_rows(ctx, kind, seed, m_index, m, trials)
-        assert stacked == alone_rows(ctx, kind, seed, m_index, m, trials)
+    items = triples(m_values, range(n_trials))
+    alone = alone_rows(ctx, kind, seed, items)
+    assert stack_rows(ctx, kind, seed, items) == alone
+    for m_index in range(len(m_values)):
+        part = slice(m_index * n_trials, (m_index + 1) * n_trials)
+        stacked = stack_rows(ctx, kind, seed, items[part])
+        assert stacked == alone[part]
         assert sum(r["status"] == "ok" for r in stacked) >= 0.9 * n_trials
 
 
 @pytest.mark.parametrize("fim_mode", ["analytic", "monte-carlo"])
 def test_campaign_bytes_do_not_depend_on_workers(fim_mode):
+    """With 2 workers the m = 100 trials split 2 + 2 across the chunks and
+    run alone, the other m as one stack per chunk."""
     doc = {
         "experiment": "landmark",
         "seed": 1,
         "n_trials": 4,
-        "m_values": [10],
+        "m_values": [10, 100, 1000],
         "scoring": {"fim_mode": fim_mode, "mc_fim_samples": 200},
     }
     texts = [
@@ -229,10 +242,8 @@ MULTISTART = {
 def test_rows_do_not_depend_on_the_stack_in_every_mode(doc):
     ctx, seed = context({**doc, "seed": 1})
     kind = doc["experiment"]
-    trials = [0, 1, 2, 3]
-    assert stack_rows(ctx, kind, seed, 0, 100, trials) == alone_rows(
-        ctx, kind, seed, 0, 100, trials
-    )
+    items = triples([100], range(4))
+    assert stack_rows(ctx, kind, seed, items) == alone_rows(ctx, kind, seed, items)
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +269,18 @@ def test_a_diverging_trial_leaves_the_stack_alone():
     rng = np.random.default_rng([seed, 0, 3])
     diverging.marker = diverging.summarize(diverging.sample(g_true, 100, rng))[1][0, 0]
     ctx = (diverging, g_true, inits, opts)
-    trials = list(range(8))
-    stacked = stack_rows(ctx, "landmark", seed, 0, 100, trials)
-    alone = alone_rows(ctx, "landmark", seed, 0, 100, trials)
-    assert stacked[3]["status"] == alone[3]["status"] == "failed:DivergenceError"
-    assert stacked == alone
-    clean = stack_rows((model, g_true, inits, opts), "landmark", seed, 0, 100, trials)
-    assert [r for i, r in enumerate(stacked) if i != 3] == [
-        r for i, r in enumerate(clean) if i != 3
-    ]
+    # Trial 3 diverges at m = 100 only; in the stack of both m every other
+    # row, the m = 10 rows included, keeps its own place and bytes.
+    for items in (triples([100], range(8)), triples([100, 10], range(8))):
+        stacked = stack_rows(ctx, "landmark", seed, items)
+        alone = alone_rows(ctx, "landmark", seed, items)
+        assert stacked[3]["status"] == alone[3]["status"] == "failed:DivergenceError"
+        assert [r["status"] for r in stacked].count("failed:DivergenceError") == 1
+        assert stacked == alone
+        clean = stack_rows((model, g_true, inits, opts), "landmark", seed, items)
+        assert [r for i, r in enumerate(stacked) if i != 3] == [
+            r for i, r in enumerate(clean) if i != 3
+        ]
 
 
 class DivergingSpd(SpdModel):
@@ -288,12 +302,12 @@ def test_a_diverging_spd_trial_leaves_the_stack_alone():
     rng = np.random.default_rng([seed, 0, 2])
     diverging.marker = diverging.summarize(diverging.sample(g_true, 50, rng))[1][0, 0]
     ctx = (diverging, g_true, inits, opts)
-    trials = list(range(6))
-    stacked = stack_rows(ctx, "spd", seed, 0, 50, trials)
-    alone = alone_rows(ctx, "spd", seed, 0, 50, trials)
+    items = triples([50], range(6))
+    stacked = stack_rows(ctx, "spd", seed, items)
+    alone = alone_rows(ctx, "spd", seed, items)
     assert stacked[2]["status"] == alone[2]["status"] == "failed:DivergenceError"
     assert stacked == alone
-    clean = stack_rows((model, g_true, inits, opts), "spd", seed, 0, 50, trials)
+    clean = stack_rows((model, g_true, inits, opts), "spd", seed, items)
     assert [r for i, r in enumerate(stacked) if i != 2] == [
         r for i, r in enumerate(clean) if i != 2
     ]
@@ -319,12 +333,12 @@ def test_a_trial_diverging_from_a_later_start_leaves_the_stack_alone(monkeypatch
         return one(model, observations, g0, opts, random_state)
 
     ctx, seed = context({"experiment": "landmark", "seed": 7, "landmark": MULTISTART})
-    trials = list(range(6))
-    clean = stack_rows(ctx, "landmark", seed, 0, 100, trials)
+    items = triples([100], range(6))
+    clean = stack_rows(ctx, "landmark", seed, items)
     monkeypatch.setattr(scoring, "fisher_scoring_stack", stack_diverging)
     monkeypatch.setattr(scoring, "fisher_scoring", one_diverging)
-    stacked = stack_rows(ctx, "landmark", seed, 0, 100, trials)
-    alone = alone_rows(ctx, "landmark", seed, 0, 100, trials)
+    stacked = stack_rows(ctx, "landmark", seed, items)
+    alone = alone_rows(ctx, "landmark", seed, items)
     assert stacked[2]["status"] == alone[2]["status"] == "failed:DivergenceError"
     assert stacked == alone
     assert [r for i, r in enumerate(stacked) if i != 2] == [
@@ -432,6 +446,63 @@ def test_fewer_trials_than_a_stack_run_through_fisher_scoring(monkeypatch):
     n = experiments._MIN_STACK - 1
     assert trial_rows(texts[n], n) == trial_rows(texts[n + 1], n)
     assert len(trial_rows(texts[n], n)) == 2 * n
+
+
+def test_a_chunk_scores_and_lifts_its_m_values_as_one_stack(monkeypatch):
+    calls = {"scoring": 0, "lift": 0}
+    stack, lift = scoring.fisher_scoring_stack, experiments.coset_errors
+
+    def counted_stack(*args, **kwargs):
+        calls["scoring"] += 1
+        return stack(*args, **kwargs)
+
+    def counted_lift(*args, **kwargs):
+        calls["lift"] += 1
+        return lift(*args, **kwargs)
+
+    monkeypatch.setattr(scoring, "fisher_scoring_stack", counted_stack)
+    monkeypatch.setattr(experiments, "coset_errors", counted_lift)
+    doc = {"experiment": "landmark", "seed": 3, "n_trials": 10,
+           "m_values": [10, 100, 1000], "workers": 1}
+    report = experiments.run_landmark_experiment(load_config(doc))
+    assert len(report.rows) == 30
+    assert calls == {"scoring": 1, "lift": 1}
+
+
+@pytest.mark.parametrize(
+    "diverging, lift_fails, first",
+    [
+        ([7], False, (DivergenceError, "trial 7")),
+        ([7], True, (LiftFailureError, "trial 4")),
+        (range(100), False, (DivergenceError, "trial 0")),
+    ],
+    ids=["scoring", "lift-before-scoring", "every-trial"],
+)
+def test_the_error_block_suite_raises_its_first_failing_trial(
+    monkeypatch, diverging, lift_fails, first
+):
+    """The given trials diverge and, in one case, trial 4's lift fails:
+    the suite raises the failure of the lowest trial, as a loop over
+    trials would."""
+    stack, lift = scoring.fisher_scoring_stack, homspace.coset_errors
+
+    def stack_diverging(*args, **kwargs):
+        outcome = stack(*args, **kwargs)
+        for t in diverging:
+            outcome[t] = DivergenceError(f"trial {t}")
+        return outcome
+
+    def lift_failing(g_ref, estimates, struct):
+        lifted = lift(g_ref, estimates, struct)
+        assert len(estimates) == 100 - len(diverging)  # failed trials are not lifted
+        if lift_fails:
+            lifted.errors[4] = LiftFailureError("trial 4")
+        return lifted
+
+    monkeypatch.setattr(scoring, "fisher_scoring_stack", stack_diverging)
+    monkeypatch.setattr(homspace, "coset_errors", lift_failing)
+    with pytest.raises(first[0], match=f"^{first[1]}$"):
+        properties.suite_error_block(1)
 
 
 class SingularAt(GaussianMeanModel):
