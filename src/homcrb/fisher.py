@@ -111,20 +111,13 @@ def fim_hessian(
     draws = model.sample(g, n_samples, rng)
     step = 1e-4 * (1.0 + float(np.linalg.norm(g.matrix)))
 
-    def mean_loglik(point: GroupElement) -> float:
-        return float(np.mean(model.loglik_batch(draws, point)))
-
-    def d_i(point: GroupElement, i: int) -> float:
-        return groups.central_difference(mean_loglik, point, directions[i], step, op)
-
-    # D_j D_i: outer perturbation j, inner i.
-    n = len(directions)
-    M = np.zeros((n, n))
-    for j in range(n):
-        for i in range(n):
-            M[i, j] = groups.central_difference(
-                lambda p: d_i(p, i), g, directions[j], step, op
-            )
+    d = g.descriptor
+    mean_loglik = groups.boxed(lambda p: np.mean(model.loglik_batch(draws, p)), d)
+    inner = groups.boxed(
+        lambda p: groups.central_differences(mean_loglik, p, directions, step, op), d
+    )
+    # M[j, i] = D_j D_i: outer perturbation j, inner i.
+    M = groups.central_differences(inner, g, directions, step, op)
     F = -0.5 * (M + M.T)
     return FimMatrix(frame, g, F, MC_HESSIAN, n_samples)
 

@@ -12,7 +12,8 @@ factors as stacks, one per factor family. A public function boxes the
 kernel's result once, so a GroupElement is validated where it leaves the
 API, not per factor. Stack kernels (_exp_stack, _log_stack,
 _membership_stack) run the same closed forms over a leading axis of rows,
-the trials of a campaign or the factors of a product.
+the trials of a campaign or the factors of a product; central_differences
+runs the finite differences along a stack of directions the same way.
 
 Conventions: SE(2)/SE(3) coordinates are ordered rotation-first, i.e.
 X = (omega, v) with wedge(X) = [[omega^, v], [0, 0]].
@@ -651,8 +652,9 @@ def _bernoulli_even(order: int) -> tuple[float, ...]:
 
 def _psi_series(ad: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """(I + ad/2 + sum_n beta_{2n}/(2n)! ad^{2n}, ad^{2 nmax}) for the
-    even terms n = 1..nmax = order // 2."""
-    n = ad.shape[0]
+    even terms n = 1..nmax = order // 2, for one (n, n) ad or each of a
+    (B, n, n) stack."""
+    n = ad.shape[-1]
     out = np.eye(n) + 0.5 * ad
     ad2 = ad @ ad
     power = np.eye(n)
@@ -686,6 +688,34 @@ def default_step(g: GroupElement) -> float:
     return 1e-6 * (1.0 + float(np.linalg.norm(g.matrix)))
 
 
+def central_differences(fn, g: GroupElement, directions, h: float, op: str) -> np.ndarray:
+    """(fn(g+) - fn(g-)) / 2h along each row x_i of a (k, n) coordinate
+    array, with g+- = g exp(+-h X_i) for op "livf", exp(+-h X_i) g for
+    "rivf": the one central-difference kernel. The 2k points, one exp
+    stack of [hX; -hX], pass one membership test (the lowest row that
+    would not box raises its ValueError) before fn is called once on
+    their (2, k, d, d) stack, plus half first, rows in direction order;
+    fn returns an array led by (2, k). Returns the (k, ...) derivatives;
+    raises EvaluationError on a non-finite value."""
+    d = g.descriptor
+    x = np.asarray(directions, dtype=float)
+    if x.ndim != 2 or x.shape[1] != d.algebra_dim:
+        raise ValueError(f"direction length {x.shape[1:]} != ({d.algebra_dim},)")
+    e = _exp_stack(np.concatenate([h * x, -h * x]), d)
+    points = g.matrix @ e if op == LIVF else e @ g.matrix
+    errors = _membership_stack(points, d)[1]
+    if errors:
+        raise errors[min(errors)]
+    f_plus, f_minus = fn(points.reshape((2, len(x)) + points.shape[1:]))
+    # Checked before subtracting: inf - inf would warn, then read as NaN.
+    if not (np.isfinite(f_plus).all() and np.isfinite(f_minus).all()):
+        raise EvaluationError("function returned a non-finite value")
+    value = (f_plus - f_minus) / (2.0 * h)
+    if not np.isfinite(value).all():
+        raise EvaluationError("function returned a non-finite value")
+    return value
+
+
 def central_difference(
     fn: Callable[[GroupElement], float | np.ndarray],
     g: GroupElement,
@@ -693,25 +723,24 @@ def central_difference(
     h: float,
     op: str,
 ) -> float | np.ndarray:
-    """(fn(g+) - fn(g-)) / 2h with g+- = g exp(+-hX) for op "livf" and
-    exp(+-hX) g for "rivf", where X has coordinates x in g's descriptor;
-    fn may return an array. Raises EvaluationError on a non-finite result."""
+    """central_differences along the one direction x, with fn taking each
+    of the two points boxed as a GroupElement; fn may return an array."""
     d = g.descriptor
     if np.shape(x) != (d.algebra_dim,):
         raise ValueError(f"direction length {np.shape(x)} != ({d.algebra_dim},)")
+    return central_differences(boxed(fn, d), g, np.reshape(x, (1, -1)), h, op)[0]
 
-    def point(t: float) -> GroupElement:
-        e = _exp(t * x, d)
-        return GroupElement(d, g.matrix @ e if op == LIVF else e @ g.matrix)
 
-    f_plus, f_minus = fn(point(h)), fn(point(-h))
-    # Checked before subtracting: inf - inf would warn, then read as NaN.
-    if not (np.all(np.isfinite(f_plus)) and np.all(np.isfinite(f_minus))):
-        raise EvaluationError("function returned a non-finite value")
-    value = (f_plus - f_minus) / (2.0 * h)
-    if not np.all(np.isfinite(value)):
-        raise EvaluationError("function returned a non-finite value")
-    return value
+def boxed(fn: Callable[[GroupElement], float | np.ndarray], descriptor: GroupDescriptor):
+    """fn over a (..., dim, dim) stack of matrices, each boxed as a
+    GroupElement of the descriptor: an array led by the stack's axes."""
+
+    def on_stack(points: np.ndarray) -> np.ndarray:
+        flat = points.reshape((-1,) + points.shape[-2:])
+        values = np.array([fn(GroupElement(descriptor, p)) for p in flat])
+        return values.reshape(points.shape[:-2] + values.shape[1:])
+
+    return on_stack
 
 
 def _field_derivative(fn, g: GroupElement, X: AlgebraVector, h, op: str) -> float:

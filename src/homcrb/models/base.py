@@ -85,12 +85,11 @@ class ModelBase:
         return np.asarray(x, dtype=float)[None, ...]
 
     def _fd_gradient_batch(self, observations, g, directions, op):
-        """Central-difference reference for analytic_gradient_batch."""
+        """Central-difference reference for analytic_gradient_batch: one
+        kernel call over every direction."""
+        loglik = groups.boxed(partial(self.loglik_batch, observations), g.descriptor)
         h = groups.default_step(g)
-        loglik = partial(self.loglik_batch, observations)
-        return np.column_stack(
-            [groups.central_difference(loglik, g, d, h, op) for d in directions]
-        )
+        return groups.central_differences(loglik, g, directions, h, op).T
 
     def fim_reduced(self, G) -> np.ndarray:
         """Single-observation reduced FIM over the m-basis at each matrix

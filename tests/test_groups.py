@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -366,6 +367,15 @@ def test_psi_series_matches_closed_form_so3_jacobian(rng):
         assert np.abs(P.matrix - groups._so3_left_jacobian_inv(-w)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("desc", ALL_DESCRIPTORS())
+def test_psi_series_of_a_stack_is_psi_of_each_row(desc, rng):
+    X = 0.3 * rng.standard_normal((20, desc.algebra_dim))
+    ad = np.tensordot(X, groups.structure_constants(desc), 1)
+    stacked = groups._psi_series(ad, 10)[0]
+    for x, P in zip(X, stacked):
+        assert np.array_equal(P, groups.psi_matrix(AlgebraVector(desc, x)).matrix)
+
+
 # ---------------------------------------------------------------------------
 # Invariant vector field derivatives
 
@@ -425,6 +435,84 @@ def test_central_difference_boxes_each_point_once(rng, built_elements):
         assert built_elements[0] - before == 2
     with pytest.raises(ValueError, match="direction length"):
         groups.central_difference(lambda el: 0.0, g, x[:5], 1e-6, groups.LIVF)
+
+
+def boxed_difference(fn, g, x, h, op):
+    """Reference: the two points of one direction built and boxed one at a
+    time, as a loop over directions would."""
+    d = g.descriptor
+
+    def point(t):
+        e = groups.exp(AlgebraVector(d, t * x)).matrix
+        return groups.GroupElement(d, g.matrix @ e if op == groups.LIVF else e @ g.matrix)
+
+    return (fn(point(h)) - fn(point(-h))) / (2.0 * h)
+
+
+@pytest.mark.parametrize("op", [groups.LIVF, groups.RIVF])
+def test_central_differences_match_one_direction_calls_bit_for_bit(rng, op):
+    descriptors = [
+        groups.so3(),
+        groups.se3(),
+        groups.product_group([groups.se2()] * 3),
+        groups.glnplus(2),
+    ]
+    for d in descriptors:
+        g = groups.random_element(d, rng, 0.5)
+        x = rng.standard_normal((5, d.algebra_dim))
+        stacks = []
+
+        def entries(points):
+            stacks.append(points.shape)
+            return points.reshape(points.shape[:2] + (-1,)) ** 2
+
+        stacked = groups.central_differences(entries, g, x, 1e-6, op)
+        assert stacks == [(2, 5, d.matrix_dim, d.matrix_dim)]  # fn runs once
+        fn = lambda el: el.matrix.ravel() ** 2
+        for i in range(len(x)):
+            assert np.array_equal(
+                stacked[i], groups.central_difference(fn, g, x[i], 1e-6, op)
+            )
+            assert np.array_equal(stacked[i], boxed_difference(fn, g, x[i], 1e-6, op))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_central_differences_reject_a_non_finite_row_without_warning(rng, bad):
+    from homcrb.exceptions import EvaluationError
+
+    g = groups.random_element(groups.se3(), rng, 0.5)
+    x = rng.standard_normal((4, 6))
+    for half in ((0, 1), (0,), (1,)):
+
+        def fn(points):
+            out = np.zeros(points.shape[:2] + (3,))
+            out[half, 2, 1] = bad  # direction 2, on one side or both
+            return out
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match="non-finite"):
+                groups.central_differences(fn, g, x, 1e-6, groups.LIVF)
+
+
+def test_central_differences_check_every_point_before_fn(rng, monkeypatch):
+    g = groups.random_element(groups.so3(), rng, 0.5)
+    x = rng.standard_normal((3, 3))
+    with pytest.raises(ValueError, match=r"direction length \(2,\) != \(3,\)"):
+        groups.central_differences(lambda p: p, g, x[:, :2], 1e-6, groups.LIVF)
+    exp_stack = groups._exp_stack
+
+    def spoiled(coords, d):
+        out = exp_stack(coords, d)
+        out[4] *= 2.0  # the minus point of direction 1: not a rotation
+        out[5, 0, 0] = np.nan  # the minus point of direction 2
+        return out
+
+    monkeypatch.setattr(groups, "_exp_stack", spoiled)
+    reached = []
+    with pytest.raises(ValueError, match="not in SO\\(3\\)"):
+        groups.central_differences(reached.append, g, x, 1e-6, groups.RIVF)
+    assert reached == []
 
 
 def test_field_derivatives_refuse_a_direction_of_another_group():

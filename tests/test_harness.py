@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from homcrb import cli, groups
+from homcrb import cli, groups, homspace
 from homcrb.cli import main
 from homcrb.exceptions import ConfigError, DegenerateModelError
 from homcrb.models import LandmarkModel, NetworkModel, SpdModel, rigidity_matrix
@@ -19,6 +19,8 @@ from homcrb.harness import (
     run_property_suite,
     run_spd_experiment,
 )
+from homcrb.harness import properties
+from homcrb.models.base import ModelBase
 
 
 def small_landmark_config(**overrides):
@@ -415,7 +417,44 @@ def test_property_suite_detects_corrupted_inner_product():
         }
     )
     rep = run_property_suite(cfg)
-    assert not rep.passed
+    # Every error-length check fails, no trace check does.
+    assert (rep.total_checks, len(rep.failures)) == (220, 200)
+    assert rep.failures[0] == (
+        "variance-invariance[0,0] error length: |0.482291 - 0.716147| > 1e-08"
+    )
+
+
+def test_property_suite_looks_each_suite_up_when_it_runs(monkeypatch):
+    # A wrapped suite function (a tracer's span, a stub) takes effect.
+    monkeypatch.setattr(properties, "suite_psi", lambda seed: (7, [f"stub {seed}"]))
+    cfg = load_config({"experiment": "check", "seed": 3, "check": {"suites": ["psi"]}})
+    assert run_property_suite(cfg).results == {"psi": (7, ["stub 3"])}
+
+
+def test_the_finite_difference_suites_run_as_stacks(monkeypatch):
+    calls = {"log_stack": 0, "log": 0, "coset_errors": 0, "coset_error": 0, "fd": 0}
+
+    def counted(owner, name, key):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(groups, "_log_stack", "log_stack")
+    counted(groups, "log", "log")
+    counted(homspace, "coset_errors", "coset_errors")
+    counted(homspace, "coset_error", "coset_error")
+    counted(ModelBase, "_fd_gradient_batch", "fd")
+    assert properties.suite_psi(1)[0] == 400
+    assert (calls["log_stack"], calls["log"]) == (4, 0)  # one log stack per group
+    assert properties.suite_variance_invariance(1)[0] == 220
+    # One lift per representative and one for the reference.
+    assert (calls["coset_errors"], calls["coset_error"]) == (21, 0)
+    assert properties.suite_gradients(1)[0] == 250
+    assert calls["fd"] == 4  # one per model case
 
 
 def test_property_suite_unknown_suite_rejected():
