@@ -111,13 +111,14 @@ def fim_hessian(
     draws = model.sample(g, n_samples, rng)
     step = 1e-4 * (1.0 + float(np.linalg.norm(g.matrix)))
 
-    d = g.descriptor
-    mean_loglik = groups.boxed(lambda p: np.mean(model.loglik_batch(draws, p)), d)
-    inner = groups.boxed(
-        lambda p: groups.central_differences(mean_loglik, p, directions, step, op), d
-    )
+    def mean_loglik(p):
+        return np.mean(model.loglik_batch(draws, p))
+
+    def inner(p):
+        return groups.central_differences(mean_loglik, p, directions, step, op, boxed=True)
+
     # M[j, i] = D_j D_i: outer perturbation j, inner i.
-    M = groups.central_differences(inner, g, directions, step, op)
+    M = groups.central_differences(inner, g, directions, step, op, boxed=True)
     F = -0.5 * (M + M.T)
     return FimMatrix(frame, g, F, MC_HESSIAN, n_samples)
 

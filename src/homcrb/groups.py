@@ -167,11 +167,13 @@ def structure_constants(descriptor: GroupDescriptor) -> np.ndarray:
 class GroupElement:
     """A point on the group: square matrix plus its descriptor. `defect`
     is the rotation-block defect the membership test measured (0 for
-    GL(n)+); manifold_defect reports it."""
+    GL(n)+); manifold_defect reports it. A caller passes it in only for
+    a matrix that _membership_stack has just passed, which then skips the
+    repeat of the test; every other matrix is tested here."""
 
     descriptor: GroupDescriptor
     matrix: np.ndarray
-    defect: float = field(init=False, repr=False)
+    defect: float | None = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen(self.matrix))
@@ -182,9 +184,10 @@ class GroupElement:
         # warns on non-finite input.
         if not np.isfinite(self.matrix).all():
             raise ValueError("matrix has non-finite entries")
-        object.__setattr__(
-            self, "defect", _check_membership(self.matrix, self.descriptor)
-        )
+        if self.defect is None:
+            object.__setattr__(
+                self, "defect", _check_membership(self.matrix, self.descriptor)
+            )
 
     def inverse(self) -> "GroupElement":
         return GroupElement(self.descriptor, _inverse_matrix(self.matrix, self.descriptor))
@@ -688,25 +691,35 @@ def default_step(g: GroupElement) -> float:
     return 1e-6 * (1.0 + float(np.linalg.norm(g.matrix)))
 
 
-def central_differences(fn, g: GroupElement, directions, h: float, op: str) -> np.ndarray:
+def central_differences(
+    fn, g: GroupElement, directions, h: float, op: str, boxed: bool = False
+) -> np.ndarray:
     """(fn(g+) - fn(g-)) / 2h along each row x_i of a (k, n) coordinate
     array, with g+- = g exp(+-h X_i) for op "livf", exp(+-h X_i) g for
     "rivf": the one central-difference kernel. The 2k points, one exp
     stack of [hX; -hX], pass one membership test (the lowest row that
     would not box raises its ValueError) before fn is called once on
     their (2, k, d, d) stack, plus half first, rows in direction order;
-    fn returns an array led by (2, k). Returns the (k, ...) derivatives;
-    raises EvaluationError on a non-finite value."""
+    fn returns an array led by (2, k). With boxed, fn instead takes each
+    point as a GroupElement carrying the defect that test measured, and
+    may return an array. Returns the (k, ...) derivatives; raises
+    EvaluationError on a non-finite value."""
     d = g.descriptor
     x = np.asarray(directions, dtype=float)
     if x.ndim != 2 or x.shape[1] != d.algebra_dim:
         raise ValueError(f"direction length {x.shape[1:]} != ({d.algebra_dim},)")
     e = _exp_stack(np.concatenate([h * x, -h * x]), d)
     points = g.matrix @ e if op == LIVF else e @ g.matrix
-    errors = _membership_stack(points, d)[1]
+    defects, errors = _membership_stack(points, d)
     if errors:
         raise errors[min(errors)]
-    f_plus, f_minus = fn(points.reshape((2, len(x)) + points.shape[1:]))
+    if boxed:
+        values = np.array([
+            fn(GroupElement(d, p, defect=float(e))) for p, e in zip(points, defects)
+        ])
+        f_plus, f_minus = values.reshape((2, len(x)) + values.shape[1:])
+    else:
+        f_plus, f_minus = fn(points.reshape((2, len(x)) + points.shape[1:]))
     # Checked before subtracting: inf - inf would warn, then read as NaN.
     if not (np.isfinite(f_plus).all() and np.isfinite(f_minus).all()):
         raise EvaluationError("function returned a non-finite value")
@@ -728,19 +741,7 @@ def central_difference(
     d = g.descriptor
     if np.shape(x) != (d.algebra_dim,):
         raise ValueError(f"direction length {np.shape(x)} != ({d.algebra_dim},)")
-    return central_differences(boxed(fn, d), g, np.reshape(x, (1, -1)), h, op)[0]
-
-
-def boxed(fn: Callable[[GroupElement], float | np.ndarray], descriptor: GroupDescriptor):
-    """fn over a (..., dim, dim) stack of matrices, each boxed as a
-    GroupElement of the descriptor: an array led by the stack's axes."""
-
-    def on_stack(points: np.ndarray) -> np.ndarray:
-        flat = points.reshape((-1,) + points.shape[-2:])
-        values = np.array([fn(GroupElement(descriptor, p)) for p in flat])
-        return values.reshape(points.shape[:-2] + values.shape[1:])
-
-    return on_stack
+    return central_differences(fn, g, np.reshape(x, (1, -1)), h, op, boxed=True)[0]
 
 
 def _field_derivative(fn, g: GroupElement, X: AlgebraVector, h, op: str) -> float:

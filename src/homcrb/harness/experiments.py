@@ -39,8 +39,6 @@ from ..models import (
     NetworkModel,
     SpdModel,
     load_graph,
-    network_fim,
-    rigidity_matrix,
 )
 from ..models.network import nonzero_eigenvalues
 from .config import ExperimentConfig
@@ -181,8 +179,7 @@ def _network_context(config: ExperimentConfig):
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad network section: {exc}") from exc
-    # Raises DegenerateModelError with the rank gap on flex graphs.
-    network_fim(model.positions, model.edges, model.sigmas)
+    model.rigidity  # raises DegenerateModelError with the rank gap on flex graphs
     g_true = model.reference_element()
     return model, g_true, [g_true], config.scoring_options()
 
@@ -463,11 +460,11 @@ def _rigidity_spectrum(model: NetworkModel) -> tuple[np.ndarray, float, float]:
     no summation order shows in the output; the smallest of
     the others (0.0 if none); and the smallest eigenvalue of the reduced
     FIM, the matrix's block past the first three translations."""
-    S = rigidity_matrix(model.positions, model.edges, model.sigmas)
+    S, reduced = model.rigidity
     spectrum = np.linalg.eigvalsh(S)
     nonzero = nonzero_eigenvalues(spectrum)
     lam_min_nonzero = float(spectrum[nonzero].min()) if nonzero.any() else 0.0
-    lam_min_fim = float(np.linalg.eigvalsh(S[3:, 3:]).min())
+    lam_min_fim = float(reduced.min())
     return np.where(nonzero, spectrum, 0.0), lam_min_nonzero, lam_min_fim
 
 

@@ -87,9 +87,9 @@ class ModelBase:
     def _fd_gradient_batch(self, observations, g, directions, op):
         """Central-difference reference for analytic_gradient_batch: one
         kernel call over every direction."""
-        loglik = groups.boxed(partial(self.loglik_batch, observations), g.descriptor)
+        loglik = partial(self.loglik_batch, observations)
         h = groups.default_step(g)
-        return groups.central_differences(loglik, g, directions, h, op).T
+        return groups.central_differences(loglik, g, directions, h, op, boxed=True).T
 
     def fim_reduced(self, G) -> np.ndarray:
         """Single-observation reduced FIM over the m-basis at each matrix

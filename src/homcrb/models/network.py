@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +106,26 @@ def _sensitivities(p, i, j, directions) -> np.ndarray:
     )
 
 
+def _jacobian_slots(n_agents: int, i, j) -> np.ndarray:
+    """(2, n_edges, 2) flat indices into a (2 n_agents, n_edges) array of
+    each edge's entries: [0] at agent i's x, y rows, [1] at agent j's."""
+    n_edges = len(i)
+    rows = 2 * np.stack([i, j])[..., None] + np.arange(2)
+    return rows * n_edges + np.arange(n_edges)[:, None]
+
+
+def _translation_jacobian(d, slots, n_agents: int) -> np.ndarray:
+    """(..., 2 n_agents, n_edges) derivatives of the edge means along the
+    agent-major translation generators, from the edge vectors d
+    (..., n_edges, 2): +d_e at agent i, -d_e at agent j, zero elsewhere.
+    Bit for bit the _sensitivities of _translation_directions, whose sums
+    start from +0 and so never end at -0: hence d + 0 and 0 - d."""
+    n_edges = d.shape[-2]
+    out = np.zeros(d.shape[:-2] + (2 * n_agents * n_edges,))
+    out[..., slots] = np.stack([d + 0.0, 0.0 - d], axis=-3)
+    return out.reshape(d.shape[:-2] + (2 * n_agents, n_edges))
+
+
 def _translation_directions(n_agents: int) -> np.ndarray:
     """The 2 n_agents per-agent translation generators, agent-major."""
     out = np.zeros((2 * n_agents, n_agents, 3))
@@ -123,7 +143,8 @@ def rigidity_matrix(positions, edges, sigmas) -> np.ndarray:
     p = np.asarray(positions, dtype=float)
     i, j = _edge_arrays(edges)
     sig = np.broadcast_to(np.asarray(sigmas, dtype=float), i.shape)
-    return whitened_gram(_sensitivities(p, i, j, _translation_directions(len(p))), sig)
+    A = _translation_jacobian(p[i] - p[j], _jacobian_slots(len(p), i, j), len(p))
+    return whitened_gram(A, sig)
 
 
 def _network_group(n_agents: int) -> groups.GroupDescriptor:
@@ -175,6 +196,13 @@ class NetworkModel(GaussianModel):
         self.descriptor = _network_group(n)
         self._i, self._j = _edge_arrays(self.edges)
         self._slots = _position_slots(n)
+        # Flat indices, fixed per model: the endpoint positions of every
+        # edge in a (3n, 3n) iterate, (2, n_edges, 2) as [p_i, p_j], and
+        # their Jacobian entries in a (2n, n_edges) array.
+        rows, cols = self._slots
+        at = rows * (3 * n) + cols
+        self._endpoint_slots = np.stack([at[self._i], at[self._j]])
+        self._jacobian_slots = _jacobian_slots(n, self._i, self._j)
         self.struct = self._build_structure()
 
     # -- structure ---------------------------------------------------------
@@ -203,6 +231,15 @@ class NetworkModel(GaussianModel):
             ),
         )
 
+    @cached_property
+    def rigidity(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rigidity matrix S at the canonical positions and the
+        eigenvalues of its reduced-FIM block, built once per model and
+        read-only; raises DegenerateModelError with the rank gap on a flex
+        graph."""
+        S = groups._frozen(rigidity_matrix(self.positions, self.edges, self.sigmas))
+        return S, groups._frozen(_reduced_fim_eigenvalues(S))
+
     # -- observations --------------------------------------------------------
 
     def reference_element(self, positions=None) -> GroupElement:
@@ -220,10 +257,21 @@ class NetworkModel(GaussianModel):
     def edge_means(self, g: GroupElement) -> np.ndarray:
         return self._mean(g.matrix)
 
+    def _edge_vectors(self, G) -> np.ndarray:
+        """(..., n_edges, 2) p_i - p_j of every edge (i, j), for a matrix or
+        each of a stack: one take from the flattened matrices."""
+        ends = G.reshape(G.shape[:-2] + (-1,))[..., self._endpoint_slots]
+        return ends[..., 0, :, :] - ends[..., 1, :, :]
+
     def _mean(self, G) -> np.ndarray:
-        p = self._positions(G)
-        d = p[..., self._i, :] - p[..., self._j, :]
+        d = self._edge_vectors(G)
         return 0.5 * np.sum(d * d, axis=-1)
+
+    def _m_terms(self, G) -> np.ndarray:
+        """_terms along the m-basis, the translations less the first three:
+        the rows 3: of the translation Jacobian."""
+        d = self._edge_vectors(G)
+        return _translation_jacobian(d, self._jacobian_slots, self.n_agents)[..., 3:, :]
 
     def _terms(self, G, directions) -> np.ndarray:
         """(..., n_dirs, n_edges) array of d mu_e along each RIVF direction."""
@@ -241,22 +289,29 @@ def nonzero_eigenvalues(eig: np.ndarray) -> np.ndarray:
     return eig > 1e-10 * max(eig.max(initial=0.0), 1.0)
 
 
-def network_fim(positions, edges, sigmas) -> FimMatrix:
-    """Reduced FIM as the rigidity-matrix submatrix (drop the first three
-    rows/columns of the translation coordinates); refuses flex graphs."""
-    p = np.asarray(positions, dtype=float)
-    S = rigidity_matrix(p, edges, sigmas)
-    F = S[3:, 3:].copy()
-    n_theta = F.shape[0]
-    eig = np.linalg.eigvalsh(F)
+def _reduced_fim_eigenvalues(S) -> np.ndarray:
+    """Eigenvalues of the reduced FIM S[3:, 3:] of a rigidity matrix S
+    (drop the first three translation coordinates); raises
+    DegenerateModelError with the rank gap when the graph flexes."""
+    eig = np.linalg.eigvalsh(S[3:, 3:])
+    n_theta = len(eig)
     rank = int(np.sum(nonzero_eigenvalues(eig)))
     if rank < n_theta:
         raise DegenerateModelError(
             f"network is not rigid: reduced FIM rank {rank} < {n_theta}",
             rank_gap=n_theta - rank,
         )
+    return eig
+
+
+def network_fim(positions, edges, sigmas) -> FimMatrix:
+    """Reduced FIM as the rigidity-matrix submatrix (drop the first three
+    rows/columns of the translation coordinates); refuses flex graphs."""
+    p = np.asarray(positions, dtype=float)
+    S = rigidity_matrix(p, edges, sigmas)
+    _reduced_fim_eigenvalues(S)
     at = _reference_element(_network_group(len(p)), p)
-    return FimMatrix(REDUCED, at, F, ANALYTIC, 0)
+    return FimMatrix(REDUCED, at, S[3:, 3:].copy(), ANALYTIC, 0)
 
 
 def load_graph(path) -> dict:

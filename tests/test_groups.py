@@ -437,6 +437,34 @@ def test_central_difference_boxes_each_point_once(rng, built_elements):
         groups.central_difference(lambda el: 0.0, g, x[:5], 1e-6, groups.LIVF)
 
 
+@pytest.mark.parametrize(
+    "descriptor",
+    [groups.so3(), groups.se3(), groups.product_group([groups.se2()] * 3)],
+    ids=["SO(3)", "SE(3)", "SE(2)^3"],
+)
+def test_central_difference_checks_each_point_once(descriptor, rng, monkeypatch):
+    """The kernel's stacked membership test is the only one its points
+    pass: each is boxed with the defect that test measured. A matrix no
+    kernel has checked still gets the full test when boxed."""
+    g = groups.random_element(descriptor, rng, 0.5)
+    x = rng.standard_normal(descriptor.algebra_dim)
+    full_check = groups._check_membership
+    checks = []
+    monkeypatch.setattr(
+        groups, "_check_membership", lambda *a: checks.append(1) or full_check(*a)
+    )
+    for op in (groups.LIVF, groups.RIVF):
+        points = []
+        groups.central_difference(lambda el: points.append(el) or 0.0, g, x, 1e-6, op)
+        assert checks == [] and len(points) == 2
+        for el in points:
+            assert el.defect == full_check(el.matrix, descriptor)
+    groups.GroupElement(descriptor, g.matrix)
+    assert checks == [1]
+    with pytest.raises(ValueError):
+        groups.GroupElement(descriptor, 2.0 * g.matrix)
+
+
 def boxed_difference(fn, g, x, h, op):
     """Reference: the two points of one direction built and boxed one at a
     time, as a loop over directions would."""

@@ -20,7 +20,8 @@ from homcrb.models import (
     se3_element,
     spd_grad,
 )
-from homcrb.models.base import natural_operator
+from homcrb.models import network
+from homcrb.models.base import natural_operator, whitened_gram
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +362,73 @@ def test_rigidity_matrix_matches_per_edge_blocks():
     # The model's reduced FIM is the same computation on the m-basis.
     F = fisher.fim(model, model.reference_element(), fisher.REDUCED).matrix
     assert np.abs(F - S[3:, 3:]).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _geometric_graph(seed, n, side, radius, sigma):
+    """n agents uniform on [0, side]^2 from default_rng(seed), an edge for
+    each pair closer than radius."""
+    p = np.random.default_rng(seed).uniform(0.0, side, (n, 2))
+    dist = np.linalg.norm(p[:, None, :] - p[None, :, :], axis=-1)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if dist[i, j] < radius]
+    return NetworkModel(p, edges, sigma)
+
+
+def _bit_equal(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize(
+    "graph",
+    ["triangle", "benchmark-16", "seed-30"],
+)
+def test_translation_jacobian_is_the_sensitivities_bit_for_bit(graph, triangle_network):
+    """The edge-sparse Jacobian gives exactly the values and zero signs of
+    the dense direction contraction, for the m-basis and for the
+    rigidity matrix over every translation."""
+    model = {
+        "triangle": lambda: triangle_network,
+        "benchmark-16": lambda: _geometric_graph(3, 16, 1.0, 0.6, 0.1),
+        "seed-30": lambda: _geometric_graph(30, 30, 3.0, 1.5, 0.1),
+    }[graph]()
+    n = model.n_agents
+    r = np.random.default_rng(17)
+    # Agents rotated and moved; and axis-aligned positions, whose edge
+    # vectors hold exact zeros of both signs.
+    moved = np.stack([groups.random_element(model.descriptor, r, 0.8).matrix for _ in range(3)])
+    grid = r.integers(-2, 3, (n, 2)) * r.choice([-1.0, 1.0], (n, 2))
+    for G in (model.reference_element().matrix, moved, model.reference_element(grid).matrix):
+        assert _bit_equal(model._m_terms(G), model._terms(G, model.struct.m_basis))
+    for p in (model.positions, grid):
+        S = rigidity_matrix(p, model.edges, model.sigmas)
+        dense = network._sensitivities(
+            p, model._i, model._j, network._translation_directions(n)
+        )
+        assert _bit_equal(S, whitened_gram(dense, model.sigmas))
+
+
+def test_rigidity_matrix_of_an_edgeless_graph_is_zero():
+    S = rigidity_matrix([[0.0, 0.0], [1.0, 1.0], [-1.0, 2.0]], [], [])
+    assert S.shape == (6, 6)
+    assert np.array_equal(S, np.zeros((6, 6)))
+    assert not np.signbit(S).any()
+
+
+def test_network_rigidity_is_built_once_per_model(monkeypatch):
+    model = _geometric_graph(3, 16, 1.0, 0.6, 0.1)
+    built = []
+    original = network.rigidity_matrix
+    monkeypatch.setattr(
+        network, "rigidity_matrix", lambda *a: built.append(1) or original(*a)
+    )
+    S, reduced = model.rigidity
+    assert model.rigidity[0] is S and len(built) == 1
+    assert np.array_equal(reduced, np.linalg.eigvalsh(S[3:, 3:]))
+    F = network_fim(model.positions, model.edges, model.sigmas)
+    assert np.array_equal(F.matrix, S[3:, 3:])
+    flex = NetworkModel([[0.0, 0.0], [0.0, 1.0], [1.0, 0.5]], [(0, 1), (1, 2)], 0.1)
+    with pytest.raises(DegenerateModelError) as exc:
+        flex.rigidity
+    assert exc.value.rank_gap == 1
 
 
 def test_network_memory_stays_per_factor():

@@ -6,7 +6,7 @@ import pytest
 from homcrb import fisher, groups, homspace, scoring
 from homcrb.exceptions import DegenerateFimError, DivergenceError
 from homcrb.groups import AlgebraVector
-from homcrb.models import GaussianMeanModel, LandmarkModel, NetworkModel, SpdModel
+from homcrb.models import GaussianMeanModel, LandmarkModel, NetworkModel, SpdModel, network
 
 
 def landmark_truth():
@@ -310,6 +310,20 @@ def test_network_fim_is_checked_every_iterate(triangle_network, monkeypatch):
     )
     assert len(frozen.step_norms) >= 2
     assert conds[0] == fims[0] == len(trace.step_norms) + 1
+
+
+def test_network_scoring_runs_no_dense_sensitivities(triangle_network, monkeypatch):
+    """Score and FIM read the edge-sparse translation Jacobian; the dense
+    contraction over directions serves only arbitrary directions."""
+    g = triangle_network.reference_element()
+    obs = triangle_network.sample(g, 100, np.random.default_rng(13))
+    dense = count_calls(monkeypatch, network, "_sensitivities")
+    fims = count_calls(monkeypatch, NetworkModel, "fim_reduced")
+    trace = scoring.fisher_scoring(triangle_network, obs, g)
+    assert len(trace.step_norms) >= 3 and fims[0] == len(trace.step_norms)
+    assert dense[0] == 0
+    triangle_network.analytic_fim(g, triangle_network.struct.m_basis, "rivf")
+    assert dense[0] == 1
 
 
 def test_divergence_guard_attaches_trace(landmark_two):
