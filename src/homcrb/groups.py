@@ -7,13 +7,13 @@ that basis (the vee form); wedge is the inverse map. Closed-form exp/log
 are provided for SO(3), SE(2) and SE(3); GL(n)+ (and unipotent subgroups
 used for translation groups) fall back to dense scaling-and-squaring.
 
-Each operation is a kernel on raw arrays, and a product's kernel runs its
-factors as stacks, one per factor family. A public function boxes the
-kernel's result once, so a GroupElement is validated where it leaves the
-API, not per factor. Stack kernels (_exp_stack, _log_stack,
-_membership_stack) run the same closed forms over a leading axis of rows,
-the trials of a campaign or the factors of a product; central_differences
-runs the finite differences along a stack of directions the same way.
+Each of exp, log and the membership test is one stack kernel on raw
+arrays (_exp_stack, _log_stack, _membership_stack) over a leading axis of
+rows: campaign trials, product factors, or one element as a stack of one;
+special rows (near pi, the cut locus, GL(n)+ logs) run row by row inside
+it. A public function boxes the kernel's result once, so a GroupElement is
+validated where it leaves the API; central_differences runs the finite
+differences along a stack of directions the same way.
 
 Conventions: SE(2)/SE(3) coordinates are ordered rotation-first, i.e.
 X = (omega, v) with wedge(X) = [[omega^, v], [0, 0]].
@@ -180,14 +180,11 @@ class GroupElement:
         d = self.descriptor.matrix_dim
         if self.matrix.shape != (d, d):
             raise ValueError(f"matrix shape {self.matrix.shape} != ({d}, {d})")
-        # Before any membership test: a NaN defect compares False, and det
-        # warns on non-finite input.
-        if not np.isfinite(self.matrix).all():
-            raise ValueError("matrix has non-finite entries")
         if self.defect is None:
-            object.__setattr__(
-                self, "defect", _check_membership(self.matrix, self.descriptor)
-            )
+            defects, errors = _membership_stack(self.matrix[None], self.descriptor)
+            if errors:
+                raise errors[0]
+            object.__setattr__(self, "defect", float(defects[0]))
 
     def inverse(self) -> "GroupElement":
         return GroupElement(self.descriptor, _inverse_matrix(self.matrix, self.descriptor))
@@ -240,63 +237,29 @@ def _eye(k: int) -> np.ndarray:
     return _frozen(np.eye(k))
 
 
+_MINOR_A, _MINOR_B = np.array([1, 0, 0]), np.array([2, 2, 1])
+
+
 def _det(M):
-    """Determinant of a matrix or of each matrix of a (B, n, n) stack, by
-    cofactor expansion up to 3 x 3: a LAPACK call costs several times
-    more on these sizes."""
+    """Determinant of each matrix of a (B, n, n) stack, by cofactor
+    expansion up to 3 x 3: a LAPACK call costs several times more on
+    these sizes."""
     n = M.shape[-1]
     if n not in (2, 3):
         return np.linalg.det(M)
-    # Python floats for one matrix, (B,) arrays for a stack: the same
-    # operations either way.
-    entries = M.tolist() if M.ndim == 2 else M.transpose(1, 2, 0)
     if n == 2:
-        (a, b), (c, d) = entries
+        (a, b), (c, d) = M.transpose(1, 2, 0)
         return a * d - b * c
-    (a, b, c), (d, e, f), (g, h, i) = entries
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    # a (e i - f h) - b (d i - f g) + c (d h - e g), the three minors at once.
+    minors = M[:, 1, _MINOR_A] * M[:, 2, _MINOR_B] - M[:, 1, _MINOR_B] * M[:, 2, _MINOR_A]
+    terms = M[:, 0] * minors
+    return terms[:, 0] - terms[:, 1] + terms[:, 2]
 
 
 def _rotation_defect(R):
-    """max |R'R - I| and |det R - 1|, for one matrix or per matrix of a stack."""
-    if R.ndim == 2:
-        return max(float(np.abs(R.T @ R - _eye(R.shape[0])).max()), abs(_det(R) - 1.0))
+    """max |R'R - I| and |det R - 1| of each matrix of a (B, n, n) stack."""
     gap = np.abs(R.transpose(0, 2, 1) @ R - _eye(R.shape[-1])).reshape(len(R), -1)
     return np.maximum(gap.max(axis=1), np.abs(_det(R) - 1.0))
-
-
-def _check_membership(mat: np.ndarray, descriptor: GroupDescriptor) -> float:
-    """Raises ValueError unless mat is in the group to 1e-9; returns the
-    rotation-block defect (the largest over product factors, 0 for GL(n)+)."""
-    fam = descriptor.family
-    if fam == SO3:
-        defect = _rotation_defect(mat)
-        if defect > 1e-9:
-            raise ValueError("matrix is not in SO(3) to 1e-9")
-        return defect
-    if fam in (SE2, SE3):
-        d = descriptor.matrix_dim
-        defect = _rotation_defect(mat[: d - 1, : d - 1])
-        if defect > 1e-9:
-            raise ValueError(f"rotation block is not in SO({d - 1}) to 1e-9")
-        if np.abs(mat[-1] - _eye(d)[-1]).max() > 1e-9:
-            raise ValueError("bottom row must be (0, ..., 0, 1)")
-        return defect
-    if fam == GLN_PLUS:
-        if _det(mat) <= 0:
-            raise ValueError("determinant must be positive")
-        # The one proper GL(n)+ subgroup is translation_group: I + its span.
-        d, n = descriptor.matrix_dim, descriptor.algebra_dim
-        residual = _vee_lstsq(mat - _eye(d), descriptor)[1] if d * d > n else 0.0
-        if residual > 1e-9:
-            raise ValueError("matrix is not a translation: g - I leaves the span")
-        return 0.0
-    if fam == PRODUCT:
-        defects, errors = _family_membership(mat[None], descriptor)
-        if errors:
-            raise errors[0]
-        return float(defects[0])
-    raise ValueError(f"unknown group family {fam!r}")
 
 
 def manifold_defect(g: GroupElement) -> float:
@@ -447,147 +410,21 @@ def bracket(X: AlgebraVector, Y: AlgebraVector) -> AlgebraVector:
 
 
 # ---------------------------------------------------------------------------
-# exp
-
-
-def _so3_terms(omega):
-    """(W, W^2, a, b, c) for W = hat(omega), theta = |omega|: a = sin t / t,
-    b = (1 - cos t) / t^2, c = (t - sin t) / t^3, by 4th-order Taylor near
-    0. exp(W) = I + a W + b W^2; the left Jacobian is I + b W + c W^2."""
-    theta = math.sqrt(omega @ omega)  # np.linalg.norm's arithmetic
-    W = hat(omega)
-    if theta < _SMALL_ANGLE:
-        t2 = theta * theta
-        a = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
-        b = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
-        c = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
-    else:
-        a = math.sin(theta) / theta
-        b = (1.0 - math.cos(theta)) / theta**2
-        c = (theta - math.sin(theta)) / theta**3
-    return W, W @ W, a, b, c
-
-
-def _so3_left_jacobian_inv(omega) -> np.ndarray:
-    theta = math.sqrt(omega @ omega)
-    W = hat(omega)
-    if theta < _SMALL_ANGLE:
-        c = 1.0 / 12.0
-    elif math.pi - theta < _NEAR_PI:
-        # (1 + cos) / sin = sin / (1 - cos), without the cancellation in 1 + cos.
-        c = 1.0 / theta**2 - math.sin(theta) / (2.0 * theta * (1.0 - math.cos(theta)))
-    else:
-        c = 1.0 / theta**2 - (1.0 + math.cos(theta)) / (
-            2.0 * theta * math.sin(theta)
-        )
-    return _eye(3) - 0.5 * W + c * (W @ W)
-
-
-def _se2_V(theta: float) -> np.ndarray:
-    if abs(theta) < _SMALL_ANGLE:
-        t2 = theta * theta
-        a = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
-        b = theta / 2.0 - theta * t2 / 24.0
-    else:
-        a = math.sin(theta) / theta
-        b = (1.0 - math.cos(theta)) / theta
-    return np.array([[a, -b], [b, a]])
+# exp / log: row 0 of the stack kernels on a stack of one
 
 
 def exp(X: AlgebraVector) -> GroupElement:
-    """Group exponential; closed form per family, expm fallback for GL(n)+."""
-    return GroupElement(X.descriptor, _exp(X.coords, X.descriptor))
-
-
-def _exp(x, d: GroupDescriptor) -> np.ndarray:
-    fam = d.family
-    if fam == SO3:
-        W, W2, a, b, _ = _so3_terms(x)
-        return _eye(3) + a * W + b * W2
-    if fam == SE2:
-        theta, v = float(x[0]), x[1:]
-        c, s = math.cos(theta), math.sin(theta)
-        M = _eye(3).copy()
-        M[:2, :2] = [[c, -s], [s, c]]
-        M[:2, 2] = _se2_V(theta) @ v
-        return M
-    if fam == SE3:
-        omega, v = x[:3], x[3:]
-        W, W2, a, b, c = _so3_terms(omega)
-        M = _eye(4).copy()
-        M[:3, :3] = _eye(3) + a * W + b * W2
-        M[:3, 3] = (_eye(3) + b * W + c * W2) @ v
-        return M
-    if fam == PRODUCT:
-        return _exp_stack(x[None], d)[0]
-    return expm(wedge(x, d))
-
-
-# ---------------------------------------------------------------------------
-# log
-
-
-def _so3_log(R) -> np.ndarray:
-    cos_theta = min(1.0, max(-1.0, 0.5 * (float(np.trace(R)) - 1.0)))
-    theta = math.acos(cos_theta)
-    if math.pi - theta < _CUT_LOCUS_MARGIN:
-        raise CutLocusError(
-            f"rotation angle {theta:.9f} within {_CUT_LOCUS_MARGIN} of pi"
-        )
-    skew = 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    if theta < _SMALL_ANGLE:
-        t2 = theta * theta
-        return (1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0) * skew
-    if math.pi - theta < _NEAR_PI:
-        return _so3_log_near_pi(R, cos_theta, skew)
-    return (theta / math.sin(theta)) * skew
-
-
-def _so3_log_near_pi(R, cos_theta: float, skew: np.ndarray) -> np.ndarray:
-    """theta * axis with the axis from the symmetric part of R, which is
-    (1 - cos) a a' + cos I, and its sign and sin(theta) from the skew part
-    (sin) a: both to full precision where sin(theta) -> 0."""
-    S = 0.5 * (R + R.T) - cos_theta * _eye(3)
-    k = int(np.argmax(np.diag(S)))
-    axis = S[:, k] / math.sqrt(S[k, k] * (1.0 - cos_theta))
-    sin_theta = float(axis @ skew)
-    if sin_theta < 0.0:
-        axis, sin_theta = -axis, -sin_theta
-    return math.atan2(sin_theta, cos_theta) * axis
+    """Group exponential; closed form per family, expm for GL(n)+."""
+    return GroupElement(X.descriptor, _exp_stack(X.coords[None], X.descriptor)[0])
 
 
 def log(g: GroupElement) -> AlgebraVector:
-    """Principal group logarithm; raises CutLocusError near angle pi."""
-    return AlgebraVector(g.descriptor, _log(g.matrix, g.descriptor))
-
-
-def _log(mat: np.ndarray, d: GroupDescriptor) -> np.ndarray:
-    fam = d.family
-    if fam == SO3:
-        return _so3_log(mat)
-    if fam == SE2:
-        theta = math.atan2(mat[1, 0], mat[0, 0])
-        if math.pi - abs(theta) < _CUT_LOCUS_MARGIN:
-            raise CutLocusError(f"rotation angle {theta:.9f} within margin of pi")
-        v = np.linalg.solve(_se2_V(theta), mat[:2, 2])
-        return np.concatenate([[theta], v])
-    if fam == SE3:
-        omega = _so3_log(mat[:3, :3])
-        v = _so3_left_jacobian_inv(omega) @ mat[:3, 3]
-        return np.concatenate([omega, v])
-    if fam == PRODUCT:
-        coords, errors = _log_stack(mat[None], d)
-        if errors:
-            raise errors[0]
-        return coords[0]
-    # GL(n)+: dense principal log; real-negative eigenvalues have no real log.
-    eigvals = np.linalg.eigvals(mat)
-    if np.any((eigvals.real < 0) & (np.abs(eigvals.imag) < 1e-12)):
-        raise DomainError("matrix has real-negative eigenvalues; principal log undefined")
-    L = logm(mat)
-    if np.abs(L.imag).max() > 1e-9:
-        raise DomainError("matrix log is not real")
-    return vee(L.real, d)
+    """Principal group logarithm; raises CutLocusError near angle pi and
+    DomainError where a GL(n)+ matrix has no real principal log."""
+    coords, errors = _log_stack(g.matrix[None], g.descriptor)
+    if errors:
+        raise errors[0]
+    return AlgebraVector(g.descriptor, coords[0])
 
 
 # ---------------------------------------------------------------------------
@@ -811,13 +648,16 @@ def _polar(mat: np.ndarray, d: GroupDescriptor) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Stack kernels
 #
-# The closed forms above over a leading axis of B rows: the trials of a
-# campaign, or the factors of a product. Each row comes out bit for bit as
-# the one-element kernel computes it: norms are vecdot square roots, as in
-# np.linalg.norm; powers, acos and atan2 come from libm, as for Python
-# floats; matrix-vector products are batched matmuls. A stack of one, and
-# each rare row near pi, runs the one-element kernel itself. A row that
-# fails comes back in an {index: exception} dict instead of raising.
+# The one kernel of each of exp, log and the membership test, over a
+# leading axis of B rows: the trials of a campaign, the factors of a
+# product, or a stack of one for a single element. Every row comes out
+# bit for bit as it does in a stack of one, so a row does not depend on
+# the stack it runs in: norms are vecdot square roots; powers, acos and
+# atan2 come from libm, as for Python floats; matrix-vector products are
+# batched matmuls. The rare special rows run their own code row by row
+# inside the kernel: SO(3) angles within _NEAR_PI of pi, the cut locus
+# and every GL(n)+ log. A row that fails comes back in an
+# {index: exception} dict instead of raising.
 
 
 @lru_cache(maxsize=None)
@@ -855,51 +695,55 @@ def _first_factor_errors(errors: dict, pos: np.ndarray, failed: dict) -> None:
             failed[row] = (pos[j], exc)
 
 
-def _one_by_one(kernel, mats, d: GroupDescriptor, rows, out):
-    """out[i] = kernel(mats[i], d) for the given rows; a row whose kernel
-    raises a package error is NaN, with the error in the returned dict."""
-    errors = {}
-    for i in rows:
-        try:
-            out[i] = kernel(mats[i], d)
-        except HomCrbError as exc:
-            out[i] = np.nan
-            errors[i] = exc
-    return out, errors
-
-
 def _so3_terms_stack(omega):
-    """_so3_terms of each row of a (B, 3) array; a, b, c shaped (B, 1, 1)."""
+    """(W, W^2, a, b, c) for W = hat(omega), theta = |omega| of each row
+    of a (B, 3) array: a = sin t / t, b = (1 - cos t) / t^2 and
+    c = (t - sin t) / t^3, by 4th-order Taylor near 0, shaped (B, 1, 1).
+    exp(W) = I + a W + b W^2; the left Jacobian is I + b W + c W^2."""
     theta = np.sqrt(np.vecdot(omega, omega))
-    t2 = theta * theta
-    a = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
-    b = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
-    c = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
     big = theta >= _SMALL_ANGLE
-    t = theta[big]
-    s = np.sin(t)
-    a[big] = s / t
-    b[big] = (1.0 - np.cos(t)) / np.float_power(t, 2)
-    c[big] = (t - s) / np.float_power(t, 3)
+    n_big = np.count_nonzero(big)
+    if n_big < len(theta):
+        t2 = theta * theta
+        a = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
+        b = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
+        c = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
+    else:
+        a, b, c = np.empty((3,) + theta.shape)
+    if n_big:
+        t = theta[big]
+        s = np.sin(t)
+        a[big] = s / t
+        b[big] = (1.0 - np.cos(t)) / np.float_power(t, 2)
+        c[big] = (t - s) / np.float_power(t, 3)
     W = hat(omega)
     return W, W @ W, a[:, None, None], b[:, None, None], c[:, None, None]
 
 
 def _se2_V_stack(theta) -> np.ndarray:
-    t2 = theta * theta
-    a = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
-    b = theta / 2.0 - theta * t2 / 24.0
+    """The (B, 2, 2) translation Jacobians [[a, -b], [b, a]] of SE(2) at
+    the angles theta: a = sin t / t, b = (1 - cos t) / t, by Taylor near 0."""
     big = np.abs(theta) >= _SMALL_ANGLE
-    t = theta[big]
-    a[big] = np.sin(t) / t
-    b[big] = (1.0 - np.cos(t)) / t
+    n_big = np.count_nonzero(big)
+    if n_big < len(theta):
+        t2 = theta * theta
+        a = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
+        b = theta / 2.0 - theta * t2 / 24.0
+    else:
+        a, b = np.empty((2,) + theta.shape)
+    if n_big:
+        t = theta[big]
+        a[big] = np.sin(t) / t
+        b[big] = (1.0 - np.cos(t)) / t
     V = np.empty((len(theta), 2, 2))
     V[:, 0, 0], V[:, 0, 1], V[:, 1, 0], V[:, 1, 1] = a, -b, b, a
     return V
 
 
 def _exp_stack(x, d: GroupDescriptor) -> np.ndarray:
-    """_exp of each row of a (B, n) coordinate array: (B, dim, dim)."""
+    """exp of each row of a (B, n) coordinate array: (B, dim, dim), by
+    closed form for SO(3), SE(2) and SE(3), by a stacked expm of the
+    wedges for GL(n)+, and per factor family for a product."""
     fam, B = d.family, len(x)
     if fam == PRODUCT:
         out = np.zeros((B, d.matrix_dim, d.matrix_dim))
@@ -908,11 +752,16 @@ def _exp_stack(x, d: GroupDescriptor) -> np.ndarray:
             blocks = _exp_stack(x[:, cols].reshape(-1, f.algebra_dim), f)
             flat[:, entries] = blocks.reshape(B, -1)
         return out
-    if B == 1:
-        return _exp(x[0], d)[None]
-    if fam == SO3:
-        W, W2, a, b, _ = _so3_terms_stack(x)
-        return _eye(3) + a * W + b * W2
+    if fam in (SO3, SE3):
+        W, W2, a, b, c = _so3_terms_stack(x[:, :3])
+        R = _eye(3) + a * W + b * W2
+        if fam == SO3:
+            return R
+        M = np.zeros((B, 4, 4))
+        M[:, 3, 3] = 1.0
+        M[:, :3, :3] = R
+        M[:, :3, 3] = ((_eye(3) + b * W + c * W2) @ x[:, 3:, None])[..., 0]
+        return M
     if fam == SE2:
         theta = x[:, 0]
         c, s = np.cos(theta), np.sin(theta)
@@ -920,41 +769,76 @@ def _exp_stack(x, d: GroupDescriptor) -> np.ndarray:
         M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1], M[:, 2, 2] = c, -s, s, c, 1.0
         M[:, :2, 2] = (_se2_V_stack(theta) @ x[:, 1:, None])[..., 0]
         return M
-    if fam == SE3:
-        W, W2, a, b, c = _so3_terms_stack(x[:, :3])
-        M = np.zeros((B, 4, 4))
-        M[:, 3, 3] = 1.0
-        M[:, :3, :3] = _eye(3) + a * W + b * W2
-        M[:, :3, 3] = ((_eye(3) + b * W + c * W2) @ x[:, 3:, None])[..., 0]
-        return M
     flat = d.algebra_basis.reshape(d.algebra_dim, -1)
     return expm((x[:, None, :] @ flat).reshape(B, d.matrix_dim, d.matrix_dim))
 
 
-def _so3_log_stack(R):
-    """_so3_log of the rows of a (B, 3, 3) stack that are not within
-    _NEAR_PI of pi, and the mask of those that are (left NaN)."""
+def _so3_log_near_pi(R, cos_theta: float, skew: np.ndarray) -> np.ndarray:
+    """theta * axis with the axis from the symmetric part of R, which is
+    (1 - cos) a a' + cos I, and its sign and sin(theta) from the skew part
+    (sin) a: both to full precision where sin(theta) -> 0."""
+    S = 0.5 * (R + R.T) - cos_theta * _eye(3)
+    k = int(np.argmax(np.diag(S)))
+    axis = S[:, k] / math.sqrt(S[k, k] * (1.0 - cos_theta))
+    sin_theta = float(axis @ skew)
+    if sin_theta < 0.0:
+        axis, sin_theta = -axis, -sin_theta
+    return math.atan2(sin_theta, cos_theta) * axis
+
+
+_SKEW_ROWS, _SKEW_COLS = np.array([2, 0, 1]), np.array([1, 2, 0])
+
+
+def _so3_log_stack(R) -> tuple[np.ndarray, dict]:
+    """Rotation vectors of a (B, 3, 3) stack, theta from acos of the
+    trace: (B, 3), NaN in the rows within _CUT_LOCUS_MARGIN of pi, and
+    {row: CutLocusError} for those rows. Rows within _NEAR_PI of pi run
+    _so3_log_near_pi one by one."""
     cos_theta = np.minimum(
         1.0, np.maximum(-1.0, 0.5 * (R[:, 0, 0] + R[:, 1, 1] + R[:, 2, 2] - 1.0))
     )
-    theta = np.array([math.acos(c) for c in cos_theta.tolist()])
-    skew = 0.5 * np.stack(
-        [R[:, 2, 1] - R[:, 1, 2], R[:, 0, 2] - R[:, 2, 0], R[:, 1, 0] - R[:, 0, 1]],
-        axis=-1,
-    )
+    thetas = [math.acos(c) for c in cos_theta.tolist()]
+    theta = np.array(thetas)
+    # (R21 - R12, R02 - R20, R10 - R01) / 2
+    skew = 0.5 * (R[:, _SKEW_ROWS, _SKEW_COLS] - R[:, _SKEW_COLS, _SKEW_ROWS])
     near_pi = math.pi - theta < _NEAR_PI
-    t2 = theta * theta
-    scale = 1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0
     big = (theta >= _SMALL_ANGLE) & ~near_pi
-    scale[big] = theta[big] / np.sin(theta[big])
-    scale[near_pi] = np.nan
-    return scale[:, None] * skew, near_pi
+    if np.count_nonzero(theta < _SMALL_ANGLE):
+        t2 = theta * theta
+        scale = 1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0
+    else:
+        scale = np.zeros_like(theta)  # near-pi rows are replaced below
+    if np.count_nonzero(big):
+        scale[big] = theta[big] / np.sin(theta[big])
+    omega = scale[:, None] * skew
+    errors = {}
+    for i in np.flatnonzero(near_pi).tolist():
+        if math.pi - thetas[i] < _CUT_LOCUS_MARGIN:
+            errors[i] = CutLocusError(
+                f"rotation angle {thetas[i]:.9f} within {_CUT_LOCUS_MARGIN} of pi"
+            )
+            omega[i] = np.nan
+        else:
+            omega[i] = _so3_log_near_pi(R[i], float(cos_theta[i]), skew[i])
+    return omega, errors
+
+
+def _glnplus_log(mat: np.ndarray, d: GroupDescriptor) -> np.ndarray:
+    """The dense principal log of one GL(n)+ row; real-negative
+    eigenvalues have no real log."""
+    eigvals = np.linalg.eigvals(mat)
+    if np.any((eigvals.real < 0) & (np.abs(eigvals.imag) < 1e-12)):
+        raise DomainError("matrix has real-negative eigenvalues; principal log undefined")
+    L = logm(mat)
+    if np.abs(L.imag).max() > 1e-9:
+        raise DomainError("matrix log is not real")
+    return vee(L.real, d)
 
 
 def _log_stack(mats, d: GroupDescriptor) -> tuple[np.ndarray, dict]:
-    """_log of each matrix of a (B, dim, dim) stack: (B, n) coordinates,
-    NaN in the rows whose log is undefined, and {row: exception} for
-    those rows (CutLocusError, or DomainError for GL(n)+)."""
+    """The principal log of each matrix of a (B, dim, dim) stack: (B, n)
+    coordinates, NaN in the rows whose log is undefined, and {row:
+    exception} for those rows (CutLocusError, or DomainError for GL(n)+)."""
     fam, B = d.family, len(mats)
     out = np.empty((B, d.algebra_dim))
     if fam == PRODUCT:
@@ -964,31 +848,46 @@ def _log_stack(mats, d: GroupDescriptor) -> tuple[np.ndarray, dict]:
             out[:, cols] = coords.reshape((B,) + cols.shape)
             _first_factor_errors(errors, pos, failed)
         return out, {row: exc for row, (_, exc) in failed.items()}
-    if B == 1 or fam not in (SO3, SE2, SE3):
-        return _one_by_one(_log, mats, d, range(B), out)
-    if fam == SO3:
-        out[:], special = _so3_log_stack(mats)
-    elif fam == SE2:
-        theta = np.array(
-            [math.atan2(s, c) for s, c in zip(mats[:, 1, 0].tolist(), mats[:, 0, 0].tolist())]
-        )
-        special = math.pi - np.abs(theta) < _CUT_LOCUS_MARGIN
-        out[:, 0] = theta
-        out[:, 1:] = np.linalg.solve(_se2_V_stack(theta), mats[:, :2, 2, None])[..., 0]
-    else:
-        omega, special = _so3_log_stack(mats[:, :3, :3])
-        # _so3_left_jacobian_inv takes theta from omega again.
+    errors = {}
+    if fam in (SO3, SE3):
+        out[:, :3], errors = _so3_log_stack(mats[:, :3, :3])
+    if fam == SE3:
+        # v = J^-1(omega) p, with J^-1 = I - W/2 + c W^2 and theta taken
+        # from omega again.
+        omega = out[:, :3]
         theta = np.sqrt(np.vecdot(omega, omega))
-        special |= math.pi - theta < _NEAR_PI
+        near_pi = math.pi - theta < _NEAR_PI
         c = np.full(B, 1.0 / 12.0)
-        big = (theta >= _SMALL_ANGLE) & ~special
-        t = theta[big]
-        c[big] = 1.0 / np.float_power(t, 2) - (1.0 + np.cos(t)) / (2.0 * t * np.sin(t))
+        big = (theta >= _SMALL_ANGLE) & ~near_pi
+        if np.count_nonzero(big):
+            t = theta[big]
+            c[big] = 1.0 / np.float_power(t, 2) - (1.0 + np.cos(t)) / (2.0 * t * np.sin(t))
+        if np.count_nonzero(near_pi):
+            # (1 + cos) / sin = sin / (1 - cos), without the cancellation in 1 + cos.
+            t = theta[near_pi]
+            c[near_pi] = 1.0 / np.float_power(t, 2) - np.sin(t) / (
+                2.0 * t * (1.0 - np.cos(t))
+            )
         W = hat(omega)
         J_inv = _eye(3) - 0.5 * W + c[:, None, None] * (W @ W)
-        out[:, :3] = omega
         out[:, 3:] = (J_inv @ mats[:, :3, 3, None])[..., 0]
-    return _one_by_one(_log, mats, d, np.flatnonzero(special), out)
+    elif fam == SE2:
+        thetas = [
+            math.atan2(s, c) for s, c in zip(mats[:, 1, 0].tolist(), mats[:, 0, 0].tolist())
+        ]
+        theta = np.array(thetas)
+        out[:, 0] = theta
+        out[:, 1:] = np.linalg.solve(_se2_V_stack(theta), mats[:, :2, 2, None])[..., 0]
+        for i in np.flatnonzero(math.pi - np.abs(theta) < _CUT_LOCUS_MARGIN).tolist():
+            errors[i] = CutLocusError(f"rotation angle {thetas[i]:.9f} within margin of pi")
+            out[i] = np.nan
+    elif fam != SO3:  # GL(n)+
+        for i, mat in enumerate(mats):
+            try:
+                out[i] = _glnplus_log(mat, d)
+            except HomCrbError as exc:
+                out[i], errors[i] = np.nan, exc
+    return out, errors
 
 
 def _row_errors(*checks, errors=None) -> dict:
@@ -1009,15 +908,11 @@ def _block_entries(descriptor: GroupDescriptor) -> np.ndarray:
 
 
 def _family_membership(mats, d: GroupDescriptor) -> tuple[np.ndarray, dict]:
-    """_check_membership of each finite matrix of a (B, dim, dim) stack:
-    the defects, and {row: ValueError} for the rows outside the group,
-    with the message that row would raise alone."""
+    """The membership test, to 1e-9, of each finite matrix of a
+    (B, dim, dim) stack: the rotation-block defects (the largest over a
+    product's factors, 0 for GL(n)+), and {row: ValueError} for the rows
+    outside the group."""
     fam, B, dim = d.family, len(mats), d.matrix_dim
-    if B == 1 and fam != PRODUCT:
-        try:
-            return np.array([_check_membership(mats[0], d)]), {}
-        except ValueError as exc:
-            return np.zeros(1), {0: exc}
     if fam == SO3:
         defect = _rotation_defect(mats)
         return defect, _row_errors((defect > 1e-9, "matrix is not in SO(3) to 1e-9"))
@@ -1056,9 +951,10 @@ def _membership_stack(mats, d: GroupDescriptor) -> tuple[np.ndarray, dict]:
     """The GroupElement checks, finiteness first, of each matrix of a
     (B, dim, dim) stack: the defects, and {row: ValueError} for the rows
     that would not box."""
-    finite = np.isfinite(mats).reshape(len(mats), -1).all(axis=1)
-    if np.count_nonzero(finite) == len(mats):
+    finite = np.isfinite(mats)
+    if np.count_nonzero(finite) == finite.size:
         return _family_membership(mats, d)
+    finite = finite.reshape(len(mats), -1).all(axis=1)
     defects, errors = _family_membership(
         np.where(finite[:, None, None], mats, _eye(d.matrix_dim)), d
     )

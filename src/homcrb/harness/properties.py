@@ -207,23 +207,29 @@ def suite_error_block(seed: int):
 
 
 def suite_sphere(seed: int):
-    """Group coset error equals the closed-form spherical log on S^2."""
+    """Group coset error equals the closed-form spherical log on S^2, the
+    pairs as one stack. They pass one membership test, whose lowest
+    failing pair raises, and sphere_riemannian_checks."""
     n_pairs, tol = 100, 1e-10
-    s2 = homspace.sphere_structure()
+    s2, so3 = homspace.sphere_structure(), groups.so3()
     rng = np.random.default_rng([seed, 17])
-    failures = []
-    checks = 0
-    for k in range(n_pairs):
-        a = groups.random_element(groups.so3(), rng, 1.0)
+    a_coords, m_coords = np.empty((n_pairs, 3)), np.zeros((n_pairs, 3))
+    for k in range(n_pairs):  # the draws of a pair, pair by pair
+        a_coords[k] = rng.standard_normal(3)
         direction = rng.standard_normal(2)
-        direction *= rng.uniform(0.0, 2.0) / np.linalg.norm(direction)
-        b = a @ groups.exp(s2.from_coords(np.concatenate([[0.0], direction])))
-        eg, ei = homspace.sphere_riemannian_check(a, b, s2)
-        checks += 1
-        dev = float(np.abs(eg - ei).max())
-        if dev > tol:
-            failures.append(f"sphere[{k}]: deviation {dev:.2e} > {tol:g}")
-    return checks, failures
+        m_coords[k, 1:] = direction * (rng.uniform(0.0, 2.0) / np.linalg.norm(direction))
+    a = groups._exp_stack(a_coords, so3)
+    b = a @ groups._exp_stack(m_coords @ s2.basis, so3)
+    errors = groups._membership_stack(np.concatenate([a, b]), so3)[1]
+    if errors:
+        raise errors[min(errors, key=lambda r: (r % n_pairs, r // n_pairs))]
+    eg, ei = homspace.sphere_riemannian_checks(a, b, s2)
+    failures = [
+        f"sphere[{k}]: deviation {dev:.2e} > {tol:g}"
+        for k, dev in enumerate(np.abs(eg - ei).max(axis=1).tolist())
+        if dev > tol
+    ]
+    return n_pairs, failures
 
 
 def suite_gradients(seed: int):

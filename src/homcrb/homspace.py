@@ -313,7 +313,10 @@ def raw_error(
 ) -> np.ndarray:
     """Adapted coordinates of the log of relative_matrix(g_ref, g), unlifted."""
     rel = relative_matrix(g_ref, g.matrix, struct.side)
-    return struct._B_inv @ groups._log(rel, struct.group)
+    coords, errors = groups._log_stack(rel[None], struct.group)
+    if errors:
+        raise errors[0]
+    return struct._B_inv @ coords[0]
 
 
 @dataclass(frozen=True)
@@ -470,9 +473,42 @@ def sphere_structure() -> ReductiveStructure:
     )
 
 
-def sphere_point(g: GroupElement) -> np.ndarray:
-    """Coset representative point on S^2 (stabilizer of e3)."""
-    return g.matrix @ np.array([0.0, 0.0, 1.0])
+def sphere_riemannian_checks(
+    refs: np.ndarray, estimates: np.ndarray, s2_struct: ReductiveStructure
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group coset errors against the closed-form spherical logs, for a
+    (B, 3, 3) stack of reference rotations and one of estimates: the
+    (B, 2) m-coordinates of each lift and of each log in the pushforward
+    basis of the m-block LIVFs at its reference. The two agree because
+    SO(3) carries a bi-invariant metric and S^2 is naturally reductive.
+
+    The relative elements a^-1 b lift from the identity as one
+    coset_errors stack, and the 3 x 2 frame systems are solved together.
+    The lowest row that is antipodal (CutLocusError) or whose lift fails
+    raises."""
+    e3 = np.array([0.0, 0.0, 1.0])
+    u, v = refs[..., 2], estimates[..., 2]  # the points g e3 on S^2
+    c = np.clip(np.vecdot(u, v), -1.0, 1.0)
+    identity = groups.identity_element(s2_struct.group)
+    lifted = coset_errors(identity, refs.transpose(0, 2, 1) @ estimates, s2_struct)
+    errors = dict(lifted.errors)
+    for i in np.flatnonzero(c < -1.0 + 1e-9).tolist():
+        errors[i] = CutLocusError("points are antipodal; spherical log undefined")
+    if errors:
+        raise errors[min(errors)]
+
+    tangent = v - c[:, None] * u
+    nt = np.sqrt(np.vecdot(tangent, tangent))
+    scale = np.divide(np.arccos(c), nt, out=np.zeros_like(nt), where=nt > 1e-16)
+    log_uv = scale[:, None] * tangent
+
+    # Pushforward of the m-basis LIVFs: d/dt pi(g exp(t E_i)) = g E_i e3.
+    desc = s2_struct.group
+    pushed = np.array([groups.wedge(b, desc) @ e3 for b in s2_struct.m_basis])
+    frame = refs @ pushed.T  # (B, 3, 2)
+    normal = frame.transpose(0, 2, 1)
+    coords_int = np.linalg.solve(normal @ frame, normal @ log_uv[..., None])[..., 0]
+    return lifted.eta_struct[:, s2_struct.n_H :], coords_int
 
 
 def sphere_riemannian_check(
@@ -480,25 +516,7 @@ def sphere_riemannian_check(
     g_est: GroupElement,
     s2_struct: ReductiveStructure,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Group coset error vs the closed-form spherical log, both in the
-    pushforward basis of the m-block LIVFs. The two agree because SO(3)
-    carries a bi-invariant metric and S^2 is naturally reductive."""
-    u, v = sphere_point(g_ref), sphere_point(g_est)
-    c = float(np.clip(u @ v, -1.0, 1.0))
-    if c < -1.0 + 1e-9:
-        raise CutLocusError("points are antipodal; spherical log undefined")
-    err = coset_error(g_ref, g_est, s2_struct)
-
-    theta = math.acos(c)
-    tangent = v - c * u
-    nt = float(np.linalg.norm(tangent))
-    log_uv = (theta / nt) * tangent if nt > 1e-16 else np.zeros(3)
-
-    # Pushforward of the m-basis LIVFs: d/dt pi(g exp(t E_i)) = g E_i e3.
-    e3 = np.array([0.0, 0.0, 1.0])
-    desc = s2_struct.group
-    frame = np.column_stack(
-        [g_ref.matrix @ (groups.wedge(b, desc) @ e3) for b in s2_struct.m_basis]
-    )
-    coords_int, *_ = np.linalg.lstsq(frame, log_uv, rcond=None)
-    return err.eta_reduced, coords_int
+    """sphere_riemannian_checks of one pair: (group m-error, spherical
+    log coordinates)."""
+    eta, coords = sphere_riemannian_checks(g_ref.matrix[None], g_est.matrix[None], s2_struct)
+    return eta[0], coords[0]

@@ -48,7 +48,7 @@ def _sample_point_stabilizer(
         axis = rng.standard_normal(3)
         axis = axis / np.linalg.norm(axis)
     angle = rng.uniform(-math.pi, math.pi)
-    Q = groups._exp(angle * axis, groups.so3())
+    Q = groups._exp_stack((angle * axis)[None], groups.so3())[0]
     return se3_element(Q, (np.eye(3) - Q) @ point)
 
 

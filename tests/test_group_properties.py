@@ -80,7 +80,7 @@ def test_rotation_defect_matches_lapack_determinant(n, angle, axis, noise):
     else:
         R = groups.exp(AlgebraVector(groups.so3(), angle * axis)).matrix
     R = R + np.reshape(noise[: n * n], (n, n))
-    assert abs(groups._rotation_defect(R) - lapack_rotation_defect(R)) <= 1e-15
+    assert abs(groups._rotation_defect(R[None])[0] - lapack_rotation_defect(R)) <= 1e-15
 
 
 def ball(dim, radius):

@@ -364,7 +364,13 @@ def test_psi_series_matches_closed_form_so3_jacobian(rng):
         w = rng.standard_normal(3)
         w *= rng.uniform(0.0, 2.5) / np.linalg.norm(w)
         P = groups.psi_matrix(AlgebraVector(d, w), order=30)
-        assert np.abs(P.matrix - groups._so3_left_jacobian_inv(-w)).max() <= 1e-12
+        # J^-1(-w) = I + W/2 + c W^2, W = hat(w), theta = |w|.
+        theta = np.linalg.norm(w)
+        c = 1.0 / 12.0
+        if theta >= 1e-4:
+            c = 1.0 / theta**2 - (1.0 + math.cos(theta)) / (2.0 * theta * math.sin(theta))
+        W = groups.hat(w)
+        assert np.abs(P.matrix - (np.eye(3) + 0.5 * W + c * (W @ W))).max() <= 1e-12
 
 
 @pytest.mark.parametrize("desc", ALL_DESCRIPTORS())
@@ -448,19 +454,21 @@ def test_central_difference_checks_each_point_once(descriptor, rng, monkeypatch)
     kernel has checked still gets the full test when boxed."""
     g = groups.random_element(descriptor, rng, 0.5)
     x = rng.standard_normal(descriptor.algebra_dim)
-    full_check = groups._check_membership
-    checks = []
+    full_check = groups._family_membership
+    checks = []  # the rows of each family test; a product's factors add one
     monkeypatch.setattr(
-        groups, "_check_membership", lambda *a: checks.append(1) or full_check(*a)
+        groups, "_family_membership", lambda m, d: checks.append(len(m)) or full_check(m, d)
     )
+    factors = len(descriptor.factors)
     for op in (groups.LIVF, groups.RIVF):
         points = []
         groups.central_difference(lambda el: points.append(el) or 0.0, g, x, 1e-6, op)
-        assert checks == [] and len(points) == 2
+        assert checks == [2] + [2 * factors] * (factors > 0) and len(points) == 2
         for el in points:
-            assert el.defect == full_check(el.matrix, descriptor)
+            assert el.defect == groups._membership_stack(el.matrix[None], descriptor)[0][0]
+        checks.clear()
     groups.GroupElement(descriptor, g.matrix)
-    assert checks == [1]
+    assert checks == [1] + [factors] * (factors > 0)
     with pytest.raises(ValueError):
         groups.GroupElement(descriptor, 2.0 * g.matrix)
 
@@ -620,7 +628,7 @@ def test_small_determinant_matches_lapack(rng):
         for _ in range(50):
             M = rng.standard_normal((n, n))
             ref = np.linalg.det(M)
-            assert abs(groups._det(M) - ref) <= 1e-12 * max(1.0, abs(ref))
+            assert abs(groups._det(M[None])[0] - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 def test_group_element_membership_checks():

@@ -1,14 +1,18 @@
-"""The trials of a chunk run as one stack across their m values: stack
-kernels agree bit for bit with the one-element kernels, every trial's row
-is the same in a stack of one as in a stack of all, and a trial that fails
-leaves the stack alone."""
+"""The trials of a chunk run as one stack across their m values: every
+row of a stack kernel is that row run as a stack of one, bit for bit, and
+the closed form written out here; every trial's row is the same in a
+stack of one as in a stack of all, and a trial that fails leaves the
+stack alone."""
 
+import collections
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm, logm
 
 from homcrb import crb, groups, homspace, scoring
 from homcrb.exceptions import (
@@ -37,6 +41,13 @@ AXES = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
 ).map(lambda v: np.asarray(v) / np.linalg.norm(v))
 TRANSLATIONS = st.tuples(*[st.floats(-3.0, 3.0)] * 3).map(np.asarray)
 ROW = st.tuples(ANGLES, AXES, TRANSLATIONS, st.booleans())
+ALL_FAMILIES = [
+    groups.so3(),
+    groups.se2(),
+    groups.se3(),
+    groups.glnplus(2),
+    groups.translation_group(2),
+]
 
 
 def coordinates(desc, row):
@@ -48,17 +59,156 @@ def coordinates(desc, row):
     return omega if desc.family == groups.SO3 else np.concatenate([omega, v])
 
 
-def one_by_one(kernel, rows, desc):
-    """Per-row results of a one-element kernel, NaN and the exception's
-    class and message where it raises."""
+def so3_terms(omega):
+    """(W, W^2, a, b, c) of one rotation vector in Python floats, as in
+    the exp closed form: a = sin t / t, b = (1 - cos t) / t^2 and
+    c = (t - sin t) / t^3, by Taylor below the small-angle switch."""
+    theta = math.sqrt(omega @ omega)
+    W = groups.hat(omega)
+    if theta < groups._SMALL_ANGLE:
+        t2 = theta * theta
+        a = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
+        b = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
+        c = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
+    else:
+        a = math.sin(theta) / theta
+        b = (1.0 - math.cos(theta)) / theta**2
+        c = (theta - math.sin(theta)) / theta**3
+    return W, W @ W, a, b, c
+
+
+def se2_V(theta):
+    if abs(theta) < groups._SMALL_ANGLE:
+        t2 = theta * theta
+        a, b = 1.0 - t2 / 6.0 + t2 * t2 / 120.0, theta / 2.0 - theta * t2 / 24.0
+    else:
+        a, b = math.sin(theta) / theta, (1.0 - math.cos(theta)) / theta
+    return np.array([[a, -b], [b, a]])
+
+
+def closed_form_exp(x, desc):
+    """exp of one coordinate row, written out: the bits the kernel must
+    give every row."""
+    if desc.family == groups.SE2:
+        theta = float(x[0])
+        c, s = math.cos(theta), math.sin(theta)
+        M = np.eye(3)
+        M[:2, :2] = [[c, -s], [s, c]]
+        M[:2, 2] = se2_V(theta) @ x[1:]
+        return M
+    W, W2, a, b, c = so3_terms(x[:3])
+    R = np.eye(3) + a * W + b * W2
+    if desc.family == groups.SO3:
+        return R
+    M = np.eye(4)
+    M[:3, :3] = R
+    M[:3, 3] = (np.eye(3) + b * W + c * W2) @ x[3:]
+    return M
+
+
+def closed_form_so3_log(R):
+    cos_theta = min(1.0, max(-1.0, 0.5 * (float(np.trace(R)) - 1.0)))
+    theta = math.acos(cos_theta)
+    if math.pi - theta < groups._CUT_LOCUS_MARGIN:
+        raise CutLocusError(
+            f"rotation angle {theta:.9f} within {groups._CUT_LOCUS_MARGIN} of pi"
+        )
+    skew = 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    if theta < groups._SMALL_ANGLE:
+        t2 = theta * theta
+        return (1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0) * skew
+    if math.pi - theta < groups._NEAR_PI:
+        return groups._so3_log_near_pi(R, cos_theta, skew)
+    return (theta / math.sin(theta)) * skew
+
+
+def closed_form_log(M, desc):
+    """log of one matrix, written out, raising where the kernel reports
+    the row as failed."""
+    if desc.family == groups.SE2:
+        theta = math.atan2(M[1, 0], M[0, 0])
+        if math.pi - abs(theta) < groups._CUT_LOCUS_MARGIN:
+            raise CutLocusError(f"rotation angle {theta:.9f} within margin of pi")
+        return np.concatenate([[theta], np.linalg.solve(se2_V(theta), M[:2, 2])])
+    omega = closed_form_so3_log(M[:3, :3])
+    if desc.family == groups.SO3:
+        return omega
+    theta = math.sqrt(omega @ omega)
+    if theta < groups._SMALL_ANGLE:
+        c = 1.0 / 12.0
+    elif math.pi - theta < groups._NEAR_PI:
+        c = 1.0 / theta**2 - math.sin(theta) / (2.0 * theta * (1.0 - math.cos(theta)))
+    else:
+        c = 1.0 / theta**2 - (1.0 + math.cos(theta)) / (2.0 * theta * math.sin(theta))
+    W = groups.hat(omega)
+    J_inv = np.eye(3) - 0.5 * W + c * (W @ W)
+    return np.concatenate([omega, J_inv @ M[:3, 3]])
+
+
+def described(errors):
+    return {i: (type(e), str(e)) for i, e in errors.items()}
+
+
+def per_row(kernel, mats, desc):
+    """kernel of each row, NaN and {row: (class, message)} where it
+    raises."""
     out, errors = [], {}
-    for i, r in enumerate(rows):
+    for i, M in enumerate(mats):
         try:
-            out.append(kernel(r, desc))
+            out.append(kernel(M, desc))
         except Exception as exc:  # noqa: BLE001 - compared below
             out.append(np.full(desc.algebra_dim, np.nan))
             errors[i] = (type(exc), str(exc))
     return np.array(out), errors
+
+
+def log_alone(M, desc):
+    """_log_stack of one matrix as a stack of one, raising its error."""
+    coords, errors = groups._log_stack(M[None], desc)
+    if errors:
+        raise errors[0]
+    return coords[0]
+
+
+def principal_logm(M):
+    # logm warns when its own error estimate exceeds 1e-13; the accuracy
+    # is checked here directly.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return logm(M)
+
+
+def assert_rows_independent(x, desc):
+    """Each row of the exp, log and membership stacks of x is that row run
+    as a stack of one, bit for bit, failures included; returns the exp
+    and log stacks and the log errors."""
+    mats = groups._exp_stack(x, desc)
+    assert np.array_equal(mats, [groups._exp_stack(r[None], desc)[0] for r in x])
+    logs, errors = groups._log_stack(mats, desc)
+    alone, alone_errors = per_row(log_alone, mats, desc)
+    assert np.array_equal(logs, alone, equal_nan=True)
+    assert described(errors) == alone_errors
+    defects, bad = groups._membership_stack(mats, desc)
+    assert not bad
+    alone = [groups._membership_stack(M[None], desc)[0][0] for M in mats]
+    assert np.array_equal(defects, alone)
+    return mats, logs, errors
+
+
+def assert_accurate(x, mats, logs, errors, desc, tol=1e-12):
+    """exp against expm of the wedge; log against logm where the log is
+    well conditioned (an SO(3) angle at least _NEAR_PI short of pi: the
+    condition of logm grows as 1 / (pi - angle)) and, on every row that
+    has a log, exp of the wedge of the log against the matrix."""
+    for i, (r, M, y) in enumerate(zip(x, mats, logs)):
+        assert np.abs(M - expm(groups.wedge(r, desc))).max() <= tol
+        if i in errors:
+            continue
+        Y = groups.wedge(y, desc)
+        assert np.abs(expm(Y) - M).max() <= tol
+        angle = abs(y[0]) if desc.family == groups.SE2 else np.linalg.norm(y[:3])
+        if angle <= math.pi - groups._NEAR_PI:
+            assert np.abs(Y - principal_logm(M)).max() <= tol
 
 
 @PROPERTY
@@ -66,17 +216,16 @@ def one_by_one(kernel, rows, desc):
     st.sampled_from([groups.so3(), groups.se2(), groups.se3()]),
     st.lists(ROW, min_size=2, max_size=8),
 )
-def test_stack_kernels_match_one_element_kernels_bitwise(desc, rows):
+def test_stack_kernel_rows_do_not_depend_on_the_stack(desc, rows):
+    """Every row of exp, log and membership stacks is the row run alone,
+    bit for bit, and the closed form written out above."""
     x = np.array([coordinates(desc, r) for r in rows])
-    mats = groups._exp_stack(x, desc)
-    assert np.array_equal(mats, np.array([groups._exp(r, desc) for r in x]))
-    logs, errors = groups._log_stack(mats, desc)
-    ref, ref_errors = one_by_one(groups._log, mats, desc)
+    mats, logs, errors = assert_rows_independent(x, desc)
+    assert np.array_equal(mats, [closed_form_exp(r, desc) for r in x])
+    ref, ref_errors = per_row(closed_form_log, mats, desc)
     assert np.array_equal(logs, ref, equal_nan=True)
-    assert {i: (type(e), str(e)) for i, e in errors.items()} == ref_errors
-    defects, bad = groups._membership_stack(mats, desc)
-    assert not bad
-    assert np.array_equal(defects, [groups._check_membership(m, desc) for m in mats])
+    assert described(errors) == ref_errors
+    assert_accurate(x, mats, logs, errors, desc)
 
 
 def test_stack_kernels_cover_every_branch():
@@ -86,18 +235,24 @@ def test_stack_kernels_cover_every_branch():
     axis = np.array([0.6, 0.0, 0.8])
     angles = [0.0, 1e-5, 1.0, math.pi - 0.05, math.pi - 1e-7]
     x = np.array([np.concatenate([a * axis, [0.3, -0.2, 0.1]]) for a in angles])
-    mats = groups._exp_stack(x, desc)
-    logs, errors = groups._log_stack(mats, desc)
+    mats, logs, errors = assert_rows_independent(x, desc)
     assert list(errors) == [4] and isinstance(errors[4], CutLocusError)
-    ref, _ = one_by_one(groups._log, mats, desc)
+    ref, _ = per_row(closed_form_log, mats, desc)
     assert np.array_equal(logs, ref, equal_nan=True)
+    assert_accurate(x, mats, logs, errors, desc)
 
 
 def test_glnplus_stack_exp_matches_expm_bitwise(rng):
     for desc in (groups.glnplus(3), groups.translation_group(2)):
-        x = rng.standard_normal((6, desc.algebra_dim))
+        x = 0.5 * rng.standard_normal((6, desc.algebra_dim))
         stacked = groups._exp_stack(x, desc)
-        assert np.array_equal(stacked, [groups._exp(r, desc) for r in x])
+        assert np.array_equal(stacked, [expm(groups.wedge(r, desc)) for r in x])
+        assert np.array_equal(stacked, [groups._exp_stack(r[None], desc)[0] for r in x])
+        logs, errors = groups._log_stack(stacked, desc)
+        assert not errors
+        for y, M in zip(logs, stacked):
+            # logm is not bit-reproducible from call to call, so only to 1e-12.
+            assert np.abs(groups.wedge(y, desc) - principal_logm(M)).max() <= 1e-12
 
 
 def test_product_stack_kernels_match_per_factor_kernels(rng):
@@ -106,14 +261,47 @@ def test_product_stack_kernels_match_per_factor_kernels(rng):
     mats = groups._exp_stack(x, prod)
     for row, M in zip(x, mats):
         dense = groups.block_diagonal(
-            [groups._exp(row[cols], f) for f, _, cols in prod.blocks]
+            [groups._exp_stack(row[cols][None], f)[0] for f, _, cols in prod.blocks]
         )
         assert np.array_equal(M, dense)
+        assert np.abs(M - expm(groups.wedge(row, prod))).max() <= 1e-12
     logs, errors = groups._log_stack(mats, prod)
     assert not errors
     for row, M in zip(logs, mats):
-        parts = [groups._log(M[rows, rows], f) for f, rows, _ in prod.blocks]
+        parts = [log_alone(M[rows, rows], f) for f, rows, _ in prod.blocks]
         assert np.array_equal(row, np.concatenate(parts))
+        assert np.abs(groups.wedge(row, prod) - principal_logm(M)).max() <= 1e-12
+
+
+def test_exp_log_and_membership_have_one_path(monkeypatch):
+    """exp, log and the GroupElement test each run their stack kernel once,
+    on a stack of one, and the S^2 suite lifts all its pairs as one
+    stack: no second one-element path."""
+    calls = collections.Counter()
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+        monkeypatch.setattr(
+            owner, name, lambda *a, **k: calls.update([name]) or inner(*a, **k)
+        )
+
+    for name in ("_exp_stack", "_log_stack", "_membership_stack"):
+        counted(groups, name)
+    counted(homspace, "coset_errors")
+    counted(homspace, "coset_error")
+    for desc in ALL_FAMILIES:
+        calls.clear()
+        g = groups.exp(AlgebraVector(desc, np.full(desc.algebra_dim, 0.3)))
+        assert calls == {"_exp_stack": 1, "_membership_stack": 1}
+        calls.clear()
+        groups.log(g)
+        assert calls == {"_log_stack": 1}
+        calls.clear()
+        groups.GroupElement(desc, g.matrix)
+        assert calls == {"_membership_stack": 1}
+    calls.clear()
+    assert properties.suite_sphere(1) == (100, [])
+    assert (calls["coset_errors"], calls["coset_error"]) == (1, 0)
 
 
 # ---------------------------------------------------------------------------
