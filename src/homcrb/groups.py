@@ -807,7 +807,7 @@ def _so3_log_stack(R) -> tuple[np.ndarray, dict]:
         t2 = theta * theta
         scale = 1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0
     else:
-        scale = np.zeros_like(theta)  # near-pi rows are replaced below
+        scale = np.full_like(theta, np.nan)  # near-pi rows are replaced below
     if np.count_nonzero(big):
         scale[big] = theta[big] / np.sin(theta[big])
     omega = scale[:, None] * skew

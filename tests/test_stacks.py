@@ -273,6 +273,18 @@ def test_product_stack_kernels_match_per_factor_kernels(rng):
         assert np.abs(groups.wedge(row, prod) - principal_logm(M)).max() <= 1e-12
 
 
+def test_a_rotation_with_a_non_finite_trace_logs_as_nan():
+    """Alone or beside a small-angle row, a rotation block whose trace is
+    NaN has a NaN log, never a finite one."""
+    for desc in (groups.so3(), groups.se3()):
+        bad = np.eye(desc.matrix_dim)
+        bad[0, 0] = np.nan
+        small = groups._exp_stack(np.full((1, desc.algebra_dim), 1e-6), desc)[0]
+        for mats in ([bad], [bad, small]):
+            coords, errors = groups._log_stack(np.array(mats), desc)
+            assert np.isnan(coords[0]).all() and not errors
+
+
 def test_exp_log_and_membership_have_one_path(monkeypatch):
     """exp, log and the GroupElement test each run their stack kernel once,
     on a stack of one, and the S^2 suite lifts all its pairs as one
