@@ -4,16 +4,17 @@ Group elements are square real matrices tagged with a descriptor that
 carries the matrix dimension and an ordered basis {E_i} of the Lie
 algebra. Vectors in the algebra are identified with their coordinates in
 that basis (the vee form); wedge is the inverse map. Closed-form exp/log
-are provided for SO(3), SE(2) and SE(3); GL(n)+ (and unipotent subgroups
-used for translation groups) fall back to dense scaling-and-squaring.
+are provided for SO(3), SE(2) and SE(3), and a closed-form log for
+GL(2)+; the other exps, and the logs of GL(n)+ for n >= 3 and of the
+unipotent translation groups, use dense scaling-and-squaring.
 
 Each of exp, log and the membership test is one stack kernel on raw
 arrays (_exp_stack, _log_stack, _membership_stack) over a leading axis of
 rows: campaign trials, product factors, or one element as a stack of one;
-special rows (near pi, the cut locus, GL(n)+ logs) run row by row inside
-it. A public function boxes the kernel's result once, so a GroupElement is
-validated where it leaves the API; central_differences runs the finite
-differences along a stack of directions the same way.
+special rows (near pi, the cut locus, logm's GL(n)+ logs) run row by
+row inside it. A public function boxes the kernel's result once, so a
+GroupElement is validated where it leaves the API; central_differences
+runs the finite differences along a stack of directions the same way.
 
 Conventions: SE(2)/SE(3) coordinates are ordered rotation-first, i.e.
 X = (omega, v) with wedge(X) = [[omega^, v], [0, 0]].
@@ -22,6 +23,7 @@ X = (omega, v) with wedge(X) = [[omega^, v], [0, 0]].
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -39,7 +41,8 @@ from .exceptions import (
     NotInAlgebraError,
 )
 
-# Families with dedicated closed forms; everything else goes through expm/logm.
+# Families with dedicated closed forms (and GL(2)+'s log); everything else
+# goes through expm/logm.
 SO3, SE2, SE3, GLN_PLUS, PRODUCT = "SO3", "SE2", "SE3", "GLnPlus", "Product"
 
 _BRACKET_TOL = 1e-10
@@ -823,16 +826,97 @@ def _so3_log_stack(R) -> tuple[np.ndarray, dict]:
     return omega, errors
 
 
+_NO_REAL_LOG = "matrix has real-negative eigenvalues; principal log undefined"
+# Below this |u| = |delta| / t^2, the GL(2)+ log sums k as a series.
+_GL2_SERIES = 1e-3
+
+
+def _gl2_log_stack(mats) -> tuple[np.ndarray, dict]:
+    """Principal logs of a (B, 2, 2) stack in closed form: (B, 2, 2), NaN
+    in the non-finite rows and in the rows with no real log, and {row:
+    DomainError} for the latter. With t = tr A / 2, N = A - t I and
+    N^2 = delta I, delta = ((a - d) / 2)^2 + b c (the discriminant, free
+    of the cancellation in t^2 - det) and s = sqrt|delta|:
+    log A = log(det A) / 2 I + k N, k = atan2(s, t) / s for a complex
+    pair, artanh(s / t) / s for a real pair and, below _GL2_SERIES,
+    sum_n u^n / (2n + 1) / t with u = delta / t^2 (Jordan rows too)."""
+    B = len(mats)
+    finite = np.isfinite(mats).reshape(B, -1).all(axis=1)
+    if np.count_nonzero(finite) < B:
+        mats = np.where(finite[:, None, None], mats, _eye(2))
+    a, b, c, e = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
+    t, h = 0.5 * (a + e), 0.5 * (a - e)
+    delta = h * h + b * c
+    s = np.sqrt(np.abs(delta))
+    det = a * e - b * c
+    # A real eigenvalue t - s <= 0, or a complex pair within 1e-12 of the
+    # negative axis.
+    undefined = finite & (
+        (det <= 0) | ((delta >= 0) & (t <= s)) | ((delta < 0) & (t < 0) & (s < 1e-12))
+    )
+    half_log_det, k = np.full((2, B), np.nan)
+    ok = finite & ~undefined
+    if np.count_nonzero(ok):
+        # libm per row, so that a row's bits do not depend on the stack.
+        half_log_det[ok] = 0.5 * np.array([math.log(x) for x in det[ok].tolist()])
+        t2 = t * t
+        series = ok & (t > 0) & (np.abs(delta) < _GL2_SERIES * t2)
+        complex_pair = ok & ~series & (delta < 0)
+        real_pair = ok & ~series & (delta > 0)
+        if np.count_nonzero(series):
+            u = delta[series] / t2[series]
+            poly = 1.0 / 11.0
+            for m in (9.0, 7.0, 5.0, 3.0, 1.0):
+                poly = 1.0 / m + u * poly
+            k[series] = poly / t[series]
+        if np.count_nonzero(complex_pair):
+            angles = map(math.atan2, s[complex_pair].tolist(), t[complex_pair].tolist())
+            k[complex_pair] = np.array(list(angles)) / s[complex_pair]
+        if np.count_nonzero(real_pair):
+            ratios = (s[real_pair] / t[real_pair]).tolist()
+            k[real_pair] = np.array([math.atanh(r) for r in ratios]) / s[real_pair]
+    L = np.empty((B, 2, 2))
+    L[:, 0, 0], L[:, 1, 1] = half_log_det + k * h, half_log_det - k * h
+    L[:, 0, 1], L[:, 1, 0] = k * b, k * c
+    return L, {i: DomainError(_NO_REAL_LOG) for i in np.flatnonzero(undefined).tolist()}
+
+
 def _glnplus_log(mat: np.ndarray, d: GroupDescriptor) -> np.ndarray:
-    """The dense principal log of one GL(n)+ row; real-negative
-    eigenvalues have no real log."""
+    """The dense principal log of one GL(n)+ row, NaN for a non-finite
+    row. A real-negative or zero eigenvalue has no real log, and a log
+    that expm does not take back to the row to 1e-10 relative fails."""
+    if not np.isfinite(mat).all():
+        return np.full(d.algebra_dim, np.nan)
     eigvals = np.linalg.eigvals(mat)
-    if np.any((eigvals.real < 0) & (np.abs(eigvals.imag) < 1e-12)):
-        raise DomainError("matrix has real-negative eigenvalues; principal log undefined")
-    L = logm(mat)
+    if np.any((eigvals.real <= 0) & (np.abs(eigvals.imag) < 1e-12)):
+        raise DomainError(_NO_REAL_LOG)
+    # logm's norm estimator, scipy.sparse.linalg.onenormest, calls
+    # np.random.randint: run it from a fixed state of numpy's legacy
+    # global RNG, so that the log's bits do not depend on the caller's
+    # state, and give the caller its state back.
+    state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        with warnings.catch_warnings():
+            # A Schur diagonal entry that is 0 (or below 1e-20) fails the
+            # row; scipy's own accuracy estimate gives way to the round
+            # trip below.
+            warnings.filterwarnings("error", "The logm input matrix", UserWarning)
+            warnings.filterwarnings("ignore", "logm result may be inaccurate", RuntimeWarning)
+            L = logm(mat)
+    except UserWarning as exc:
+        raise DomainError(f"matrix log undefined: {exc}") from None
+    finally:
+        np.random.set_state(state)
     if np.abs(L.imag).max() > 1e-9:
         raise DomainError("matrix log is not real")
-    return vee(L.real, d)
+    L = L.real
+    residual = np.abs(expm(L) - mat).max() / np.abs(mat).max()
+    if residual > 1e-10:
+        raise DomainError(
+            f"matrix log does not give the matrix back: relative residual {residual:.3e}"
+        )
+    return vee(L, d)
 
 
 def _log_stack(mats, d: GroupDescriptor) -> tuple[np.ndarray, dict]:
@@ -881,7 +965,11 @@ def _log_stack(mats, d: GroupDescriptor) -> tuple[np.ndarray, dict]:
         for i in np.flatnonzero(math.pi - np.abs(theta) < _CUT_LOCUS_MARGIN).tolist():
             errors[i] = CutLocusError(f"rotation angle {thetas[i]:.9f} within margin of pi")
             out[i] = np.nan
-    elif fam != SO3:  # GL(n)+
+    elif fam == GLN_PLUS and d.matrix_dim == 2 and d.algebra_dim == 4:
+        # GL(2)+: the coordinates in its matrix-unit basis are the entries.
+        L, errors = _gl2_log_stack(mats)
+        out[:] = L.reshape(B, 4)
+    elif fam != SO3:  # GL(n)+, n >= 3, and the translation groups
         for i, mat in enumerate(mats):
             try:
                 out[i] = _glnplus_log(mat, d)

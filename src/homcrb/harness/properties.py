@@ -67,11 +67,15 @@ def _landmark_fixture(seed: int):
     return model, g, rng
 
 
+# The psi suite's tolerance on |Psi_X Y - central difference|.
+PSI_TOL = 1e-5
+
+
 def suite_psi(seed: int):
     """Psi series against central differences of the log map, the pairs
     of each group as one stack: Psi_X Y against the derivative at t = 0
     of log(exp(X) exp(tY))."""
-    n_pairs, tol, h = 100, 1e-5, 1e-5
+    n_pairs, tol, h = 100, PSI_TOL, 1e-5
     failures = []
     checks = 0
     for desc in (groups.so3(), groups.se2(), groups.se3(), groups.glnplus(2)):
