@@ -827,6 +827,10 @@ def _so3_log_stack(R) -> tuple[np.ndarray, dict]:
 
 
 _NO_REAL_LOG = "matrix has real-negative eigenvalues; principal log undefined"
+_SINGULAR = "matrix is singular; principal log undefined"
+# A matrix with no real log is singular where det == 0 or an eigenvalue is
+# within this fraction of its largest entry from 0.
+_ZERO_EIGENVALUE = 1e-12
 # Below this |u| = |delta| / t^2, the GL(2)+ log sums k as a series.
 _GL2_SERIES = 1e-3
 
@@ -878,7 +882,17 @@ def _gl2_log_stack(mats) -> tuple[np.ndarray, dict]:
     L = np.empty((B, 2, 2))
     L[:, 0, 0], L[:, 1, 1] = half_log_det + k * h, half_log_det - k * h
     L[:, 0, 1], L[:, 1, 0] = k * b, k * c
-    return L, {i: DomainError(_NO_REAL_LOG) for i in np.flatnonzero(undefined).tolist()}
+    errors = {}
+    for i in np.flatnonzero(undefined).tolist():
+        # The smaller eigenvalue modulus: ||t| - s| for a real pair, |t + i s|
+        # for a complex one.
+        if delta[i] >= 0:
+            smaller = abs(abs(t[i]) - s[i])
+        else:
+            smaller = math.hypot(t[i], s[i])
+        singular = det[i] == 0 or smaller <= _ZERO_EIGENVALUE * np.abs(mats[i]).max()
+        errors[i] = DomainError(_SINGULAR if singular else _NO_REAL_LOG)
+    return L, errors
 
 
 def _glnplus_log(mat: np.ndarray, d: GroupDescriptor) -> np.ndarray:
@@ -888,8 +902,11 @@ def _glnplus_log(mat: np.ndarray, d: GroupDescriptor) -> np.ndarray:
     if not np.isfinite(mat).all():
         return np.full(d.algebra_dim, np.nan)
     eigvals = np.linalg.eigvals(mat)
-    if np.any((eigvals.real <= 0) & (np.abs(eigvals.imag) < 1e-12)):
-        raise DomainError(_NO_REAL_LOG)
+    no_log = (eigvals.real <= 0) & (np.abs(eigvals.imag) < 1e-12)
+    if np.any(no_log):
+        smallest = np.abs(eigvals[no_log]).min()
+        singular = smallest <= _ZERO_EIGENVALUE * np.abs(mat).max()
+        raise DomainError(_SINGULAR if singular else _NO_REAL_LOG)
     # logm's norm estimator, scipy.sparse.linalg.onenormest, calls
     # np.random.randint: run it from a fixed state of numpy's legacy
     # global RNG, so that the log's bits do not depend on the caller's

@@ -18,7 +18,6 @@ the reduced FIM is a submatrix of the Symmetric Rigidity Matrix.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from functools import cached_property, partial
@@ -66,65 +65,21 @@ def canonicalize_positions(positions: np.ndarray) -> np.ndarray:
     return (p - p[0]) @ R.T
 
 
-_BOOLS = frozenset((bool, np.bool_))
-
-
-def _read_endpoints(edges) -> tuple[np.ndarray, ValueError | None]:
-    """The endpoints read one by one through as_integer, up to the first
-    it refuses: the (E, 2) array of the edges read in full before that
-    endpoint, and its ValueError (None if every endpoint reads). The
-    array holds Python ints, which int64 could not hold past 2^63."""
-    ints = []
-    for value in itertools.chain.from_iterable(edges):
-        try:
-            ints.append(as_integer(value, "edge endpoint"))
-        except ValueError as exc:
-            del ints[len(ints) // 2 * 2 :]
-            return np.array(ints, dtype=object).reshape(-1, 2), exc
-    return np.array(ints, dtype=object).reshape(-1, 2), None
-
-
 def _validate_edges(n_agents: int, edges) -> list[tuple[int, int]]:
-    """The edges as (i, j) int pairs, checked as one (E, 2) array: no
-    self-loop, both endpoints in range, no pair twice in either order.
-    The first offending edge in list order decides the error: a refused
-    endpoint (as_integer's ValueError), then a self-loop, then the range,
-    then a duplicate."""
-    if not isinstance(edges, np.ndarray):
-        edges = list(edges)
-    arr = np.asarray(edges)
-    if not arr.size:
-        return []
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("each edge must be a pair (i, j)")
-    read_error = None
-    # np.asarray reads [[True, 2]] as int64; bools, floats and any other
-    # values go through as_integer one by one.
-    if arr.dtype.kind not in "iu" or (
-        not isinstance(edges, np.ndarray)
-        and not _BOOLS.isdisjoint(map(type, itertools.chain.from_iterable(edges)))
-    ):
-        arr, read_error = _read_endpoints(edges)
-    i, j = arr[:, 0], arr[:, 1]
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
-    out = (lo < 0) | (hi >= n_agents)
-    # Every edge but the first with its pair is a duplicate. An out-of-range
-    # code may equal an in-range one, but the range check comes first at
-    # the later edge and the earlier edge is an offender itself.
-    dup = np.ones(len(arr), dtype=bool)
-    dup[np.unique(lo * n_agents + hi, return_index=True)[1]] = False
-    bad = np.flatnonzero((i == j) | out | dup)
-    if len(bad):
-        e = bad[0]
-        a, b = int(i[e]), int(j[e])
-        if a == b:
-            raise ConfigError(f"self-loop at agent {a}")
-        if out[e]:
-            raise ConfigError(f"edge ({a},{b}) out of range")
-        raise ConfigError(f"duplicate edge ({a},{b})")
-    if read_error is not None:
-        raise read_error
-    return list(zip(i.tolist(), j.tolist()))
+    seen = set()
+    out = []
+    for i, j in edges:
+        i, j = as_integer(i, "edge endpoint"), as_integer(j, "edge endpoint")
+        if i == j:
+            raise ConfigError(f"self-loop at agent {i}")
+        if not (0 <= i < n_agents and 0 <= j < n_agents):
+            raise ConfigError(f"edge ({i},{j}) out of range")
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            raise ConfigError(f"duplicate edge ({i},{j})")
+        seen.add(key)
+        out.append((i, j))
+    return out
 
 
 def _edge_arrays(edges) -> tuple[np.ndarray, np.ndarray]:

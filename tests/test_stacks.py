@@ -143,6 +143,9 @@ def closed_form_gl2_log(M):
     """log M = log(det M) / 2 I + k (M - t I), written out."""
     t, h, delta, s, det = gl2_log_terms(M)
     if det <= 0 or (delta >= 0 and t <= s) or (delta < 0 and t < 0 and s < 1e-12):
+        smaller = abs(abs(t) - s) if delta >= 0 else math.hypot(t, s)
+        if det == 0 or smaller <= 1e-12 * np.abs(M).max():
+            raise DomainError("matrix is singular; principal log undefined")
         raise DomainError("matrix has real-negative eigenvalues; principal log undefined")
     t2 = t * t
     if t > 0 and abs(delta) < groups._GL2_SERIES * t2:
@@ -336,9 +339,10 @@ def test_gl2_log_covers_every_branch():
         "-I", "diag(-1, -2)", "negative jordan", "singular"
     }
     assert {names[i] for i in errors} == {names[finite[i]] for i in ref_errors}
-    for exc in errors.values():
+    for i, exc in errors.items():
         assert isinstance(exc, DomainError)
-        assert str(exc) == "matrix has real-negative eigenvalues; principal log undefined"
+        reason = "is singular" if names[i] == "singular" else "has real-negative eigenvalues"
+        assert str(exc) == f"matrix {reason}; principal log undefined"
     assert np.isnan(logs[names.index("nan")]).all()
 
     exact = np.array([math.log(1.5), -(math.pi - 1e-7), math.pi - 1e-7, math.log(1.5)])
@@ -399,7 +403,10 @@ def test_glnplus_logm_rows_fail_alone(monkeypatch):
     mats[5, 0, 1] = np.inf
     logs, errors = groups._log_stack(mats, desc)
     assert sorted(errors) == [1, 2, 3, 4]
+    for i in (1, 2):
+        assert str(errors[i]) == "matrix is singular; principal log undefined"
     assert "nearly singular" in str(errors[3])
+    assert str(errors[4]) == "matrix has real-negative eigenvalues; principal log undefined"
     assert all(isinstance(exc, DomainError) for exc in errors.values())
     assert np.isnan(logs[1:]).all()
     assert np.abs(expm(groups.wedge(logs[0], desc)) - good).max() <= 1e-12
