@@ -53,10 +53,12 @@ def conditioning_errors(
 def check_conditioning(
     F: np.ndarray, error: type[DegenerateModelError], what: str
 ) -> None:
-    """Raise error, with F's condition number, unless it is <= COND_LIMIT."""
-    exc = conditioning_errors(F, error, what)[0]
-    if exc is not None:
-        raise exc
+    """Raise error, with the condition number, for the first matrix of an
+    (n, n) F or an (A, n, n) stack whose condition number is not <=
+    COND_LIMIT."""
+    for exc in conditioning_errors(F, error, what):
+        if exc is not None:
+            raise exc
 
 
 def _bound_ready_matrix(fim_matrix: fisher.FimMatrix) -> np.ndarray:
@@ -244,7 +246,14 @@ def variance_bound(fim_reduced: fisher.FimMatrix) -> float:
     estimators, representative-independent under Ad_H-invariance."""
     if fim_reduced.frame != fisher.REDUCED:
         raise ValueError("variance_bound expects a reduced-frame FIM")
-    return float(np.trace(_checked_inverse(fim_reduced)))
+    return float(variance_bounds(_bound_ready_matrix(fim_reduced)))
+
+
+def variance_bounds(F: np.ndarray) -> np.ndarray:
+    """tr(Fbar^-1) of a reduced FIM matrix or of each of an (A, n, n)
+    stack; the first numerically singular one raises."""
+    check_conditioning(F, DegenerateModelError, "reduced FIM")
+    return np.trace(np.linalg.inv(F), axis1=-2, axis2=-1)
 
 
 def efficiency_residual(

@@ -15,7 +15,15 @@ import numpy as np
 
 from . import groups
 from .groups import GroupElement
-from .homspace import LIVF, RIVF, ReductiveStructure, Side, act, natural_operator
+from .homspace import (
+    LIVF,
+    RIVF,
+    ReductiveStructure,
+    Side,
+    act,
+    natural_operator,
+    translate_directions_stack,
+)
 
 LEFT, RIGHT, REDUCED = "left", "right", "reduced"
 ANALYTIC, MC_GRADIENT, MC_HESSIAN = (
@@ -39,21 +47,33 @@ class FimMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", groups._frozen(self.matrix))
-        F = self.matrix
-        if F.ndim != 2 or F.shape[0] != F.shape[1]:
+        if self.matrix.ndim != 2:
             raise ValueError("FIM must be square")
-        scale = max(1.0, float(np.abs(F).max(initial=0.0)))
-        if float(np.abs(F - F.T).max(initial=0.0)) > 1e-8 * scale:
-            raise ValueError("FIM must be symmetric to 1e-8")
-        # Hessian-form Monte Carlo estimates may dip below zero from
-        # second-difference noise; outer-product and analytic forms may not.
-        if self.estimation in (ANALYTIC, MC_GRADIENT):
-            if float(np.linalg.eigvalsh(F).min()) < -1e-8 * scale:
-                raise ValueError("FIM must be positive semidefinite")
+        check_fims(self.matrix, self.estimation)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def check_fims(F: np.ndarray, estimation: str) -> None:
+    """Raise ValueError unless every matrix of a (..., n, n) stack is a
+    FIM of the given estimation: square, finite, symmetric to 1e-8 of its
+    largest entry (or of 1) and, unless Hessian-form, positive
+    semidefinite to the same scale."""
+    if F.ndim < 2 or F.shape[-1] != F.shape[-2]:
+        raise ValueError("FIM must be square")
+    if not np.isfinite(F).all():
+        raise ValueError("FIM must be finite")
+    scale = np.maximum(1.0, np.abs(F).max(axis=(-2, -1), initial=0.0))
+    asym = np.abs(F - np.swapaxes(F, -1, -2)).max(axis=(-2, -1), initial=0.0)
+    if np.any(asym > 1e-8 * scale):
+        raise ValueError("FIM must be symmetric to 1e-8")
+    # Hessian-form Monte Carlo estimates may dip below zero from
+    # second-difference noise; outer-product and analytic forms may not.
+    if estimation in (ANALYTIC, MC_GRADIENT):
+        if np.any(np.linalg.eigvalsh(F).min(axis=-1, initial=np.inf) < -1e-8 * scale):
+            raise ValueError("FIM must be positive semidefinite")
 
 
 def frame_directions(struct: ReductiveStructure, frame: str) -> tuple[np.ndarray, str]:
@@ -84,14 +104,33 @@ def fim(
     directions, op = frame_directions(model.struct, frame)
     if method == ANALYTIC:
         return FimMatrix(frame, g, model.analytic_fim(g, directions, op), ANALYTIC, 0)
+    F = _fim_stack(model, g.matrix[None], frame, method, n_samples, [random_state])[0]
+    return FimMatrix(frame, g, F, MC_GRADIENT, n_samples)
+
+
+def _fim_stack(
+    model, X, frame, method=ANALYTIC, n_samples=DEFAULT_MC_SAMPLES, seeds=None
+) -> np.ndarray:
+    """(B, n, n) FIMs of a frame at each matrix of a (B, d, d) stack, not
+    yet validated (check_fims): one natural_fim call, or per matrix one
+    Monte-Carlo estimate drawn from its own seed (seeds: one per matrix,
+    default fresh entropy)."""
+    directions, op = frame_directions(model.struct, frame)
+    if method == ANALYTIC:
+        nat = natural_operator(model.struct.side)
+        D = translate_directions_stack(directions, X, model.struct.group, nat, op)
+        return np.broadcast_to(model.natural_fim(X, D), (len(X),) + (len(directions),) * 2)
     if method != MC_GRADIENT:
         raise ValueError(f"unknown FIM method {method!r}")
     if n_samples < 1:
         raise ValueError("Monte-Carlo estimation needs n_samples >= 1")
-    rng = np.random.default_rng(random_state)
-    draws = model.sample(g, n_samples, rng)
-    G = model.analytic_gradient_batch(draws, g, directions, op)
-    return FimMatrix(frame, g, (G.T @ G) / n_samples, MC_GRADIENT, n_samples)
+    out = []
+    for x, seed in zip(X, seeds or [None] * len(X)):
+        g = GroupElement(model.struct.group, x)
+        draws = model.sample(g, n_samples, np.random.default_rng(seed))
+        G = model.analytic_gradient_batch(draws, g, directions, op)
+        out.append((G.T @ G) / n_samples)
+    return np.array(out)
 
 
 def fim_hessian(
@@ -161,8 +200,65 @@ class FimPropertyReport:
         return self.max_deviation <= tol
 
 
-def _spectral(A: np.ndarray) -> float:
-    return float(np.linalg.norm(A, 2))
+def _spectral(A: np.ndarray) -> np.ndarray:
+    """Largest singular value of a matrix or of each of a stack."""
+    return np.linalg.norm(A, 2, axis=(-2, -1))
+
+
+def verify_fim_properties_stack(
+    model,
+    g: GroupElement,
+    H,
+    n_samples: int = DEFAULT_MC_SAMPLES,
+    random_state=None,
+    method: str = ANALYTIC,
+) -> np.ndarray:
+    """The four frame-relation deviations of FimPropertyReport at g, one
+    row (h_block, fiber_constancy, adjoint_relation, fiber_conjugation)
+    per matrix of a (K, d, d) stack H of subgroup samples.
+
+    The left and right FIMs at g and at the K moved points act(g, h) are
+    one stack per frame, validated together; the Ad matrices of g and of
+    each h (h^-1 on H\\G) are one stack. The h-block and the adjoint
+    relation read g alone, so each row repeats them. A Monte-Carlo FIM
+    draws from [random_state, salt]: salt 0 (left) and 1 (right) at g, 2
+    and 3 at every moved point, so each row is the one-h call's.
+    """
+    struct = model.struct
+    desc = struct.group
+    swapped = struct.side == Side.H_MOD_G
+    H = np.asarray(H, dtype=float)
+    if H.ndim != 3 or H.shape[1:] != g.matrix.shape:
+        raise ValueError(f"subgroup samples must be a (K, d, d) stack, got {H.shape}")
+    X = np.concatenate([g.matrix[None], act(g.matrix, H, struct.side)])
+    errors = groups._membership_stack(np.concatenate([H, X[1:]]), desc)[1]
+    if errors:
+        raise errors[min(errors, key=lambda r: (r % len(H), r // len(H)))]
+
+    def seeds(salt_g, salt_moved):
+        if random_state is None:
+            return None
+        return [[random_state, salt_g]] + [[random_state, salt_moved]] * len(H)
+
+    FL = _fim_stack(model, X, LEFT, method, n_samples, seeds(0, 2))
+    FR = _fim_stack(model, X, RIGHT, method, n_samples, seeds(1, 3))
+    check_fims(np.stack([FL, FR]), method)
+    conj_at = groups._inverse_matrix(H, desc) if swapped else H
+    Ad = struct.in_adapted(groups._adjoint(np.concatenate([g.matrix[None], conj_at]), desc))
+    Ad_g, Ad_h = Ad[0], Ad[1:]
+    n_H = struct.n_H
+
+    block = (FR if swapped else FL)[0]
+    h_block = max(
+        np.abs(block[:n_H, :]).max(initial=0.0), np.abs(block[:, :n_H]).max(initial=0.0)
+    )
+    # On H\G the left FIM is constant on fibers and the right one conjugates.
+    fiber_F, conj_F = (FL, FR) if swapped else (FR, FL)
+    fiber = _spectral(fiber_F[1:] - fiber_F[0])
+    adjoint_rel = _spectral(FL[0] - Ad_g.T @ FR[0] @ Ad_g)
+    conj = _spectral(conj_F[1:] - np.swapaxes(Ad_h, -1, -2) @ conj_F[0] @ Ad_h)
+    K = len(H)
+    return np.column_stack([np.full(K, h_block), fiber, np.full(K, adjoint_rel), conj])
 
 
 def verify_fim_properties(
@@ -173,42 +269,9 @@ def verify_fim_properties(
     random_state=None,
     method: str = ANALYTIC,
 ) -> FimPropertyReport:
-    """Check the block/fiber/adjoint relations between the FIM frames."""
-    struct = model.struct
-    swapped = struct.side == Side.H_MOD_G
-    moved = act(g, h_sample, struct.side)
-
-    def F(point, frame, salt):
-        seed = None if random_state is None else [random_state, salt]
-        return fim(
-            model, point, frame, method, n_samples, random_state=seed
-        ).matrix
-
-    FL_g, FR_g = F(g, LEFT, 0), F(g, RIGHT, 1)
-    FL_m, FR_m = F(moved, LEFT, 2), F(moved, RIGHT, 3)
-    Ad_g = struct.adjoint(g)
-    n_H = struct.n_H
-
-    block_mat = FR_g if swapped else FL_g
-    h_block = float(
-        max(
-            np.abs(block_mat[:n_H, :]).max(initial=0.0),
-            np.abs(block_mat[:, :n_H]).max(initial=0.0),
-        )
-    )
-    fiber = _spectral(FL_m - FL_g) if swapped else _spectral(FR_m - FR_g)
-    adjoint_rel = _spectral(FL_g - Ad_g.T @ FR_g @ Ad_g)
-    if swapped:
-        Ad_hinv = struct.adjoint(h_sample.inverse())
-        conj = _spectral(FR_m - Ad_hinv.T @ FR_g @ Ad_hinv)
-    else:
-        Ad_h = struct.adjoint(h_sample)
-        conj = _spectral(FL_m - Ad_h.T @ FL_g @ Ad_h)
-    return FimPropertyReport(
-        frames_swapped=swapped,
-        method=method,
-        h_block=h_block,
-        fiber_constancy=fiber,
-        adjoint_relation=adjoint_rel,
-        fiber_conjugation=conj,
-    )
+    """Check the block/fiber/adjoint relations between the FIM frames: a
+    stack of one through verify_fim_properties_stack."""
+    devs = verify_fim_properties_stack(
+        model, g, h_sample.matrix[None], n_samples, random_state, method
+    )[0]
+    return FimPropertyReport(model.struct.side == Side.H_MOD_G, method, *devs.tolist())

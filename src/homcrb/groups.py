@@ -117,12 +117,15 @@ class GroupDescriptor:
 
 def block_diagonal(parts) -> np.ndarray:
     """Square matrices placed corner to corner on the diagonal, zeros
-    elsewhere: a product-group matrix from its factors' blocks."""
-    out = np.zeros((sum(len(p) for p in parts),) * 2)
+    elsewhere: a product-group matrix from its factors' blocks. Each part
+    may be a (..., n, n) stack, all with the same leading shape."""
+    n = sum(p.shape[-1] for p in parts)
+    out = np.zeros(parts[0].shape[:-2] + (n, n))
     k = 0
     for p in parts:
-        out[k : k + len(p), k : k + len(p)] = p
-        k += len(p)
+        w = p.shape[-1]
+        out[..., k : k + w, k : k + w] = p
+        k += w
     return out
 
 
@@ -272,20 +275,27 @@ def manifold_defect(g: GroupElement) -> float:
 
 
 def _inverse_matrix(mat: np.ndarray, descriptor: GroupDescriptor) -> np.ndarray:
+    """Inverse of a group matrix or of each matrix of a (B, d, d) stack;
+    a product's blocks are inverted as one stack per factor family."""
     fam = descriptor.family
     if fam == SO3:
-        return mat.T.copy()
+        return np.swapaxes(mat, -1, -2).copy()
     if fam in (SE2, SE3):
-        d = descriptor.matrix_dim
-        out = _eye(d).copy()
-        R = mat[: d - 1, : d - 1]
-        out[: d - 1, : d - 1] = R.T
-        out[: d - 1, -1] = -R.T @ mat[: d - 1, -1]
+        k = descriptor.matrix_dim - 1
+        Rt = np.swapaxes(mat[..., :k, :k], -1, -2)
+        out = np.zeros(mat.shape)
+        out[..., :k, :k] = Rt
+        out[..., :k, k:] = -Rt @ mat[..., :k, k:]
+        out[..., k, k] = 1.0
         return out
     if fam == PRODUCT:
-        return block_diagonal(
-            [_inverse_matrix(mat[rows, rows], f) for f, rows, _ in descriptor.blocks]
-        )
+        mats = mat.reshape((-1,) + mat.shape[-2:])
+        out = np.zeros(mats.shape)
+        flat = out.reshape(len(mats), -1)
+        for f, entries, _, _ in _factor_stacks(descriptor):
+            blocks = _inverse_matrix(_blocks(mats, entries, f), f)
+            flat[:, entries] = blocks.reshape(len(mats), -1)
+        return out.reshape(mat.shape)
     return np.linalg.inv(mat)
 
 
@@ -440,14 +450,16 @@ def adjoint_matrix(g: GroupElement) -> np.ndarray:
 
 
 def _adjoint(mat: np.ndarray, descriptor: GroupDescriptor) -> np.ndarray:
-    """Ad of a group matrix. A product's is block diagonal, one factor's
-    Ad per block, so no (n_G, d, d) conjugate is formed; other families
-    conjugate the whole basis and project it at once."""
+    """Ad of a group matrix or of each matrix of a (B, d, d) stack. A
+    product's is block diagonal, one factor's Ad per block, so no
+    (n_G, d, d) conjugate is formed; other families conjugate the whole
+    basis and project it at once."""
     if descriptor.family == PRODUCT:
         return block_diagonal(
-            [_adjoint(mat[rows, rows], f) for f, rows, _ in descriptor.blocks]
+            [_adjoint(mat[..., rows, rows], f) for f, rows, _ in descriptor.blocks]
         )
-    M = mat @ descriptor.algebra_basis @ _inverse_matrix(mat, descriptor)
+    inv = _inverse_matrix(mat, descriptor)
+    M = mat[..., None, :, :] @ descriptor.algebra_basis @ inv[..., None, :, :]
     coords, residual = _vee_lstsq(M, descriptor)
     bad = residual > _VEE_RESIDUAL_TOL * np.maximum(
         1.0, np.linalg.norm(M, axis=(-2, -1))
@@ -456,7 +468,7 @@ def _adjoint(mat: np.ndarray, descriptor: GroupDescriptor) -> np.ndarray:
         raise BasisClosureError(
             f"Ad_g left the algebra span: residual {residual[bad][0]:.3e}"
         )
-    return coords.T
+    return np.swapaxes(coords, -1, -2)
 
 
 def ad_matrix(X: AlgebraVector) -> np.ndarray:

@@ -108,71 +108,69 @@ def suite_psi(seed: int):
 
 
 def suite_fim_frames(seed: int):
-    """FIM frame relations on the landmark model (analytic)."""
+    """FIM frame relations on the landmark model (analytic), the subgroup
+    samples as one verify_fim_properties_stack call."""
     n_h, tol = 20, 1e-9
     model, g, rng = _landmark_fixture(seed)
+    H = np.array([model.struct.subgroup_sampler(rng).matrix for _ in range(n_h)])
     failures = []
-    checks = 0
-    for k in range(n_h):
-        h = model.struct.subgroup_sampler(rng)
-        rep = fisher.verify_fim_properties(model, g, h)
-        checks += 4
-        if rep.h_block != 0.0:
-            failures.append(f"fim-frames[{k}]: h-block {rep.h_block:.2e} != 0")
-        for name, dev in (
-            ("fiber", rep.fiber_constancy),
-            ("adjoint", rep.adjoint_relation),
-            ("conjugation", rep.fiber_conjugation),
-        ):
+    for k, (h_block, fiber, adjoint, conj) in enumerate(
+        fisher.verify_fim_properties_stack(model, g, H).tolist()
+    ):
+        if h_block != 0.0:
+            failures.append(f"fim-frames[{k}]: h-block {h_block:.2e} != 0")
+        for name, dev in (("fiber", fiber), ("adjoint", adjoint), ("conjugation", conj)):
             if dev > tol:
                 failures.append(f"fim-frames[{k}] {name}: {dev:.2e} > {tol:g}")
-    return checks, failures
+    return 4 * n_h, failures
 
 
 def suite_variance_invariance(seed: int, corrupt: bool = False):
     """Representative-independence of tr(Fbar^-1) and of the coset error
-    length. The corrupt flag rescales one m-direction of the inner
+    length. Every (representative, estimate) pair, the reference g's and
+    the moved representatives', lifts from the identity as one
+    coset_errors stack of relative elements, and the moved FIMs are one
+    stack. The corrupt flag rescales one m-direction of the inner
     product, which must break the invariance."""
-    n_h, tol = 20, 1e-8
+    n_h, n_est, tol = 20, 10, 1e-8
     model, g, rng = _landmark_fixture(seed)
-    struct = model.struct
+    struct, desc = model.struct, model.descriptor
     if corrupt:
         gram = np.eye(struct.group.algebra_dim)
         gram[-1, -1] = 10.0
         struct = struct.with_gram(gram)
-    F1 = fisher.fim(model, g, fisher.REDUCED)
-    failures = []
-    checks = 0
-    estimates = np.array([
-        (g @ groups.exp(struct.from_coords(np.concatenate([[0, 0, 0], d])))).matrix
-        for d in 0.2 * np.random.default_rng([seed, 9]).standard_normal((10, 3))
-    ])
-
-    def error_lengths(ref):
-        lifted = homspace.coset_errors(ref, estimates, struct)
-        if lifted.errors:
-            raise lifted.errors[min(lifted.errors)]
-        eta_m = lifted.eta_struct[:, struct.n_H :]
-        return [struct.norm(np.concatenate([np.zeros(struct.n_H), e])) for e in eta_m]
-
-    reference = error_lengths(g)
+    bound = crb.variance_bound(fisher.fim(model, g, fisher.REDUCED))
+    coords = np.zeros((n_est, desc.algebra_dim))
+    coords[:, struct.n_H :] = 0.2 * np.random.default_rng([seed, 9]).standard_normal(
+        (n_est, struct.n_Theta)
+    )
+    x = (struct.basis_matrix @ coords[..., None])[..., 0]
+    estimates = g.matrix @ groups._exp_stack(x, desc)
     # H\G side: representatives of the same coset are hg.
-    for k in range(n_h):
-        h = struct.subgroup_sampler(rng)
-        moved = h @ g
-        F1h = fisher.fim(model, moved, fisher.REDUCED)
-        checks += 1
-        dev = abs(crb.variance_bound(F1) - crb.variance_bound(F1h))
+    moved = np.array([struct.subgroup_sampler(rng).matrix for _ in range(n_h)]) @ g.matrix
+    refs = np.concatenate([g.matrix[None], moved])
+    relative = homspace.act(groups._inverse_matrix(refs, desc)[:, None], estimates, struct.side)
+    identity = groups.identity_element(desc)
+    lifted = homspace.coset_errors(identity, relative.reshape(-1, *g.matrix.shape), struct)
+    if lifted.errors:
+        raise lifted.errors[min(lifted.errors)]
+    eta_m = lifted.eta_struct.copy()
+    eta_m[:, : struct.n_H] = 0.0
+    lengths = np.sqrt(np.vecdot(eta_m @ struct.gram, eta_m)).reshape(n_h + 1, n_est).tolist()
+    moved_fims = fisher._fim_stack(model, moved, fisher.REDUCED)
+    fisher.check_fims(moved_fims, fisher.ANALYTIC)
+    failures = []
+    for k, trace in enumerate(crb.variance_bounds(moved_fims).tolist()):
+        dev = abs(bound - trace)
         if dev > tol:
             failures.append(f"variance-invariance[{k}] trace: {dev:.2e} > {tol:g}")
-        for i, (n1, n2) in enumerate(zip(reference, error_lengths(moved))):
-            checks += 1
+        for i, (n1, n2) in enumerate(zip(lengths[0], lengths[k + 1])):
             if abs(n1 - n2) > tol:
                 failures.append(
                     f"variance-invariance[{k},{i}] error length: "
                     f"|{n1:.6f} - {n2:.6f}| > {tol:g}"
                 )
-    return checks, failures
+    return n_h * (1 + n_est), failures
 
 
 def suite_error_block(seed: int):

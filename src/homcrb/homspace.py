@@ -49,10 +49,19 @@ def natural_operator(side: Side) -> str:
 def translate_directions(directions, g: GroupElement, from_op: str, to_op: str):
     """Directions (rows) to feed a from_op formula so it evaluates to_op
     derivatives, via X^L_g = (Ad_g X)^R_g and X^R_g = (Ad_{g^-1} X)^L_g."""
+    return translate_directions_stack(directions, g.matrix, g.descriptor, from_op, to_op)
+
+
+def translate_directions_stack(
+    directions, G, desc: GroupDescriptor, from_op: str, to_op: str
+):
+    """translate_directions at a raw matrix G or at each matrix of a
+    (B, d, d) stack, whose directions are then (B, k, n_G), one set per
+    matrix; unchanged (and shared) when from_op is to_op."""
     if from_op == to_op:
         return directions
-    Ad = groups.adjoint_matrix(g if to_op == LIVF else g.inverse())
-    return directions @ Ad.T
+    Ad = groups._adjoint(G if to_op == LIVF else groups._inverse_matrix(G, desc), desc)
+    return directions @ np.swapaxes(Ad, -1, -2)
 
 
 _GS_SKIP_TOL = 1e-8
@@ -130,7 +139,7 @@ class ReductiveStructure:
 
     def in_adapted(self, op) -> np.ndarray:
         """Matrix of a linear map on g, given in descriptor coordinates,
-        in the adapted basis."""
+        in the adapted basis; of each map of a (B, n_G, n_G) stack."""
         return self._B_inv @ op @ self.basis_matrix
 
     def adjoint(self, g: GroupElement) -> np.ndarray:

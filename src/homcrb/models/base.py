@@ -55,7 +55,7 @@ class ModelBase:
     rng); summarize(x), a sufficient statistic led by the observation
     count; loglik_batch(x, g); total_loglik(summary, G) and
     total_grad_m(summary, G) over a stack; analytic_gradient_batch(x, g,
-    directions, op); analytic_fim(g, directions, op); and, unless
+    directions, op); natural_fim(G, directions); and, unless
     invariant_fim is set, _fim_stack(G), the reduced FIM at each matrix
     of a (B, d, d) stack.
     """
@@ -83,6 +83,19 @@ class ModelBase:
 
     def _as_batch(self, x):
         return np.asarray(x, dtype=float)[None, ...]
+
+    def natural_fim(self, G, directions) -> np.ndarray:
+        """Single-observation FIM along directions of the natural operator
+        at a raw matrix G, or at each matrix of a (B, d, d) stack, whose
+        directions may then be (B, k, n_G), one set per matrix. A (k, k)
+        array when it does not depend on the point, else (B, k, k)."""
+        raise NotImplementedError
+
+    def analytic_fim(self, g: GroupElement, directions, op) -> np.ndarray:
+        """Single-observation FIM along op directions at g: natural_fim of
+        the directions translated to the natural operator."""
+        nat = natural_operator(self.side)
+        return self.natural_fim(g.matrix, translate_directions(directions, g, nat, op))
 
     def _fd_gradient_batch(self, observations, g, directions, op):
         """Central-difference reference for analytic_gradient_batch: one
@@ -206,10 +219,9 @@ class GaussianModel(ModelBase):
         a = self._axes
         return np.einsum(f"d{a},m{a},b->md", terms, resid, self._weights())
 
-    def analytic_fim(self, g, directions, op):
+    def natural_fim(self, G, directions):
         self._weights()  # raises for a zero-noise model
-        terms = self._terms(g.matrix, translate_directions(directions, g, self.terms_op, op))
-        return whitened_gram(terms, self._sigma)
+        return whitened_gram(self._terms(G, directions), self._sigma)
 
     def _fim_stack(self, G) -> np.ndarray:
         self._weights()  # raises for a zero-noise model

@@ -149,12 +149,11 @@ class LandmarkModel(GaussianModel):
         return (self.landmarks - p[..., None, :]) - x @ np.swapaxes(R, -1, -2)
 
     def _terms(self, G, directions) -> np.ndarray:
-        """(n_dirs, K, 3) array of Omega_d a_k + v_d, the world-frame
-        derivative -R X mu_k at every g."""
-        out = np.empty((len(directions), len(self.landmarks), 3))
-        for d, x in enumerate(directions):
-            out[d] = self.landmarks @ hat(x[:3]).T + x[3:]
-        return out
+        """(..., n_dirs, K, 3) array of Omega_d a_k + v_d, the world-frame
+        derivative -R X mu_k at every g, for directions (..., n_dirs, 6)."""
+        directions = np.asarray(directions, dtype=float)
+        Omega_t = np.swapaxes(hat(directions[..., :3]), -1, -2)
+        return self.landmarks @ Omega_t + directions[..., None, 3:]
 
     def _m_terms(self, G) -> np.ndarray:
         return self._m_basis_terms

@@ -279,7 +279,7 @@ class NetworkModel(GaussianModel):
             self._positions(G),
             self._i,
             self._j,
-            directions.reshape(len(directions), self.n_agents, 3),
+            directions.reshape(directions.shape[:-1] + (self.n_agents, 3)),
         )
 
 

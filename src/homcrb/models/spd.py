@@ -116,11 +116,12 @@ class SpdModel(ModelBase):
         quad = np.einsum("mi,dij,mj->md", u, D, u)
         return quad - np.trace(D, axis1=1, axis2=2)[None, :]
 
-    def analytic_fim(self, g, directions, op):
-        D = translate_directions(directions, g, LIVF, op).reshape(-1, self.n, self.n)
-        S = 0.5 * (D + np.transpose(D, (0, 2, 1)))
-        flat = S.reshape(len(D), -1)
-        return 2.0 * (flat @ flat.T)
+    def natural_fim(self, G, directions):
+        """2 tr(sym(D_i) sym(D_j)), the same at every G."""
+        D = directions.reshape(directions.shape[:-1] + (self.n, self.n))
+        S = 0.5 * (D + np.swapaxes(D, -1, -2))
+        flat = S.reshape(directions.shape)
+        return 2.0 * (flat @ np.swapaxes(flat, -1, -2))
 
     def total_grad_m(self, summary, G) -> np.ndarray:
         m, xbar2 = summary

@@ -420,3 +420,44 @@ def test_criterion_12_cli_determinism(tmp_path):
         )
         all_ok = all_ok and same
     _report(12, "byte-identical reruns for landmark/network/spd/crb-report", all_ok)
+
+
+def test_criterion_13_network_efficiency():
+    """At m = 1000 the coset variance of the 16-agent network, pooled over
+    campaign seeds 1-5 (200 trials each, fixed beforehand), is within 6
+    standard errors of its bound tr(Fbar^-1)/m. The graph is perfbench's:
+    agents uniform in [0, 1]^2 from default_rng(3), an edge below
+    distance 0.6, sigma = 0.1. False-alarm rate: a normal mean lands
+    beyond 6 standard errors with probability 2e-9. One trial's squared
+    error (29 m-coordinates) has skewness about 1.6, so the mean of 1000
+    has about 0.05, and a one-term Edgeworth correction gives about 3e-9:
+    below 1e-8 for a fault-free estimator whose variance meets the bound."""
+    from homcrb.harness import run_network_experiment
+
+    start = time.monotonic()
+    positions = np.random.default_rng(3).uniform(0.0, 1.0, (16, 2))
+    dist = np.linalg.norm(positions[:, None] - positions[None], axis=-1)
+    edges = [[i, j] for i in range(16) for j in range(i + 1, 16) if dist[i, j] < 0.6]
+    network = {"positions": positions.tolist(), "edges": edges, "sigmas": 0.1}
+    errs, bounds, failures = [], set(), 0
+    for seed in (1, 2, 3, 4, 5):
+        cfg = load_config(
+            {"experiment": "network", "seed": seed, "n_trials": 200,
+             "m_values": [1000], "network": network}
+        )
+        rep = run_network_experiment(cfg)
+        errs += [r["coset_err_sq"] for r in rep.rows if r["status"] == "ok"]
+        bounds.add(rep.summary_for(1000)["crb_trace"])
+        failures += rep.summary_for(1000)["failures"]
+    (bound,) = bounds
+    errs = np.array(errs)
+    ratio = errs.mean() / bound
+    se = errs.std() / math.sqrt(len(errs)) / bound
+    elapsed = time.monotonic() - start
+    _report(
+        13,
+        f"network ratio_coset {ratio:.4f} +- {se:.4f} over {len(errs)} trials, "
+        f"{abs(ratio - 1.0) / se:.1f} standard errors from 1 (<= 6), "
+        f"failures {failures}, {elapsed:.1f}s",
+        failures == 0 and abs(ratio - 1.0) <= 6.0 * se,
+    )

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from homcrb import fisher, groups
+from homcrb import fisher, groups, homspace
 from homcrb.groups import AlgebraVector
-from homcrb.models import GaussianMeanModel
+from homcrb.models import GaussianMeanModel, LandmarkModel, SpdModel
 
 
 def test_scalar_gaussian_fim_is_one(gaussian1):
@@ -47,6 +47,19 @@ def test_fim_matrix_validation():
     # Hessian-form estimates may carry small negative eigenvalues.
     F = fisher.FimMatrix(fisher.LEFT, g, np.array([[-1e-4]]), fisher.MC_HESSIAN, 10)
     assert F.matrix[0, 0] == -1e-4
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("estimation", [fisher.ANALYTIC, fisher.MC_GRADIENT, fisher.MC_HESSIAN])
+def test_fim_matrix_rejects_non_finite_entries(bad, estimation):
+    # NaN compares False in the symmetry and PSD tests, so it once passed.
+    g = groups.identity_element(groups.se3())
+    M = np.array([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="FIM must be finite"):
+        fisher.FimMatrix(fisher.REDUCED, g, M, estimation, 0)
+    stack = np.stack([np.eye(2), M])
+    with pytest.raises(ValueError, match="FIM must be finite"):
+        fisher.check_fims(stack, estimation)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +150,76 @@ def test_fim_properties_monte_carlo(landmark_one):
         method=fisher.MC_GRADIENT,
     )
     assert rep.max_deviation <= 0.05
+
+
+def reference_deviations(model, g, h):
+    """The four FimPropertyReport deviations for one h, from fisher.fim
+    and struct.adjoint."""
+    struct = model.struct
+    swapped = struct.side == homspace.Side.H_MOD_G
+    moved = homspace.act(g, h, struct.side)
+    FL_g, FR_g, FL_m, FR_m = (
+        fisher.fim(model, point, frame).matrix
+        for point in (g, moved)
+        for frame in (fisher.LEFT, fisher.RIGHT)
+    )
+    Ad_g = struct.adjoint(g)
+    block = FR_g if swapped else FL_g
+    n_H = struct.n_H
+    h_block = max(np.abs(block[:n_H]).max(initial=0.0), np.abs(block[:, :n_H]).max(initial=0.0))
+    adjoint = np.linalg.norm(FL_g - Ad_g.T @ FR_g @ Ad_g, 2)
+    if swapped:
+        Ad = struct.adjoint(h.inverse())
+        fiber = np.linalg.norm(FL_m - FL_g, 2)
+        conj = np.linalg.norm(FR_m - Ad.T @ FR_g @ Ad, 2)
+    else:
+        Ad = struct.adjoint(h)
+        fiber = np.linalg.norm(FR_m - FR_g, 2)
+        conj = np.linalg.norm(FL_m - Ad.T @ FL_g @ Ad, 2)
+    return [h_block, fiber, adjoint, conj]
+
+
+@pytest.mark.parametrize("kind", ["landmark", "spd"])
+def test_fim_properties_stack_matches_reference(kind):
+    """Rows of the stacked relations against the per-h reference: samples
+    of H (deviations at rounding level) and arbitrary group elements,
+    which leave the coset and so give deviations of order one."""
+    model = LandmarkModel([[1.0, 0.0, 0.0]]) if kind == "landmark" else SpdModel(2)
+    rng = np.random.default_rng(21)
+    g = groups.random_element(model.descriptor, rng, 0.4)
+    hs = [model.struct.subgroup_sampler(rng) for _ in range(5)]
+    hs += [groups.random_element(model.descriptor, rng, 0.5) for _ in range(3)]
+    devs = fisher.verify_fim_properties_stack(model, g, np.array([h.matrix for h in hs]))
+    expected = np.array([reference_deviations(model, g, h) for h in hs])
+    assert devs.shape == (8, 4)
+    assert np.abs(devs - expected).max() <= 1e-12
+    assert expected[5:, [1, 3]].min() > 1e-3  # the off-coset rows do fail
+    if kind == "landmark":
+        assert np.all(devs[:, 0] == 0.0)  # H\G: the right FIM's h-block is exactly 0
+
+
+def test_fim_properties_stack_monte_carlo_rows_are_one_h_calls(landmark_one):
+    rng = np.random.default_rng(12)
+    g = groups.random_element(groups.se3(), rng, 0.3)
+    hs = [landmark_one.struct.subgroup_sampler(rng) for _ in range(3)]
+    kwargs = dict(n_samples=2000, random_state=13, method=fisher.MC_GRADIENT)
+    devs = fisher.verify_fim_properties_stack(
+        landmark_one, g, np.array([h.matrix for h in hs]), **kwargs
+    )
+    for row, h in zip(devs, hs):
+        rep = fisher.verify_fim_properties(landmark_one, g, h, **kwargs)
+        assert rep.method == fisher.MC_GRADIENT
+        one = [rep.h_block, rep.fiber_constancy, rep.adjoint_relation, rep.fiber_conjugation]
+        assert row.tolist() == one
+
+
+def test_fim_properties_stack_rejects_non_members(landmark_one):
+    g = groups.identity_element(groups.se3())
+    H = np.stack([np.eye(4), 2.0 * np.eye(4)])
+    with pytest.raises(ValueError, match="not in SO"):
+        fisher.verify_fim_properties_stack(landmark_one, g, H)
+    with pytest.raises(ValueError, match="stack"):
+        fisher.verify_fim_properties_stack(landmark_one, g, np.eye(4))
 
 
 def test_abelian_left_equals_right(rng):

@@ -1,12 +1,14 @@
+import dataclasses
 import json
 import os
+import re
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from homcrb import cli, groups, homspace
+from homcrb import cli, fisher, groups, homspace
 from homcrb.cli import main
 from homcrb.exceptions import ConfigError, DegenerateModelError
 from homcrb.models import LandmarkModel, NetworkModel, SpdModel, rigidity_matrix
@@ -424,6 +426,88 @@ def test_property_suite_detects_corrupted_inner_product():
     )
 
 
+FRAME_FAILURE = re.compile(r"fim-frames\[(\d+)\]:? (h-block|fiber|adjoint|conjugation)")
+
+
+def frame_failures(monkeypatch, model):
+    """(k, relation) of every fim-frames failure at seed 1, with model in
+    place of the suite's landmark model."""
+    fixture = properties._landmark_fixture
+
+    def faulty(seed):
+        _, g, rng = fixture(seed)
+        return model, g, rng
+
+    monkeypatch.setattr(properties, "_landmark_fixture", faulty)
+    checks, failures = properties.suite_fim_frames(1)
+    assert checks == 80
+    found = [FRAME_FAILURE.match(msg) for msg in failures]
+    assert all(found), failures
+    return {(int(m[1]), m[2]) for m in found}
+
+
+def every_k(*names):
+    return {(k, name) for k in range(20) for name in names}
+
+
+class GDependentLandmark(LandmarkModel):
+    """A fault: the right FIM grows with |p|^2, so it changes along a fiber."""
+
+    def natural_fim(self, G, directions):
+        p = G[..., :3, 3]
+        scale = 1.0 + np.sum(p * p, axis=-1)
+        return super().natural_fim(G, directions) * scale[..., None, None]
+
+
+def test_fim_frames_passes_and_reports_each_relation_by_index(monkeypatch):
+    assert properties.suite_fim_frames(1) == (80, [])
+    landmark = LandmarkModel([[1.0, 0.0, 0.0]])
+    # The right FIM depends on g: fiber constancy and conjugation fail.
+    assert frame_failures(monkeypatch, GDependentLandmark([[1.0, 0.0, 0.0]])) == every_k(
+        "fiber", "conjugation"
+    )
+    # h built for another landmark: its h-block is not zero, and its
+    # samples leave the coset.
+    wrong_h = LandmarkModel([[1.0, 0.0, 0.0]])
+    wrong_h.struct = LandmarkModel([[0.0, 0.0, 1.0]]).struct
+    assert frame_failures(monkeypatch, wrong_h) == every_k("h-block", "fiber", "conjugation")
+    # Sample 7 is a translation, which moves the landmark off the coset.
+    sampler, draws = landmark.struct.subgroup_sampler, []
+
+    def leaves_at_7(rng):
+        h = sampler(rng)
+        draws.append(h)
+        if len(draws) == 8:
+            return groups.GroupElement(groups.se3(), np.eye(4) + np.eye(4, k=3) * 0.5)
+        return h
+
+    one_bad = LandmarkModel([[1.0, 0.0, 0.0]])
+    one_bad.struct = dataclasses.replace(landmark.struct, subgroup_sampler=leaves_at_7)
+    assert frame_failures(monkeypatch, one_bad) == {(7, "fiber"), (7, "conjugation")}
+    # A corrupted Ad in the adapted basis: the adjoint relation and the
+    # conjugation fail.
+    in_adapted = homspace.ReductiveStructure.in_adapted
+    monkeypatch.setattr(
+        homspace.ReductiveStructure, "in_adapted", lambda self, op: 1.01 * in_adapted(self, op)
+    )
+    assert frame_failures(monkeypatch, landmark) == every_k("adjoint", "conjugation")
+
+
+def test_variance_invariance_reports_each_moved_trace(monkeypatch):
+    # A reduced FIM that changes along the fiber fails every trace check
+    # and no error-length check, which reads the structure alone.
+    model = GDependentLandmark([[1.0, 0.0, 0.0]])
+    fixture = properties._landmark_fixture
+    monkeypatch.setattr(
+        properties, "_landmark_fixture", lambda seed: (model,) + fixture(seed)[1:]
+    )
+    checks, failures = properties.suite_variance_invariance(1)
+    assert checks == 220
+    expected = [f"variance-invariance[{k}]" for k in range(20)]
+    assert [m.split(" ")[0] for m in failures] == expected
+    assert all(" trace: " in m for m in failures)
+
+
 def test_property_suite_looks_each_suite_up_when_it_runs(monkeypatch):
     # A wrapped suite function (a tracer's span, a stub) takes effect.
     monkeypatch.setattr(properties, "suite_psi", lambda seed: (7, [f"stub {seed}"]))
@@ -432,7 +516,10 @@ def test_property_suite_looks_each_suite_up_when_it_runs(monkeypatch):
 
 
 def test_the_finite_difference_suites_run_as_stacks(monkeypatch):
-    calls = {"log_stack": 0, "log": 0, "coset_errors": 0, "coset_error": 0, "fd": 0}
+    calls = {
+        "log_stack": 0, "log": 0, "coset_errors": 0, "coset_error": 0, "fd": 0,
+        "verify_stack": 0, "verify": 0,
+    }
 
     def counted(owner, name, key):
         inner = getattr(owner, name)
@@ -448,11 +535,15 @@ def test_the_finite_difference_suites_run_as_stacks(monkeypatch):
     counted(homspace, "coset_errors", "coset_errors")
     counted(homspace, "coset_error", "coset_error")
     counted(ModelBase, "_fd_gradient_batch", "fd")
+    counted(fisher, "verify_fim_properties_stack", "verify_stack")
+    counted(fisher, "verify_fim_properties", "verify")
     assert properties.suite_psi(1)[0] == 400
     assert (calls["log_stack"], calls["log"]) == (4, 0)  # one log stack per group
     assert properties.suite_variance_invariance(1)[0] == 220
-    # One lift per representative and one for the reference.
-    assert (calls["coset_errors"], calls["coset_error"]) == (21, 0)
+    # One lift for the reference's and every representative's pairs.
+    assert (calls["coset_errors"], calls["coset_error"]) == (1, 0)
+    assert properties.suite_fim_frames(1)[0] == 80
+    assert (calls["verify_stack"], calls["verify"]) == (1, 0)
     assert properties.suite_gradients(1)[0] == 250
     assert calls["fd"] == 4  # one per model case
 
