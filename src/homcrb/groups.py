@@ -16,6 +16,10 @@ row inside it. A public function boxes the kernel's result once, so a
 GroupElement is validated where it leaves the API; central_differences
 runs the finite differences along a stack of directions the same way.
 
+scipy is imported by the first dense expm or logm, not by importing this
+module: a process that never exponentiates or takes a dense log does not
+load it.
+
 Conventions: SE(2)/SE(3) coordinates are ordered rotation-first, i.e.
 X = (omega, v) with wedge(X) = [[omega^, v], [0, 0]].
 """
@@ -29,8 +33,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm, logm
-from scipy.special import bernoulli
 
 from .exceptions import (
     BasisClosureError,
@@ -58,6 +60,20 @@ _NEAR_PI = 0.1
 # Derivative operators: "livf" differentiates t -> f(g exp(tX)), "rivf"
 # differentiates t -> f(exp(tX) g).
 LIVF, RIVF = "livf", "rivf"
+
+
+def expm(A: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm of a matrix or of each of a stack."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(A)
+
+
+def logm(A: np.ndarray) -> np.ndarray:
+    """scipy.linalg.logm (principal log, possibly complex) of a matrix."""
+    from scipy.linalg import logm as scipy_logm
+
+    return scipy_logm(A)
 
 
 def _frozen(a) -> np.ndarray:
@@ -497,12 +513,40 @@ def ad_squared_sum(rows, descriptor: GroupDescriptor) -> np.ndarray:
 # Psi (derivative of the log map) via the Bernoulli series
 
 
-@lru_cache(maxsize=None)
+# beta_{2n}/(2n)! for n = 1..21 as scipy.special.bernoulli(42) gives them,
+# bit for bit, not as the exact rationals (its beta_4/4! is 1.7e-12
+# relative off -1/720), so every Psi is the one scipy's coefficients give.
+_BERNOULLI_EVEN = (
+    0.08333333333333333,
+    -0.0013888888888864963,
+    3.306878306878106e-05,
+    -8.267195767195686e-07,
+    2.087675698786806e-08,
+    -5.284190138687491e-10,
+    1.3382536530684685e-11,
+    -3.389680296322585e-13,
+    8.586062056277853e-15,
+    -2.1748686985580641e-16,
+    5.5090028283602365e-18,
+    -1.3954464685812542e-19,
+    3.5347070396294725e-21,
+    -8.95351742703756e-23,
+    2.2679524523376862e-24,
+    -5.74479066887221e-26,
+    1.455172475614867e-27,
+    -3.6859949406653153e-29,
+    9.336734257095059e-31,
+    -2.365022415700634e-32,
+    5.990671762482143e-34,
+)
+# psi_matrix of order k also bounds the first dropped term, which takes
+# (k + 2) // 2 coefficients.
+_PSI_MAX_ORDER = 2 * len(_BERNOULLI_EVEN) - 1
+
+
 def _bernoulli_even(order: int) -> tuple[float, ...]:
     """beta_{2n}/(2n)! for n = 1..order//2 (even Bernoulli numbers only)."""
-    nmax = order // 2
-    b = bernoulli(2 * nmax)
-    return tuple(float(b[2 * n]) / math.factorial(2 * n) for n in range(1, nmax + 1))
+    return _BERNOULLI_EVEN[: order // 2]
 
 
 def _psi_series(ad: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -527,6 +571,8 @@ def psi_matrix(X: AlgebraVector, order: int = 10) -> PsiMatrix:
     """
     if order < 2:
         raise ValueError("order must be >= 2")
+    if order > _PSI_MAX_ORDER:
+        raise ValueError(f"order must be <= {_PSI_MAX_ORDER}")
     ad = ad_matrix(X)
     out, power = _psi_series(ad, order)
     # Magnitude of the first neglected even term.

@@ -16,7 +16,6 @@ import io
 import itertools
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -358,6 +357,14 @@ def _run_trials(ctx, kind: str, seed: int, pairs) -> list[dict]:
     for stack in filter(None, stacks):
         rows.update(zip(stack, _estimation_stack(ctx, kind, seed, stack)))
     return [rows[p] for p in pairs]
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures.ProcessPoolExecutor, imported on first use, so
+    that a serial run does not load multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
 
 
 def _worker_chunk(kind: str, config: ExperimentConfig, pairs) -> list[dict]:

@@ -246,9 +246,6 @@ class NetworkModel(GaussianModel):
         p = self.positions if positions is None else positions
         return _reference_element(self.descriptor, p)
 
-    def positions_of(self, g: GroupElement) -> np.ndarray:
-        return self._positions(g.matrix)
-
     def _positions(self, G) -> np.ndarray:
         """(..., n_agents, 2) positions of a matrix or of each of a stack."""
         rows, cols = self._slots

@@ -334,6 +334,25 @@ def test_psi_requires_order_two():
         groups.psi_matrix(AlgebraVector(d, np.zeros(3)), order=1)
 
 
+def test_bernoulli_table_has_scipys_bits():
+    # The fixed table must reproduce, bit for bit, the coefficients that
+    # scipy.special.bernoulli gives at every order the table serves.
+    from scipy.special import bernoulli
+
+    for order in range(2, groups._PSI_MAX_ORDER + 3):
+        nmax = order // 2
+        b = bernoulli(2 * nmax)
+        expected = tuple(float(b[2 * n]) / math.factorial(2 * n) for n in range(1, nmax + 1))
+        assert groups._bernoulli_even(order) == expected
+
+
+def test_psi_refuses_order_past_the_table():
+    X = AlgebraVector(groups.so3(), np.array([0.1, -0.2, 0.3]))
+    assert groups.psi_matrix(X, order=groups._PSI_MAX_ORDER).truncation_order == 41
+    with pytest.raises(ValueError, match="order must be <= 41"):
+        groups.psi_matrix(X, order=groups._PSI_MAX_ORDER + 1)
+
+
 @pytest.mark.parametrize(
     "desc", [groups.so3(), groups.se2(), groups.se3(), groups.glnplus(2)]
 )

@@ -2,12 +2,15 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import homcrb
 from homcrb import cli, fisher, groups, homspace
 from homcrb.cli import main
 from homcrb.exceptions import ConfigError, DegenerateModelError
@@ -208,6 +211,32 @@ def test_worker_processes_capped_at_cpu_count(cpus, pools, monkeypatch):
     assert InlinePool.sizes == pools
     assert rep.rows == serial.rows
     assert rep.metadata["workers"] == 1000
+
+
+@pytest.mark.parametrize("module", ["homcrb.harness", "homcrb.cli"])
+def test_import_loads_neither_scipy_nor_the_process_pool(module):
+    """A fresh interpreter that imports the package has no scipy module
+    and no process pool; its first GL(2)+ exp loads scipy.linalg."""
+    code = (
+        f"import json, sys, {module}\n"
+        "from homcrb import groups\n"
+        "loaded = sorted(sys.modules)\n"
+        "groups.exp(groups.AlgebraVector(groups.glnplus(2), [0.1, 0.2, 0.3, 0.4]))\n"
+        "print(json.dumps([loaded, 'scipy.linalg' in sys.modules]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(homcrb.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    loaded, scipy_after_exp = json.loads(proc.stdout.splitlines()[-1])
+    unwanted = [
+        m for m in loaded
+        if m.split(".")[0] == "scipy" or m == "concurrent.futures.process"
+    ]
+    assert unwanted == []
+    assert scipy_after_exp
 
 
 RUNNERS = {
