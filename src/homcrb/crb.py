@@ -36,18 +36,24 @@ PINV_RCOND = 1e-10
 
 def conditioning_errors(
     F: np.ndarray, error: type[DegenerateModelError], what: str
-) -> list:
-    """Per matrix of an (n, n) F or an (A, n, n) stack, None when its
-    condition number is <= COND_LIMIT, else an error carrying it."""
-    return [
-        None
-        if math.isfinite(cond) and cond <= COND_LIMIT
-        else error(
+) -> dict:
+    """{index: error carrying its condition number} for each matrix of an
+    (n, n) F (index 0) or of an (A, n, n) stack whose condition number is
+    not <= COND_LIMIT. A matrix whose SVD does not converge, as for a NaN
+    entry, has condition number NaN."""
+    try:
+        conds = np.linalg.cond(F)
+    except np.linalg.LinAlgError:  # one matrix fails the whole stack: redo the finite ones
+        finite = np.isfinite(F).all(axis=(-2, -1))
+        conds = np.where(finite, np.linalg.cond(np.where(finite[..., None, None], F, 0.0)), np.nan)
+    return {
+        i: error(
             f"{what} is numerically singular (condition number {cond:.3e})",
             condition_number=cond,
         )
-        for cond in np.atleast_1d(np.linalg.cond(F)).tolist()
-    ]
+        for i, cond in enumerate(np.atleast_1d(conds).tolist())
+        if not (math.isfinite(cond) and cond <= COND_LIMIT)
+    }
 
 
 def check_conditioning(
@@ -56,9 +62,9 @@ def check_conditioning(
     """Raise error, with the condition number, for the first matrix of an
     (n, n) F or an (A, n, n) stack whose condition number is not <=
     COND_LIMIT."""
-    for exc in conditioning_errors(F, error, what):
-        if exc is not None:
-            raise exc
+    errors = conditioning_errors(F, error, what)
+    if errors:
+        raise errors[min(errors)]
 
 
 def _bound_ready_matrix(fim_matrix: fisher.FimMatrix) -> np.ndarray:

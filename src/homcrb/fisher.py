@@ -95,17 +95,15 @@ def fim(
     n_samples: int = DEFAULT_MC_SAMPLES,
     random_state=None,
 ) -> FimMatrix:
-    """E[D_i l D_j l] over the frame's directions.
+    """E[D_i l D_j l] over the frame's directions: a stack of one
+    through _fim_stack.
 
-    Analytic dispatches to the model; the Monte-Carlo gradient form
+    Analytic reads the model's natural_fim; the Monte-Carlo gradient form
     averages outer products of per-draw analytic scores over common
     draws, which keeps the estimate positive semidefinite exactly.
     """
-    directions, op = frame_directions(model.struct, frame)
-    if method == ANALYTIC:
-        return FimMatrix(frame, g, model.analytic_fim(g, directions, op), ANALYTIC, 0)
     F = _fim_stack(model, g.matrix[None], frame, method, n_samples, [random_state])[0]
-    return FimMatrix(frame, g, F, MC_GRADIENT, n_samples)
+    return FimMatrix(frame, g, F, method, 0 if method == ANALYTIC else n_samples)
 
 
 def _fim_stack(

@@ -513,31 +513,30 @@ def ad_squared_sum(rows, descriptor: GroupDescriptor) -> np.ndarray:
 # Psi (derivative of the log map) via the Bernoulli series
 
 
-# beta_{2n}/(2n)! for n = 1..21 as scipy.special.bernoulli(42) gives them,
-# bit for bit, not as the exact rationals (its beta_4/4! is 1.7e-12
-# relative off -1/720), so every Psi is the one scipy's coefficients give.
+# beta_{2n}/(2n)! for n = 1..21: each exact rational rounded once to the
+# nearest double.
 _BERNOULLI_EVEN = (
     0.08333333333333333,
-    -0.0013888888888864963,
-    3.306878306878106e-05,
-    -8.267195767195686e-07,
-    2.087675698786806e-08,
-    -5.284190138687491e-10,
-    1.3382536530684685e-11,
-    -3.389680296322585e-13,
-    8.586062056277853e-15,
-    -2.1748686985580641e-16,
-    5.5090028283602365e-18,
-    -1.3954464685812542e-19,
-    3.5347070396294725e-21,
-    -8.95351742703756e-23,
-    2.2679524523376862e-24,
-    -5.74479066887221e-26,
-    1.455172475614867e-27,
-    -3.6859949406653153e-29,
-    9.336734257095059e-31,
-    -2.365022415700634e-32,
-    5.990671762482143e-34,
+    -0.001388888888888889,
+    3.306878306878307e-05,
+    -8.267195767195768e-07,
+    2.08767569878681e-08,
+    -5.284190138687493e-10,
+    1.3382536530684679e-11,
+    -3.3896802963225827e-13,
+    8.586062056277845e-15,
+    -2.174868698558062e-16,
+    5.5090028283602295e-18,
+    -1.3954464685812522e-19,
+    3.534707039629467e-21,
+    -8.953517427037546e-23,
+    2.267952452337683e-24,
+    -5.744790668872202e-26,
+    1.455172475614865e-27,
+    -3.6859949406653103e-29,
+    9.336734257095045e-31,
+    -2.36502241570063e-32,
+    5.990671762482134e-34,
 )
 # psi_matrix of order k also bounds the first dropped term, which takes
 # (k + 2) // 2 coefficients.

@@ -221,101 +221,103 @@ def _estimation_stack(ctx, kind: str, seed: int, items) -> list[dict]:
     leaves the stack with status failed:<Class>; the others are
     unaffected."""
     model, g_true, inits, opts = ctx
-
-    def row(i: int, status: str = "ok") -> dict:
-        _, m, t = items[i]
-        return {"record": "trial", "m": m, "trial": t, "status": status}
-
-    rows = [row(i) for i in range(len(items))]
     summaries = []
     for mi, m, t in items:
         observations = model.sample(g_true, m, np.random.default_rng([seed, mi, t]))
         summaries.append(model.summarize(observations))
     summary = scoring.stack_summaries(summaries)
     alone = len(items) == 1  # runs through fisher_scoring and coset_error
-    if not alone:
-        observations = None  # a stack holds summaries, never observations
-    live = np.arange(len(items))  # stack rows still in the running
+    failed = {}  # stack row: the trial failure that ended it
+    fields = [{"status": "ok"} for _ in items]  # per stack row, its CSV fields
 
-    def fail(i: int, exc: Exception) -> None:
-        if not isinstance(exc, _TRIAL_FAILURES):
-            raise exc
-        rows[i] = row(i, f"failed:{type(exc).__name__}")
+    def fail(rows: list, errors: dict) -> None:
+        """Fail rows[k] with each error {k: exception}, which leaves only
+        its status in its fields; an exception that is not a trial
+        failure is raised."""
+        for k, exc in errors.items():
+            if not isinstance(exc, _TRIAL_FAILURES):
+                raise exc
+            failed[rows[k]] = exc
+            fields[rows[k]] = {"status": f"failed:{type(exc).__name__}"}
 
-    def drop(errors: dict) -> np.ndarray:
-        """Fail the live rows at the given positions; the mask of the rest."""
-        nonlocal live
-        for i, exc in errors.items():
-            fail(live[i], exc)
-        kept = np.ones(len(live), dtype=bool)
-        kept[list(errors)] = False
-        live = live[kept]
-        return kept
-
-    def score(g0: GroupElement, start: int) -> list:
-        """(stack row, trace) of each live row that scores from g0, with
-        each trial's Monte-Carlo FIM entropy (seed, m_index, trial,
-        start); the rows that fail leave live."""
-        if not len(live):
-            return []
+    def score(g0: GroupElement, start: int) -> dict:
+        """{stack row: trace} of the rows not failed that score from g0,
+        with each trial's Monte-Carlo FIM entropy (seed, m_index, trial,
+        start); the rows that fail join failed."""
+        live = [i for i in range(len(items)) if i not in failed]
+        if not live:
+            return {}
         entropies = [(seed, items[i][0], items[i][2], start) for i in live]
         if alone:
-            try:
-                trace = scoring.fisher_scoring(model, observations, g0, opts, entropies[0])
-                return [(live[0], trace)]
-            except _TRIAL_FAILURES as exc:
-                outcome = [exc]
+            calls = [(model, observations, g0, opts, entropies[0])]
+            traces, errors = _rows_of(scoring.fisher_scoring, calls)
         else:
-            outcome = scoring.fisher_scoring_stack(
+            traces, errors = scoring.fisher_scoring_stack(
                 model,
                 tuple(part[live] for part in summary),
                 np.broadcast_to(g0.matrix, (len(live),) + g0.matrix.shape),
                 opts,
                 entropies,
             )
-        kept = drop({i: o for i, o in enumerate(outcome) if isinstance(o, Exception)})
-        return list(zip(live, itertools.compress(outcome, kept)))
+        fail(live, errors)
+        return {i: trace for i, trace in zip(live, traces) if i not in failed}
 
     if kind == "spd":
         x2 = summary[1]
         errors = crb.conditioning_errors(x2, DegenerateFimError, "sample second moment")
-        drop({i: exc for i, exc in enumerate(errors) if exc})
-        for i, trace in score(inits[0], 0):
+        fail(range(len(items)), errors)
+        for i, trace in score(inits[0], 0).items():
             final = trace.matrices[-1]
-            rows[i].update(
+            fields[i].update(
                 frobenius_gap=float(np.linalg.norm(final @ final.T - x2[i])),
                 iterations=trace.iterations_used,
                 loglik=trace.logliks[-1],
             )
-        return rows
-    scored = score(inits[0], 0)
-    if not scored:
-        return rows
-    eta_struct, raw_errors, errors = _lift(
-        g_true, [trace for _, trace in scored], model.struct, alone
-    )
-    kept = drop(errors)
-    n_H = model.struct.n_H
-    finals = {}  # per live row, its final estimate from each starting point
-    for (i, trace), eta, raw in itertools.compress(zip(scored, eta_struct, raw_errors), kept):
-        rows[i].update(
-            coset_err_sq=float(np.sum(eta[n_H:] ** 2)),
-            g_err_sq=float(raw @ raw),
-            iterations=trace.iterations_used,
-            loglik=trace.logliks[-1],
-            eta=tuple(float(v) for v in eta),
-        )
-        finals[i] = [trace.matrices[-1]]
-    if kind == "landmark" and len(inits) > 1:
-        for start, g0 in enumerate(inits[1:], 1):
-            for i, trace in score(g0, start):
-                finals[i].append(trace.matrices[-1])
-        for i in live:
-            try:
-                rows[i].update(_multistart_spread(finals[i], model))
-            except _TRIAL_FAILURES as exc:
-                fail(i, exc)
-    return rows
+    elif scored := score(inits[0], 0):
+        rows = list(scored)
+        eta_struct, raw_errors, errors = _lift(g_true, list(scored.values()), model.struct, alone)
+        fail(rows, errors)
+        n_H = model.struct.n_H
+        finals = {}  # per ok row, its final estimate from each starting point
+        for k, (i, trace) in enumerate(scored.items()):
+            if i in failed:
+                continue
+            eta, raw = eta_struct[k], raw_errors[k]
+            fields[i].update(
+                coset_err_sq=float(np.sum(eta[n_H:] ** 2)),
+                g_err_sq=float(raw @ raw),
+                iterations=trace.iterations_used,
+                loglik=trace.logliks[-1],
+                eta=tuple(float(v) for v in eta),
+            )
+            finals[i] = [trace.matrices[-1]]
+        if len(inits) > 1:  # landmark multistart
+            for start, g0 in enumerate(inits[1:], 1):
+                for i, trace in score(g0, start).items():
+                    finals[i].append(trace.matrices[-1])
+            rows = [i for i in finals if i not in failed]
+            spreads, errors = _rows_of(_multistart_spread, [(finals[i], model) for i in rows])
+            fail(rows, errors)
+            for i, spread in zip(rows, spreads):
+                if i not in failed:
+                    fields[i].update(spread)
+    return [
+        {"record": "trial", "m": m, "trial": t, **fields[i]} for i, (_, m, t) in enumerate(items)
+    ]
+
+
+def _rows_of(fn, calls) -> tuple[list, dict]:
+    """A one-trial entry point fn run on each argument tuple of calls, in
+    the shape of a stack kernel: (results, {position: trial failure}),
+    where a failed position's result is None."""
+    results, errors = [], {}
+    for k, args in enumerate(calls):
+        try:
+            results.append(fn(*args))
+        except _TRIAL_FAILURES as exc:
+            results.append(None)
+            errors[k] = exc
+    return results, errors
 
 
 def _lift(g_true, traces, struct, alone: bool) -> tuple:
@@ -324,12 +326,10 @@ def _lift(g_true, traces, struct, alone: bool) -> tuple:
     if not alone:
         lifted = coset_errors(g_true, np.array([t.matrices[-1] for t in traces]), struct)
         return lifted.eta_struct, lifted.raw, lifted.errors
-    try:
-        lifted = coset_error(g_true, traces[0].final, struct)
-    except _TRIAL_FAILURES as exc:
-        nan = np.full((1, struct.group.algebra_dim), np.nan)
-        return nan, nan, {0: exc}
-    return lifted.eta_struct[None], lifted.raw[None], {}
+    [lifted], errors = _rows_of(coset_error, [(g_true, traces[0].final, struct)])
+    if errors:
+        return [None], [None], errors
+    return [lifted.eta_struct], [lifted.raw], errors
 
 
 def _multistart_spread(finals, model) -> dict:

@@ -185,10 +185,9 @@ def suite_error_block(seed: int):
         for t in range(n_trials)
     ])
     identity = groups.identity_element(model.descriptor).matrix
-    traces = scoring.fisher_scoring_stack(
+    traces, errors = scoring.fisher_scoring_stack(
         model, summary, np.broadcast_to(identity, (n_trials,) + identity.shape), opts
     )
-    errors = {t: trace for t, trace in enumerate(traces) if isinstance(trace, Exception)}
     scored = [t for t in range(n_trials) if t not in errors]
     finals = np.array([traces[t].matrices[-1] for t in scored]).reshape(-1, *identity.shape)
     lifted = homspace.coset_errors(g, finals, model.struct)

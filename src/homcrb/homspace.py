@@ -267,6 +267,8 @@ def check_adH_invariance(
     h/m block-diagonal form of the adjoint in adapted coordinates."""
     if struct.subgroup_sampler is None:
         raise ValueError("structure has no subgroup sampler")
+    if n_samples < 1:
+        raise ValueError("the invariance check needs n_samples >= 1")
     rng = np.random.default_rng(random_state)
     n_H, n_T = struct.n_H, struct.n_Theta
     G_m = struct.gram[n_H:, n_H:]

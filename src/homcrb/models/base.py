@@ -244,6 +244,8 @@ def invariance_defect(
     """max |l(x|g) - l(x|hg or gh)| over sampled x and h in H."""
     if model.struct.subgroup_sampler is None:
         raise ValueError("model structure has no subgroup sampler")
+    if n_samples < 1:
+        raise ValueError("the invariance check needs n_samples >= 1")
     worst = 0.0
     for _ in range(n_samples):
         x = model.sample(g, 1, rng)

@@ -65,14 +65,12 @@ class ScoringOptions:
     max_iterations: int = 100
     gradient_tolerance: float = 1e-10
     fim_mode: str = ANALYTIC
-    step_scale: float = 1.0
     mc_fim_samples: int = 20_000
 
     def __post_init__(self):
         for name in ("max_iterations", "mc_fim_samples"):
             object.__setattr__(self, name, _count(getattr(self, name), name))
-        for name in ("gradient_tolerance", "step_scale"):
-            _positive(getattr(self, name), name)
+        _positive(self.gradient_tolerance, "gradient_tolerance")
         if self.fim_mode not in _FIM_MODES:
             raise ValueError(f"fim_mode must be one of {_FIM_MODES}")
 
@@ -134,7 +132,6 @@ def _natural_step(model, G0, opts: ScoringOptions, entropies):
     trial's own entropy. Each distinct FIM array is checked once; a
     trial whose FIM has a condition number above 1e12 leaves with
     DegenerateFimError."""
-    desc = model.struct.group
     F0 = None if opts.fim_mode == MONTE_CARLO else model.fim_reduced(G0)
     per_iterate = opts.fim_mode == ANALYTIC
     checked = [None, None]  # the last FIM array checked, and its errors
@@ -144,17 +141,11 @@ def _natural_step(model, G0, opts: ScoringOptions, entropies):
         # (n, n) for every row or (B, n, n) by stack row; a per-iterate
         # FIM is a new (A, n, n) array, one matrix per active row.
         if F0 is None:
-            S = np.array([
-                fisher.fim(
-                    model,
-                    GroupElement(desc, M),
-                    fisher.REDUCED,
-                    fisher.MC_GRADIENT,
-                    opts.mc_fim_samples,
-                    random_state=_child_seed(entropies[r], k),
-                ).matrix
-                for r, M in zip(rows, G)
-            ])
+            seeds = [_child_seed(entropies[r], k) for r in rows]
+            S = fisher._fim_stack(
+                model, G, fisher.REDUCED, fisher.MC_GRADIENT, opts.mc_fim_samples, seeds
+            )
+            fisher.check_fims(S, fisher.MC_GRADIENT)
         elif k > 0 and per_iterate:
             S = model.fim_reduced(G)
         else:
@@ -163,18 +154,15 @@ def _natural_step(model, G0, opts: ScoringOptions, entropies):
             checked[:] = S, crb.conditioning_errors(S, DegenerateFimError, "reduced FIM at iterate")
         errors = checked[1]
         if S.ndim == 2:
-            errors = dict.fromkeys(range(len(rows)), errors[0]) if errors[0] else {}
-        else:
-            if S is F0:
-                S, errors = S[rows], [errors[r] for r in rows]
-            errors = {i: exc for i, exc in enumerate(errors) if exc}
+            errors = dict.fromkeys(range(len(rows)), errors[0]) if errors else {}
+        elif S is F0:
+            S, errors = S[rows], {i: errors[r] for i, r in enumerate(rows) if r in errors}
         if not errors:
-            return opts.step_scale * np.linalg.solve(S, mean_grad[..., None])[..., 0], {}
+            return np.linalg.solve(S, mean_grad[..., None])[..., 0], {}
         steps = np.full(mean_grad.shape, np.nan)
         ok = np.array([i not in errors for i in range(len(rows))])
-        if ok.any():
-            F = S if S.ndim == 2 else S[ok]
-            steps[ok] = opts.step_scale * np.linalg.solve(F, mean_grad[ok, :, None])[..., 0]
+        if ok.any():  # then S is a stack: a shared singular S fails every row
+            steps[ok] = np.linalg.solve(S[ok], mean_grad[ok, :, None])[..., 0]
         return steps, errors
 
     return rule
@@ -207,14 +195,15 @@ def _ascend(model, summary, G0, step_rule, max_iterations: int, gradient_toleran
     row stops once its step norm falls below the tolerance (recorded, not
     applied) or after max_iterations applications, and leaves with
     DivergenceError when its log-likelihood is not finite or drops by
-    more than 1e3 below its best value. Returns per trial its
-    ScoringTrace, or the exception that ended it."""
+    more than 1e3 below its best value. Returns (traces, failed): per
+    trial its ScoringTrace, which for a failed trial ends at its failure,
+    and {trial: the exception that ended it}."""
     struct = model.struct
     gram_m = struct.gram[struct.n_H :, struct.n_H :]
     _check_observations(summary)
     ll = model.total_loglik(summary, G0).tolist()
     traces = [ScoringTrace(struct.group, [M], [v]) for M, v in zip(G0, ll)]
-    outcome = list(traces)
+    failed = {}
     best = list(ll)  # per trial, its best log-likelihood so far
     # The stack rows still ascending, their summaries and iterates. The
     # per-trial decisions below run on Python floats, one loop per step.
@@ -229,7 +218,7 @@ def _ascend(model, summary, G0, step_rule, max_iterations: int, gradient_toleran
         norms = np.sqrt(((steps[:, None, :] @ gram_m) @ steps[:, :, None])[:, 0, 0]).tolist()
         for i, r in enumerate(rows.tolist()):
             if i in errors:
-                outcome[r] = errors[i]
+                failed[r] = errors[i]
             else:
                 traces[r].grad_norms.append(grad_norms[i])
                 traces[r].step_norms.append(norms[i])
@@ -263,7 +252,7 @@ def _ascend(model, summary, G0, step_rule, max_iterations: int, gradient_toleran
             trace.logliks.append(v)
             best[r] = max(best[r], v)
             if not math.isfinite(v) or v < best[r] - _DIVERGENCE_DROP:
-                outcome[r] = DivergenceError(
+                failed[r] = DivergenceError(
                     f"log-likelihood {v:g} is not finite or dropped by more than "
                     f"{_DIVERGENCE_DROP:g}",
                     trace=trace,
@@ -278,14 +267,15 @@ def _ascend(model, summary, G0, step_rule, max_iterations: int, gradient_toleran
             traces[r].converged = i not in errors and norms[i] <= gradient_tolerance
     for trace in traces:
         trace.iterations_used = len(trace.matrices) - 1
-    return outcome
+    return traces, failed
 
 
-def _one(outcome) -> ScoringTrace:
+def _one(result) -> ScoringTrace:
     """The trace of a stack of one, or its failure raised."""
-    if isinstance(outcome[0], Exception):
-        raise outcome[0]
-    return outcome[0]
+    traces, failed = result
+    if failed:
+        raise failed[0]
+    return traces[0]
 
 
 def fisher_scoring_stack(
@@ -294,12 +284,13 @@ def fisher_scoring_stack(
     G0,
     opts: ScoringOptions | None = None,
     random_states=None,
-) -> list:
+) -> tuple[list[ScoringTrace], dict]:
     """Natural-gradient maximum-likelihood iteration for a stack of
     trials: summary from stack_summaries, G0 their (B, d, d) starting
     matrices, random_states each trial's Monte-Carlo FIM entropy (an
-    int, a sequence of ints, or None). Returns per trial its
-    ScoringTrace, or the exception that ended it: DivergenceError, or
+    int, a sequence of ints, or None). Returns (traces, failed): one
+    ScoringTrace per trial, a failed trial's ending at its failure, and
+    {trial: exception} for each trial that failed: DivergenceError, or
     DegenerateFimError on a FIM with condition number above 1e12."""
     opts = opts or ScoringOptions()
     entropies = [None] * len(G0) if random_states is None else list(random_states)

@@ -85,8 +85,8 @@ class ReplicatedModel:
         grads = self.base.analytic_gradient_batch(flat, g, directions, op)
         return grads.reshape(x.shape[0], self.r, -1).sum(axis=1)
 
-    def analytic_fim(self, g, directions, op):
-        return self.r * self.base.analytic_fim(g, directions, op)
+    def natural_fim(self, G, directions):
+        return self.r * self.base.natural_fim(G, directions)
 
     def _as_batch(self, x):
         return np.asarray(x, dtype=float)[None, ...]

@@ -163,6 +163,37 @@ def test_crb_degenerate_fim_rejected(landmark_one, rng):
         crb.variance_bound(F)
 
 
+def mixed_fims():
+    """Well conditioned at 0 and 4; condition numbers 1e13 at 1, inf
+    (singular) at 2 and NaN at 3."""
+    F = np.broadcast_to(np.eye(3), (5, 3, 3)).copy()
+    F[1] = np.diag([1.0, 1.0, 1e-13])
+    F[2] = np.diag([1.0, 1.0, 0.0])
+    F[3, 0, 0] = np.nan
+    return F
+
+
+def test_conditioning_errors_name_exactly_the_failing_matrices():
+    errors = crb.conditioning_errors(mixed_fims(), DegenerateModelError, "FIM")
+    assert list(errors) == [1, 2, 3]
+    assert all(type(exc) is DegenerateModelError for exc in errors.values())
+    conds = [errors[i].condition_number for i in (1, 2, 3)]
+    assert conds[0] == pytest.approx(1e13) and conds[1] == np.inf and np.isnan(conds[2])
+    assert "condition number 1.000e+13" in str(errors[1])
+    assert crb.conditioning_errors(np.eye(3), DegenerateModelError, "FIM") == {}
+    assert list(crb.conditioning_errors(np.zeros((3, 3)), DegenerateModelError, "FIM")) == [0]
+
+
+def test_check_conditioning_raises_the_lowest_failing_matrix():
+    F = mixed_fims()
+    for lowest in (1, 2, 3):
+        with pytest.raises(DegenerateModelError) as err:
+            crb.check_conditioning(F[[0, *range(lowest, 5)]], DegenerateModelError, "FIM")
+        alone = crb.conditioning_errors(F[lowest], DegenerateModelError, "FIM")
+        assert str(err.value) == str(alone[0])
+    crb.check_conditioning(F[[0, 4]], DegenerateModelError, "FIM")
+
+
 # ---------------------------------------------------------------------------
 # delta_matrix
 

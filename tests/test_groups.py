@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -334,15 +335,17 @@ def test_psi_requires_order_two():
         groups.psi_matrix(AlgebraVector(d, np.zeros(3)), order=1)
 
 
-def test_bernoulli_table_has_scipys_bits():
-    # The fixed table must reproduce, bit for bit, the coefficients that
-    # scipy.special.bernoulli gives at every order the table serves.
-    from scipy.special import bernoulli
-
+def test_bernoulli_table_is_exact():
+    # Each coefficient is beta_{2n}/(2n)!, an exact rational from the
+    # recurrence sum_{k<=n} C(n+1, k) beta_k = 0, rounded once.
+    beta = [Fraction(1)]
+    for n in range(1, 2 * len(groups._BERNOULLI_EVEN) + 1):
+        beta.append(-sum(math.comb(n + 1, k) * beta[k] for k in range(n)) / (n + 1))
+    assert beta[1:5] == [Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30)]
     for order in range(2, groups._PSI_MAX_ORDER + 3):
-        nmax = order // 2
-        b = bernoulli(2 * nmax)
-        expected = tuple(float(b[2 * n]) / math.factorial(2 * n) for n in range(1, nmax + 1))
+        expected = tuple(
+            float(beta[2 * n] / math.factorial(2 * n)) for n in range(1, order // 2 + 1)
+        )
         assert groups._bernoulli_even(order) == expected
 
 

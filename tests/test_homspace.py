@@ -136,6 +136,15 @@ def test_adH_invariance_broken_by_scaled_inner_product(landmark_one):
     assert not rep.invariant
 
 
+def test_adH_invariance_refuses_zero_samples(landmark_one):
+    # With no sample the check would find no defect and pass any structure.
+    bad = landmark_one.struct.with_gram(np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 10.0]))
+    assert not homspace.check_adH_invariance(bad, 5, random_state=3).invariant
+    for n_samples in (0, -1):
+        with pytest.raises(ValueError, match="n_samples >= 1"):
+            homspace.check_adH_invariance(bad, n_samples, random_state=3)
+
+
 # ---------------------------------------------------------------------------
 # coset_error
 

@@ -640,6 +640,14 @@ def test_models_pass_invariance_contract(fixture, request, rng):
     assert invariance_defect(model, g, 100, rng) <= 1e-9
 
 
+def test_invariance_defect_refuses_zero_samples(landmark_two, rng):
+    # With no sample the defect would read 0.0 for any model.
+    g = groups.random_element(landmark_two.descriptor, rng, 0.4)
+    for n_samples in (0, -1):
+        with pytest.raises(ValueError, match="n_samples >= 1"):
+            invariance_defect(landmark_two, g, n_samples, rng)
+
+
 SUFFICIENT_STATISTIC_MODELS = {
     "landmark_one": lambda: LandmarkModel([[1.0, 0.0, 0.0]]),
     "landmark_two_unequal_noise": lambda: LandmarkModel(

@@ -25,8 +25,6 @@ def test_options_validation():
         scoring.ScoringOptions(fim_mode="adaptive")
     # Each of these would otherwise corrupt or abort a campaign mid-run.
     for bad in (
-        {"step_scale": 0.0},
-        {"step_scale": math.inf},
         {"gradient_tolerance": math.nan},
         {"fim_mode": "monte-carlo", "mc_fim_samples": 0},
         {"max_iterations": 2.5},
@@ -245,6 +243,39 @@ def test_monte_carlo_fim_is_checked_every_iterate(gaussian1, monkeypatch, rng):
     )
     assert len(trace.step_norms) >= 3
     assert conds[0] == len(trace.step_norms)
+
+
+def test_monte_carlo_fims_of_a_stack_are_those_of_fisher_fim(landmark_two, monkeypatch):
+    """Each active row's Monte-Carlo FIM at iterate k is fisher.fim at that
+    iterate, drawn from the child seed k of the row's entropy."""
+    g_true = landmark_truth()
+    entropies = [(5, 0, t, 0) for t in range(3)]
+    summary = scoring.stack_summaries([
+        landmark_two.summarize(landmark_two.sample(g_true, 100, np.random.default_rng(t)))
+        for t in range(3)
+    ])
+    G0 = np.broadcast_to(np.eye(4), (3, 4, 4))
+    opts = scoring.ScoringOptions(fim_mode="monte-carlo", mc_fim_samples=300)
+    calls = []
+    stack = fisher._fim_stack
+
+    def recorded(model, X, frame, method, n_samples, seeds):
+        calls.append((X.copy(), seeds, stack(model, X, frame, method, n_samples, seeds)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(fisher, "_fim_stack", recorded)
+    traces, failed = scoring.fisher_scoring_stack(landmark_two, summary, G0, opts, entropies)
+    monkeypatch.undo()
+    assert failed == {} and len(calls) >= 3
+    for k, (X, seeds, S) in enumerate(calls):
+        rows = [r for r, trace in enumerate(traces) if len(trace.step_norms) > k]
+        assert len(S) == len(rows)
+        for x, seed, F, r in zip(X, seeds, S, rows):
+            assert seed == scoring._child_seed(entropies[r], k)
+            assert np.array_equal(x, traces[r].matrices[k])
+            g = groups.GroupElement(landmark_two.descriptor, x)
+            expected = fisher.fim(landmark_two, g, fisher.REDUCED, fisher.MC_GRADIENT, 300, seed)
+            assert np.array_equal(F, expected.matrix)
 
 
 # ---------------------------------------------------------------------------

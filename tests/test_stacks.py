@@ -705,9 +705,11 @@ def test_a_trial_diverging_from_a_later_start_leaves_the_stack_alone(monkeypatch
         return tuple(entropy[2:]) == (2, 1)
 
     def stack_diverging(model, summary, G0, opts=None, random_states=None):
-        outcome = stack(model, summary, G0, opts, random_states)
-        return [DivergenceError("forced") if forced(e) else o
-                for o, e in zip(outcome, random_states)]
+        traces, failed = stack(model, summary, G0, opts, random_states)
+        for k, e in enumerate(random_states):
+            if forced(e):
+                failed[k] = DivergenceError("forced")
+        return traces, failed
 
     def one_diverging(model, observations, g0, opts=None, random_state=None):
         if forced(random_state):
@@ -740,14 +742,14 @@ def test_a_diverging_row_raises_alone_through_fisher_scoring(rng):
     )
     summary = scoring.stack_summaries([model.summarize(o) for o in obs])
     G0 = np.broadcast_to(g0.matrix, (3, 2, 2))
-    outcome = scoring.fisher_scoring_stack(model, summary, G0)
-    assert isinstance(outcome[1], DivergenceError)
+    traces, failed = scoring.fisher_scoring_stack(model, summary, G0)
+    assert list(failed) == [1] and isinstance(failed[1], DivergenceError)
     with pytest.raises(DivergenceError):
         scoring.fisher_scoring(model, obs[1], g0)
     for i in (0, 2):
         alone = scoring.fisher_scoring(model, obs[i], g0)
-        assert outcome[i].logliks == alone.logliks
-        assert np.array_equal(outcome[i].final.matrix, alone.final.matrix)
+        assert traces[i].logliks == alone.logliks
+        assert np.array_equal(traces[i].final.matrix, alone.final.matrix)
 
 
 def sphere_estimates(rng):
@@ -869,10 +871,10 @@ def test_the_error_block_suite_raises_its_first_failing_trial(
     stack, lift = scoring.fisher_scoring_stack, homspace.coset_errors
 
     def stack_diverging(*args, **kwargs):
-        outcome = stack(*args, **kwargs)
+        traces, failed = stack(*args, **kwargs)
         for t in diverging:
-            outcome[t] = DivergenceError(f"trial {t}")
-        return outcome
+            failed[t] = DivergenceError(f"trial {t}")
+        return traces, failed
 
     def lift_failing(g_ref, estimates, struct):
         lifted = lift(g_ref, estimates, struct)
@@ -907,12 +909,12 @@ def test_a_degenerate_fim_leaves_the_stack_alone(rng):
     obs = [model.sample(model.element([1.0, -1.0]), 30, rng) for _ in starts]
     summary = scoring.stack_summaries([model.summarize(o) for o in obs])
     G0 = np.array([g.matrix for g in starts])
-    outcome = scoring.fisher_scoring_stack(model, summary, G0)
-    assert isinstance(outcome[1], DegenerateFimError)
+    traces, failed = scoring.fisher_scoring_stack(model, summary, G0)
+    assert list(failed) == [1] and isinstance(failed[1], DegenerateFimError)
     with pytest.raises(DegenerateFimError):
         scoring.fisher_scoring(model, obs[1], starts[1])
     for i in (0, 2):
         alone = scoring.fisher_scoring(model, obs[i], starts[i])
-        assert outcome[i].logliks == alone.logliks
-        assert outcome[i].step_norms == alone.step_norms
-        assert np.array_equal(outcome[i].final.matrix, alone.final.matrix)
+        assert traces[i].logliks == alone.logliks
+        assert traces[i].step_norms == alone.step_norms
+        assert np.array_equal(traces[i].final.matrix, alone.final.matrix)
