@@ -128,15 +128,14 @@ def estimator_stats(
                 residual=exc.residual,
             ) from exc
         raise exc
-    raw_sq = [struct.norm(raw) ** 2 for raw in lifted.raw]
+    raw_sq = [np.linalg.norm(raw) ** 2 for raw in lifted.raw]
     coords = lifted.eta_struct
     n = len(coords)
     bias = coords.mean(axis=0)
     centered = coords - bias
     covariance = (centered.T @ centered) / n
-    G_m = struct.gram[struct.n_H :, struct.n_H :]
     reduced = coords[:, struct.n_H :]
-    variance_on_coset = float(np.mean(np.einsum("ti,ij,tj->t", reduced, G_m, reduced)))
+    variance_on_coset = float(np.mean(np.einsum("ti,ti->t", reduced, reduced)))
     return EstimatorStats(
         struct=struct,
         error_coords=coords,
@@ -292,13 +291,13 @@ def efficiency_residual(
     )
     E = stats.error_coords
     if c is None:
-        denom = float(np.einsum("ti,ij,tj->", V, struct.gram, V))
+        denom = float(np.einsum("ti,ti->", V, V))
         if denom == 0.0:
             c = 0.0
         else:
-            c = float(np.einsum("ti,ij,tj->", E, struct.gram, V)) / denom
+            c = float(np.einsum("ti,ti->", E, V)) / denom
     R = E - c * V
-    return float(np.mean([struct.norm(r) for r in R]))
+    return float(np.mean([np.linalg.norm(r) for r in R]))
 
 
 def bias_jacobian(

@@ -782,7 +782,8 @@ def _so3_terms_stack(omega):
 
 def _se2_V_stack(theta) -> np.ndarray:
     """The (B, 2, 2) translation Jacobians [[a, -b], [b, a]] of SE(2) at
-    the angles theta: a = sin t / t, b = (1 - cos t) / t, by Taylor near 0."""
+    the angles theta: a = sin t / t, b = (1 - cos t) / t, by Taylor near 0.
+    b is formed as 2 sin^2(t/2) / t, which does not cancel at small t."""
     big = np.abs(theta) >= _SMALL_ANGLE
     n_big = np.count_nonzero(big)
     if n_big < len(theta):
@@ -793,8 +794,9 @@ def _se2_V_stack(theta) -> np.ndarray:
         a, b = np.empty((2,) + theta.shape)
     if n_big:
         t = theta[big]
+        half = np.sin(0.5 * t)
         a[big] = np.sin(t) / t
-        b[big] = (1.0 - np.cos(t)) / t
+        b[big] = 2.0 * half * half / t
     V = np.empty((len(theta), 2, 2))
     V[:, 0, 0], V[:, 0, 1], V[:, 1, 0], V[:, 1, 1] = a, -b, b, a
     return V

@@ -4,8 +4,8 @@ A ReductiveStructure fixes an ordered basis of the Lie algebra split as
 an h-block (the subalgebra of the isotropy/symmetry subgroup H) followed
 by an m-block (the complement modeling the tangent space of the coset
 space). All Fisher/CRB matrices downstream are expressed in this adapted
-basis; the basis is declared orthonormal, i.e. the inner product on the
-algebra is the Euclidean one on adapted coordinates. A set of algebra
+basis; the basis is orthonormal, i.e. the inner product on the algebra
+is the Euclidean one on adapted coordinates. A set of algebra
 directions is a (k, n_G) array of descriptor coordinates, one row per
 direction, and the adapted basis is one such array.
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,8 +67,8 @@ def translate_directions_stack(
 _GS_SKIP_TOL = 1e-8
 _LIFT_TOL = 1e-10
 _LIFT_MAX_ITER = 100
-# Ad_H invariance: unit m-directions tested per sampled h, and the tolerance.
-_ADH_DIRECTIONS = 20
+# Ad_H invariance: tolerance on the off-blocks of Ad_h and on how far
+# Ad_h restricted to m is from orthogonal in the orthonormal adapted basis.
 _ADH_TOL = 1e-8
 # Condition number above which a basis or a FIM is numerically singular.
 COND_LIMIT = 1e12
@@ -85,7 +85,6 @@ class ReductiveStructure:
     n_H: int
     basis: np.ndarray
     subgroup_sampler: Callable[[np.random.Generator], GroupElement] | None = None
-    gram: np.ndarray | None = None  # inner product of the adapted basis (None: I)
 
     def __post_init__(self):
         n_G = self.group.algebra_dim
@@ -100,9 +99,7 @@ class ReductiveStructure:
         cond = np.linalg.cond(B)
         if not np.isfinite(cond) or cond > COND_LIMIT:
             raise ValueError(f"adapted basis is singular (condition {cond:.3e})")
-        gram = np.eye(n_G) if self.gram is None else self.gram
         object.__setattr__(self, "basis", B)
-        object.__setattr__(self, "gram", groups._frozen(gram))
         object.__setattr__(self, "_B_inv", groups._frozen(np.linalg.inv(B.T)))
 
     # -- coordinates ---------------------------------------------------
@@ -131,10 +128,6 @@ class ReductiveStructure:
     def from_coords(self, coords) -> AlgebraVector:
         return AlgebraVector(self.group, self.basis_matrix @ np.asarray(coords, float))
 
-    def norm(self, coords) -> float:
-        c = np.asarray(coords, dtype=float)
-        return math.sqrt(float(c @ self.gram @ c))
-
     # -- group actions in adapted coordinates ---------------------------
 
     def in_adapted(self, op) -> np.ndarray:
@@ -150,10 +143,6 @@ class ReductiveStructure:
         adapted coordinates."""
         x = self.basis_matrix @ np.asarray(struct_coords, float)
         return groups._psi_series(self.in_adapted(groups._ad(x, self.group)), 10)[0]
-
-    def with_gram(self, gram) -> "ReductiveStructure":
-        """Copy with a replaced inner product (used for fault injection)."""
-        return replace(self, gram=np.asarray(gram, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +253,15 @@ def check_adH_invariance(
     random_state: np.random.Generator | int | None = None,
 ) -> AdInvarianceReport:
     """Sample h in H and test that Ad_h preserves m, its norms, and the
-    h/m block-diagonal form of the adjoint in adapted coordinates."""
+    h/m block-diagonal form of the adjoint in adapted coordinates. The
+    basis is orthonormal, so the largest change of a unit m-vector's
+    length under Ad_h is that of A_m's singular values from 1."""
     if struct.subgroup_sampler is None:
         raise ValueError("structure has no subgroup sampler")
     if n_samples < 1:
         raise ValueError("the invariance check needs n_samples >= 1")
     rng = np.random.default_rng(random_state)
-    n_H, n_T = struct.n_H, struct.n_Theta
-    G_m = struct.gram[n_H:, n_H:]
+    n_H = struct.n_H
     worst_norm = worst_orth = worst_off = 0.0
     for _ in range(n_samples):
         h = struct.subgroup_sampler(rng)
@@ -282,17 +272,9 @@ def check_adH_invariance(
             float(np.abs(A[n_H:, :n_H]).max(initial=0.0)),
         )
         worst_off = max(worst_off, off)
-        worst_orth = max(
-            worst_orth, float(np.abs(A_m.T @ G_m @ A_m - G_m).max())
-        )
-        for _ in range(_ADH_DIRECTIONS):
-            z = rng.standard_normal(n_T)
-            z /= np.linalg.norm(z)
-            Az = A_m @ z
-            dev = abs(
-                math.sqrt(float(Az @ G_m @ Az)) - math.sqrt(float(z @ G_m @ z))
-            )
-            worst_norm = max(worst_norm, dev)
+        worst_orth = max(worst_orth, float(np.abs(A_m.T @ A_m - np.eye(len(A_m))).max()))
+        sigma = np.linalg.svd(A_m, compute_uv=False)
+        worst_norm = max(worst_norm, float(np.abs(sigma - 1.0).max()))
     return AdInvarianceReport(
         invariant=max(worst_norm, worst_orth, worst_off) <= _ADH_TOL,
         worst_norm_deviation=worst_norm,

@@ -141,15 +141,13 @@ class GaussianModel(ModelBase):
 
     Subclasses set .descriptor and .struct, call _set_noise, and write
     _mean(G), the noise-free observation, and _terms(G, directions), the
-    (n_dirs, *shape) derivatives of the mean along terms_op directions,
-    which must be the natural operator of the model's side. Both take a
+    (n_dirs, *shape) derivatives of the mean along directions of the
+    natural operator of the model's side. Both take a
     raw matrix G or a (B, d, d) stack of them and then gain a leading
     stack axis; terms that do not depend on g may leave it out. _terms
     and _residual (x - mu by default) may both be taken through one
     orthogonal map per block, which changes neither score nor FIM.
     """
-
-    terms_op = RIVF
 
     def _set_noise(self, sigma, shape) -> np.ndarray:
         """Per-block sigma for observations of the given shape, read-only;
@@ -214,7 +212,8 @@ class GaussianModel(ModelBase):
         return -0.5 * np.sum(self._weights() * per_block, axis=-1)
 
     def analytic_gradient_batch(self, observations, g, directions, op):
-        terms = self._terms(g.matrix, translate_directions(directions, g, self.terms_op, op))
+        nat = natural_operator(self.side)
+        terms = self._terms(g.matrix, translate_directions(directions, g, nat, op))
         resid = self._residual(np.asarray(observations, dtype=float), g.matrix)
         a = self._axes
         return np.einsum(f"d{a},m{a},b->md", terms, resid, self._weights())

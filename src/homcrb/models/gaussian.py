@@ -14,7 +14,7 @@ import numpy as np
 
 from .. import groups
 from ..groups import GroupElement
-from ..homspace import LIVF, Side, build_reductive
+from ..homspace import Side, build_reductive
 from .base import GaussianModel
 
 
@@ -26,8 +26,6 @@ class GaussianMeanModel(GaussianModel):
     """x ~ N(t, sigma^2 I) for a translation parameter t in R^d."""
 
     invariant_fim = True
-    # The group is abelian: Ad is the identity, so livf == rivf.
-    terms_op = LIVF
 
     def __init__(self, dim: int = 1, noise: float = 1.0):
         if dim < 1:

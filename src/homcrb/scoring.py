@@ -198,11 +198,9 @@ def _ascend(model, summary, G0, step_rule, max_iterations: int, gradient_toleran
     more than 1e3 below its best value. Returns (traces, failed): per
     trial its ScoringTrace, which for a failed trial ends at its failure,
     and {trial: the exception that ended it}."""
-    struct = model.struct
-    gram_m = struct.gram[struct.n_H :, struct.n_H :]
     _check_observations(summary)
     ll = model.total_loglik(summary, G0).tolist()
-    traces = [ScoringTrace(struct.group, [M], [v]) for M, v in zip(G0, ll)]
+    traces = [ScoringTrace(model.struct.group, [M], [v]) for M, v in zip(G0, ll)]
     failed = {}
     best = list(ll)  # per trial, its best log-likelihood so far
     # The stack rows still ascending, their summaries and iterates. The
@@ -215,7 +213,7 @@ def _ascend(model, summary, G0, step_rule, max_iterations: int, gradient_toleran
         mean_grad = model.total_grad_m(part, G) / part[0][:, None]
         steps, errors = step_rule(k, rows, G, mean_grad)
         grad_norms = np.sqrt(np.vecdot(mean_grad, mean_grad)).tolist()
-        norms = np.sqrt(((steps[:, None, :] @ gram_m) @ steps[:, :, None])[:, 0, 0]).tolist()
+        norms = np.sqrt((steps[:, None, :] @ steps[:, :, None])[:, 0, 0]).tolist()
         for i, r in enumerate(rows.tolist()):
             if i in errors:
                 failed[r] = errors[i]

@@ -128,17 +128,28 @@ def test_adH_invariance_landmark(landmark_one):
     assert rep.invariant
 
 
-def test_adH_invariance_broken_by_scaled_inner_product(landmark_one):
-    gram = np.eye(6)
-    gram[5, 5] = 10.0  # rescale one m-direction
-    bad = landmark_one.struct.with_gram(gram)
-    rep = homspace.check_adH_invariance(bad, 100, random_state=3)
+def naive_complement(landmark_one):
+    """The landmark's h with m the coordinate complement: the orthogonal
+    complement of h under the naive coordinate metric, not reductive."""
+    struct = landmark_one.struct
+    return build_reductive(
+        groups.se3(),
+        struct.h_basis,
+        seed_m=np.eye(6)[3:],
+        side=homspace.Side.H_MOD_G,
+        subgroup_sampler=struct.subgroup_sampler,
+    )
+
+
+def test_adH_invariance_broken_by_naive_complement(landmark_one):
+    rep = homspace.check_adH_invariance(naive_complement(landmark_one), 100, random_state=3)
     assert not rep.invariant
+    assert rep.worst_offblock_norm > 1.0 and rep.worst_norm_deviation > 0.1
 
 
 def test_adH_invariance_refuses_zero_samples(landmark_one):
     # With no sample the check would find no defect and pass any structure.
-    bad = landmark_one.struct.with_gram(np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 10.0]))
+    bad = naive_complement(landmark_one)
     assert not homspace.check_adH_invariance(bad, 5, random_state=3).invariant
     for n_samples in (0, -1):
         with pytest.raises(ValueError, match="n_samples >= 1"):

@@ -88,7 +88,8 @@ def se2_V(theta):
         t2 = theta * theta
         a, b = 1.0 - t2 / 6.0 + t2 * t2 / 120.0, theta / 2.0 - theta * t2 / 24.0
     else:
-        a, b = math.sin(theta) / theta, (1.0 - math.cos(theta)) / theta
+        half = math.sin(0.5 * theta)
+        a, b = math.sin(theta) / theta, 2.0 * half * half / theta
     return np.array([[a, -b], [b, a]])
 
 
@@ -288,6 +289,20 @@ def test_stack_kernels_cover_every_branch():
     ref, _ = per_row(closed_form_log, mats, desc)
     assert np.array_equal(logs, ref, equal_nan=True)
     assert_accurate(x, mats, logs, errors, desc)
+
+
+def test_se2_exp_is_accurate_just_above_the_small_angle_switch():
+    """SE(2) rows just above the small-angle switch with a long
+    translation, where b = (1 - cos t) / t would cancel and miss expm by
+    2e-12: exp within the suite's 1e-12 of expm, and the log back to the
+    row."""
+    desc = groups.se2()
+    x = np.array([[1.0968e-4, 0.0, 10.0], [1.0968e-4, 10.0, 0.0]])
+    mats, logs, errors = assert_rows_independent(x, desc)
+    assert not errors
+    assert np.array_equal(mats, [closed_form_exp(r, desc) for r in x])
+    assert_accurate(x, mats, logs, errors, desc)
+    assert np.abs(logs - x).max() <= 1e-12
 
 
 def rotation(angle, scale=1.0):
