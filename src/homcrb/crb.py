@@ -11,7 +11,6 @@ bias Jacobian; unbiasedness (zero Jacobian) is the default assumption.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +19,10 @@ from . import fisher, groups, scoring
 from .exceptions import DegenerateModelError, LiftFailureError
 from .groups import GroupElement
 from .homspace import (
-    COND_LIMIT,
     ReductiveStructure,
     Side,
     coset_errors,
+    ill_conditioned,
     natural_operator,
     raw_error,
     selector_pi,
@@ -39,20 +38,17 @@ def conditioning_errors(
 ) -> dict:
     """{index: error carrying its condition number} for each matrix of an
     (n, n) F (index 0) or of an (A, n, n) stack whose condition number is
-    not <= COND_LIMIT. A matrix whose SVD does not converge, as for a NaN
+    not <= COND_LIMIT. The test is homspace.ill_conditioned: a matrix that
+    is exactly symmetric with |lambda|_max / |lambda|_min from eigvalsh
+    below COND_LIMIT / 10 passes without an SVD; every other one gets
+    np.linalg.cond, and a matrix whose SVD does not converge, as for a NaN
     entry, has condition number NaN."""
-    try:
-        conds = np.linalg.cond(F)
-    except np.linalg.LinAlgError:  # one matrix fails the whole stack: redo the finite ones
-        finite = np.isfinite(F).all(axis=(-2, -1))
-        conds = np.where(finite, np.linalg.cond(np.where(finite[..., None, None], F, 0.0)), np.nan)
     return {
         i: error(
             f"{what} is numerically singular (condition number {cond:.3e})",
             condition_number=cond,
         )
-        for i, cond in enumerate(np.atleast_1d(conds).tolist())
-        if not (math.isfinite(cond) and cond <= COND_LIMIT)
+        for i, cond in ill_conditioned(F).items()
     }
 
 

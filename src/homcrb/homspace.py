@@ -72,6 +72,66 @@ _LIFT_MAX_ITER = 100
 _ADH_TOL = 1e-8
 # Condition number above which a basis or a FIM is numerically singular.
 COND_LIMIT = 1e12
+# A certificate below this bound clears a matrix without an SVD: a
+# tenfold margin over the rounding of the certificate and of the SVD.
+_CLEAR_LIMIT = COND_LIMIT / 10
+
+
+def ill_conditioned(A, inverse=None) -> dict[int, float]:
+    """{index: condition number} of each matrix of an (n, n) A (index 0)
+    or an (N, n, n) stack whose 2-norm condition number is not <=
+    COND_LIMIT: np.linalg.cond's, NaN where its SVD does not converge, as
+    for a NaN entry.
+
+    A matrix is cleared without an SVD when a certificate bounds its
+    condition number below COND_LIMIT / 10: ||A||_F ||A^-1||_F when its
+    inverse is given, else lambda_max / lambda_min from eigvalsh when it
+    is exactly symmetric and positive definite. Every other matrix (near
+    the limit, singular, indefinite, not finite, asymmetric or not
+    square) goes to np.linalg.cond, so each verdict and each number is
+    the SVD's."""
+    A = np.asarray(A)
+    stack = A.reshape((-1,) + A.shape[-2:])
+    cleared = _certified(stack, inverse)
+    if np.count_nonzero(cleared) == len(stack):
+        return {}
+    rows = np.flatnonzero(~cleared)
+    A = stack[rows]
+    try:
+        conds = np.linalg.cond(A)
+    except np.linalg.LinAlgError:  # one matrix fails the whole stack: redo the finite ones
+        finite = np.isfinite(A).all(axis=(-2, -1))
+        conds = np.where(finite, np.linalg.cond(np.where(finite[:, None, None], A, 0.0)), np.nan)
+    return {
+        i: cond
+        for i, cond in zip(rows.tolist(), conds.tolist())
+        if not (math.isfinite(cond) and cond <= COND_LIMIT)
+    }
+
+
+def _certified(stack, inverse) -> np.ndarray:
+    """Per matrix of an (N, n, n) stack, whether a certificate bounds its
+    condition number below _CLEAR_LIMIT (ill_conditioned)."""
+    if stack.shape[-1] != stack.shape[-2] or not stack.size:
+        return np.zeros(len(stack), dtype=bool)
+    if inverse is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            inverse = np.reshape(inverse, stack.shape)
+            bound = np.linalg.norm(stack, axis=(-2, -1)) * np.linalg.norm(inverse, axis=(-2, -1))
+        return bound < _CLEAR_LIMIT
+    if not (stack == stack.mT).all():  # some matrix is asymmetric or has a NaN
+        symmetric = (stack == stack.mT).all(axis=(-2, -1))
+        cleared = np.zeros(len(stack), dtype=bool)
+        if symmetric.any():
+            cleared[symmetric] = _certified(stack[symmetric], None)
+        return cleared
+    try:
+        eig = np.linalg.eigvalsh(stack)  # ascending
+    except np.linalg.LinAlgError:
+        return np.zeros(len(stack), dtype=bool)
+    # Divided, not multiplied, so that nothing overflows; a NaN
+    # eigenvalue, as of an inf entry, clears nothing.
+    return eig[:, -1] / _CLEAR_LIMIT < eig[:, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,11 +156,15 @@ class ReductiveStructure:
             raise ValueError(f"basis shape {B.shape} != ({n_G}, {n_G})")
         if not 0 <= self.n_H <= n_G:
             raise ValueError(f"n_H = {self.n_H} outside [0, {n_G}]")
-        cond = np.linalg.cond(B)
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            raise ValueError(f"adapted basis is singular (condition {cond:.3e})")
+        try:
+            B_inv = np.linalg.inv(B.T)
+        except np.linalg.LinAlgError:  # exactly singular: the SVD below says so
+            B_inv = None
+        singular = ill_conditioned(B, None if B_inv is None else B_inv.T)
+        if singular:
+            raise ValueError(f"adapted basis is singular (condition {singular[0]:.3e})")
         object.__setattr__(self, "basis", B)
-        object.__setattr__(self, "_B_inv", groups._frozen(np.linalg.inv(B.T)))
+        object.__setattr__(self, "_B_inv", groups._frozen(B_inv))
 
     # -- coordinates ---------------------------------------------------
 

@@ -11,10 +11,13 @@ Models implement their analytic formulas in one natural operator and
 translate directions through Ad for the other, using
 X^L_g = (Ad_g X)^R_g and X^R_g = (Ad_{g^-1} X)^L_g.
 
-Scoring runs many trials at once, so the methods it reads (total_loglik,
-total_grad_m, fim_reduced) take a stack of raw (B, d, d) iterate matrices
-and a stack of per-trial summaries (scoring.stack_summaries), one row per
-trial.
+Scoring runs many trials at once and calls the model once per iterate:
+evaluate(summary, G, with_fim) returns the log-likelihood, the m-gradient
+and, when the step rule reads it, the reduced FIM, from one pass over the
+terms they share. It takes a stack of raw (B, d, d) iterate matrices and
+a stack of per-trial summaries (scoring.stack_summaries), one row per
+trial. total_loglik and total_grad_m are its first two parts, and
+fim_reduced gives its third bit for bit.
 """
 
 from __future__ import annotations
@@ -53,11 +56,10 @@ class ModelBase:
 
     Subclasses set .descriptor and .struct and implement sample(g, m,
     rng); summarize(x), a sufficient statistic led by the observation
-    count; loglik_batch(x, g); total_loglik(summary, G) and
-    total_grad_m(summary, G) over a stack; analytic_gradient_batch(x, g,
-    directions, op); natural_fim(G, directions); and, unless
-    invariant_fim is set, _fim_stack(G), the reduced FIM at each matrix
-    of a (B, d, d) stack.
+    count; loglik_batch(x, g); evaluate(summary, G, with_fim) over a
+    stack; analytic_gradient_batch(x, g, directions, op); natural_fim(G,
+    directions); and, unless invariant_fim is set, _fim_stack(G), the
+    reduced FIM at each matrix of a (B, d, d) stack.
     """
 
     descriptor: groups.GroupDescriptor
@@ -83,6 +85,22 @@ class ModelBase:
 
     def _as_batch(self, x):
         return np.asarray(x, dtype=float)[None, ...]
+
+    def evaluate(self, summary, G, with_fim: bool = True):
+        """(total_loglik, total_grad_m, fim_reduced) at each matrix of a
+        (B, d, d) stack, bit for bit, from one pass over the terms they
+        share; the FIM is None unless with_fim. Scoring's one model call
+        per iterate."""
+        raise NotImplementedError
+
+    def total_loglik(self, summary, G) -> np.ndarray:
+        """(B,) log-likelihood of each trial's observations at its matrix."""
+        return self.evaluate(summary, G, with_fim=False)[0]
+
+    def total_grad_m(self, summary, G) -> np.ndarray:
+        """(B, n) summed gradient of each trial's log-likelihood along the
+        m-basis at its matrix."""
+        return self.evaluate(summary, G, with_fim=False)[1]
 
     def natural_fim(self, G, directions) -> np.ndarray:
         """Single-observation FIM along directions of the natural operator
@@ -146,7 +164,9 @@ class GaussianModel(ModelBase):
     raw matrix G or a (B, d, d) stack of them and then gain a leading
     stack axis; terms that do not depend on g may leave it out. _terms
     and _residual (x - mu by default) may both be taken through one
-    orthogonal map per block, which changes neither score nor FIM.
+    orthogonal map per block, which changes neither score nor FIM. A
+    model whose mean and m-terms share work computes both in one pass in
+    _mean_and_m_terms(G).
     """
 
     def _set_noise(self, sigma, shape) -> np.ndarray:
@@ -176,13 +196,17 @@ class GaussianModel(ModelBase):
     def _terms(self, G, directions) -> np.ndarray:
         raise NotImplementedError
 
-    def _residual(self, x, G) -> np.ndarray:
-        """x - mu(G), for one observation or a batch at one matrix, or one
-        row of x per matrix of a stack, in the frame of _terms."""
-        return x - self._mean(G)
+    def _residual(self, x, G, mu) -> np.ndarray:
+        """x - mu, mu = _mean(G), for one observation or a batch at one
+        matrix, or one row of x per matrix of a stack, in the frame of
+        _terms."""
+        return x - mu
 
     def _m_terms(self, G) -> np.ndarray:
         return self._terms(G, self.struct.m_basis)
+
+    def _mean_and_m_terms(self, G) -> tuple[np.ndarray, np.ndarray]:
+        return self._mean(G), self._m_terms(G)
 
     def sample(self, g: GroupElement, m: int, rng: np.random.Generator):
         mu = self._mean(g.matrix)
@@ -203,35 +227,38 @@ class GaussianModel(ModelBase):
         a = self._axes
         return x.shape[0], x.mean(axis=0), np.einsum(f"m{a},m{a}->b", x, x)
 
-    def total_loglik(self, summary, G) -> np.ndarray:
+    def evaluate(self, summary, G, with_fim: bool = True):
         m, xbar, sq = summary
         m = m[:, None]
-        mu = self._mean(G)
-        dot = f"z{self._axes},z{self._axes}->zb"
+        mu, terms = self._mean_and_m_terms(G)
+        weights = self._weights()
+        a = self._axes
+        dot = f"z{a},z{a}->zb"
         per_block = sq - 2.0 * m * np.einsum(dot, xbar, mu) + m * np.einsum(dot, mu, mu)
-        return -0.5 * np.sum(self._weights() * per_block, axis=-1)
+        ll = -0.5 * np.sum(weights * per_block, axis=-1)
+        resid = self._residual(xbar, G, mu)
+        grad = m * np.einsum(f"...d{a},...{a},b->...d", terms, resid, weights)
+        if not with_fim:
+            return ll, grad, None
+        return ll, grad, self.fim_reduced(G) if self.invariant_fim else self._gram(terms)
 
     def analytic_gradient_batch(self, observations, g, directions, op):
         nat = natural_operator(self.side)
         terms = self._terms(g.matrix, translate_directions(directions, g, nat, op))
-        resid = self._residual(np.asarray(observations, dtype=float), g.matrix)
+        x = np.asarray(observations, dtype=float)
+        resid = self._residual(x, g.matrix, self._mean(g.matrix))
         a = self._axes
         return np.einsum(f"d{a},m{a},b->md", terms, resid, self._weights())
 
     def natural_fim(self, G, directions):
-        self._weights()  # raises for a zero-noise model
-        return whitened_gram(self._terms(G, directions), self._sigma)
+        return self._gram(self._terms(G, directions))
 
     def _fim_stack(self, G) -> np.ndarray:
-        self._weights()  # raises for a zero-noise model
-        return whitened_gram(self._m_terms(G), self._sigma)
+        return self._gram(self._m_terms(G))
 
-    def total_grad_m(self, summary, G) -> np.ndarray:
-        m, xbar, _ = summary
-        resid = self._residual(xbar, G)
-        a = self._axes
-        grad = np.einsum(f"...d{a},...{a},b->...d", self._m_terms(G), resid, self._weights())
-        return m[:, None] * grad
+    def _gram(self, terms) -> np.ndarray:
+        self._weights()  # raises for a zero-noise model
+        return whitened_gram(terms, self._sigma)
 
 
 def invariance_defect(

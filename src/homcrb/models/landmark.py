@@ -143,8 +143,8 @@ class LandmarkModel(GaussianModel):
         R, p = G[..., :3, :3], G[..., :3, 3]
         return (self.landmarks - p[..., None, :]) @ R
 
-    def _residual(self, x, G) -> np.ndarray:
-        """World-frame residual R(mu_k - x_k) = (a_k - p) - R x_k."""
+    def _residual(self, x, G, mu) -> np.ndarray:
+        """World-frame residual R(mu_k - x_k) = (a_k - p) - R x_k, from G."""
         R, p = G[..., :3, :3], G[..., :3, 3]
         return (self.landmarks - p[..., None, :]) - x @ np.swapaxes(R, -1, -2)
 

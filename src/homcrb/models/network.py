@@ -126,6 +126,11 @@ def _translation_jacobian(d, slots, n_agents: int) -> np.ndarray:
     return out.reshape(d.shape[:-2] + (2 * n_agents, n_edges))
 
 
+def _edge_means(d) -> np.ndarray:
+    """(..., n_edges) |p_i - p_j|^2 / 2 from the edge vectors d."""
+    return 0.5 * np.sum(d * d, axis=-1)
+
+
 def _translation_directions(n_agents: int) -> np.ndarray:
     """The 2 n_agents per-agent translation generators, agent-major."""
     out = np.zeros((2 * n_agents, n_agents, 3))
@@ -261,13 +266,19 @@ class NetworkModel(GaussianModel):
         return ends[..., 0, :, :] - ends[..., 1, :, :]
 
     def _mean(self, G) -> np.ndarray:
-        d = self._edge_vectors(G)
-        return 0.5 * np.sum(d * d, axis=-1)
+        return _edge_means(self._edge_vectors(G))
 
     def _m_terms(self, G) -> np.ndarray:
-        """_terms along the m-basis, the translations less the first three:
-        the rows 3: of the translation Jacobian."""
+        return self._m_terms_of(self._edge_vectors(G))
+
+    def _mean_and_m_terms(self, G) -> tuple[np.ndarray, np.ndarray]:
+        """Both from one gather of the edge vectors."""
         d = self._edge_vectors(G)
+        return _edge_means(d), self._m_terms_of(d)
+
+    def _m_terms_of(self, d) -> np.ndarray:
+        """_terms along the m-basis, the translations less the first three,
+        from the edge vectors: the rows 3: of the translation Jacobian."""
         return _translation_jacobian(d, self._jacobian_slots, self.n_agents)[..., 3:, :]
 
     def _terms(self, G, directions) -> np.ndarray:

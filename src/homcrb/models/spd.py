@@ -101,11 +101,17 @@ class SpdModel(ModelBase):
         x = np.asarray(observations, dtype=float)
         return x.shape[0], (x.T @ x) / x.shape[0]
 
-    def total_loglik(self, summary, G) -> np.ndarray:
+    def evaluate(self, summary, G, with_fim: bool = True):
+        """From one inverse per iterate; the FIM is the model's one array."""
         m, xbar2 = summary
-        U = np.linalg.solve(G, xbar2) @ np.swapaxes(np.linalg.inv(G), -1, -2)
+        ginv = np.linalg.inv(G)
+        ginv_t = np.swapaxes(ginv, -1, -2)
+        U = np.linalg.solve(G, xbar2) @ ginv_t
         _, logabsdet = np.linalg.slogdet(G)
-        return m * (-logabsdet - 0.5 * np.trace(U, axis1=-2, axis2=-1))
+        ll = m * (-logabsdet - 0.5 * np.trace(U, axis1=-2, axis2=-1))
+        Ubar = ginv @ xbar2 @ ginv_t
+        grad = m[:, None] * (_trace_products(Ubar, self._m_matrices) - self._m_traces)
+        return ll, grad, self.fim_reduced(G) if with_fim else None
 
     # -- analytic derivatives -----------------------------------------------
 
@@ -122,12 +128,6 @@ class SpdModel(ModelBase):
         S = 0.5 * (D + np.swapaxes(D, -1, -2))
         flat = S.reshape(directions.shape)
         return 2.0 * (flat @ np.swapaxes(flat, -1, -2))
-
-    def total_grad_m(self, summary, G) -> np.ndarray:
-        m, xbar2 = summary
-        ginv = np.linalg.inv(G)
-        Ubar = ginv @ xbar2 @ np.swapaxes(ginv, -1, -2)
-        return m[:, None] * (_trace_products(Ubar, self._m_matrices) - self._m_traces)
 
 
 def _trace_products(U, M) -> np.ndarray:

@@ -125,38 +125,31 @@ def _child_seed(entropy, k: int):
     return None if entropy is None else [*np.ravel(entropy).tolist(), k + 1]
 
 
-def _natural_step(model, G0, opts: ScoringOptions, entropies):
-    """Step rule F^-1 grad over a stack. The reduced FIM is analytic per
-    iterate (iterate 0 reuses the FIM at g0), frozen at g0, or in
-    monte-carlo mode a Monte-Carlo estimate per iterate, each from its
-    trial's own entropy. Each distinct FIM array is checked once; a
-    trial whose FIM has a condition number above 1e12 leaves with
-    DegenerateFimError."""
-    F0 = None if opts.fim_mode == MONTE_CARLO else model.fim_reduced(G0)
-    per_iterate = opts.fim_mode == ANALYTIC
+def _natural_step(model, opts: ScoringOptions, entropies):
+    """Step rule F^-1 grad over a stack, and the iterates at which it
+    reads the analytic reduced FIM: every iterate, only g0 when frozen at
+    g0, or none in monte-carlo mode, which draws a Monte-Carlo estimate
+    per iterate from each trial's own entropy. Each distinct FIM array is
+    checked once; a trial whose FIM has a condition number above 1e12
+    leaves with DegenerateFimError."""
     checked = [None, None]  # the last FIM array checked, and its errors
 
-    def rule(k, rows, G, mean_grad):
-        # F0 and an invariant FIM are the same array at every iterate,
-        # (n, n) for every row or (B, n, n) by stack row; a per-iterate
-        # FIM is a new (A, n, n) array, one matrix per active row.
-        if F0 is None:
+    def rule(k, rows, G, mean_grad, F):
+        # An invariant FIM is the same (n, n) array at every iterate; any
+        # other is an (A, n, n) array, one matrix per active row: new at
+        # each iterate, or the one at g0 narrowed with the rows.
+        S = F
+        if opts.fim_mode == MONTE_CARLO:
             seeds = [_child_seed(entropies[r], k) for r in rows]
             S = fisher._fim_stack(
                 model, G, fisher.REDUCED, fisher.MC_GRADIENT, opts.mc_fim_samples, seeds
             )
             fisher.check_fims(S, fisher.MC_GRADIENT)
-        elif k > 0 and per_iterate:
-            S = model.fim_reduced(G)
-        else:
-            S = F0
         if S is not checked[0]:
             checked[:] = S, crb.conditioning_errors(S, DegenerateFimError, "reduced FIM at iterate")
         errors = checked[1]
         if S.ndim == 2:
             errors = dict.fromkeys(range(len(rows)), errors[0]) if errors else {}
-        elif S is F0:
-            S, errors = S[rows], {i: errors[r] for i, r in enumerate(rows) if r in errors}
         if not errors:
             return np.linalg.solve(S, mean_grad[..., None])[..., 0], {}
         steps = np.full(mean_grad.shape, np.nan)
@@ -165,7 +158,8 @@ def _natural_step(model, G0, opts: ScoringOptions, entropies):
             steps[ok] = np.linalg.solve(S[ok], mean_grad[ok, :, None])[..., 0]
         return steps, errors
 
-    return rule
+    fim_iterates = {ANALYTIC: range(opts.max_iterations + 1), FROZEN_AT_INITIAL: range(1)}
+    return rule, fim_iterates.get(opts.fim_mode, range(0))
 
 
 def _apply_steps(model, G, steps) -> tuple[np.ndarray, np.ndarray]:
@@ -189,29 +183,35 @@ def _apply_steps(model, G, steps) -> tuple[np.ndarray, np.ndarray]:
     return G_next, drift
 
 
-def _ascend(model, summary, G0, step_rule, max_iterations: int, gradient_tolerance: float):
+def _ascend(
+    model, summary, G0, step_rule, fim_iterates, max_iterations: int, gradient_tolerance: float
+):
     """The one ascent loop, over a stack of trials: a row's step =
-    step_rule(k, rows, G, mean m-gradients) is retracted side-aware; the
-    row stops once its step norm falls below the tolerance (recorded, not
-    applied) or after max_iterations applications, and leaves with
+    step_rule(k, rows, G, mean m-gradients, F) is retracted side-aware;
+    the row stops once its step norm falls below the tolerance (recorded,
+    not applied) or after max_iterations applications, and leaves with
     DivergenceError when its log-likelihood is not finite or drops by
-    more than 1e3 below its best value. Returns (traces, failed): per
+    more than 1e3 below its best value. The model is evaluated once per
+    iterate, at every row that stepped, with the reduced FIM at the
+    iterates in fim_iterates; F is the last FIM it returned, narrowed
+    with the rows, or None. Returns (traces, failed): per
     trial its ScoringTrace, which for a failed trial ends at its failure,
     and {trial: the exception that ended it}."""
     _check_observations(summary)
-    ll = model.total_loglik(summary, G0).tolist()
-    traces = [ScoringTrace(model.struct.group, [M], [v]) for M, v in zip(G0, ll)]
+    ll, grad, F = model.evaluate(summary, G0, 0 in fim_iterates)
+    traces = [ScoringTrace(model.struct.group, [M], [v]) for M, v in zip(G0, ll.tolist())]
     failed = {}
-    best = list(ll)  # per trial, its best log-likelihood so far
-    # The stack rows still ascending, their summaries and iterates. The
-    # per-trial decisions below run on Python floats, one loop per step.
+    best = ll.tolist()  # per trial, its best log-likelihood so far
+    # The stack rows still ascending, their summaries and iterates, and
+    # the model's m-gradients and FIM there. The per-trial decisions
+    # below run on Python floats, one loop per step.
     rows, part, G = np.arange(len(G0)), summary, G0
 
     def measure(k):
         """Each active row's step and step norm, recorded in its trace;
         a row whose step rule failed gets NaN and its exception."""
-        mean_grad = model.total_grad_m(part, G) / part[0][:, None]
-        steps, errors = step_rule(k, rows, G, mean_grad)
+        mean_grad = grad / part[0][:, None]
+        steps, errors = step_rule(k, rows, G, mean_grad, F)
         grad_norms = np.sqrt(np.vecdot(mean_grad, mean_grad)).tolist()
         norms = np.sqrt((steps[:, None, :] @ steps[:, :, None])[:, 0, 0]).tolist()
         for i, r in enumerate(rows.tolist()):
@@ -225,9 +225,10 @@ def _ascend(model, summary, G0, step_rule, max_iterations: int, gradient_toleran
     def keep(going: list) -> bool:
         """Narrow the stack to the rows at the positions going; False
         when none is left."""
-        nonlocal rows, part, G
+        nonlocal rows, part, G, grad, F
         if len(going) < len(rows):
-            rows, part, G = rows[going], tuple(p[going] for p in part), G[going]
+            rows, part, G, grad = rows[going], tuple(p[going] for p in part), G[going], grad[going]
+            F = F[going] if F is not None and F.ndim == 3 else F
         return bool(going)
 
     for k in range(max_iterations):
@@ -241,9 +242,10 @@ def _ascend(model, summary, G0, step_rule, max_iterations: int, gradient_toleran
         if not keep(going):
             break
         G, drift = _apply_steps(model, G, steps[going])
-        ll = model.total_loglik(part, G).tolist()
+        ll, grad, fim = model.evaluate(part, G, k + 1 in fim_iterates)
+        F = F if fim is None else fim
         going = []
-        for i, (r, v, dv) in enumerate(zip(rows.tolist(), ll, drift.tolist())):
+        for i, (r, v, dv) in enumerate(zip(rows.tolist(), ll.tolist(), drift.tolist())):
             trace = traces[r]
             trace.max_drift = max(trace.max_drift, dv)
             trace.matrices.append(G[i])
@@ -296,7 +298,7 @@ def fisher_scoring_stack(
         model,
         summary,
         G0,
-        _natural_step(model, G0, opts, entropies),
+        *_natural_step(model, opts, entropies),
         opts.max_iterations,
         opts.gradient_tolerance,
     )
@@ -338,12 +340,15 @@ def gradient_ascent(
     max_iterations = _count(max_iterations, "max_iterations")
     _positive(gradient_tolerance, "gradient_tolerance")
 
-    def decayed_step(k, rows, G, mean_grad):
+    def decayed_step(k, rows, G, mean_grad, F):
         return step0 * decay**k * mean_grad, {}
 
     summary = stack_summaries([model.summarize(observations)])
     return _one(
-        _ascend(model, summary, g0.matrix[None], decayed_step, max_iterations, gradient_tolerance)
+        _ascend(
+            model, summary, g0.matrix[None], decayed_step, range(0), max_iterations,
+            gradient_tolerance,
+        )
     )
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,114 @@ def test_check_conditioning_raises_the_lowest_failing_matrix():
         alone = crb.conditioning_errors(F[lowest], DegenerateModelError, "FIM")
         assert str(err.value) == str(alone[0])
     crb.check_conditioning(F[[0, 4]], DegenerateModelError, "FIM")
+
+
+def svd_conditioning(F) -> dict:
+    """{index: (condition number, message)} as an SVD of every matrix
+    decides it: the reference for the condition kernel."""
+    try:
+        conds = np.linalg.cond(F)
+    except np.linalg.LinAlgError:
+        finite = np.isfinite(F).all(axis=(-2, -1))
+        conds = np.where(finite, np.linalg.cond(np.where(finite[..., None, None], F, 0.0)), np.nan)
+    return {
+        i: (cond, f"FIM is numerically singular (condition number {cond:.3e})")
+        for i, cond in enumerate(np.atleast_1d(conds).tolist())
+        if not (math.isfinite(cond) and cond <= homspace.COND_LIMIT)
+    }
+
+
+def conditioned(kappa, symmetric, seed, n=4):
+    """An n x n matrix with 2-norm condition number kappa: exactly
+    symmetric and positive definite, as a FIM is, or with unrelated
+    singular vectors."""
+    r = np.random.default_rng(seed)
+    U, V = (np.linalg.qr(r.standard_normal((n, n)))[0] for _ in range(2))
+    s = np.geomspace(1.0, 1.0 / kappa, n)
+    if symmetric:
+        A = (U * s) @ U.T
+        return 0.5 * (A + A.T)
+    return (U * s) @ V.T
+
+
+KAPPAS = (1e10, 9e10, 1.1e11, 9.99e11, 1.001e12, 1e13)
+
+
+def kernel_cases() -> list:
+    """Matrices at each condition number in KAPPAS, both kinds, then a
+    singular, a NaN, an inf, an asymmetric and a symmetric indefinite
+    one, the last two well conditioned."""
+    out = [conditioned(k, sym, seed) for seed, k in enumerate(KAPPAS) for sym in (True, False)]
+    singular = conditioned(10.0, True, 7)
+    singular[:, 0] = singular[0] = 0.0
+    nan, inf = np.eye(4), np.eye(4)
+    nan[1, 2] = np.nan
+    inf[3, 3] = np.inf
+    asymmetric = np.eye(4)
+    asymmetric[0, 1] = 0.5
+    return out + [singular, nan, inf, asymmetric, np.diag([1.0, -2.0, 3.0, -4.0])]
+
+
+def assert_same_as_svd(F):
+    errors = crb.conditioning_errors(F, DegenerateModelError, "FIM")
+    expected = svd_conditioning(F)
+    assert list(errors) == list(expected)
+    for i, (cond, message) in expected.items():
+        assert np.float64(errors[i].condition_number).tobytes() == np.float64(cond).tobytes()
+        assert str(errors[i]) == message
+
+
+def test_condition_kernel_decides_as_the_svd(monkeypatch):
+    cases = kernel_cases()
+    for F in cases:
+        assert_same_as_svd(F)
+    stack = np.array(cases)
+    assert_same_as_svd(stack)
+    assert_same_as_svd(stack[::-1])
+    assert_same_as_svd(stack[[0, 2, 4, 12]])  # every matrix finite
+    # Above 1e12 by the SVD exactly at 1.001e12 and 1e13, and singular,
+    # NaN and inf.
+    failing = list(crb.conditioning_errors(stack, DegenerateModelError, "FIM"))
+    assert failing == [8, 9, 10, 11, 12, 13, 14]
+    # The positive definite matrices below COND_LIMIT / 10 need no SVD.
+    svds = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda A: svds.append(len(A)) or cond(A))
+    assert crb.conditioning_errors(stack[[0, 2]], DegenerateModelError, "FIM") == {}
+    assert crb.conditioning_errors(stack, DegenerateModelError, "FIM")
+    assert set(svds) == {len(stack) - 2}  # twice, the second on the finite ones
+
+
+def test_condition_kernel_sends_non_square_matrices_to_the_svd():
+    r = np.random.default_rng(5)
+    wide = r.standard_normal((3, 5))
+    deficient = np.vstack([wide[:2], wide[0]])
+    for A in (wide, deficient, np.array([wide, deficient, 2.0 * wide])):
+        conds = np.atleast_1d(np.linalg.cond(A))
+        kernel = homspace.ill_conditioned(A)
+        assert kernel == {i: c for i, c in enumerate(conds.tolist()) if not c <= 1e12}
+    assert list(homspace.ill_conditioned(np.array([wide, deficient]))) == [1]
+
+
+def test_basis_condition_test_keeps_its_verdicts_and_inverse():
+    d = groups.so3()
+    for seed, kappa in enumerate(KAPPAS):
+        B = conditioned(kappa, False, seed, n=3)
+        if kappa > homspace.COND_LIMIT:
+            message = f"adapted basis is singular (condition {np.linalg.cond(B):.3e})"
+            with pytest.raises(ValueError) as err:
+                homspace.ReductiveStructure(d, Side.G_MOD_H, 1, B)
+            assert str(err.value) == message
+        else:
+            struct = homspace.ReductiveStructure(d, Side.G_MOD_H, 1, B)
+            assert struct._B_inv.tobytes() == np.linalg.inv(struct.basis.T).tobytes()
+    singular = np.ones((3, 3))
+    message = f"adapted basis is singular (condition {np.linalg.cond(singular):.3e})"
+    with pytest.raises(ValueError) as err:
+        homspace.ReductiveStructure(d, Side.G_MOD_H, 1, singular)
+    assert str(err.value) == message
+    with pytest.raises(ValueError, match="basis shape"):
+        homspace.ReductiveStructure(d, Side.G_MOD_H, 1, np.eye(3)[:2])
 
 
 # ---------------------------------------------------------------------------

@@ -683,6 +683,53 @@ def test_sufficient_statistics_match_per_observation_sums(name, rng):
     assert dev <= 1e-12 * np.abs(grad).max()
 
 
+EVALUATED_MODELS = {
+    "landmark_one": lambda: LandmarkModel([[1.0, 0.0, 0.0]]),
+    "landmark_two": lambda: LandmarkModel([[1.0, 0.0, 0.0], [0.0, 1.0, 0.3]], [0.5, 2.0]),
+    "landmark_three": lambda: LandmarkModel(
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.3], [0.2, -0.5, 1.0]], 0.7
+    ),
+    "triangle_network": lambda: NetworkModel(
+        [[0.0, 0.0], [0.0, 1.0], [0.9, 0.6]], [(0, 1), (1, 2), (0, 2)], [0.2, 0.3, 0.45]
+    ),
+    "seed30_network": lambda: _geometric_graph(30, 30, 3.0, 1.5, 0.1),
+    "spd2": lambda: SpdModel(2),
+    "spd3": lambda: SpdModel(3),
+    "gaussian2": lambda: GaussianMeanModel(2, noise=0.7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATED_MODELS))
+def test_evaluate_is_the_three_model_calls_bit_for_bit(name):
+    """Scoring's one evaluate per iterate gives total_loglik, total_grad_m
+    and fim_reduced bit for bit on a random stack, and each row the bits
+    of that row evaluated alone."""
+    model = EVALUATED_MODELS[name]()
+    r = np.random.default_rng(23)
+    if isinstance(model, NetworkModel):
+        truth = model.reference_element()
+    else:
+        truth = groups.identity_element(model.descriptor)
+    G = np.stack([
+        (truth @ groups.random_element(model.descriptor, r, 0.4)).matrix for _ in range(4)
+    ])
+    summary = scoring.stack_summaries(
+        [model.summarize(model.sample(truth, m, r)) for m in (5, 20, 20, 100)]
+    )
+    ll, grad, F = model.evaluate(summary, G)
+    assert _bit_equal(ll, model.total_loglik(summary, G))
+    assert _bit_equal(grad, model.total_grad_m(summary, G))
+    assert _bit_equal(F, model.fim_reduced(G))
+    assert F.shape == ((4,) if F.ndim == 3 else ()) + (model.struct.n_Theta,) * 2
+    without = model.evaluate(summary, G, with_fim=False)
+    assert _bit_equal(without[0], ll) and _bit_equal(without[1], grad) and without[2] is None
+    for b in range(len(G)):
+        row = tuple(part[b : b + 1] for part in summary)
+        ll_b, grad_b, F_b = model.evaluate(row, G[b : b + 1])
+        assert _bit_equal(ll_b, ll[b : b + 1]) and _bit_equal(grad_b, grad[b : b + 1])
+        assert _bit_equal(F_b, F if F.ndim == 2 else F[b : b + 1])
+
+
 def test_models_sampling_determinism(triangle_network, spd3):
     g1 = triangle_network.reference_element()
     a = triangle_network.sample(g1, 8, np.random.default_rng(77))

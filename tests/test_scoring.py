@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from homcrb import fisher, groups, homspace, scoring
+from homcrb import crb, fisher, groups, homspace, scoring
 from homcrb.exceptions import DegenerateFimError, DivergenceError
 from homcrb.groups import AlgebraVector
 from homcrb.models import GaussianMeanModel, LandmarkModel, NetworkModel, SpdModel, network
@@ -176,7 +176,7 @@ def test_degenerate_fim_raises():
 
 class StubFimModel(GaussianMeanModel):
     """2-D Gaussian mean whose reduced FIM is fim_at(g); counts the
-    iterates measured (one m-gradient each)."""
+    iterates measured (one evaluation each)."""
 
     def __init__(self, fim_at):
         super().__init__(2)
@@ -186,9 +186,9 @@ class StubFimModel(GaussianMeanModel):
     def fim_reduced(self, G):
         return self.fim_at(G)
 
-    def total_grad_m(self, summary, G):
+    def evaluate(self, summary, G, with_fim=True):
         self.measured += 1
-        return super().total_grad_m(summary, G)
+        return super().evaluate(summary, G, with_fim)
 
 
 WELL_CONDITIONED = groups._frozen(np.eye(2))
@@ -233,7 +233,7 @@ def count_calls(monkeypatch, owner, name):
 
 def test_monte_carlo_fim_is_checked_every_iterate(gaussian1, monkeypatch, rng):
     obs = gaussian1.sample(gaussian1.element([2.0]), 40, rng)
-    conds = count_calls(monkeypatch, np.linalg, "cond")
+    conds = count_calls(monkeypatch, crb, "ill_conditioned")
     trace = scoring.fisher_scoring(
         gaussian1,
         obs,
@@ -294,13 +294,15 @@ def test_invariant_fim_is_built_and_checked_once(kind, monkeypatch):
         )
     g0 = groups.identity_element(model.descriptor)
     fims = count_calls(monkeypatch, type(model), "analytic_fim")
-    conds = count_calls(monkeypatch, np.linalg, "cond")
+    conds = count_calls(monkeypatch, crb, "ill_conditioned")
+    svds = count_calls(monkeypatch, np.linalg, "cond")
     for run in (1, 2):
         obs = model.sample(g_true, 300, np.random.default_rng(run))
         trace = scoring.fisher_scoring(model, obs, g0)
         assert trace.converged and trace.iterations_used >= 3
         assert conds[0] == run
     assert fims[0] == 1
+    assert svds[0] == 0  # a well-conditioned FIM passes without an SVD
 
 
 def test_rotation_defect_runs_once_per_element(landmark_two, monkeypatch):
@@ -320,8 +322,9 @@ def test_rotation_defect_runs_once_per_element(landmark_two, monkeypatch):
 def test_network_fim_is_checked_every_iterate(triangle_network, monkeypatch):
     g = triangle_network.reference_element()
     obs = triangle_network.sample(g, 100, np.random.default_rng(13))
-    conds = count_calls(monkeypatch, np.linalg, "cond")
-    fims = count_calls(monkeypatch, NetworkModel, "fim_reduced")
+    conds = count_calls(monkeypatch, crb, "ill_conditioned")
+    fims = count_calls(monkeypatch, NetworkModel, "_gram")
+    svds = count_calls(monkeypatch, np.linalg, "cond")
     families = []
     original = groups.GroupElement.__post_init__
 
@@ -341,6 +344,7 @@ def test_network_fim_is_checked_every_iterate(triangle_network, monkeypatch):
     )
     assert len(frozen.step_norms) >= 2
     assert conds[0] == fims[0] == len(trace.step_norms) + 1
+    assert svds[0] == 0
 
 
 def test_network_scoring_runs_no_dense_sensitivities(triangle_network, monkeypatch):
@@ -349,12 +353,31 @@ def test_network_scoring_runs_no_dense_sensitivities(triangle_network, monkeypat
     g = triangle_network.reference_element()
     obs = triangle_network.sample(g, 100, np.random.default_rng(13))
     dense = count_calls(monkeypatch, network, "_sensitivities")
-    fims = count_calls(monkeypatch, NetworkModel, "fim_reduced")
+    evaluations = count_calls(monkeypatch, NetworkModel, "evaluate")
     trace = scoring.fisher_scoring(triangle_network, obs, g)
-    assert len(trace.step_norms) >= 3 and fims[0] == len(trace.step_norms)
+    assert len(trace.step_norms) >= 3 and evaluations[0] == len(trace.step_norms)
     assert dense[0] == 0
     triangle_network.analytic_fim(g, triangle_network.struct.m_basis, "rivf")
     assert dense[0] == 1
+
+
+@pytest.mark.parametrize("fim_mode", scoring._FIM_MODES)
+def test_one_evaluation_per_iterate_and_one_edge_gather_each(
+    fim_mode, triangle_network, monkeypatch
+):
+    """The loop calls the model once per iterate, g0 included, and a
+    network evaluation gathers its edge vectors once. (A Monte-Carlo FIM
+    samples observations, which gathers them too.)"""
+    g = triangle_network.reference_element()
+    obs = triangle_network.sample(g, 100, np.random.default_rng(13))
+    evaluations = count_calls(monkeypatch, NetworkModel, "evaluate")
+    gathers = count_calls(monkeypatch, NetworkModel, "_edge_vectors")
+    opts = scoring.ScoringOptions(fim_mode=fim_mode, mc_fim_samples=500)
+    trace = scoring.fisher_scoring(triangle_network, obs, g, opts, random_state=3)
+    assert trace.converged and trace.iterations_used >= 2
+    assert evaluations[0] == trace.iterations_used + 1
+    if fim_mode != scoring.MONTE_CARLO:
+        assert gathers[0] == evaluations[0]
 
 
 def test_divergence_guard_attaches_trace(landmark_two):
@@ -373,11 +396,14 @@ def test_divergence_guard_catches_non_finite_loglik(rng):
     model = GaussianMeanModel(1)
     g0 = model.element([-3.0])
     obs = model.sample(model.element([2.0]), 40, rng)
-    finite = model.total_loglik
-    # Stub: the log-likelihood turns NaN once the iterate leaves g0.
-    model.total_loglik = lambda s, G: np.where(
-        (G == g0.matrix).all(axis=(-2, -1)), finite(s, G), np.nan
-    )
+    finite = model.evaluate
+
+    def evaluate(summary, G, with_fim=True):
+        # Stub: the log-likelihood turns NaN once the iterate leaves g0.
+        ll, grad, F = finite(summary, G, with_fim)
+        return np.where((G == g0.matrix).all(axis=(-2, -1)), ll, np.nan), grad, F
+
+    model.evaluate = evaluate
     runs = (
         lambda: scoring.fisher_scoring(model, obs, g0),
         lambda: scoring.gradient_ascent(model, obs, g0, step0=0.5),

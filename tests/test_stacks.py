@@ -653,10 +653,10 @@ class DivergingLandmark(LandmarkModel):
 
     marker = None
 
-    def total_loglik(self, summary, G):
-        ll = super().total_loglik(summary, G)
+    def evaluate(self, summary, G, with_fim=True):
+        ll, grad, F = super().evaluate(summary, G, with_fim)
         moved = ~(G == np.eye(4)).all(axis=(-2, -1))
-        return np.where((summary[1][:, 0, 0] == self.marker) & moved, -np.inf, ll)
+        return np.where((summary[1][:, 0, 0] == self.marker) & moved, -np.inf, ll), grad, F
 
 
 def test_a_diverging_trial_leaves_the_stack_alone():
@@ -686,10 +686,10 @@ class DivergingSpd(SpdModel):
 
     marker = None
 
-    def total_loglik(self, summary, G):
-        ll = super().total_loglik(summary, G)
+    def evaluate(self, summary, G, with_fim=True):
+        ll, grad, F = super().evaluate(summary, G, with_fim)
         moved = ~(G == np.eye(self.n)).all(axis=(-2, -1))
-        return np.where((summary[1][:, 0, 0] == self.marker) & moved, -np.inf, ll)
+        return np.where((summary[1][:, 0, 0] == self.marker) & moved, -np.inf, ll), grad, F
 
 
 def test_a_diverging_spd_trial_leaves_the_stack_alone():
@@ -750,11 +750,15 @@ def test_a_diverging_row_raises_alone_through_fisher_scoring(rng):
     model = GaussianMeanModel(1)
     g0 = model.element([-3.0])
     obs = [model.sample(model.element([2.0]), 40, rng) for _ in range(3)]
-    finite = model.total_loglik
+    finite = model.evaluate
     bad_mean = obs[1].mean()
-    model.total_loglik = lambda s, G: np.where(
-        (s[1][:, 0] == bad_mean) & (G[:, 0, 1] != g0.matrix[0, 1]), np.nan, finite(s, G)
-    )
+
+    def evaluate(s, G, with_fim=True):
+        ll, grad, F = finite(s, G, with_fim)
+        bad = (s[1][:, 0] == bad_mean) & (G[:, 0, 1] != g0.matrix[0, 1])
+        return np.where(bad, np.nan, ll), grad, F
+
+    model.evaluate = evaluate
     summary = scoring.stack_summaries([model.summarize(o) for o in obs])
     G0 = np.broadcast_to(g0.matrix, (3, 2, 2))
     traces, failed = scoring.fisher_scoring_stack(model, summary, G0)
@@ -911,10 +915,11 @@ class SingularAt(GaussianMeanModel):
     invariant_fim = False
     where = None
 
-    def fim_reduced(self, G):
+    def evaluate(self, summary, G, with_fim=True):
+        ll, grad, _ = super().evaluate(summary, G, with_fim)
         F = np.broadcast_to(np.eye(2), (len(G), 2, 2)).copy()
         F[G[:, 0, 2] == self.where] = np.diag([1.0, 0.0])
-        return F
+        return ll, grad, F if with_fim else None
 
 
 def test_a_degenerate_fim_leaves_the_stack_alone(rng):
