@@ -275,8 +275,7 @@ def efficiency_residual(
         raise ValueError("need one observation set per estimate")
     stats = estimator_stats(g_ref, estimates, struct)
     phi = phi_matrix(stats)
-    F1 = model.fim_reduced(g_ref.matrix[None])
-    F1 = F1 if F1.ndim == 2 else F1[0]
+    F1 = fisher.fim(model, g_ref, fisher.REDUCED).matrix
     Pi = selector_pi(struct)
     core = phi @ Pi.T
     summary = scoring.stack_summaries([model.summarize(obs) for obs in observations])

@@ -5,6 +5,10 @@ structure. The left frame differentiates along LIVFs (curves g exp(tE)),
 the right frame along RIVFs (curves exp(tE) g); the reduced frame is the
 m-block in the natural operator of the side (LIVFs on G/H, RIVFs on
 H\\G), i.e. the frame whose full matrix has a vanishing h-block.
+
+Models state their score and FIM along directions of the natural
+operator only; this module is the one place that translates a frame's
+directions to it through Ad.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .homspace import (
     Side,
     act,
     natural_operator,
-    translate_directions_stack,
+    translate_directions,
 )
 
 LEFT, RIGHT, REDUCED = "left", "right", "reduced"
@@ -112,11 +116,12 @@ def _fim_stack(
     """(B, n, n) FIMs of a frame at each matrix of a (B, d, d) stack, not
     yet validated (check_fims): one natural_fim call, or per matrix one
     Monte-Carlo estimate drawn from its own seed (seeds: one per matrix,
-    default fresh entropy)."""
+    default fresh entropy). Either reads the model along the frame's
+    directions translated to its natural operator."""
     directions, op = frame_directions(model.struct, frame)
+    nat, desc = natural_operator(model.struct.side), model.struct.group
     if method == ANALYTIC:
-        nat = natural_operator(model.struct.side)
-        D = translate_directions_stack(directions, X, model.struct.group, nat, op)
+        D = translate_directions(directions, X, desc, nat, op)
         return np.broadcast_to(model.natural_fim(X, D), (len(X),) + (len(directions),) * 2)
     if method != MC_GRADIENT:
         raise ValueError(f"unknown FIM method {method!r}")
@@ -124,9 +129,10 @@ def _fim_stack(
         raise ValueError("Monte-Carlo estimation needs n_samples >= 1")
     out = []
     for x, seed in zip(X, seeds or [None] * len(X)):
-        g = GroupElement(model.struct.group, x)
+        g = GroupElement(desc, x)
         draws = model.sample(g, n_samples, np.random.default_rng(seed))
-        G = model.analytic_gradient_batch(draws, g, directions, op)
+        D = translate_directions(directions, x, desc, nat, op)
+        G = model.analytic_gradient_batch(draws, g, D)
         out.append((G.T @ G) / n_samples)
     return np.array(out)
 
@@ -163,9 +169,7 @@ def fim_hessian(
 def grad_loglik(model, x, g: GroupElement) -> np.ndarray:
     """Gradient of l(x|.) at g along the m-basis invariant vector fields
     (LIVFs on G/H, RIVFs on H\\G), from the model's analytic score."""
-    directions, op = frame_directions(model.struct, REDUCED)
-    G = model.analytic_gradient_batch(model._as_batch(x), g, directions, op)
-    return G[0]
+    return model.analytic_gradient_batch(model._as_batch(x), g, model.struct.m_basis)[0]
 
 
 @dataclass(frozen=True)
@@ -193,9 +197,6 @@ class FimPropertyReport:
             self.adjoint_relation,
             self.fiber_conjugation,
         )
-
-    def ok(self, tol: float) -> bool:
-        return self.max_deviation <= tol
 
 
 def _spectral(A: np.ndarray) -> np.ndarray:

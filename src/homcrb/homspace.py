@@ -46,18 +46,12 @@ def natural_operator(side: Side) -> str:
     return LIVF if side == Side.G_MOD_H else RIVF
 
 
-def translate_directions(directions, g: GroupElement, from_op: str, to_op: str):
+def translate_directions(directions, G, desc: GroupDescriptor, from_op: str, to_op: str):
     """Directions (rows) to feed a from_op formula so it evaluates to_op
-    derivatives, via X^L_g = (Ad_g X)^R_g and X^R_g = (Ad_{g^-1} X)^L_g."""
-    return translate_directions_stack(directions, g.matrix, g.descriptor, from_op, to_op)
-
-
-def translate_directions_stack(
-    directions, G, desc: GroupDescriptor, from_op: str, to_op: str
-):
-    """translate_directions at a raw matrix G or at each matrix of a
-    (B, d, d) stack, whose directions are then (B, k, n_G), one set per
-    matrix; unchanged (and shared) when from_op is to_op."""
+    derivatives at a raw matrix G, via X^L_g = (Ad_g X)^R_g and
+    X^R_g = (Ad_{g^-1} X)^L_g; at each matrix of a (B, d, d) stack the
+    directions are (B, k, n_G), one set per matrix. Unchanged (and
+    shared) when from_op is to_op."""
     if from_op == to_op:
         return directions
     Ad = groups._adjoint(G if to_op == LIVF else groups._inverse_matrix(G, desc), desc)

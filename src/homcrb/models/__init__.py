@@ -2,7 +2,7 @@
 
 from .base import ModelBase, invariance_defect
 from .gaussian import GaussianMeanModel
-from .landmark import LandmarkModel, pose_parts, se3_element
+from .landmark import LandmarkModel, se3_element
 from .network import (
     NetworkModel,
     canonicalize_positions,
@@ -24,7 +24,6 @@ __all__ = [
     "load_graph",
     "network_dimensions",
     "network_fim",
-    "pose_parts",
     "rigidity_matrix",
     "se3_element",
     "spd_grad",

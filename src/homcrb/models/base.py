@@ -7,9 +7,9 @@ unnormalized (additive constants in g are irrelevant everywhere).
 
 Derivative operators are identified by the translation side: "livf"
 differentiates t -> l(x | g exp(tX)), "rivf" t -> l(x | exp(tX) g).
-Models implement their analytic formulas in one natural operator and
-translate directions through Ad for the other, using
-X^L_g = (Ad_g X)^R_g and X^R_g = (Ad_{g^-1} X)^L_g.
+Models state their analytic score and FIM once, along directions of the
+natural operator of their side (LIVFs on G/H, RIVFs on H\\G); fisher
+translates the directions of the other operator through Ad.
 
 Scoring runs many trials at once and calls the model once per iterate:
 evaluate(summary, G, with_fim) returns the log-likelihood, the m-gradient
@@ -29,24 +29,12 @@ import numpy as np
 from .. import groups
 from ..exceptions import DomainError
 from ..groups import GroupElement
-from ..homspace import (
-    LIVF,
-    RIVF,
-    ReductiveStructure,
-    Side,
-    act,
-    natural_operator,
-    translate_directions,
-)
+from ..homspace import ReductiveStructure, Side, act, natural_operator
 
 __all__ = [
-    "LIVF",
-    "RIVF",
     "GaussianModel",
     "ModelBase",
     "invariance_defect",
-    "natural_operator",
-    "translate_directions",
     "whitened_gram",
 ]
 
@@ -57,9 +45,9 @@ class ModelBase:
     Subclasses set .descriptor and .struct and implement sample(g, m,
     rng); summarize(x), a sufficient statistic led by the observation
     count; loglik_batch(x, g); evaluate(summary, G, with_fim) over a
-    stack; analytic_gradient_batch(x, g, directions, op); natural_fim(G,
-    directions); and, unless invariant_fim is set, _fim_stack(G), the
-    reduced FIM at each matrix of a (B, d, d) stack.
+    stack; and, along directions of the natural operator only,
+    analytic_gradient_batch(x, g, directions) and natural_fim(G,
+    directions).
     """
 
     descriptor: groups.GroupDescriptor
@@ -109,33 +97,25 @@ class ModelBase:
         array when it does not depend on the point, else (B, k, k)."""
         raise NotImplementedError
 
-    def analytic_fim(self, g: GroupElement, directions, op) -> np.ndarray:
-        """Single-observation FIM along op directions at g: natural_fim of
-        the directions translated to the natural operator."""
-        nat = natural_operator(self.side)
-        return self.natural_fim(g.matrix, translate_directions(directions, g, nat, op))
-
-    def _fd_gradient_batch(self, observations, g, directions, op):
+    def _fd_gradient_batch(self, observations, g, directions):
         """Central-difference reference for analytic_gradient_batch: one
         kernel call over every direction."""
         loglik = partial(self.loglik_batch, observations)
         h = groups.default_step(g)
+        op = natural_operator(self.side)
         return groups.central_differences(loglik, g, directions, h, op, boxed=True).T
 
     def fim_reduced(self, G) -> np.ndarray:
-        """Single-observation reduced FIM over the m-basis at each matrix
-        of a (B, d, d) stack. With invariant_fim it is one read-only
-        (n, n) array for every row, computed once per model; otherwise a
-        (B, n, n) stack."""
+        """Single-observation reduced FIM, natural_fim over the m-basis, at
+        each matrix of a (B, d, d) stack. With invariant_fim it is one
+        read-only (n, n) array for every row, computed once per model;
+        otherwise a (B, n, n) stack."""
         if self._reduced_fim is not None:
             return self._reduced_fim
-        if not self.invariant_fim:
-            return self._fim_stack(G)
-        F = self.analytic_fim(
-            GroupElement(self.descriptor, G[0]), self.struct.m_basis, natural_operator(self.side)
-        )
-        self._reduced_fim = groups._frozen(F)
-        return self._reduced_fim
+        F = self.natural_fim(G, self.struct.m_basis)
+        if self.invariant_fim:
+            self._reduced_fim = F = groups._frozen(F)
+        return F
 
 
 def whitened_gram(terms, sigma) -> np.ndarray:
@@ -202,11 +182,8 @@ class GaussianModel(ModelBase):
         _terms."""
         return x - mu
 
-    def _m_terms(self, G) -> np.ndarray:
-        return self._terms(G, self.struct.m_basis)
-
     def _mean_and_m_terms(self, G) -> tuple[np.ndarray, np.ndarray]:
-        return self._mean(G), self._m_terms(G)
+        return self._mean(G), self._terms(G, self.struct.m_basis)
 
     def sample(self, g: GroupElement, m: int, rng: np.random.Generator):
         mu = self._mean(g.matrix)
@@ -242,9 +219,8 @@ class GaussianModel(ModelBase):
             return ll, grad, None
         return ll, grad, self.fim_reduced(G) if self.invariant_fim else self._gram(terms)
 
-    def analytic_gradient_batch(self, observations, g, directions, op):
-        nat = natural_operator(self.side)
-        terms = self._terms(g.matrix, translate_directions(directions, g, nat, op))
+    def analytic_gradient_batch(self, observations, g, directions):
+        terms = self._terms(g.matrix, directions)
         x = np.asarray(observations, dtype=float)
         resid = self._residual(x, g.matrix, self._mean(g.matrix))
         a = self._axes
@@ -252,9 +228,6 @@ class GaussianModel(ModelBase):
 
     def natural_fim(self, G, directions):
         return self._gram(self._terms(G, directions))
-
-    def _fim_stack(self, G) -> np.ndarray:
-        return self._gram(self._m_terms(G))
 
     def _gram(self, terms) -> np.ndarray:
         self._weights()  # raises for a zero-noise model

@@ -35,10 +35,6 @@ def se3_element(R: np.ndarray, p: np.ndarray) -> GroupElement:
     return GroupElement(groups.se3(), M)
 
 
-def pose_parts(g: GroupElement) -> tuple[np.ndarray, np.ndarray]:
-    return g.matrix[:3, :3], g.matrix[:3, 3]
-
-
 def _sample_point_stabilizer(
     rng: np.random.Generator, point: np.ndarray, axis: np.ndarray | None
 ) -> GroupElement:
@@ -155,5 +151,5 @@ class LandmarkModel(GaussianModel):
         Omega_t = np.swapaxes(hat(directions[..., :3]), -1, -2)
         return self.landmarks @ Omega_t + directions[..., None, 3:]
 
-    def _m_terms(self, G) -> np.ndarray:
-        return self._m_basis_terms
+    def _mean_and_m_terms(self, G) -> tuple[np.ndarray, np.ndarray]:
+        return self._mean(G), self._m_basis_terms

@@ -268,9 +268,6 @@ class NetworkModel(GaussianModel):
     def _mean(self, G) -> np.ndarray:
         return _edge_means(self._edge_vectors(G))
 
-    def _m_terms(self, G) -> np.ndarray:
-        return self._m_terms_of(self._edge_vectors(G))
-
     def _mean_and_m_terms(self, G) -> tuple[np.ndarray, np.ndarray]:
         """Both from one gather of the edge vectors."""
         d = self._edge_vectors(G)

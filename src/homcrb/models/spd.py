@@ -20,8 +20,8 @@ import numpy as np
 from .. import groups
 from ..exceptions import DomainError
 from ..groups import GroupElement
-from ..homspace import LIVF, Side, build_reductive
-from .base import ModelBase, translate_directions
+from ..homspace import Side, build_reductive
+from .base import ModelBase
 
 
 def _sample_special_orthogonal(
@@ -115,8 +115,8 @@ class SpdModel(ModelBase):
 
     # -- analytic derivatives -----------------------------------------------
 
-    def analytic_gradient_batch(self, observations, g, directions, op):
-        D = translate_directions(directions, g, LIVF, op).reshape(-1, self.n, self.n)
+    def analytic_gradient_batch(self, observations, g, directions):
+        D = np.reshape(directions, (-1, self.n, self.n))
         x = np.asarray(observations, dtype=float)
         u = np.linalg.solve(g.matrix, x.T).T
         quad = np.einsum("mi,dij,mj->md", u, D, u)

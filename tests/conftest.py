@@ -79,10 +79,10 @@ class ReplicatedModel:
         flat = x.reshape((-1,) + x.shape[2:])
         return self.base.loglik_batch(flat, g).reshape(x.shape[0], self.r).sum(axis=1)
 
-    def analytic_gradient_batch(self, observations, g, directions, op):
+    def analytic_gradient_batch(self, observations, g, directions):
         x = np.asarray(observations, dtype=float)
         flat = x.reshape((-1,) + x.shape[2:])
-        grads = self.base.analytic_gradient_batch(flat, g, directions, op)
+        grads = self.base.analytic_gradient_batch(flat, g, directions)
         return grads.reshape(x.shape[0], self.r, -1).sum(axis=1)
 
     def natural_fim(self, G, directions):

@@ -17,7 +17,7 @@ def test_landmark_pure_translation_entry(landmark_one):
     # a = e1, directions v_i = v_j = e1, Omega = 0: entry is 1.
     g = groups.identity_element(groups.se3())
     dirs = np.eye(6)[3:4]
-    F = landmark_one.analytic_fim(g, dirs, "rivf")
+    F = landmark_one.natural_fim(g.matrix, dirs)
     assert F[0, 0] == 1.0
 
 
@@ -112,9 +112,7 @@ def test_grad_loglik_matches_finite_differences(landmark_two, rng):
         g = groups.random_element(groups.se3(), rng, 0.4)
         x = landmark_two.sample(g, 1, rng)[0]
         analytic = fisher.grad_loglik(landmark_two, x, g)
-        fd = landmark_two._fd_gradient_batch(
-            x[None], g, landmark_two.struct.m_basis, "rivf"
-        )[0]
+        fd = landmark_two._fd_gradient_batch(x[None], g, landmark_two.struct.m_basis)[0]
         assert np.abs(analytic - fd).max() <= 1e-5
 
 

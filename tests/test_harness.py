@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import os
 import re
@@ -41,6 +42,13 @@ def small_landmark_config(**overrides):
 
 # ---------------------------------------------------------------------------
 # config
+
+
+@pytest.mark.parametrize("package", ["homcrb", "homcrb.models", "homcrb.harness"])
+def test_every_exported_name_resolves(package):
+    module = importlib.import_module(package)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert module.__all__ and missing == []
 
 
 def test_config_validation_errors():

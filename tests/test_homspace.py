@@ -104,13 +104,20 @@ def test_structure_refuses_malformed_basis():
 
 
 def test_translate_directions_is_adjoint_per_row(landmark_two, rng):
-    g = groups.random_element(groups.se3(), rng, 0.7)
+    desc = groups.se3()
+    g = groups.random_element(desc, rng, 0.7)
+    other = groups.random_element(desc, rng, 0.7)
+    G = np.stack([g.matrix, other.matrix])
     dirs = rng.standard_normal((5, 6))
     for from_op, to_op, point in (("rivf", "livf", g), ("livf", "rivf", g.inverse())):
         Ad = groups.adjoint_matrix(point)
-        out = homspace.translate_directions(dirs, g, from_op, to_op)
+        out = homspace.translate_directions(dirs, g.matrix, desc, from_op, to_op)
         assert np.abs(out - np.array([Ad @ x for x in dirs])).max() <= 1e-12
-    assert homspace.translate_directions(dirs, g, "livf", "livf") is dirs
+        # A stack translates each matrix's rows as that matrix alone does.
+        stacked = homspace.translate_directions(dirs, G, desc, from_op, to_op)
+        for M, rows in zip(G, stacked):
+            assert np.array_equal(rows, homspace.translate_directions(dirs, M, desc, from_op, to_op))
+    assert homspace.translate_directions(dirs, g.matrix, desc, "livf", "livf") is dirs
 
 
 # ---------------------------------------------------------------------------

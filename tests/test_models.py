@@ -21,7 +21,7 @@ from homcrb.models import (
     spd_grad,
 )
 from homcrb.models import network
-from homcrb.models.base import natural_operator, whitened_gram
+from homcrb.models.base import whitened_gram
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +53,7 @@ def test_landmark_grad_zero_residual(landmark_two, rng):
     g = groups.random_element(groups.se3(), rng, 0.5)
     x = landmark_two.mean_observation(g)
     X = groups.random_algebra_vector(groups.se3(), rng, 1.0)
-    grad = landmark_two.analytic_gradient_batch(x[None], g, X.coords[None], "rivf")
+    grad = landmark_two.analytic_gradient_batch(x[None], g, X.coords[None])
     grad = grad[0, 0]
     assert abs(grad) <= 1e-9
 
@@ -64,7 +64,7 @@ def test_landmark_grad_matches_rivf_derivative(landmark_two, rng):
         x = landmark_two.sample(g, 1, rng)[0]
         X = groups.random_algebra_vector(groups.se3(), rng, 1.0)
         fd = groups.rivf_derivative(lambda el: landmark_two.loglik(x, el), g, X)
-        grad = landmark_two.analytic_gradient_batch(x[None], g, X.coords[None], "rivf")
+        grad = landmark_two.analytic_gradient_batch(x[None], g, X.coords[None])
         grad = grad[0, 0]
         assert abs(grad - fd) <= 1e-6
 
@@ -73,7 +73,7 @@ def test_landmark_grad_exactly_zero_on_h(landmark_one, rng):
     g = groups.random_element(groups.se3(), rng, 0.5)
     x = landmark_one.sample(g, 1, rng)[0]
     for X in landmark_one.struct.h_basis:
-        grad = landmark_one.analytic_gradient_batch(x[None], g, [X], "rivf")
+        grad = landmark_one.analytic_gradient_batch(x[None], g, [X])
         assert grad[0, 0] == 0.0
 
 
@@ -81,23 +81,21 @@ def test_landmark_fim_hand_value():
     model = LandmarkModel([[1.0, 0.0, 0.0]])
     g = groups.identity_element(groups.se3())
     e1_trans = np.eye(6)[3:4]
-    assert model.analytic_fim(g, e1_trans, "rivf")[0, 0] == 1.0
+    assert model.natural_fim(g.matrix, e1_trans)[0, 0] == 1.0
 
 
 def test_landmark_fim_h_rows_exactly_zero(landmark_one, rng):
     g = groups.random_element(groups.se3(), rng, 0.5)
-    F = landmark_one.analytic_fim(g, landmark_one.struct.basis, "rivf")
+    F = landmark_one.natural_fim(g.matrix, landmark_one.struct.basis)
     assert np.all(F[:3, :] == 0.0) and np.all(F[:, :3] == 0.0)
 
 
 def test_landmark_fim_constant_along_g(landmark_two, rng):
     dirs = landmark_two.struct.basis
-    F0 = landmark_two.analytic_fim(groups.identity_element(groups.se3()), dirs, "rivf")
+    F0 = landmark_two.natural_fim(np.eye(4), dirs)
     for _ in range(5):
         g = groups.random_element(groups.se3(), rng, 0.8)
-        assert np.array_equal(
-            landmark_two.analytic_fim(g, dirs, "rivf"), F0
-        )  # literally constant
+        assert np.array_equal(landmark_two.natural_fim(g.matrix, dirs), F0)  # literally constant
 
 
 def test_landmark_fim_matches_monte_carlo(landmark_one):
@@ -311,12 +309,8 @@ def test_network_grad_matches_fd(triangle_network, rng):
     g = triangle_network.reference_element()
     for _ in range(25):
         x = triangle_network.sample(g, 1, rng)
-        ga = triangle_network.analytic_gradient_batch(
-            x, g, triangle_network.struct.basis, "rivf"
-        )
-        gf = triangle_network._fd_gradient_batch(
-            x, g, triangle_network.struct.basis, "rivf"
-        )
+        ga = triangle_network.analytic_gradient_batch(x, g, triangle_network.struct.basis)
+        gf = triangle_network._fd_gradient_batch(x, g, triangle_network.struct.basis)
         assert np.abs(ga - gf).max() <= 1e-5
 
 
@@ -365,15 +359,23 @@ def test_network_edge_kernels_match_per_edge_reference():
     resid = x - np.asarray(means)[None, :]
     w = 1.0 / model.sigmas**2
     for op in ("rivf", "livf"):
-        translated = homspace.translate_directions(dirs, g, "rivf", op)
+        translated = homspace.translate_directions(dirs, g.matrix, model.descriptor, "rivf", op)
         ref = _scalar_edge_sensitivities(model, g, translated)
         sens = model._terms(g.matrix, translated)
         assert np.abs(sens - ref).max() <= 1e-12 * np.abs(ref).max()
-        grad = model.analytic_gradient_batch(x, g, dirs, op)
+        grad = model.analytic_gradient_batch(x, g, translated)
         grad_ref = np.einsum("me,de,e->md", resid, ref, w)
         assert np.abs(grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
         fim_ref = (ref * w) @ ref.T
-        fim = model.analytic_fim(g, dirs, op)
+        fim = model.natural_fim(g.matrix, translated)
+        assert np.abs(fim - fim_ref).max() <= 1e-12 * np.abs(fim_ref).max()
+    # fisher translates each frame's directions to the model's RIVFs.
+    for frame, op in ((fisher.RIGHT, "rivf"), (fisher.LEFT, "livf")):
+        basis = model.struct.basis
+        translated = homspace.translate_directions(basis, g.matrix, model.descriptor, "rivf", op)
+        ref = _scalar_edge_sensitivities(model, g, translated)
+        fim_ref = (ref * w) @ ref.T
+        fim = fisher.fim(model, g, frame).matrix
         assert np.abs(fim - fim_ref).max() <= 1e-12 * np.abs(fim_ref).max()
 
 
@@ -427,7 +429,8 @@ def test_translation_jacobian_is_the_sensitivities_bit_for_bit(graph, triangle_n
     moved = np.stack([groups.random_element(model.descriptor, r, 0.8).matrix for _ in range(3)])
     grid = r.integers(-2, 3, (n, 2)) * r.choice([-1.0, 1.0], (n, 2))
     for G in (model.reference_element().matrix, moved, model.reference_element(grid).matrix):
-        assert _bit_equal(model._m_terms(G), model._terms(G, model.struct.m_basis))
+        m_terms = model._mean_and_m_terms(G)[1]
+        assert _bit_equal(m_terms, model._terms(G, model.struct.m_basis))
     for p in (model.positions, grid):
         S = rigidity_matrix(p, model.edges, model.sigmas)
         dense = network._sensitivities(
@@ -553,8 +556,8 @@ def test_spd_model_grad_matches_fd(spd3, rng):
     g = groups.random_element(spd3.descriptor, rng, 0.3)
     for _ in range(25):
         x = spd3.sample(g, 1, rng)
-        ga = spd3.analytic_gradient_batch(x, g, spd3.struct.basis, "livf")
-        gf = spd3._fd_gradient_batch(x, g, spd3.struct.basis, "livf")
+        ga = spd3.analytic_gradient_batch(x, g, spd3.struct.basis)
+        gf = spd3._fd_gradient_batch(x, g, spd3.struct.basis)
         assert np.abs(ga - gf).max() <= 1e-5
 
 
@@ -597,14 +600,13 @@ INVARIANT_FIM_MODELS = {
 def test_cached_reduced_fim_is_the_fim_at_every_g(name, rng):
     model = INVARIANT_FIM_MODELS[name]()
     fresh = INVARIANT_FIM_MODELS[name]()
-    op = natural_operator(model.side)
     first = model.fim_reduced(groups.random_element(model.descriptor, rng, 0.5).matrix[None])
     assert not first.flags.writeable
     for _ in range(20):
         g = groups.random_element(model.descriptor, rng, 1.0)
         F = model.fim_reduced(g.matrix[None])
         assert F is first
-        expected = fresh.analytic_fim(g, fresh.struct.m_basis, op)
+        expected = fisher.fim(fresh, g, fisher.REDUCED).matrix
         assert np.abs(F - expected).max() <= 1e-12 * np.abs(expected).max()
     with pytest.raises(ValueError):
         first[0, 0] = 1.0
@@ -677,8 +679,7 @@ def test_sufficient_statistics_match_per_observation_sums(name, rng):
     summary = scoring.stack_summaries([model.summarize(x)])
     ll = np.sum(model.loglik_batch(x, g))
     assert abs(model.total_loglik(summary, g.matrix[None])[0] - ll) <= 1e-12 * abs(ll)
-    op = natural_operator(model.side)
-    grad = model.analytic_gradient_batch(x, g, model.struct.m_basis, op).sum(axis=0)
+    grad = model.analytic_gradient_batch(x, g, model.struct.m_basis).sum(axis=0)
     dev = np.abs(model.total_grad_m(summary, g.matrix[None])[0] - grad).max()
     assert dev <= 1e-12 * np.abs(grad).max()
 

@@ -293,7 +293,7 @@ def test_invariant_fim_is_built_and_checked_once(kind, monkeypatch):
             model.descriptor, np.array([[1.2, 0.3, 0.0], [0.1, 0.9, 0.2], [0.0, -0.3, 1.4]])
         )
     g0 = groups.identity_element(model.descriptor)
-    fims = count_calls(monkeypatch, type(model), "analytic_fim")
+    fims = count_calls(monkeypatch, type(model), "natural_fim")
     conds = count_calls(monkeypatch, crb, "ill_conditioned")
     svds = count_calls(monkeypatch, np.linalg, "cond")
     for run in (1, 2):
@@ -357,7 +357,7 @@ def test_network_scoring_runs_no_dense_sensitivities(triangle_network, monkeypat
     trace = scoring.fisher_scoring(triangle_network, obs, g)
     assert len(trace.step_norms) >= 3 and evaluations[0] == len(trace.step_norms)
     assert dense[0] == 0
-    triangle_network.analytic_fim(g, triangle_network.struct.m_basis, "rivf")
+    fisher.fim(triangle_network, g, fisher.REDUCED)
     assert dense[0] == 1
 
 

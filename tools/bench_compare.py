@@ -15,6 +15,10 @@ each pair the two sides' round-0 outputs (every file but metrics.json)
 are compared byte for byte. With --traced-seconds each side also runs
 `--seed 1 --trace 1` once per workload.
 
+--pairs must be at least 2 (a side's quartiles need two runs), --seconds
+positive and --traced-seconds 0 or positive; other values are refused
+before anything is exported.
+
 Writes BENCH_<label>.json in the current directory: per workload and
 side the runs, failed and attempted operations, whether every run was
 correct, and per end-to-end metric the median, quartiles (inclusive
@@ -55,7 +59,14 @@ def parse_args(argv):
     p.add_argument("--traced-seconds", type=float, default=0.0,
                    help="length of one --trace 1 run per side and workload; 0 skips them")
     p.add_argument("--claim", default="none", help="the gain claimed, recorded as given")
-    return p.parse_args(argv)
+    args = p.parse_args(argv)
+    if args.pairs < 2:
+        p.error(f"--pairs must be at least 2, got {args.pairs}")
+    if not args.seconds > 0:
+        p.error(f"--seconds must be positive, got {args.seconds:g}")
+    if not args.traced_seconds >= 0:
+        p.error(f"--traced-seconds must be 0 or positive, got {args.traced_seconds:g}")
+    return args
 
 
 def git(*args) -> str:
