@@ -27,6 +27,7 @@ X = (omega, v) with wedge(X) = [[omega^, v], [0, 0]].
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -80,6 +81,23 @@ def _frozen(a) -> np.ndarray:
     a = np.ascontiguousarray(np.asarray(a, dtype=float))
     a.setflags(write=False)
     return a
+
+
+def as_integer(value, name: str) -> int:
+    """value as an int. A bool, a non-number or a number with a fractional
+    part raises ValueError instead of being truncated."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _count(value, name: str) -> int:
+    count = as_integer(value, name)
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return count
 
 
 def _layout(factors):

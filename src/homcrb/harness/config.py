@@ -12,7 +12,8 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from ..exceptions import ConfigError
-from ..scoring import ScoringOptions, as_integer
+from ..groups import as_integer
+from ..scoring import ScoringOptions
 
 EXPERIMENTS = ("landmark", "network", "spd", "crb-report", "check")
 

@@ -192,7 +192,7 @@ def default_spd_covariance(n: int) -> np.ndarray:
 def _spd_context(config: ExperimentConfig):
     section = config.spd
     try:
-        n = scoring.as_integer(section.get("dimension", 3), "spd.dimension")
+        n = groups.as_integer(section.get("dimension", 3), "spd.dimension")
         model = SpdModel(n)
         cov = section.get("covariance")
         Sigma = default_spd_covariance(n) if cov is None else np.asarray(cov, float)

@@ -112,7 +112,7 @@ def suite_fim_frames(seed: int):
     samples as one verify_fim_properties_stack call."""
     n_h, tol = 20, 1e-9
     model, g, rng = _landmark_fixture(seed)
-    H = np.array([model.struct.subgroup_sampler(rng).matrix for _ in range(n_h)])
+    H = model.struct.sample_subgroup(rng, n_h)
     failures = []
     for k, (h_block, fiber, adjoint, conj) in enumerate(
         fisher.verify_fim_properties_stack(model, g, H).tolist()
@@ -145,8 +145,7 @@ def suite_variance_invariance(seed: int, corrupt: bool = False):
     )
     x = (struct.basis_matrix @ coords[..., None])[..., 0]
     estimates = g.matrix @ groups._exp_stack(x, desc)
-    # H\G side: representatives of the same coset are hg.
-    moved = np.array([struct.subgroup_sampler(rng).matrix for _ in range(n_h)]) @ g.matrix
+    moved = homspace.act(g.matrix, struct.sample_subgroup(rng, n_h), struct.side)
     refs = np.concatenate([g.matrix[None], moved])
     relative = homspace.act(groups._inverse_matrix(refs, desc)[:, None], estimates, struct.side)
     identity = groups.identity_element(desc)

@@ -138,7 +138,9 @@ class ReductiveStructure:
     side: Side
     n_H: int
     basis: np.ndarray
-    subgroup_sampler: Callable[[np.random.Generator], GroupElement] | None = None
+    # Draws from H as a (k, d, d) stack, for a structure whose h does not
+    # generate H (sample_subgroup); None draws exp(theta X) over h.
+    subgroup_sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
 
     def __post_init__(self):
         n_G = self.group.algebra_dim
@@ -196,6 +198,28 @@ class ReductiveStructure:
     def adjoint(self, g: GroupElement) -> np.ndarray:
         return self.in_adapted(groups.adjoint_matrix(g))
 
+    def sample_subgroup(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """A (k, d, d) stack of draws from H, checked for membership once:
+        exp(theta X) from one exp stack, with theta uniform on [-pi, pi]
+        and X a uniformly random unit vector of h in adapted coordinates;
+        the identity stack when H is trivial; subgroup_sampler's stack
+        when it is set."""
+        k = groups._count(k, "k")
+        desc = self.group
+        if self.subgroup_sampler is not None:
+            H = self.subgroup_sampler(rng, k)
+        elif self.n_H == 0:
+            H = np.tile(np.eye(desc.matrix_dim), (k, 1, 1))
+        else:
+            u = rng.standard_normal((k, self.n_H))
+            theta = rng.uniform(-math.pi, math.pi, (k, 1))
+            x = (theta / np.linalg.norm(u, axis=1, keepdims=True) * u) @ self.h_basis
+            H = groups._exp_stack(x, desc)
+        errors = groups._membership_stack(H, desc)[1]
+        if errors:
+            raise errors[min(errors)]
+        return H
+
     def psi(self, struct_coords) -> np.ndarray:
         """Psi matrix (series to order 10) of the element with the given
         adapted coordinates."""
@@ -213,7 +237,6 @@ def build_reductive(
     seed_m: Sequence[np.ndarray] | None = None,
     side: Side = Side.G_MOD_H,
     metric: tuple[np.ndarray, np.ndarray] | None = None,
-    subgroup_sampler: Callable[[np.random.Generator], GroupElement] | None = None,
 ) -> ReductiveStructure:
     """Split g = h + m with m built by Gram-Schmidt from seed vectors;
     h and the seeds are rows of descriptor coordinates.
@@ -281,7 +304,7 @@ def build_reductive(
         )
 
     basis = np.array([untransform(y) for y in h_t + m_t])
-    return ReductiveStructure(group, side, n_H, basis, subgroup_sampler)
+    return ReductiveStructure(group, side, n_H, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -311,28 +334,22 @@ def check_adH_invariance(
     random_state: np.random.Generator | int | None = None,
 ) -> AdInvarianceReport:
     """Sample h in H and test that Ad_h preserves m, its norms, and the
-    h/m block-diagonal form of the adjoint in adapted coordinates. The
-    basis is orthonormal, so the largest change of a unit m-vector's
-    length under Ad_h is that of A_m's singular values from 1."""
-    if struct.subgroup_sampler is None:
-        raise ValueError("structure has no subgroup sampler")
-    if n_samples < 1:
-        raise ValueError("the invariance check needs n_samples >= 1")
-    rng = np.random.default_rng(random_state)
+    h/m block-diagonal form of the adjoint in adapted coordinates, for
+    one stack of n_samples draws. The basis is orthonormal, so the
+    largest change of a unit m-vector's length under Ad_h is that of
+    A_m's singular values from 1."""
+    n_samples = groups._count(n_samples, "n_samples")
     n_H = struct.n_H
-    worst_norm = worst_orth = worst_off = 0.0
-    for _ in range(n_samples):
-        h = struct.subgroup_sampler(rng)
-        A = struct.adjoint(h)
-        A_m = A[n_H:, n_H:]
-        off = max(
-            float(np.abs(A[:n_H, n_H:]).max(initial=0.0)),
-            float(np.abs(A[n_H:, :n_H]).max(initial=0.0)),
-        )
-        worst_off = max(worst_off, off)
-        worst_orth = max(worst_orth, float(np.abs(A_m.T @ A_m - np.eye(len(A_m))).max()))
-        sigma = np.linalg.svd(A_m, compute_uv=False)
-        worst_norm = max(worst_norm, float(np.abs(sigma - 1.0).max()))
+    H = struct.sample_subgroup(np.random.default_rng(random_state), n_samples)
+    A = struct.in_adapted(groups._adjoint(H, struct.group))
+    A_m = A[:, n_H:, n_H:]
+    worst_off = max(
+        float(np.abs(A[:, :n_H, n_H:]).max(initial=0.0)),
+        float(np.abs(A[:, n_H:, :n_H]).max(initial=0.0)),
+    )
+    worst_orth = float(np.abs(np.swapaxes(A_m, -1, -2) @ A_m - np.eye(struct.n_Theta)).max())
+    sigma = np.linalg.svd(A_m, compute_uv=False)
+    worst_norm = float(np.abs(sigma - 1.0).max())
     return AdInvarianceReport(
         invariant=max(worst_norm, worst_orth, worst_off) <= _ADH_TOL,
         worst_norm_deviation=worst_norm,
@@ -511,17 +528,9 @@ def selector_pi(struct: ReductiveStructure) -> np.ndarray:
 # S^2 = SO(3)/SO(2) Riemannian cross-check
 
 
-def _sample_rotation_about_e3(rng: np.random.Generator) -> GroupElement:
-    angle = rng.uniform(-math.pi, math.pi)
-    coords = np.array([0.0, 0.0, angle])
-    return groups.exp(AlgebraVector(groups.so3(), coords))
-
-
 def sphere_structure() -> ReductiveStructure:
     """SO(3)/SO(2) with h = span(e3^): the unit sphere via g -> g e3."""
-    return build_reductive(
-        groups.so3(), np.eye(3)[2:], subgroup_sampler=_sample_rotation_about_e3
-    )
+    return build_reductive(groups.so3(), np.eye(3)[2:])
 
 
 def sphere_riemannian_checks(

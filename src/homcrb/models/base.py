@@ -30,6 +30,7 @@ from .. import groups
 from ..exceptions import DomainError
 from ..groups import GroupElement
 from ..homspace import ReductiveStructure, Side, act, natural_operator
+from ..scoring import stack_summaries
 
 __all__ = [
     "GaussianModel",
@@ -240,22 +241,12 @@ def invariance_defect(
     n_samples: int,
     rng: np.random.Generator,
 ) -> float:
-    """max |l(x|g) - l(x|hg or gh)| over sampled x and h in H."""
-    if model.struct.subgroup_sampler is None:
-        raise ValueError("model structure has no subgroup sampler")
-    if n_samples < 1:
-        raise ValueError("the invariance check needs n_samples >= 1")
-    worst = 0.0
-    for _ in range(n_samples):
-        x = model.sample(g, 1, rng)
-        h = model.struct.subgroup_sampler(rng)
-        moved = act(g, h, model.side)
-        worst = max(
-            worst,
-            float(
-                np.abs(
-                    model.loglik_batch(x, g) - model.loglik_batch(x, moved)
-                ).max()
-            ),
-        )
-    return worst
+    """max |l(x|g) - l(x|hg or gh)| over one sampled batch x of n_samples
+    observations, l its total log-likelihood, and one stack of n_samples
+    draws h from H: one evaluate call at g and every moved point."""
+    n_samples = groups._count(n_samples, "n_samples")
+    summary = model.summarize(model.sample(g, n_samples, rng))
+    H = model.struct.sample_subgroup(rng, n_samples)
+    G = np.concatenate([g.matrix[None], act(g.matrix, H, model.side)])
+    ll = model.total_loglik(stack_summaries([summary] * len(G)), G)
+    return float(np.abs(ll[1:] - ll[0]).max())

@@ -8,18 +8,12 @@ left and right FIMs coincide, and the sample mean is efficient.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from .. import groups
 from ..groups import GroupElement
 from ..homspace import Side, build_reductive
 from .base import GaussianModel
-
-
-def _sample_trivial(rng: np.random.Generator, descriptor) -> GroupElement:
-    return groups.identity_element(descriptor)
 
 
 class GaussianMeanModel(GaussianModel):
@@ -36,12 +30,7 @@ class GaussianMeanModel(GaussianModel):
         self.noise = float(noise)
         self._set_noise(self.noise, (dim,))
         self.descriptor = groups.translation_group(dim)
-        self.struct = build_reductive(
-            self.descriptor,
-            [],
-            side=Side.G_MOD_H,
-            subgroup_sampler=partial(_sample_trivial, descriptor=self.descriptor),
-        )
+        self.struct = build_reductive(self.descriptor, [], side=Side.G_MOD_H)
 
     def translation(self, g: GroupElement) -> np.ndarray:
         return self._mean(g.matrix)

@@ -17,9 +17,6 @@ computed once, and rows along the stabilizer directions are exactly 0.
 
 from __future__ import annotations
 
-import math
-from functools import partial
-
 import numpy as np
 
 from .. import groups
@@ -33,19 +30,6 @@ def se3_element(R: np.ndarray, p: np.ndarray) -> GroupElement:
     M[:3, :3] = R
     M[:3, 3] = p
     return GroupElement(groups.se3(), M)
-
-
-def _sample_point_stabilizer(
-    rng: np.random.Generator, point: np.ndarray, axis: np.ndarray | None
-) -> GroupElement:
-    """Random element of {(Q, (I - Q) a)}: a rotation fixing `point`,
-    about `axis` when given, with angle uniform on [-pi, pi]."""
-    if axis is None:
-        axis = rng.standard_normal(3)
-        axis = axis / np.linalg.norm(axis)
-    angle = rng.uniform(-math.pi, math.pi)
-    Q = groups._exp_stack((angle * axis)[None], groups.so3())[0]
-    return se3_element(Q, (np.eye(3) - Q) @ point)
 
 
 def _translation_metric_factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -71,14 +55,8 @@ def _landmark_structure(landmarks: np.ndarray) -> ReductiveStructure:
         # hat arithmetic of the FIM formulas so Omega a + v cancels exactly.
         h = [np.concatenate([e, hat(a) @ e]) for e in np.eye(3)]
         seeds = np.eye(6)[3:]
-        sampler = partial(_sample_point_stabilizer, point=a, axis=None)
         return build_reductive(
-            desc,
-            h,
-            seed_m=seeds,
-            side=Side.H_MOD_G,
-            metric=_translation_metric_factors(a),
-            subgroup_sampler=sampler,
+            desc, h, seed_m=seeds, side=Side.H_MOD_G, metric=_translation_metric_factors(a)
         )
     if k == 2:
         a1, a2 = landmarks
@@ -89,24 +67,9 @@ def _landmark_structure(landmarks: np.ndarray) -> ReductiveStructure:
         # Ad_{T_{a1}} images of the standard basis keep m Ad_H-invariant:
         # rotations about axes through a1 plus pure translations.
         seeds = [metric[1] @ row for row in np.eye(6)]
-        sampler = partial(_sample_point_stabilizer, point=a1, axis=axis)
-        return build_reductive(
-            desc,
-            h,
-            seed_m=seeds,
-            side=Side.H_MOD_G,
-            metric=metric,
-            subgroup_sampler=sampler,
-        )
+        return build_reductive(desc, h, seed_m=seeds, side=Side.H_MOD_G, metric=metric)
     # Three or more non-collinear landmarks: trivial symmetry group.
-    sampler = _sample_identity
-    return build_reductive(
-        desc, [], side=Side.H_MOD_G, subgroup_sampler=sampler
-    )
-
-
-def _sample_identity(rng: np.random.Generator) -> GroupElement:
-    return groups.identity_element(groups.se3())
+    return build_reductive(desc, [], side=Side.H_MOD_G)
 
 
 class LandmarkModel(GaussianModel):

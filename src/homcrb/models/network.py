@@ -28,9 +28,8 @@ import numpy as np
 from .. import groups
 from ..exceptions import ConfigError, DegenerateModelError
 from ..fisher import ANALYTIC, REDUCED, FimMatrix
-from ..groups import GroupElement
+from ..groups import GroupElement, as_integer
 from ..homspace import ReductiveStructure, Side
-from ..scoring import as_integer
 from .base import GaussianModel, whitened_gram
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -165,19 +164,17 @@ def _reference_element(descriptor: groups.GroupDescriptor, positions) -> GroupEl
 
 
 def _sample_diagonal_rigid_motion(
-    rng: np.random.Generator, descriptor: groups.GroupDescriptor
-) -> GroupElement:
-    """Random (h, h, ..., h) with h an SE(2) rigid motion: angle uniform
-    on [-pi, pi], translation standard normal."""
-    angle = rng.uniform(-math.pi, math.pi)
-    t = rng.standard_normal(2)
-    c, s = math.cos(angle), math.sin(angle)
-    block = np.eye(3)
-    block[:2, :2] = [[c, -s], [s, c]]
-    block[:2, 2] = t
-    return GroupElement(
-        descriptor, groups.block_diagonal([block] * len(descriptor.blocks))
-    )
+    rng: np.random.Generator, k: int, descriptor: groups.GroupDescriptor
+) -> np.ndarray:
+    """(k, d, d) stack of random (h, h, ..., h), each h an SE(2) rigid
+    motion: angle uniform on [-pi, pi], translation standard normal."""
+    angle = rng.uniform(-math.pi, math.pi, k)
+    c, s = np.cos(angle), np.sin(angle)
+    block = np.zeros((k, 3, 3))
+    block[:, 0, 0], block[:, 0, 1], block[:, 1, 0], block[:, 1, 1] = c, -s, s, c
+    block[:, :2, 2] = rng.standard_normal((k, 2))
+    block[:, 2, 2] = 1.0
+    return groups.block_diagonal([block] * len(descriptor.blocks))
 
 
 class NetworkModel(GaussianModel):

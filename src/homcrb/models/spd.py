@@ -13,8 +13,6 @@ same at every g, so the model computes it once.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from .. import groups
@@ -22,19 +20,6 @@ from ..exceptions import DomainError
 from ..groups import GroupElement
 from ..homspace import Side, build_reductive
 from .base import ModelBase
-
-
-def _sample_special_orthogonal(
-    rng: np.random.Generator, descriptor: groups.GroupDescriptor
-) -> GroupElement:
-    n = descriptor.matrix_dim
-    A = rng.standard_normal((n, n))
-    Q, R = np.linalg.qr(A)
-    Q = Q * np.sign(np.diag(R))
-    if np.linalg.det(Q) < 0:
-        Q = Q.copy()
-        Q[:, 0] *= -1.0
-    return GroupElement(descriptor, Q)
 
 
 def _spd_bases(n: int):
@@ -71,13 +56,7 @@ class SpdModel(ModelBase):
         self.n = n
         desc, h, m = _spd_bases(n)
         self.descriptor = desc
-        self.struct = build_reductive(
-            desc,
-            h,
-            seed_m=m,
-            side=Side.G_MOD_H,
-            subgroup_sampler=partial(_sample_special_orthogonal, descriptor=desc),
-        )
+        self.struct = build_reductive(desc, h, seed_m=m, side=Side.G_MOD_H)
         self._m_matrices = self.struct.m_basis.reshape(-1, n, n)
         self._m_traces = np.trace(self._m_matrices, axis1=1, axis2=2)
 

@@ -22,7 +22,6 @@ gradient_ascent are stacks of one.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,23 +35,6 @@ ANALYTIC, MONTE_CARLO, FROZEN_AT_INITIAL = "analytic", "monte-carlo", "frozen-at
 _FIM_MODES = (ANALYTIC, MONTE_CARLO, FROZEN_AT_INITIAL)
 _DIVERGENCE_DROP = 1e3
 _DRIFT_LIMIT = 1e-12
-
-
-def as_integer(value, name: str) -> int:
-    """value as an int. A bool, a non-number or a number with a fractional
-    part raises ValueError instead of being truncated."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _count(value, name: str) -> int:
-    count = as_integer(value, name)
-    if count < 1:
-        raise ValueError(f"{name} must be >= 1")
-    return count
 
 
 def _positive(value, name: str) -> None:
@@ -69,7 +51,7 @@ class ScoringOptions:
 
     def __post_init__(self):
         for name in ("max_iterations", "mc_fim_samples"):
-            object.__setattr__(self, name, _count(getattr(self, name), name))
+            object.__setattr__(self, name, groups._count(getattr(self, name), name))
         _positive(self.gradient_tolerance, "gradient_tolerance")
         if self.fim_mode not in _FIM_MODES:
             raise ValueError(f"fim_mode must be one of {_FIM_MODES}")
@@ -337,7 +319,7 @@ def gradient_ascent(
     _positive(step0, "step0")
     if isinstance(decay, bool) or not (0.0 < decay <= 1.0):
         raise ValueError(f"decay must be in (0, 1], got {decay!r}")
-    max_iterations = _count(max_iterations, "max_iterations")
+    max_iterations = groups._count(max_iterations, "max_iterations")
     _positive(gradient_tolerance, "gradient_tolerance")
 
     def decayed_step(k, rows, G, mean_grad, F):

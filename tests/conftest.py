@@ -31,6 +31,17 @@ def built_elements(monkeypatch):
     return count
 
 
+@pytest.fixture
+def draw_h():
+    """draw_h(struct, rng): one draw from struct's H as a GroupElement,
+    row 0 of a one-row sample_subgroup stack."""
+
+    def draw(struct, rng):
+        return groups.GroupElement(struct.group, struct.sample_subgroup(rng, 1)[0])
+
+    return draw
+
+
 @pytest.fixture(scope="session")
 def landmark_one():
     return LandmarkModel([[1.0, 0.0, 0.0]])

@@ -98,7 +98,7 @@ def test_criterion_01_psi_matrix():
     )
 
 
-def test_criterion_02_fim_frame_properties():
+def test_criterion_02_fim_frame_properties(draw_h):
     """FIM frame properties on the landmark model: exact h-block zero,
     fiber constancy / adjoint / conjugation to 1e-9 analytically over 20
     sampled h, and Monte-Carlo FIMs within 0.05 spectral at 1e5 samples,
@@ -110,7 +110,7 @@ def test_criterion_02_fim_frame_properties():
     worst_exact = 0.0
     worst_analytic = 0.0
     for _ in range(20):
-        h = model.struct.subgroup_sampler(rng)
+        h = draw_h(model.struct, rng)
         rep = fisher.verify_fim_properties(model, g, h)
         worst_exact = max(worst_exact, rep.h_block)
         worst_analytic = max(
@@ -119,7 +119,7 @@ def test_criterion_02_fim_frame_properties():
             rep.adjoint_relation,
             rep.fiber_conjugation,
         )
-    h = model.struct.subgroup_sampler(rng)
+    h = draw_h(model.struct, rng)
     rep_mc = fisher.verify_fim_properties(
         model, g, h, n_samples=100_000, random_state=SEED,
         method=fisher.MC_GRADIENT,
@@ -243,7 +243,7 @@ def test_criterion_06_multistart_same_coset():
     )
 
 
-def test_criterion_07_variance_representative_independence():
+def test_criterion_07_variance_representative_independence(draw_h):
     """tr(Fbar^-1) matches at g and hg to 1e-8 for 20 sampled h; coset
     variances on shared trials agree within 3 standard errors."""
     model = LandmarkModel([[1.0, 0.0, 0.0]])
@@ -262,7 +262,7 @@ def test_criterion_07_variance_representative_independence():
     worst_trace = 0.0
     worst_var = 0.0
     for _ in range(20):
-        h = struct.subgroup_sampler(rng)
+        h = draw_h(struct, rng)
         moved = h @ g  # H\G: representatives of Hg are hg
         Fh = fisher.fim(model, moved, fisher.REDUCED)
         worst_trace = max(worst_trace, abs(crb.variance_bound(Fh) - base_trace))

@@ -129,20 +129,20 @@ def test_h_direction_derivatives_vanish(landmark_one, rng):
 # FIM frame relations
 
 
-def test_fim_properties_analytic(landmark_one, rng):
+def test_fim_properties_analytic(landmark_one, rng, draw_h):
     g = groups.random_element(groups.se3(), rng, 0.4)
     for _ in range(10):
-        h = landmark_one.struct.subgroup_sampler(rng)
+        h = draw_h(landmark_one.struct, rng)
         rep = fisher.verify_fim_properties(landmark_one, g, h)
         assert rep.frames_swapped  # H\G side
         assert rep.h_block == 0.0
         assert rep.max_deviation <= 1e-9
 
 
-def test_fim_properties_monte_carlo(landmark_one):
+def test_fim_properties_monte_carlo(landmark_one, draw_h):
     rng = np.random.default_rng(12)
     g = groups.random_element(groups.se3(), rng, 0.3)
-    h = landmark_one.struct.subgroup_sampler(rng)
+    h = draw_h(landmark_one.struct, rng)
     rep = fisher.verify_fim_properties(
         landmark_one, g, h, n_samples=100_000, random_state=13,
         method=fisher.MC_GRADIENT,
@@ -178,14 +178,14 @@ def reference_deviations(model, g, h):
 
 
 @pytest.mark.parametrize("kind", ["landmark", "spd"])
-def test_fim_properties_stack_matches_reference(kind):
+def test_fim_properties_stack_matches_reference(kind, draw_h):
     """Rows of the stacked relations against the per-h reference: samples
     of H (deviations at rounding level) and arbitrary group elements,
     which leave the coset and so give deviations of order one."""
     model = LandmarkModel([[1.0, 0.0, 0.0]]) if kind == "landmark" else SpdModel(2)
     rng = np.random.default_rng(21)
     g = groups.random_element(model.descriptor, rng, 0.4)
-    hs = [model.struct.subgroup_sampler(rng) for _ in range(5)]
+    hs = [draw_h(model.struct, rng) for _ in range(5)]
     hs += [groups.random_element(model.descriptor, rng, 0.5) for _ in range(3)]
     devs = fisher.verify_fim_properties_stack(model, g, np.array([h.matrix for h in hs]))
     expected = np.array([reference_deviations(model, g, h) for h in hs])
@@ -196,10 +196,10 @@ def test_fim_properties_stack_matches_reference(kind):
         assert np.all(devs[:, 0] == 0.0)  # H\G: the right FIM's h-block is exactly 0
 
 
-def test_fim_properties_stack_monte_carlo_rows_are_one_h_calls(landmark_one):
+def test_fim_properties_stack_monte_carlo_rows_are_one_h_calls(landmark_one, draw_h):
     rng = np.random.default_rng(12)
     g = groups.random_element(groups.se3(), rng, 0.3)
-    hs = [landmark_one.struct.subgroup_sampler(rng) for _ in range(3)]
+    hs = [draw_h(landmark_one.struct, rng) for _ in range(3)]
     kwargs = dict(n_samples=2000, random_state=13, method=fisher.MC_GRADIENT)
     devs = fisher.verify_fim_properties_stack(
         landmark_one, g, np.array([h.matrix for h in hs]), **kwargs
@@ -228,14 +228,14 @@ def test_abelian_left_equals_right(rng):
     assert np.array_equal(FL.matrix, FR.matrix)
 
 
-def test_sphere_side_properties_left_block(rng):
+def test_sphere_side_properties_left_block(rng, draw_h):
     """On a G/H model the LEFT FIM has the vanishing h-block; use the
     SPD model, whose side is G/H."""
     from homcrb.models import SpdModel
 
     model = SpdModel(2)
     g = groups.random_element(model.descriptor, rng, 0.3)
-    h = model.struct.subgroup_sampler(rng)
+    h = draw_h(model.struct, rng)
     rep = fisher.verify_fim_properties(model, g, h)
     assert not rep.frames_swapped
     assert rep.max_deviation <= 1e-9

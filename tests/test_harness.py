@@ -459,7 +459,7 @@ def test_property_suite_detects_corrupted_inner_product():
     # Every error-length check fails, no trace check does.
     assert (rep.total_checks, len(rep.failures)) == (220, 200)
     assert rep.failures[0] == (
-        "variance-invariance[0,0] error length: |0.482291 - 0.716147| > 1e-08"
+        "variance-invariance[0,0] error length: |0.482291 - 1.073505| > 1e-08"
     )
 
 
@@ -509,14 +509,10 @@ def test_fim_frames_passes_and_reports_each_relation_by_index(monkeypatch):
     wrong_h.struct = LandmarkModel([[0.0, 0.0, 1.0]]).struct
     assert frame_failures(monkeypatch, wrong_h) == every_k("h-block", "fiber", "conjugation")
     # Sample 7 is a translation, which moves the landmark off the coset.
-    sampler, draws = landmark.struct.subgroup_sampler, []
-
-    def leaves_at_7(rng):
-        h = sampler(rng)
-        draws.append(h)
-        if len(draws) == 8:
-            return groups.GroupElement(groups.se3(), np.eye(4) + np.eye(4, k=3) * 0.5)
-        return h
+    def leaves_at_7(rng, k):
+        H = landmark.struct.sample_subgroup(rng, k)
+        H[7] = np.eye(4) + np.eye(4, k=3) * 0.5
+        return H
 
     one_bad = LandmarkModel([[1.0, 0.0, 0.0]])
     one_bad.struct = dataclasses.replace(landmark.struct, subgroup_sampler=leaves_at_7)
@@ -528,6 +524,21 @@ def test_fim_frames_passes_and_reports_each_relation_by_index(monkeypatch):
         homspace.ReductiveStructure, "in_adapted", lambda self, op: 1.01 * in_adapted(self, op)
     )
     assert frame_failures(monkeypatch, landmark) == every_k("adjoint", "conjugation")
+
+
+def test_subgroup_draws_box_no_elements(landmark_two, built_elements):
+    # The draws are one raw stack: what is left is the fixture's g (and,
+    # for the lift, the identity reference).
+    counts = []
+    for call in (
+        lambda: homspace.check_adH_invariance(landmark_two.struct, 100),
+        lambda: properties.suite_fim_frames(1),
+        lambda: properties.suite_variance_invariance(1),
+    ):
+        before = built_elements[0]
+        call()
+        counts.append(built_elements[0] - before)
+    assert counts == [0, 1, 2]
 
 
 def test_variance_invariance_reports_each_moved_trace(monkeypatch):

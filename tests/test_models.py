@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -40,12 +41,12 @@ def test_landmark_loglik_unit_residual(landmark_one):
     assert abs(landmark_one.loglik(x, g) + 0.5) <= 1e-12
 
 
-def test_landmark_invariance_under_stabilizer(landmark_one, rng):
+def test_landmark_invariance_under_stabilizer(landmark_one, rng, draw_h):
     g = groups.random_element(groups.se3(), rng, 0.6)
     x = landmark_one.sample(g, 1, rng)
     base = landmark_one.loglik(x[0], g)
     for _ in range(20):
-        h = landmark_one.struct.subgroup_sampler(rng)
+        h = draw_h(landmark_one.struct, rng)
         assert abs(landmark_one.loglik(x[0], h @ g) - base) <= 1e-12
 
 
@@ -142,12 +143,12 @@ def test_network_loglik_noiseless(triangle_network):
     assert triangle_network.loglik(x, g) == 0.0
 
 
-def test_network_invariance_under_diagonal_rigid_motion(triangle_network, rng):
+def test_network_invariance_under_diagonal_rigid_motion(triangle_network, rng, draw_h):
     g = triangle_network.reference_element()
     x = triangle_network.sample(g, 1, rng)
     base = triangle_network.loglik(x[0], g)
     for _ in range(20):
-        h = triangle_network.struct.subgroup_sampler(rng)
+        h = draw_h(triangle_network.struct, rng)
         assert abs(triangle_network.loglik(x[0], h @ g) - base) <= 1e-12
 
 
@@ -509,12 +510,12 @@ def test_load_graph(tmp_path):
 # SPD model
 
 
-def test_spd_invariance_under_right_rotation(spd3, rng):
+def test_spd_invariance_under_right_rotation(spd3, rng, draw_h):
     g = groups.random_element(spd3.descriptor, rng, 0.4)
     x = spd3.sample(g, 1, rng)
     base = spd3.loglik(x[0], g)
     for _ in range(20):
-        R = spd3.struct.subgroup_sampler(rng)
+        R = draw_h(spd3.struct, rng)
         assert abs(spd3.loglik(x[0], g @ R) - base) <= 1e-9
 
 
@@ -642,11 +643,61 @@ def test_models_pass_invariance_contract(fixture, request, rng):
     assert invariance_defect(model, g, 100, rng) <= 1e-9
 
 
+# Every build_reductive structure draws from its own h: the sphere and the
+# models whose h is a subalgebra.
+DEFAULT_DRAW_MODELS = {
+    **INVARIANT_FIM_MODELS,
+    "gaussian1": lambda: GaussianMeanModel(1),
+    "gaussian2": lambda: GaussianMeanModel(2),
+}
+
+
+@pytest.mark.parametrize("name", ["sphere", *sorted(DEFAULT_DRAW_MODELS)])
+def test_default_subgroup_draw_is_invariant(name, rng):
+    model = None if name == "sphere" else DEFAULT_DRAW_MODELS[name]()
+    struct = homspace.sphere_structure() if model is None else model.struct
+    assert struct.subgroup_sampler is None
+    d = struct.group.matrix_dim
+    H = struct.sample_subgroup(rng, 20)
+    assert H.shape == (20, d, d)
+    assert not groups._membership_stack(H, struct.group)[1]
+    moved = np.abs(H - np.eye(d)).max(axis=(1, 2))
+    assert moved.min() > 0.0 if struct.n_H else moved.max() == 0.0
+    assert homspace.check_adH_invariance(struct, 100, random_state=5).invariant
+    if model is not None:
+        g = groups.random_element(model.descriptor, rng, 0.4)
+        assert invariance_defect(model, g, 100, rng) <= 1e-9
+
+
+def test_network_draws_from_its_own_sampler(triangle_network, rng):
+    struct = triangle_network.struct
+    H = struct.sample_subgroup(rng, 20)
+    assert H.shape == (20, 9, 9)
+    assert not groups._membership_stack(H, struct.group)[1]
+    # One rigid motion of the whole network, repeated in every block.
+    assert np.array_equal(H[:, :3, :3], H[:, 3:6, 3:6])
+    assert np.array_equal(H[:, :3, :3], H[:, 6:, 6:])
+    g = triangle_network.reference_element()
+    assert invariance_defect(triangle_network, g, 100, rng) <= 1e-9
+
+
+def test_subgroup_draws_are_checked_once(landmark_two, rng):
+    struct = landmark_two.struct
+    for k in (0, True, 2.5):
+        with pytest.raises(ValueError, match="k must be"):
+            struct.sample_subgroup(rng, k)
+    outside = dataclasses.replace(
+        struct, subgroup_sampler=lambda rng, k: np.tile(2.0 * np.eye(4), (k, 1, 1))
+    )
+    with pytest.raises(ValueError, match="not in SO"):
+        outside.sample_subgroup(rng, 3)
+
+
 def test_invariance_defect_refuses_zero_samples(landmark_two, rng):
     # With no sample the defect would read 0.0 for any model.
     g = groups.random_element(landmark_two.descriptor, rng, 0.4)
-    for n_samples in (0, -1):
-        with pytest.raises(ValueError, match="n_samples >= 1"):
+    for n_samples in (0, -1, True, 2.5):
+        with pytest.raises(ValueError, match="n_samples must be"):
             invariance_defect(landmark_two, g, n_samples, rng)
 
 
@@ -754,13 +805,13 @@ def test_network_dimension_counting():
         network_dimensions(0, 3)
 
 
-def test_coset_error_zero_iff_same_invariant_features(landmark_two, rng):
+def test_coset_error_zero_iff_same_invariant_features(landmark_two, rng, draw_h):
     """eta_reduced vanishes exactly when the invariant observation
     features (body-frame landmark positions) coincide."""
     from homcrb.homspace import coset_error
 
     g = groups.random_element(groups.se3(), rng, 0.4)
-    same = landmark_two.struct.subgroup_sampler(rng) @ g
+    same = draw_h(landmark_two.struct, rng) @ g
     assert np.abs(
         landmark_two.mean_observation(same) - landmark_two.mean_observation(g)
     ).max() <= 1e-12

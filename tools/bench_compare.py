@@ -6,14 +6,17 @@
         [--workloads landmark spd network check] [--traced-seconds 8] \
         [--claim TEXT]
 
-Exports each commit with `git archive` into DIR/parent and DIR/change
-(DIR must not hold them yet), then per workload runs
+Exports each commit with `git archive` into the parent/ and change/
+folders of a fresh DIR/run-* folder, which it removes when it ends, so
+a rerun into the same DIR needs no cleanup and nothing else in DIR is
+touched. Then per workload it runs
 `perfbench/run.py --trace 0` on both sides once per pair: pair k uses
 seed seeds[k % len(seeds)], and the parent runs first in even pairs, the
 change in odd ones. Runs are sequential, one process at a time. After
 each pair the two sides' round-0 outputs (every file but metrics.json)
 are compared byte for byte. With --traced-seconds each side also runs
-`--seed 1 --trace 1` once per workload.
+`--seed 1 --trace 1` once per workload. SIGTERM ends the running
+perfbench child with the tool.
 
 --pairs must be at least 2 (a side's quartiles need two runs), --seconds
 positive and --traced-seconds 0 or positive; other values are refused
@@ -34,9 +37,12 @@ import argparse
 import json
 import os
 import platform
+import shutil
+import signal
 import statistics
 import subprocess
 import sys
+import tempfile
 from importlib import metadata
 from pathlib import Path
 
@@ -155,10 +161,25 @@ def traced(sides: dict, workload: str, seconds: float) -> dict:
     return out
 
 
+def _terminate(signum, frame):
+    """SIGTERM as SystemExit: subprocess.run then kills its running child."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     commits = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
-    sides = {s: args.workdir.resolve() / s for s in SIDES}
+    args.workdir.mkdir(parents=True, exist_ok=True)
+    run_dir = Path(tempfile.mkdtemp(prefix="run-", dir=args.workdir)).resolve()
+    previous = signal.signal(signal.SIGTERM, _terminate)
+    try:
+        return measure(args, commits, {s: run_dir / s for s in SIDES})
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+        shutil.rmtree(run_dir)
+
+
+def measure(args, commits: dict, sides: dict) -> int:
     for s in SIDES:
         export(commits[s], sides[s])
     benchmark = json.loads((sides["parent"] / "BENCHMARK.json").read_text())
