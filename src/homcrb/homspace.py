@@ -69,6 +69,9 @@ COND_LIMIT = 1e12
 # A certificate below this bound clears a matrix without an SVD: a
 # tenfold margin over the rounding of the certificate and of the SVD.
 _CLEAR_LIMIT = COND_LIMIT / 10
+# Spectral radius below which a unit direction of h counts as not rotating
+# (a nilpotent one, as a translation): sample_subgroup keeps its length.
+_STILL_RATE = 1e-8
 
 
 def ill_conditioned(A, inverse=None) -> dict[int, float]:
@@ -101,6 +104,16 @@ def ill_conditioned(A, inverse=None) -> dict[int, float]:
         for i, cond in zip(rows.tolist(), conds.tolist())
         if not (math.isfinite(cond) and cond <= COND_LIMIT)
     }
+
+
+def _spectral_radius(x, d: GroupDescriptor) -> np.ndarray:
+    """Largest |eigenvalue| of the algebra matrix of each row of a (B, n)
+    coordinate array; the largest over the factors of a product."""
+    if d.family == groups.PRODUCT:
+        return np.max([_spectral_radius(x[:, c], f) for f, _, c in d.blocks], axis=0)
+    flat = d.algebra_basis.reshape(d.algebra_dim, -1)
+    W = (x @ flat).reshape(len(x), d.matrix_dim, d.matrix_dim)
+    return np.abs(np.linalg.eigvals(W)).max(axis=-1)
 
 
 def _certified(stack, inverse) -> np.ndarray:
@@ -201,9 +214,11 @@ class ReductiveStructure:
     def sample_subgroup(self, rng: np.random.Generator, k: int) -> np.ndarray:
         """A (k, d, d) stack of draws from H, checked for membership once:
         exp(theta X) from one exp stack, with theta uniform on [-pi, pi]
-        and X a uniformly random unit vector of h in adapted coordinates;
-        the identity stack when H is trivial; subgroup_sampler's stack
-        when it is set."""
+        and X a uniformly random direction of h in adapted coordinates,
+        scaled to spectral radius 1 so that every one-parameter subgroup
+        it rotates along is swept through angle pi (a direction that does
+        not rotate keeps unit length); the identity stack when H is
+        trivial; subgroup_sampler's stack when it is set."""
         k = groups._count(k, "k")
         desc = self.group
         if self.subgroup_sampler is not None:
@@ -213,8 +228,9 @@ class ReductiveStructure:
         else:
             u = rng.standard_normal((k, self.n_H))
             theta = rng.uniform(-math.pi, math.pi, (k, 1))
-            x = (theta / np.linalg.norm(u, axis=1, keepdims=True) * u) @ self.h_basis
-            H = groups._exp_stack(x, desc)
+            x = (u / np.linalg.norm(u, axis=1, keepdims=True)) @ self.h_basis
+            rate = _spectral_radius(x, desc)[:, None]
+            H = groups._exp_stack(theta / np.where(rate > _STILL_RATE, rate, 1.0) * x, desc)
         errors = groups._membership_stack(H, desc)[1]
         if errors:
             raise errors[min(errors)]

@@ -15,9 +15,9 @@ Scoring runs many trials at once and calls the model once per iterate:
 evaluate(summary, G, with_fim) returns the log-likelihood, the m-gradient
 and, when the step rule reads it, the reduced FIM, from one pass over the
 terms they share. It takes a stack of raw (B, d, d) iterate matrices and
-a stack of per-trial summaries (scoring.stack_summaries), one row per
-trial. total_loglik and total_grad_m are its first two parts, and
-fim_reduced gives its third bit for bit.
+a stack of per-trial summaries (stack_summaries), one row per trial.
+total_loglik and total_grad_m are its first two parts, and fim_reduced
+gives its third bit for bit.
 """
 
 from __future__ import annotations
@@ -30,14 +30,20 @@ from .. import groups
 from ..exceptions import DomainError
 from ..groups import GroupElement
 from ..homspace import ReductiveStructure, Side, act, natural_operator
-from ..scoring import stack_summaries
 
 __all__ = [
     "GaussianModel",
     "ModelBase",
     "invariance_defect",
+    "stack_summaries",
     "whitened_gram",
 ]
+
+
+def stack_summaries(summaries) -> tuple:
+    """One stacked summary from per-trial model summaries: each part gains
+    a leading trial axis. The first part is the observation counts."""
+    return tuple(np.array(parts) for parts in zip(*summaries))
 
 
 class ModelBase:
@@ -241,12 +247,14 @@ def invariance_defect(
     n_samples: int,
     rng: np.random.Generator,
 ) -> float:
-    """max |l(x|g) - l(x|hg or gh)| over one sampled batch x of n_samples
-    observations, l its total log-likelihood, and one stack of n_samples
-    draws h from H: one evaluate call at g and every moved point."""
+    """max over i of |l(x_i|g) - l(x_i|h_i g or g h_i)|, for one sampled
+    batch of n_samples observations x_i and one stack of n_samples draws
+    h_i from H: one total_loglik call on 2 n_samples rows, each summarizing
+    one observation, row i at g and row n_samples + i at the moved point."""
     n_samples = groups._count(n_samples, "n_samples")
-    summary = model.summarize(model.sample(g, n_samples, rng))
+    x = model.sample(g, n_samples, rng)
+    alone = [model.summarize(x[i : i + 1]) for i in range(n_samples)]
     H = model.struct.sample_subgroup(rng, n_samples)
-    G = np.concatenate([g.matrix[None], act(g.matrix, H, model.side)])
-    ll = model.total_loglik(stack_summaries([summary] * len(G)), G)
-    return float(np.abs(ll[1:] - ll[0]).max())
+    G = np.concatenate([np.broadcast_to(g.matrix, H.shape), act(g.matrix, H, model.side)])
+    ll = model.total_loglik(stack_summaries(alone * 2), G)
+    return float(np.abs(ll[n_samples:] - ll[:n_samples]).max())

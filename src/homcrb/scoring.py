@@ -30,6 +30,7 @@ from . import crb, fisher, groups
 from .exceptions import DegenerateFimError, DivergenceError
 from .groups import GroupDescriptor, GroupElement
 from .homspace import act
+from .models.base import stack_summaries
 
 ANALYTIC, MONTE_CARLO, FROZEN_AT_INITIAL = "analytic", "monte-carlo", "frozen-at-initial"
 _FIM_MODES = (ANALYTIC, MONTE_CARLO, FROZEN_AT_INITIAL)
@@ -78,12 +79,6 @@ class ScoringTrace:
     @property
     def final(self) -> GroupElement:
         return GroupElement(self.descriptor, self.matrices[-1])
-
-
-def stack_summaries(summaries) -> tuple:
-    """One stacked summary from per-trial model summaries: each part gains
-    a leading trial axis. The first part is the observation counts."""
-    return tuple(np.array(parts) for parts in zip(*summaries))
 
 
 def _check_observations(summary) -> None:

@@ -669,6 +669,46 @@ def test_default_subgroup_draw_is_invariant(name, rng):
         assert invariance_defect(model, g, 100, rng) <= 1e-9
 
 
+def _torus_structure():
+    """SO(3) x SO(3) over the torus of rotations about e3 in each factor."""
+    group = groups.product_group([groups.so3(), groups.so3()])
+    return homspace.build_reductive(group, [np.eye(6)[2], np.eye(6)[5]])
+
+
+SWEEP_STRUCTURES = {
+    "sphere": homspace.sphere_structure,
+    "torus": _torus_structure,
+    **{name: lambda name=name: DEFAULT_DRAW_MODELS[name]().struct
+       for name in ("landmark1", "landmark2", "spd2", "spd3")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_STRUCTURES))
+def test_default_subgroup_draw_sweeps_half_turns(name):
+    # theta in [-pi, pi] reaches rotation angles near pi along every h,
+    # whatever the length of its rotating basis vectors.
+    struct = SWEEP_STRUCTURES[name]()
+    H = struct.sample_subgroup(np.random.default_rng(11), 2000)
+    assert np.degrees(np.abs(np.angle(np.linalg.eigvals(H))).max()) > 170.0
+
+
+def test_invariance_defect_is_the_worst_single_observation(rng):
+    # The two-landmark model under the one-landmark H is not invariant:
+    # the defect is the largest per-observation change of loglik_batch,
+    # so per-observation changes of opposite sign do not cancel.
+    model = LandmarkModel([[1.0, 0.0, 0.0], [0.0, 1.0, 0.3]])
+    model.struct = LandmarkModel([[1.0, 0.0, 0.0]]).struct
+    g = groups.random_element(model.descriptor, rng, 0.4)
+    replay = np.random.default_rng(3)
+    defect = invariance_defect(model, g, 50, np.random.default_rng(3))
+    x = model.sample(g, 50, replay)
+    H = model.struct.sample_subgroup(replay, 50)
+    moved = [groups.GroupElement(model.descriptor, h @ g.matrix) for h in H]
+    worst = max(abs(model.loglik(x[i], g) - model.loglik(x[i], m)) for i, m in enumerate(moved))
+    assert worst > 1e-3
+    assert defect == pytest.approx(worst, rel=1e-9)
+
+
 def test_network_draws_from_its_own_sampler(triangle_network, rng):
     struct = triangle_network.struct
     H = struct.sample_subgroup(rng, 20)
