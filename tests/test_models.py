@@ -692,6 +692,16 @@ def test_default_subgroup_draw_sweeps_half_turns(name):
     assert np.degrees(np.abs(np.angle(np.linalg.eigvals(H))).max()) > 170.0
 
 
+def test_default_subgroup_draw_keeps_translations_at_unit_length(rng):
+    # A translation does not rotate: its spectral radius is 0, so the
+    # draw keeps the unit direction and moves it by theta alone.
+    struct = homspace.build_reductive(groups.se2(), [np.eye(3)[1]])
+    H = struct.sample_subgroup(rng, 200)
+    assert np.array_equal(H[:, :2, :2], np.tile(np.eye(2), (200, 1, 1)))
+    assert np.all(H[:, 1, 2] == 0.0)
+    assert 3.0 < np.abs(H[:, 0, 2]).max() <= math.pi
+
+
 def test_invariance_defect_is_the_worst_single_observation(rng):
     # The two-landmark model under the one-landmark H is not invariant:
     # the defect is the largest per-observation change of loglik_batch,
