@@ -125,8 +125,7 @@ def _fim_stack(
         return np.broadcast_to(model.natural_fim(X, D), (len(X),) + (len(directions),) * 2)
     if method != MC_GRADIENT:
         raise ValueError(f"unknown FIM method {method!r}")
-    if n_samples < 1:
-        raise ValueError("Monte-Carlo estimation needs n_samples >= 1")
+    n_samples = groups._count(n_samples, "n_samples")
     out = []
     for x, seed in zip(X, seeds or [None] * len(X)):
         g = GroupElement(desc, x)
@@ -147,8 +146,7 @@ def fim_hessian(
     """-E[D_j D_i l] via nested central differences with step
     1e-4 (1 + |g|) over common draws, symmetrized as (M + M') / 2 since
     the identity holds for either derivative ordering."""
-    if n_samples < 1:
-        raise ValueError("Monte-Carlo estimation needs n_samples >= 1")
+    n_samples = groups._count(n_samples, "n_samples")
     directions, op = frame_directions(model.struct, frame)
     rng = np.random.default_rng(random_state)
     draws = model.sample(g, n_samples, rng)

@@ -5,8 +5,10 @@ carries the matrix dimension and an ordered basis {E_i} of the Lie
 algebra. Vectors in the algebra are identified with their coordinates in
 that basis (the vee form); wedge is the inverse map. Closed-form exp/log
 are provided for SO(3), SE(2) and SE(3), and a closed-form log for
-GL(2)+; the other exps, and the logs of GL(n)+ for n >= 3 and of the
-unipotent translation groups, use dense scaling-and-squaring.
+GL(2)+. The exp of an exactly symmetric GL(n)+ wedge, such as a step
+along the symmetric matrices of GL(n)+/SO(n), is V diag(e^lambda) V'
+from one stacked eigh. The other exps, and the logs of GL(n)+ for n >= 3
+and of the unipotent translation groups, use dense scaling-and-squaring.
 
 Each of exp, log and the membership test is one stack kernel on raw
 arrays (_exp_stack, _log_stack, _membership_stack) over a leading axis of
@@ -17,8 +19,8 @@ GroupElement is validated where it leaves the API; central_differences
 runs the finite differences along a stack of directions the same way.
 
 scipy is imported by the first dense expm or logm, not by importing this
-module: a process that never exponentiates or takes a dense log does not
-load it.
+module: a process that takes neither, as a landmark, network or spd
+campaign, does not load it.
 
 Conventions: SE(2)/SE(3) coordinates are ordered rotation-first, i.e.
 X = (omega, v) with wedge(X) = [[omega^, v], [0, 0]].
@@ -461,7 +463,8 @@ def bracket(X: AlgebraVector, Y: AlgebraVector) -> AlgebraVector:
 
 
 def exp(X: AlgebraVector) -> GroupElement:
-    """Group exponential; closed form per family, expm for GL(n)+."""
+    """Group exponential; closed form per family, and for GL(n)+ eigh of a
+    symmetric wedge and expm of any other."""
     return GroupElement(X.descriptor, _exp_stack(X.coords[None], X.descriptor)[0])
 
 
@@ -822,8 +825,10 @@ def _se2_V_stack(theta) -> np.ndarray:
 
 def _exp_stack(x, d: GroupDescriptor) -> np.ndarray:
     """exp of each row of a (B, n) coordinate array: (B, dim, dim), by
-    closed form for SO(3), SE(2) and SE(3), by a stacked expm of the
-    wedges for GL(n)+, and per factor family for a product."""
+    closed form for SO(3), SE(2) and SE(3), per factor family for a
+    product, and for GL(n)+ by one stacked eigh of the wedges that are
+    exactly symmetric, V diag(e^lambda) V', and a stacked expm of the
+    rest."""
     fam, B = d.family, len(x)
     if fam == PRODUCT:
         out = np.zeros((B, d.matrix_dim, d.matrix_dim))
@@ -850,7 +855,19 @@ def _exp_stack(x, d: GroupDescriptor) -> np.ndarray:
         M[:, :2, 2] = (_se2_V_stack(theta) @ x[:, 1:, None])[..., 0]
         return M
     flat = d.algebra_basis.reshape(d.algebra_dim, -1)
-    return expm((x[:, None, :] @ flat).reshape(B, d.matrix_dim, d.matrix_dim))
+    W = (x[:, None, :] @ flat).reshape(B, d.matrix_dim, d.matrix_dim)
+    # Bit for bit symmetric, so the choice is the row's own; NaN rows are not.
+    sym = (W == W.swapaxes(1, 2)).all(axis=(1, 2))
+    if not sym.any():
+        return expm(W)
+    out = np.empty_like(W)
+    lam, V = np.linalg.eigh(W[sym])
+    # An eigenvalue past log(max float) gives inf and NaN, as expm does.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[sym] = (V * np.exp(lam)[:, None, :]) @ V.swapaxes(1, 2)
+    if not sym.all():
+        out[~sym] = expm(W[~sym])
+    return out
 
 
 def _so3_log_near_pi(R, cos_theta: float, skew: np.ndarray) -> np.ndarray:

@@ -38,6 +38,17 @@ def test_fim_rejects_bad_sample_count(gaussian1):
         )
 
 
+@pytest.mark.parametrize("n_samples", [True, 2.5, 0])
+def test_monte_carlo_fims_read_n_samples_as_a_count(gaussian1, n_samples):
+    """A bool, a fraction or zero is refused where it enters, with the
+    count's own message, not inside the model's sampler."""
+    g = gaussian1.element([0.0])
+    with pytest.raises(ValueError, match="n_samples must be"):
+        fisher.fim(gaussian1, g, fisher.REDUCED, fisher.MC_GRADIENT, n_samples)
+    with pytest.raises(ValueError, match="n_samples must be"):
+        fisher.fim_hessian(gaussian1, g, fisher.REDUCED, n_samples)
+
+
 def test_fim_matrix_validation():
     g = groups.identity_element(groups.so3())
     with pytest.raises(ValueError):

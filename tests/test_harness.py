@@ -232,19 +232,42 @@ def test_import_loads_neither_scipy_nor_the_process_pool(module):
         "groups.exp(groups.AlgebraVector(groups.glnplus(2), [0.1, 0.2, 0.3, 0.4]))\n"
         "print(json.dumps([loaded, 'scipy.linalg' in sys.modules]))\n"
     )
-    src = os.path.dirname(os.path.dirname(homcrb.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, timeout=120, check=True,
-    )
-    loaded, scipy_after_exp = json.loads(proc.stdout.splitlines()[-1])
+    loaded, scipy_after_exp = fresh_interpreter_output(code)
     unwanted = [
         m for m in loaded
         if m.split(".")[0] == "scipy" or m == "concurrent.futures.process"
     ]
     assert unwanted == []
     assert scipy_after_exp
+
+
+def fresh_interpreter_output(code):
+    """The JSON that code prints last, run in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(homcrb.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("experiment", ["landmark", "network", "spd"])
+def test_campaign_process_loads_no_scipy(experiment):
+    """A fresh interpreter that runs a small campaign loads no scipy
+    module: the spd steps are symmetric, so their exps take eigh."""
+    code = (
+        "import json, sys\n"
+        "from homcrb import harness\n"
+        f"config = harness.load_config({{'experiment': {experiment!r}, 'seed': 1,"
+        " 'n_trials': 2, 'm_values': [10], 'workers': 1})\n"
+        f"report = harness.run_{experiment}_experiment(config)\n"
+        "statuses = [r['status'] for r in report.rows if r['record'] == 'trial']\n"
+        "print(json.dumps([statuses, [m for m in sys.modules if m.split('.')[0] == 'scipy']]))\n"
+    )
+    statuses, scipy_modules = fresh_interpreter_output(code)
+    assert statuses == ["ok", "ok"]
+    assert scipy_modules == []
 
 
 RUNNERS = {

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, logm
 
@@ -93,11 +93,20 @@ def se2_V(theta):
     return np.array([[a, -b], [b, a]])
 
 
+def symmetric_exp(W):
+    """exp of an exactly symmetric matrix as the kernel forms it:
+    V diag(e^lambda) V' from eigh."""
+    lam, V = np.linalg.eigh(W)
+    return (V * np.exp(lam)) @ V.T
+
+
 def closed_form_exp(x, desc):
     """exp of one coordinate row, written out: the bits the kernel must
-    give every row (GL(2)+'s is scipy's expm)."""
+    give every row (GL(2)+'s is symmetric_exp where its wedge is exactly
+    symmetric and scipy's expm otherwise)."""
     if desc.family == groups.GLN_PLUS:
-        return expm(groups.wedge(x, desc))
+        W = groups.wedge(x, desc)
+        return symmetric_exp(W) if np.array_equal(W, W.T) else expm(W)
     if desc.family == groups.SE2:
         theta = float(x[0])
         c, s = math.cos(theta), math.sin(theta)
@@ -265,6 +274,14 @@ def assert_accurate(x, mats, logs, errors, desc, tol=1e-12):
     st.sampled_from([groups.so3(), groups.se2(), groups.se3(), groups.glnplus(2)]),
     st.lists(ROW, min_size=2, max_size=8),
 )
+# Angle 0 makes a GL(2)+ wedge symmetric: its exp takes eigh, not expm.
+@example(
+    desc=groups.glnplus(2),
+    rows=[
+        (0.0, np.array([0.0, 0.0, 1.0]), np.array([0.9, -0.6, 1.5]), False),
+        (0.5, np.array([0.0, 0.0, 1.0]), np.array([0.3, 0.6, -1.2]), True),
+    ],
+)
 def test_stack_kernel_rows_do_not_depend_on_the_stack(desc, rows):
     """Every row of exp, log and membership stacks is the row run alone,
     bit for bit, and the closed form written out above."""
@@ -277,9 +294,11 @@ def test_stack_kernel_rows_do_not_depend_on_the_stack(desc, rows):
     assert_accurate(x, mats, logs, errors, desc)
 
 
-def test_stack_kernels_cover_every_branch():
+def test_stack_kernels_cover_every_branch(monkeypatch):
     """The property test's strategies reach each branch; checked here on
-    fixed rows so that a narrowed strategy cannot skip one."""
+    fixed rows so that a narrowed strategy cannot skip one. A symmetric
+    GL(2)+ row alone makes no expm call; in a stack with a non-symmetric
+    row, expm sees that row only."""
     desc = groups.se3()
     axis = np.array([0.6, 0.0, 0.8])
     angles = [0.0, 1e-5, 1.0, math.pi - 0.05, math.pi - 1e-7]
@@ -288,6 +307,24 @@ def test_stack_kernels_cover_every_branch():
     assert list(errors) == [4] and isinstance(errors[4], CutLocusError)
     ref, _ = per_row(closed_form_log, mats, desc)
     assert np.array_equal(logs, ref, equal_nan=True)
+    assert_accurate(x, mats, logs, errors, desc)
+
+    desc = groups.glnplus(2)
+    symmetric = np.array([0.3, -0.2, -0.2, 1.1])
+    x = np.array([symmetric, [0.3, -0.7, 0.4, 1.1], [-1.5, 0.8, 0.8, 0.0]])
+    rows = []
+    inner = groups.expm
+    monkeypatch.setattr(groups, "expm", lambda A: rows.append(len(A)) or inner(A))
+    assert np.array_equal(
+        groups._exp_stack(symmetric[None], desc)[0], closed_form_exp(symmetric, desc)
+    )
+    assert rows == []
+    mats = groups._exp_stack(x, desc)
+    assert rows == [1]
+    monkeypatch.setattr(groups, "expm", inner)
+    assert np.array_equal(mats, [closed_form_exp(r, desc) for r in x])
+    mats, logs, errors = assert_rows_independent(x, desc)
+    assert not errors
     assert_accurate(x, mats, logs, errors, desc)
 
 
@@ -368,6 +405,52 @@ def test_gl2_log_covers_every_branch():
         Y = groups.wedge(logs[i], desc)
         assert np.abs(Y - principal_logm(M)).max() <= 1e-12, name
         assert np.abs(expm(Y) - M).max() <= 1e-12, name
+
+
+def orthogonal(n, rng):
+    """A random orthogonal n x n matrix from the SO(2) and SO(3) closed
+    forms, not from eigh: a plane rotation for n = 2, otherwise the
+    product of rotations of the coordinate 3-spaces (k, k + 1, k + 2)."""
+    if n == 2:
+        return rotation(rng.uniform(-math.pi, math.pi))
+    Q = np.eye(n)
+    for k in range(n - 2):
+        W, W2, a, b, _ = so3_terms(rng.uniform(-2.0, 2.0, 3))
+        R = np.eye(n)
+        R[k : k + 3, k : k + 3] = np.eye(3) + a * W + b * W2
+        Q = Q @ R
+    return Q
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_symmetric_glnplus_exp_is_accurate(n, rng):
+    """300 exactly symmetric wedges Q diag(lambda) Q' with |lambda| <= 10,
+    a third with a repeated eigenvalue and a sixth with one eigenvalue:
+    exp within 1e-13 relative of Q diag(e^lambda) Q' and 1e-11 of expm;
+    a zero wedge gives I exactly; in a stack with non-symmetric rows each
+    row is the row alone, and the non-symmetric rows are expm's bits."""
+    desc = groups.glnplus(n)
+    lam = rng.uniform(-10.0, 10.0, (300, n))
+    lam[:100, 1] = lam[:100, 0]
+    lam[:50] = lam[:50, :1]
+    Q = np.array([orthogonal(n, rng) for _ in lam])
+    W = (Q * lam[:, None, :]) @ Q.swapaxes(1, 2)
+    W = 0.5 * (W + W.swapaxes(1, 2))
+    ref = (Q * np.exp(lam)[:, None, :]) @ Q.swapaxes(1, 2)
+    mats = groups._exp_stack(W.reshape(-1, n * n), desc)
+    scale = np.abs(ref).max(axis=(1, 2))
+    assert (np.abs(mats - ref).max(axis=(1, 2)) <= 1e-13 * scale).all()
+    assert (np.abs(mats - expm(W)).max(axis=(1, 2)) <= 1e-11 * scale).all()
+
+    zero = groups._exp_stack(np.zeros((1, n * n)), desc)[0]
+    assert np.array_equal(zero, np.eye(n))
+    general = rng.standard_normal((6, n * n))
+    x = np.concatenate([W[:6].reshape(-1, n * n), general, np.zeros((1, n * n))])
+    x = x[rng.permutation(len(x))]
+    mixed = groups._exp_stack(x, desc)
+    assert np.array_equal(mixed, [groups._exp_stack(r[None], desc)[0] for r in x])
+    general_rows = [i for i, r in enumerate(x) if r.tolist() in general.tolist()]
+    assert np.array_equal(mixed[general_rows], expm(x[general_rows].reshape(-1, n, n)))
 
 
 def test_glnplus_stack_exp_matches_expm_bitwise(rng):
