@@ -862,9 +862,7 @@ def _exp_stack(x, d: GroupDescriptor) -> np.ndarray:
         return expm(W)
     out = np.empty_like(W)
     lam, V = np.linalg.eigh(W[sym])
-    # An eigenvalue past log(max float) gives inf and NaN, as expm does.
-    with np.errstate(over="ignore", invalid="ignore"):
-        out[sym] = (V * np.exp(lam)[:, None, :]) @ V.swapaxes(1, 2)
+    out[sym] = (V * np.exp(lam)[:, None, :]) @ V.swapaxes(1, 2)
     if not sym.all():
         out[~sym] = expm(W[~sym])
     return out
