@@ -93,20 +93,16 @@ def se2_V(theta):
     return np.array([[a, -b], [b, a]])
 
 
-def symmetric_exp(W):
-    """exp of an exactly symmetric matrix as the kernel forms it:
-    V diag(e^lambda) V' from eigh."""
-    lam, V = np.linalg.eigh(W)
-    return (V * np.exp(lam)) @ V.T
-
-
 def closed_form_exp(x, desc):
     """exp of one coordinate row, written out: the bits the kernel must
-    give every row (GL(2)+'s is symmetric_exp where its wedge is exactly
-    symmetric and scipy's expm otherwise)."""
+    give every row (GL(2)+'s is V diag(e^lambda) V' from eigh where its
+    wedge is exactly symmetric, scipy's expm otherwise)."""
     if desc.family == groups.GLN_PLUS:
         W = groups.wedge(x, desc)
-        return symmetric_exp(W) if np.array_equal(W, W.T) else expm(W)
+        if not np.array_equal(W, W.T):
+            return expm(W)
+        lam, V = np.linalg.eigh(W)
+        return (V * np.exp(lam)) @ V.T
     if desc.family == groups.SE2:
         theta = float(x[0])
         c, s = math.cos(theta), math.sin(theta)
