@@ -318,8 +318,12 @@ def network_fim(positions, edges, sigmas) -> FimMatrix:
 
 def load_graph(path) -> dict:
     """Read {"positions": [[x, y], ...], "edges": [[i, j, sigma], ...]}
-    with 0-based agent indices, checked as NetworkModel checks its edges."""
-    data = json.loads(Path(path).read_text())
+    with 0-based agent indices, checked as NetworkModel checks its edges.
+    A file that cannot be read or parsed is a ConfigError naming the path."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read graph document {path}: {exc}") from exc
     try:
         positions = [[float(c) for c in row] for row in data["positions"]]
         edges = _validate_edges(len(positions), [e[:2] for e in data["edges"]])

@@ -106,7 +106,3 @@ class ReplicatedModel:
 @pytest.fixture
 def replicate():
     return ReplicatedModel
-
-
-def random_se3(rng, scale=0.4):
-    return groups.random_element(groups.se3(), rng, scale)

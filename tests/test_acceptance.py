@@ -28,6 +28,7 @@ from homcrb.models import (
     network_fim,
     rigidity_matrix,
 )
+from model_registry import geometric_graph
 
 SEED = 7
 
@@ -435,10 +436,7 @@ def test_criterion_13_network_efficiency():
     from homcrb.harness import run_network_experiment
 
     start = time.monotonic()
-    positions = np.random.default_rng(3).uniform(0.0, 1.0, (16, 2))
-    dist = np.linalg.norm(positions[:, None] - positions[None], axis=-1)
-    edges = [[i, j] for i in range(16) for j in range(i + 1, 16) if dist[i, j] < 0.6]
-    network = {"positions": positions.tolist(), "edges": edges, "sigmas": 0.1}
+    network = geometric_graph(3, 16, 1.0, 0.6, 0.1)
     errs, bounds, failures = [], set(), 0
     for seed in (1, 2, 3, 4, 5):
         cfg = load_config(

@@ -118,15 +118,6 @@ def test_grad_loglik_zero_at_noiseless_observation(landmark_two, rng):
     assert np.abs(fisher.grad_loglik(landmark_two, x, g)).max() <= 1e-9
 
 
-def test_grad_loglik_matches_finite_differences(landmark_two, rng):
-    for _ in range(100):
-        g = groups.random_element(groups.se3(), rng, 0.4)
-        x = landmark_two.sample(g, 1, rng)[0]
-        analytic = fisher.grad_loglik(landmark_two, x, g)
-        fd = landmark_two._fd_gradient_batch(x[None], g, landmark_two.struct.m_basis)[0]
-        assert np.abs(analytic - fd).max() <= 1e-5
-
-
 def test_h_direction_derivatives_vanish(landmark_one, rng):
     g = groups.random_element(groups.se3(), rng, 0.4)
     x = landmark_one.sample(g, 1, rng)[0]
@@ -140,16 +131,6 @@ def test_h_direction_derivatives_vanish(landmark_one, rng):
 # FIM frame relations
 
 
-def test_fim_properties_analytic(landmark_one, rng, draw_h):
-    g = groups.random_element(groups.se3(), rng, 0.4)
-    for _ in range(10):
-        h = draw_h(landmark_one.struct, rng)
-        rep = fisher.verify_fim_properties(landmark_one, g, h)
-        assert rep.frames_swapped  # H\G side
-        assert rep.h_block == 0.0
-        assert rep.max_deviation <= 1e-9
-
-
 def test_fim_properties_monte_carlo(landmark_one, draw_h):
     rng = np.random.default_rng(12)
     g = groups.random_element(groups.se3(), rng, 0.3)
@@ -158,6 +139,7 @@ def test_fim_properties_monte_carlo(landmark_one, draw_h):
         landmark_one, g, h, n_samples=100_000, random_state=13,
         method=fisher.MC_GRADIENT,
     )
+    assert rep.frames_swapped  # H\G side
     assert rep.max_deviation <= 0.05
 
 

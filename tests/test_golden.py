@@ -6,14 +6,16 @@ Regenerate every file and the manifest, on purpose only, with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and quote the resulting diff of tests/golden/ with the change that moved
-the bytes. The test below never skips, tolerates or regenerates.
+which prints each cell it moves as (file, record, m, trial, column, old,
+new), and quote that list with the change that moved the bytes. The
+tests below never skip, tolerate or regenerate.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import platform
 from pathlib import Path
@@ -23,23 +25,16 @@ import pytest
 import scipy
 
 from homcrb import harness
+from model_registry import geometric_graph
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = GOLDEN / "MANIFEST.json"
 
 
-def _seed30_graph() -> dict:
-    """30 agents uniform on [0, 3]^2 from default_rng(30), edges shorter
-    than 1.5 (210 of them), sigma 0.1: scoring on it runs to the
-    iteration cap at campaign seed 1 and diverges at seed 3."""
-    p = np.random.default_rng(30).uniform(0.0, 3.0, (30, 2))
-    dist = np.linalg.norm(p[:, None, :] - p[None, :, :], axis=-1)
-    edges = [[i, j] for i in range(30) for j in range(i + 1, 30) if dist[i, j] < 1.5]
-    return {"positions": p.tolist(), "edges": edges, "sigmas": 0.1}
-
-
 def _cases() -> dict:
-    graph = _seed30_graph()
+    # 210 edges; scoring on it runs to the iteration cap at campaign seed
+    # 1 and diverges at seed 3.
+    graph = geometric_graph(30, 30, 3.0, 1.5, 0.1)
     cases = {
         "landmark-seed1.csv": {"experiment": "landmark", "seed": 1, "n_trials": 3,
                                "m_values": [10, 100]},
@@ -141,10 +136,65 @@ def test_output_matches_golden(name):
                     + describe_mismatch(expected, actual), pytrace=False)
 
 
+def _changed(old: dict, new: dict) -> list:
+    """(key, old value, new value) for each key whose value differs; a
+    missing key reads None."""
+    keys = dict.fromkeys([*old, *new])
+    return [(k, old.get(k), new.get(k)) for k in keys if old.get(k) != new.get(k)]
+
+
+def _header(text: str) -> dict:
+    return dict(line[2:].split(": ", 1) for line in text.splitlines() if line.startswith("# "))
+
+
+def moved_cells(name: str, old: str, new: str) -> list[tuple]:
+    """Each cell a new render moves in a golden file, as (file, record, m,
+    trial, column, old, new): rows are paired by position, a '# key:
+    value' line is record '#' with its key as column, and what is
+    missing reads None. A file that is not a CSV gives (file, line
+    number, old line, new line) for each changed line."""
+    if not name.endswith(".csv"):
+        lines = itertools.zip_longest(old.splitlines(), new.splitlines())
+        return [(name, k, a, b) for k, (a, b) in enumerate(lines, 1) if a != b]
+    moved = [(name, "#", None, None, *c) for c in _changed(_header(old), _header(new))]
+    for a, b in itertools.zip_longest(_table(old), _table(new), fillvalue={}):
+        row = b or a
+        moved += [(name, row.get("record"), row.get("m"), row.get("trial"), *c)
+                  for c in _changed(a, b)]
+    return moved
+
+
+def test_moved_cells_names_exactly_the_edited_cell():
+    name = "landmark-seed1.csv"
+    old = (GOLDEN / name).read_bytes().decode()
+    new = old.replace(",-21.77625313209179,", ",-21.7,")
+    assert new.count(",-21.7,") == 1
+    assert moved_cells(name, old, new) == [
+        (name, "trial", "10", "0", "loglik", "-21.77625313209179", "-21.7")
+    ]
+    assert moved_cells(name, old, new.replace("# seed: 1", "# seed: 2")) == [
+        (name, "#", None, None, "seed", "1", "2"),
+        (name, "trial", "10", "0", "loglik", "-21.77625313209179", "-21.7"),
+    ]
+    check = (GOLDEN / "check-seed1.txt").read_bytes().decode()
+    line = "sphere: 100 checks, 0 failures"
+    edited = check.replace(f"PASS {line}", f"FAIL {line}")
+    assert moved_cells("check-seed1.txt", check, edited) == [
+        ("check-seed1.txt", 5, f"PASS {line}", f"FAIL {line}")
+    ]
+
+
 def regenerate() -> None:
+    """Write every golden file and the manifest, printing each cell that
+    moves."""
     GOLDEN.mkdir(exist_ok=True)
     for name, doc in CASES.items():
-        (GOLDEN / name).write_bytes(render(doc).encode())
+        path = GOLDEN / name
+        new = render(doc)
+        old = path.read_bytes().decode() if path.exists() else ""
+        for cell in moved_cells(name, old, new):
+            print(cell)
+        path.write_bytes(new.encode())
     MANIFEST.write_text(json.dumps({"versions": versions(), "files": CASES},
                                    indent=1) + "\n")
 

@@ -5,7 +5,7 @@ the radius within which the horizontal lift converges."""
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homcrb import groups
@@ -30,6 +30,30 @@ UNIT = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
 ).map(lambda v: np.asarray(v) / np.linalg.norm(v))
 TRANSLATIONS = st.tuples(*[st.floats(-3.0, 3.0)] * 3).map(np.asarray)
 
+# Hypothesis mixes literals mined from the loaded modules into its draws,
+# so it does not reliably draw the rows at the switches: each round trip
+# pins them with @example. 1.0968e-4 is where the SE(2) exp once lost 5e-9
+# relative accuracy, just above the small-angle switch.
+SWITCH_ANGLES = (
+    groups._SMALL_ANGLE,
+    math.pi - groups._NEAR_PI,
+    math.pi - 2.0 * groups._CUT_LOCUS_MARGIN,
+    1.0968e-4,
+)
+AXIS = np.array([1.0, 2.0, 2.0]) / 3.0
+SHIFT = np.array([0.0, 2.0, 0.0])
+
+
+def at_switch_angles(*rest):
+    """One @example row per switch angle, followed by the arguments rest."""
+
+    def pin(test):
+        for angle in SWITCH_ANGLES:
+            test = example(angle, *rest)(test)
+        return test
+
+    return pin
+
 
 def assert_round_trip(coords, descriptor):
     X = AlgebraVector(descriptor, coords)
@@ -42,12 +66,14 @@ def assert_round_trip(coords, descriptor):
 
 @PROPERTY
 @given(ANGLES, UNIT)
+@at_switch_angles(AXIS)
 def test_so3_exp_log_round_trip(angle, axis):
     assert_round_trip(angle * axis, groups.so3())
 
 
 @PROPERTY
 @given(ANGLES, st.booleans(), TRANSLATIONS)
+@at_switch_angles(False, SHIFT)
 def test_se2_exp_log_round_trip(angle, negative, v):
     theta = -angle if negative else angle
     assert_round_trip(np.concatenate([[theta], v[:2]]), groups.se2())
@@ -55,6 +81,7 @@ def test_se2_exp_log_round_trip(angle, negative, v):
 
 @PROPERTY
 @given(ANGLES, UNIT, TRANSLATIONS)
+@at_switch_angles(AXIS, SHIFT)
 def test_se3_exp_log_round_trip(angle, axis, v):
     assert_round_trip(np.concatenate([angle * axis, v]), groups.se3())
 
@@ -108,8 +135,17 @@ TWO_LANDMARKS = LandmarkModel([[1.0, 0.0, 0.0], [0.0, 1.0, 0.3]])
 FIBER_ANGLE = math.pi - 2.0 * groups._CUT_LOCUS_MARGIN
 
 
+# The half-turn ends of the fiber, with y = 0 and with |y| = 0.5.
+HALF_Y = np.array([0.3, 0.0, -0.4, 0.0, 0.0])
+POSE = np.array([0.2, -0.1, 0.3, 0.5, -0.4, 0.1])
+
+
 @PROPERTY
 @given(st.floats(-FIBER_ANGLE, FIBER_ANGLE), ball(5, 0.5), ball(6, 1.0))
+@example(FIBER_ANGLE, np.zeros(5), POSE)
+@example(-FIBER_ANGLE, np.zeros(5), POSE)
+@example(FIBER_ANGLE, HALF_Y, POSE)
+@example(-FIBER_ANGLE, HALF_Y, POSE)
 def test_lift_recovers_errors_within_half_of_the_coset(angle, y, g_coords):
     """An estimate h exp(y) g, with h a rotation about the landmark axis
     through a1 and |y| <= 0.5, lifts back to the m-error y."""

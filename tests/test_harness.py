@@ -14,7 +14,7 @@ from click.testing import CliRunner
 import homcrb
 from homcrb import cli, fisher, groups, homspace
 from homcrb.cli import main
-from homcrb.exceptions import ConfigError, DegenerateModelError
+from homcrb.exceptions import ConfigError, DegenerateModelError, LiftFailureError
 from homcrb.models import LandmarkModel, NetworkModel, SpdModel, rigidity_matrix
 from homcrb.harness import (
     experiments,
@@ -335,6 +335,38 @@ def test_landmark_multistart_columns():
     for row in rep.rows:
         assert row["multistart_max_coset"] <= 1e-6
         assert row["multistart_min_gdist"] >= 1e-2
+
+
+@pytest.mark.parametrize("n_trials, lift", [(10, "coset_errors"), (2, "coset_error")])
+def test_a_failed_lift_fails_its_trial_alone(n_trials, lift, monkeypatch):
+    """A lift that fails trial 1, in the stack lift of 10 trials or the
+    one-trial lift of 2, leaves that row failed with empty error columns,
+    the other rows byte-equal to the clean run, and the failure counted."""
+    cfg = small_landmark_config(n_trials=n_trials, m_values=[10])
+    clean = run_landmark_experiment(cfg)
+    real, calls = getattr(experiments, lift), []
+
+    def forced(*args):
+        calls.append(args)
+        if lift == "coset_errors":
+            lifted = real(*args)
+            return dataclasses.replace(lifted, errors={1: LiftFailureError("forced")})
+        if len(calls) == 2:
+            raise LiftFailureError("forced")
+        return real(*args)
+
+    monkeypatch.setattr(experiments, lift, forced)
+    rep = run_landmark_experiment(cfg)
+
+    def trial_lines(report):
+        return [line for line in report.to_csv_text().splitlines() if line.startswith("trial,")]
+
+    old, new = trial_lines(clean), trial_lines(rep)
+    empty = [""] * (len(experiments._FIELDS["landmark"]) - 4)
+    assert new[1] == ",".join(["trial", "10", "1", "failed:LiftFailureError", *empty])
+    assert new[:1] + new[2:] == old[:1] + old[2:]
+    assert clean.summary_for(10)["failures"] == 0
+    assert (rep.summary_for(10)["n_ok"], rep.summary_for(10)["failures"]) == (n_trials - 1, 1)
 
 
 def test_network_experiment_triangle():
@@ -783,6 +815,12 @@ def test_cli_graph_file_input(tmp_path):
     res = runner.invoke(main, ["network", "--config", str(cfg), "--out", str(out)])
     assert res.exit_code == 0
     assert out.exists()
+    # A graph file that is missing or not JSON is a config error.
+    graph.write_text('{"positions": [[0, 0]')
+    for path in (graph, tmp_path / "missing.json"):
+        cfg = write_config(tmp_path, {"experiment": "network", "network": {"graph": str(path)}})
+        res = runner.invoke(main, ["network", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 2 and "config error" in res.output, res.output
 
 
 def test_readme_quick_start_example():

@@ -9,10 +9,8 @@ from homcrb import crb, fisher, groups, homspace, scoring
 from homcrb.exceptions import ConfigError, DegenerateModelError, DomainError
 from homcrb.groups import AlgebraVector
 from homcrb.models import (
-    GaussianMeanModel,
     LandmarkModel,
     NetworkModel,
-    SpdModel,
     canonicalize_positions,
     invariance_defect,
     load_graph,
@@ -23,6 +21,7 @@ from homcrb.models import (
 )
 from homcrb.models import network
 from homcrb.models.base import whitened_gram
+from model_registry import REGISTRY, instance
 
 
 # ---------------------------------------------------------------------------
@@ -41,15 +40,6 @@ def test_landmark_loglik_unit_residual(landmark_one):
     assert abs(landmark_one.loglik(x, g) + 0.5) <= 1e-12
 
 
-def test_landmark_invariance_under_stabilizer(landmark_one, rng, draw_h):
-    g = groups.random_element(groups.se3(), rng, 0.6)
-    x = landmark_one.sample(g, 1, rng)
-    base = landmark_one.loglik(x[0], g)
-    for _ in range(20):
-        h = draw_h(landmark_one.struct, rng)
-        assert abs(landmark_one.loglik(x[0], h @ g) - base) <= 1e-12
-
-
 def test_landmark_grad_zero_residual(landmark_two, rng):
     g = groups.random_element(groups.se3(), rng, 0.5)
     x = landmark_two.mean_observation(g)
@@ -57,17 +47,6 @@ def test_landmark_grad_zero_residual(landmark_two, rng):
     grad = landmark_two.analytic_gradient_batch(x[None], g, X.coords[None])
     grad = grad[0, 0]
     assert abs(grad) <= 1e-9
-
-
-def test_landmark_grad_matches_rivf_derivative(landmark_two, rng):
-    for _ in range(100):
-        g = groups.random_element(groups.se3(), rng, 0.5)
-        x = landmark_two.sample(g, 1, rng)[0]
-        X = groups.random_algebra_vector(groups.se3(), rng, 1.0)
-        fd = groups.rivf_derivative(lambda el: landmark_two.loglik(x, el), g, X)
-        grad = landmark_two.analytic_gradient_batch(x[None], g, X.coords[None])
-        grad = grad[0, 0]
-        assert abs(grad - fd) <= 1e-6
 
 
 def test_landmark_grad_exactly_zero_on_h(landmark_one, rng):
@@ -141,15 +120,6 @@ def test_network_loglik_noiseless(triangle_network):
     g = triangle_network.reference_element()
     x = triangle_network.edge_means(g)
     assert triangle_network.loglik(x, g) == 0.0
-
-
-def test_network_invariance_under_diagonal_rigid_motion(triangle_network, rng, draw_h):
-    g = triangle_network.reference_element()
-    x = triangle_network.sample(g, 1, rng)
-    base = triangle_network.loglik(x[0], g)
-    for _ in range(20):
-        h = draw_h(triangle_network.struct, rng)
-        assert abs(triangle_network.loglik(x[0], h @ g) - base) <= 1e-12
 
 
 def test_network_invariance_under_single_agent_rotation(triangle_network, rng):
@@ -306,15 +276,6 @@ def test_network_edges_read_integral_floats_and_arrays():
     assert NetworkModel(SQUARE, RING + [(np.int64(1), np.float64(3.0))]).edges == expected
 
 
-def test_network_grad_matches_fd(triangle_network, rng):
-    g = triangle_network.reference_element()
-    for _ in range(25):
-        x = triangle_network.sample(g, 1, rng)
-        ga = triangle_network.analytic_gradient_batch(x, g, triangle_network.struct.basis)
-        gf = triangle_network._fd_gradient_batch(x, g, triangle_network.struct.basis)
-        assert np.abs(ga - gf).max() <= 1e-5
-
-
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
@@ -397,15 +358,6 @@ def test_rigidity_matrix_matches_per_edge_blocks():
     assert np.abs(F - S[3:, 3:]).max() <= 1e-12 * np.abs(ref).max()
 
 
-def _geometric_graph(seed, n, side, radius, sigma):
-    """n agents uniform on [0, side]^2 from default_rng(seed), an edge for
-    each pair closer than radius."""
-    p = np.random.default_rng(seed).uniform(0.0, side, (n, 2))
-    dist = np.linalg.norm(p[:, None, :] - p[None, :, :], axis=-1)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if dist[i, j] < radius]
-    return NetworkModel(p, edges, sigma)
-
-
 def _bit_equal(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
@@ -420,8 +372,8 @@ def test_translation_jacobian_is_the_sensitivities_bit_for_bit(graph, triangle_n
     rigidity matrix over every translation."""
     model = {
         "triangle": lambda: triangle_network,
-        "benchmark-16": lambda: _geometric_graph(3, 16, 1.0, 0.6, 0.1),
-        "seed-30": lambda: _geometric_graph(30, 30, 3.0, 1.5, 0.1),
+        "benchmark-16": REGISTRY["benchmark16_network"].factory,
+        "seed-30": REGISTRY["seed30_network"].factory,
     }[graph]()
     n = model.n_agents
     r = np.random.default_rng(17)
@@ -448,7 +400,7 @@ def test_rigidity_matrix_of_an_edgeless_graph_is_zero():
 
 
 def test_network_rigidity_is_built_once_per_model(monkeypatch):
-    model = _geometric_graph(3, 16, 1.0, 0.6, 0.1)
+    model = REGISTRY["benchmark16_network"].factory()
     built = []
     original = network.rigidity_matrix
     monkeypatch.setattr(
@@ -504,19 +456,15 @@ def test_load_graph(tmp_path):
         bad.write_text(text)
         with pytest.raises(ConfigError):
             load_graph(bad)
+    # A file that is missing or not JSON is a config error naming the path.
+    bad.write_text('{"positions": [[0,0]')
+    for path in (bad, tmp_path / "missing.json"):
+        with pytest.raises(ConfigError, match=f"graph document {path}"):
+            load_graph(path)
 
 
 # ---------------------------------------------------------------------------
 # SPD model
-
-
-def test_spd_invariance_under_right_rotation(spd3, rng, draw_h):
-    g = groups.random_element(spd3.descriptor, rng, 0.4)
-    x = spd3.sample(g, 1, rng)
-    base = spd3.loglik(x[0], g)
-    for _ in range(20):
-        R = draw_h(spd3.struct, rng)
-        assert abs(spd3.loglik(x[0], g @ R) - base) <= 1e-9
 
 
 def test_spd_grad_zero_at_stationary_point(spd3, rng):
@@ -553,15 +501,6 @@ def test_spd_grad_matches_covariance_form_derivative(spd3, rng):
             assert abs(fd - analytic) <= 1e-6
 
 
-def test_spd_model_grad_matches_fd(spd3, rng):
-    g = groups.random_element(spd3.descriptor, rng, 0.3)
-    for _ in range(25):
-        x = spd3.sample(g, 1, rng)
-        ga = spd3.analytic_gradient_batch(x, g, spd3.struct.basis)
-        gf = spd3._fd_gradient_batch(x, g, spd3.struct.basis)
-        assert np.abs(ga - gf).max() <= 1e-5
-
-
 def test_spd_reduced_fim_is_two_identity(spd3, rng):
     g = groups.random_element(spd3.descriptor, rng, 0.5)
     F = spd3.fim_reduced(g.matrix[None])
@@ -581,36 +520,129 @@ def test_spd_structure_split(spd3):
 
 
 # ---------------------------------------------------------------------------
-# The invariant reduced FIM is computed once per model
+# The model contract: every case runs over every entry of the registry
 
 
-INVARIANT_FIM_MODELS = {
-    "landmark1": lambda: LandmarkModel([[1.0, 0.0, 0.0]]),
-    "landmark2": lambda: LandmarkModel(
-        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.3]], noise=[0.5, 2.0]
-    ),
-    "landmark3": lambda: LandmarkModel(
-        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.3], [-0.4, 0.2, 1.1]], noise=[1.0, 0.3, 0.7]
-    ),
-    "spd2": lambda: SpdModel(2),
-    "spd3": lambda: SpdModel(3),
-}
+MODELS = pytest.mark.parametrize("name", list(REGISTRY))
 
 
-@pytest.mark.parametrize("name", sorted(INVARIANT_FIM_MODELS))
-def test_cached_reduced_fim_is_the_fim_at_every_g(name, rng):
-    model = INVARIANT_FIM_MODELS[name]()
-    fresh = INVARIANT_FIM_MODELS[name]()
-    first = model.fim_reduced(groups.random_element(model.descriptor, rng, 0.5).matrix[None])
-    assert not first.flags.writeable
-    for _ in range(20):
-        g = groups.random_element(model.descriptor, rng, 1.0)
-        F = model.fim_reduced(g.matrix[None])
-        assert F is first
-        expected = fisher.fim(fresh, g, fisher.REDUCED).matrix
+@MODELS
+def test_evaluate_is_the_three_model_calls_bit_for_bit(name):
+    """Scoring's one evaluate per iterate gives total_loglik, total_grad_m
+    and fim_reduced bit for bit on a stack moved from the point, and each
+    row the bits of that row evaluated alone."""
+    model, g, rng = instance(name)
+    G = np.stack([(g @ groups.random_element(model.descriptor, rng, 0.4)).matrix for _ in range(4)])
+    summary = scoring.stack_summaries(
+        [model.summarize(model.sample(g, m, rng)) for m in (5, 20, 20, 100)]
+    )
+    ll, grad, F = model.evaluate(summary, G)
+    assert _bit_equal(ll, model.total_loglik(summary, G))
+    assert _bit_equal(grad, model.total_grad_m(summary, G))
+    assert _bit_equal(F, model.fim_reduced(G))
+    assert F.shape == ((4,) if F.ndim == 3 else ()) + (model.struct.n_Theta,) * 2
+    without = model.evaluate(summary, G, with_fim=False)
+    assert _bit_equal(without[0], ll) and _bit_equal(without[1], grad) and without[2] is None
+    for b in range(len(G)):
+        row = tuple(part[b : b + 1] for part in summary)
+        ll_b, grad_b, F_b = model.evaluate(row, G[b : b + 1])
+        assert _bit_equal(ll_b, ll[b : b + 1]) and _bit_equal(grad_b, grad[b : b + 1])
+        assert _bit_equal(F_b, F if F.ndim == 2 else F[b : b + 1])
+
+
+@MODELS
+def test_sufficient_statistics_match_per_observation_sums(name):
+    """Scoring reads total_loglik(summarize(x)) and total_grad_m; the
+    per-observation paths read loglik_batch and analytic_gradient_batch.
+    Both must give the same totals, here at a g away from the sampling
+    point."""
+    model, g_true, rng = instance(name)
+    g = g_true @ groups.random_element(model.descriptor, rng, 0.3)
+    x = model.sample(g_true, 50, rng)
+    summary = scoring.stack_summaries([model.summarize(x)])
+    ll = np.sum(model.loglik_batch(x, g))
+    assert abs(model.total_loglik(summary, g.matrix[None])[0] - ll) <= 1e-12 * abs(ll)
+    grad = model.analytic_gradient_batch(x, g, model.struct.m_basis).sum(axis=0)
+    dev = np.abs(model.total_grad_m(summary, g.matrix[None])[0] - grad).max()
+    assert dev <= 1e-12 * np.abs(grad).max()
+
+
+@MODELS
+def test_score_matches_central_differences(name):
+    """The analytic score along the whole adapted basis against
+    _fd_gradient_batch, for 5 observations at the point and at each of
+    20 points moved from it, to 1e-8 of the largest score there."""
+    model, g, rng = instance(name)
+    basis = model.struct.basis
+    for p in [g] + [g @ groups.random_element(model.descriptor, rng, 0.4) for _ in range(20)]:
+        x = model.sample(p, 5, rng)
+        analytic = model.analytic_gradient_batch(x, p, basis)
+        fd = model._fd_gradient_batch(x, p, basis)
+        assert np.abs(analytic - fd).max() <= 1e-8 * np.abs(analytic).max()
+
+
+@MODELS
+def test_monte_carlo_fim_matches_the_analytic_fim(name):
+    """fisher.fim's Monte-Carlo gradient form over 20 000 draws against
+    the analytic FIM, entry by entry, within 6 standard errors, in REDUCED
+    and in the frame whose directions fisher translates (LEFT on H\\G,
+    RIGHT on G/H). Each standard error comes from the same draws' scores
+    S, as (S o S)'(S o S)/N - F o F, with no (N, n, n) array; an entry
+    whose standard error is 0 must match exactly. False-alarm rate: by
+    the CLT a mean lands beyond 6 standard errors with probability 2e-9,
+    so at most 3.3e-6 over the seed-30 graph's 1653 distinct reduced
+    entries."""
+    model, g, _ = instance(name)
+    n, scores = 20_000, []
+    score = model.analytic_gradient_batch
+
+    def keep(*args):
+        scores.append(score(*args))
+        return scores[-1]
+
+    model.analytic_gradient_batch = keep
+    translated = fisher.LEFT if model.side == homspace.Side.H_MOD_G else fisher.RIGHT
+    for frame in (fisher.REDUCED, translated):
+        F = fisher.fim(model, g, frame, fisher.MC_GRADIENT, n, REGISTRY[name].seed).matrix
+        S2 = scores.pop() ** 2
+        se = np.sqrt(np.maximum(S2.T @ S2 / n - F * F, 0.0) / n)
+        assert np.all(np.abs(F - fisher.fim(model, g, frame).matrix) <= 6.0 * se)
+
+
+@MODELS
+def test_fim_frame_relations_hold_along_h(name):
+    """The four frame relations of verify_fim_properties at 10 draws from
+    H, each to 1e-12 of the largest entry of the left and right FIMs."""
+    model, g, rng = instance(name)
+    devs = fisher.verify_fim_properties_stack(model, g, model.struct.sample_subgroup(rng, 10))
+    scale = max(np.abs(fisher.fim(model, g, f).matrix).max() for f in (fisher.LEFT, fisher.RIGHT))
+    assert devs.max() <= 1e-12 * scale
+
+
+@MODELS
+def test_models_pass_invariance_contract(name):
+    """The log-likelihood is constant along H: invariance_defect over 100
+    observations, each moved by its own draw from H."""
+    model, g, rng = instance(name)
+    assert invariance_defect(model, g, 100, rng) <= 1e-12
+
+
+@MODELS
+def test_cached_reduced_fim_is_the_fim_at_every_g(name):
+    """fim_reduced against fisher.fim of a fresh model, at the point and
+    at 20 random points. With invariant_fim it is one read-only array,
+    computed once per model; otherwise a new array per call."""
+    model, g, rng = instance(name)
+    fresh = REGISTRY[name].factory()
+    first = model.fim_reduced(g.matrix[None])
+    for p in [g] + [groups.random_element(model.descriptor, rng, 1.0) for _ in range(20)]:
+        F = model.fim_reduced(p.matrix[None])
+        assert (F is first) == model.invariant_fim
+        expected = fisher.fim(fresh, p, fisher.REDUCED).matrix
         assert np.abs(F - expected).max() <= 1e-12 * np.abs(expected).max()
-    with pytest.raises(ValueError):
-        first[0, 0] = 1.0
+    if model.invariant_fim:
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
 
 
 def test_zero_noise_landmark_fim_raises_on_every_use(rng):
@@ -628,35 +660,19 @@ def test_network_fim_is_computed_per_iterate(triangle_network):
 
 
 # ---------------------------------------------------------------------------
-# Shared model contracts
-
-
-@pytest.mark.parametrize("fixture", ["landmark_one", "landmark_two", "triangle_network", "spd3", "gaussian1"])
-def test_models_pass_invariance_contract(fixture, request, rng):
-    model = request.getfixturevalue(fixture)
-    if fixture == "triangle_network":
-        g = model.reference_element()
-    elif fixture == "gaussian1":
-        g = model.element([0.3])
-    else:
-        g = groups.random_element(model.descriptor, rng, 0.4)
-    assert invariance_defect(model, g, 100, rng) <= 1e-9
+# Subgroup draws
 
 
 # Every build_reductive structure draws from its own h: the sphere and the
-# models whose h is a subalgebra.
-DEFAULT_DRAW_MODELS = {
-    **INVARIANT_FIM_MODELS,
-    "gaussian1": lambda: GaussianMeanModel(1),
-    "gaussian2": lambda: GaussianMeanModel(2),
-}
+# registry models whose h is a subalgebra, all but the networks.
+DEFAULT_DRAW = ["sphere"] + [
+    name for name, entry in REGISTRY.items() if entry.factory().struct.subgroup_sampler is None
+]
 
 
-@pytest.mark.parametrize("name", ["sphere", *sorted(DEFAULT_DRAW_MODELS)])
+@pytest.mark.parametrize("name", DEFAULT_DRAW)
 def test_default_subgroup_draw_is_invariant(name, rng):
-    model = None if name == "sphere" else DEFAULT_DRAW_MODELS[name]()
-    struct = homspace.sphere_structure() if model is None else model.struct
-    assert struct.subgroup_sampler is None
+    struct = homspace.sphere_structure() if name == "sphere" else REGISTRY[name].factory().struct
     d = struct.group.matrix_dim
     H = struct.sample_subgroup(rng, 20)
     assert H.shape == (20, d, d)
@@ -664,9 +680,6 @@ def test_default_subgroup_draw_is_invariant(name, rng):
     moved = np.abs(H - np.eye(d)).max(axis=(1, 2))
     assert moved.min() > 0.0 if struct.n_H else moved.max() == 0.0
     assert homspace.check_adH_invariance(struct, 100, random_state=5).invariant
-    if model is not None:
-        g = groups.random_element(model.descriptor, rng, 0.4)
-        assert invariance_defect(model, g, 100, rng) <= 1e-9
 
 
 def _torus_structure():
@@ -678,7 +691,7 @@ def _torus_structure():
 SWEEP_STRUCTURES = {
     "sphere": homspace.sphere_structure,
     "torus": _torus_structure,
-    **{name: lambda name=name: DEFAULT_DRAW_MODELS[name]().struct
+    **{name: lambda name=name: REGISTRY[name].factory().struct
        for name in ("landmark1", "landmark2", "spd2", "spd3")},
 }
 
@@ -727,8 +740,6 @@ def test_network_draws_from_its_own_sampler(triangle_network, rng):
     # One rigid motion of the whole network, repeated in every block.
     assert np.array_equal(H[:, :3, :3], H[:, 3:6, 3:6])
     assert np.array_equal(H[:, :3, :3], H[:, 6:, 6:])
-    g = triangle_network.reference_element()
-    assert invariance_defect(triangle_network, g, 100, rng) <= 1e-9
 
 
 def test_subgroup_draws_are_checked_once(landmark_two, rng):
@@ -749,87 +760,6 @@ def test_invariance_defect_refuses_zero_samples(landmark_two, rng):
     for n_samples in (0, -1, True, 2.5):
         with pytest.raises(ValueError, match="n_samples must be"):
             invariance_defect(landmark_two, g, n_samples, rng)
-
-
-SUFFICIENT_STATISTIC_MODELS = {
-    "landmark_one": lambda: LandmarkModel([[1.0, 0.0, 0.0]]),
-    "landmark_two_unequal_noise": lambda: LandmarkModel(
-        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.3]], noise=[0.5, 2.0]
-    ),
-    "triangle_network_per_edge_sigma": lambda: NetworkModel(
-        [[0.0, 0.0], [0.0, 1.0], [0.9, 0.6]], [(0, 1), (1, 2), (0, 2)], [0.2, 0.3, 0.45]
-    ),
-    "spd3": lambda: SpdModel(3),
-    "gaussian2": lambda: GaussianMeanModel(2, noise=0.7),
-}
-
-
-@pytest.mark.parametrize("name", sorted(SUFFICIENT_STATISTIC_MODELS))
-def test_sufficient_statistics_match_per_observation_sums(name, rng):
-    """Scoring reads total_loglik(summarize(x)) and total_grad_m; the
-    per-observation paths read loglik_batch and analytic_gradient_batch.
-    Both must give the same totals, here at a g away from the sampling
-    point."""
-    model = SUFFICIENT_STATISTIC_MODELS[name]()
-    if isinstance(model, NetworkModel):
-        g_true = model.reference_element()
-    else:
-        g_true = groups.random_element(model.descriptor, rng, 0.4)
-    g = g_true @ groups.random_element(model.descriptor, rng, 0.3)
-    x = model.sample(g_true, 50, rng)
-    summary = scoring.stack_summaries([model.summarize(x)])
-    ll = np.sum(model.loglik_batch(x, g))
-    assert abs(model.total_loglik(summary, g.matrix[None])[0] - ll) <= 1e-12 * abs(ll)
-    grad = model.analytic_gradient_batch(x, g, model.struct.m_basis).sum(axis=0)
-    dev = np.abs(model.total_grad_m(summary, g.matrix[None])[0] - grad).max()
-    assert dev <= 1e-12 * np.abs(grad).max()
-
-
-EVALUATED_MODELS = {
-    "landmark_one": lambda: LandmarkModel([[1.0, 0.0, 0.0]]),
-    "landmark_two": lambda: LandmarkModel([[1.0, 0.0, 0.0], [0.0, 1.0, 0.3]], [0.5, 2.0]),
-    "landmark_three": lambda: LandmarkModel(
-        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.3], [0.2, -0.5, 1.0]], 0.7
-    ),
-    "triangle_network": lambda: NetworkModel(
-        [[0.0, 0.0], [0.0, 1.0], [0.9, 0.6]], [(0, 1), (1, 2), (0, 2)], [0.2, 0.3, 0.45]
-    ),
-    "seed30_network": lambda: _geometric_graph(30, 30, 3.0, 1.5, 0.1),
-    "spd2": lambda: SpdModel(2),
-    "spd3": lambda: SpdModel(3),
-    "gaussian2": lambda: GaussianMeanModel(2, noise=0.7),
-}
-
-
-@pytest.mark.parametrize("name", sorted(EVALUATED_MODELS))
-def test_evaluate_is_the_three_model_calls_bit_for_bit(name):
-    """Scoring's one evaluate per iterate gives total_loglik, total_grad_m
-    and fim_reduced bit for bit on a random stack, and each row the bits
-    of that row evaluated alone."""
-    model = EVALUATED_MODELS[name]()
-    r = np.random.default_rng(23)
-    if isinstance(model, NetworkModel):
-        truth = model.reference_element()
-    else:
-        truth = groups.identity_element(model.descriptor)
-    G = np.stack([
-        (truth @ groups.random_element(model.descriptor, r, 0.4)).matrix for _ in range(4)
-    ])
-    summary = scoring.stack_summaries(
-        [model.summarize(model.sample(truth, m, r)) for m in (5, 20, 20, 100)]
-    )
-    ll, grad, F = model.evaluate(summary, G)
-    assert _bit_equal(ll, model.total_loglik(summary, G))
-    assert _bit_equal(grad, model.total_grad_m(summary, G))
-    assert _bit_equal(F, model.fim_reduced(G))
-    assert F.shape == ((4,) if F.ndim == 3 else ()) + (model.struct.n_Theta,) * 2
-    without = model.evaluate(summary, G, with_fim=False)
-    assert _bit_equal(without[0], ll) and _bit_equal(without[1], grad) and without[2] is None
-    for b in range(len(G)):
-        row = tuple(part[b : b + 1] for part in summary)
-        ll_b, grad_b, F_b = model.evaluate(row, G[b : b + 1])
-        assert _bit_equal(ll_b, ll[b : b + 1]) and _bit_equal(grad_b, grad[b : b + 1])
-        assert _bit_equal(F_b, F if F.ndim == 2 else F[b : b + 1])
 
 
 def test_models_sampling_determinism(triangle_network, spd3):
