@@ -40,6 +40,15 @@ def test_landmark_loglik_unit_residual(landmark_one):
     assert abs(landmark_one.loglik(x, g) + 0.5) <= 1e-12
 
 
+def test_landmark_invariance_under_stabilizer(landmark_one, rng, draw_h):
+    g = groups.random_element(groups.se3(), rng, 0.6)
+    x = landmark_one.sample(g, 1, rng)
+    base = landmark_one.loglik(x[0], g)
+    for _ in range(20):
+        h = draw_h(landmark_one.struct, rng)
+        assert abs(landmark_one.loglik(x[0], h @ g) - base) <= 1e-12
+
+
 def test_landmark_grad_zero_residual(landmark_two, rng):
     g = groups.random_element(groups.se3(), rng, 0.5)
     x = landmark_two.mean_observation(g)
@@ -47,6 +56,17 @@ def test_landmark_grad_zero_residual(landmark_two, rng):
     grad = landmark_two.analytic_gradient_batch(x[None], g, X.coords[None])
     grad = grad[0, 0]
     assert abs(grad) <= 1e-9
+
+
+def test_landmark_grad_matches_rivf_derivative(landmark_two, rng):
+    for _ in range(100):
+        g = groups.random_element(groups.se3(), rng, 0.5)
+        x = landmark_two.sample(g, 1, rng)[0]
+        X = groups.random_algebra_vector(groups.se3(), rng, 1.0)
+        fd = groups.rivf_derivative(lambda el: landmark_two.loglik(x, el), g, X)
+        grad = landmark_two.analytic_gradient_batch(x[None], g, X.coords[None])
+        grad = grad[0, 0]
+        assert abs(grad - fd) <= 1e-6
 
 
 def test_landmark_grad_exactly_zero_on_h(landmark_one, rng):
@@ -120,6 +140,15 @@ def test_network_loglik_noiseless(triangle_network):
     g = triangle_network.reference_element()
     x = triangle_network.edge_means(g)
     assert triangle_network.loglik(x, g) == 0.0
+
+
+def test_network_invariance_under_diagonal_rigid_motion(triangle_network, rng, draw_h):
+    g = triangle_network.reference_element()
+    x = triangle_network.sample(g, 1, rng)
+    base = triangle_network.loglik(x[0], g)
+    for _ in range(20):
+        h = draw_h(triangle_network.struct, rng)
+        assert abs(triangle_network.loglik(x[0], h @ g) - base) <= 1e-12
 
 
 def test_network_invariance_under_single_agent_rotation(triangle_network, rng):
@@ -465,6 +494,15 @@ def test_load_graph(tmp_path):
 
 # ---------------------------------------------------------------------------
 # SPD model
+
+
+def test_spd_invariance_under_right_rotation(spd3, rng, draw_h):
+    g = groups.random_element(spd3.descriptor, rng, 0.4)
+    x = spd3.sample(g, 1, rng)
+    base = spd3.loglik(x[0], g)
+    for _ in range(20):
+        R = draw_h(spd3.struct, rng)
+        assert abs(spd3.loglik(x[0], g @ R) - base) <= 1e-9
 
 
 def test_spd_grad_zero_at_stationary_point(spd3, rng):
