@@ -51,6 +51,25 @@ def _cases() -> dict:
                                       "network": graph},
         "spd-seed1.csv": {"experiment": "spd", "seed": 1, "n_trials": 3,
                           "m_values": [10, 100]},
+        "landmark-multistart-seed1.csv": {
+            "experiment": "landmark", "seed": 1, "n_trials": 3, "m_values": [10, 100],
+            "landmark": {"initializations": [[0.0] * 6, [0.5, 0.0, 0.0, 0.0, 0.0, 0.0],
+                                             [0.0, 0.0, 0.0, 1.0, 0.0, 0.0]]}},
+        # Every trial stops at the 3-iteration cap, so the last Monte-Carlo
+        # FIM is drawn at iterate 3.
+        "landmark-mc-capped-seed1.csv": {
+            "experiment": "landmark", "seed": 1, "n_trials": 3, "m_values": [10, 100],
+            "scoring": {"fim_mode": "monte-carlo", "mc_fim_samples": 200,
+                        "max_iterations": 3}},
+        "network-triangle-frozen-seed1.csv": {
+            "experiment": "network", "seed": 1, "n_trials": 3, "m_values": [100],
+            "scoring": {"fim_mode": "frozen-at-initial"}},
+        # Six rows read failed:DegenerateFimError.
+        "spd-tiny-m-seed1.csv": {"experiment": "spd", "seed": 1, "n_trials": 3,
+                                 "m_values": [1, 2, 3, 10]},
+        # One m = 2 trial stops at the 100-iteration cap and reads ok.
+        "landmark-tiny-m-seed1.csv": {"experiment": "landmark", "seed": 1,
+                                      "n_trials": 4, "m_values": [1, 2, 3]},
     }
     for model in ("landmark", "network", "spd"):
         cases[f"crb-report-{model}.csv"] = {"experiment": "crb-report", "seed": 1,
