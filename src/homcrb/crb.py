@@ -167,14 +167,13 @@ def phi_matrix(
     stats: EstimatorStats, bias_jacobian: np.ndarray | None = None
 ) -> np.ndarray:
     """Phi = E[Psi_{-eta}] (G/H) or E[Psi_{eta'}] (H\\G), plus the bias
-    Jacobian when one is supplied (unbiasedness is assumed otherwise)."""
+    Jacobian when one is supplied (unbiasedness is assumed otherwise).
+    Psi (series to order 10) of every error row comes from one stack."""
     struct = stats.struct
     sign = -1.0 if struct.side == Side.G_MOD_H else 1.0
-    n_G = struct.group.algebra_dim
-    acc = np.zeros((n_G, n_G))
-    for row in stats.error_coords:
-        acc += struct.psi(sign * row)
-    acc /= max(len(stats.error_coords), 1)
+    rows = sign * stats.error_coords @ struct.basis  # descriptor coordinates
+    psi = groups._psi_series(struct.in_adapted(groups._ad(rows, struct.group)), 10)[0]
+    acc = psi.sum(axis=0) / max(len(rows), 1)
     if bias_jacobian is not None:
         acc = acc + bias_jacobian
     return acc
@@ -281,9 +280,7 @@ def efficiency_residual(
     summary = scoring.stack_summaries([model.summarize(obs) for obs in observations])
     G = np.broadcast_to(g_ref.matrix, (len(observations),) + g_ref.matrix.shape)
     grads = model.total_grad_m(summary, G)
-    V = np.array(
-        [core @ np.linalg.solve(m * F1, grad) for m, grad in zip(summary[0], grads)]
-    )
+    V = np.linalg.solve(summary[0][:, None, None] * F1, grads[..., None])[..., 0] @ core.T
     E = stats.error_coords
     if c is None:
         denom = float(np.einsum("ti,ti->", V, V))
@@ -291,8 +288,7 @@ def efficiency_residual(
             c = 0.0
         else:
             c = float(np.einsum("ti,ti->", E, V)) / denom
-    R = E - c * V
-    return float(np.mean([np.linalg.norm(r) for r in R]))
+    return float(np.mean(np.linalg.norm(E - c * V, axis=1)))
 
 
 def bias_jacobian(

@@ -515,8 +515,9 @@ def ad_matrix(X: AlgebraVector) -> np.ndarray:
 
 
 def _ad(x, descriptor: GroupDescriptor) -> np.ndarray:
+    """ad of a coordinate row x, or of each row of an (N, n) stack."""
     if descriptor.family == PRODUCT:
-        return block_diagonal([_ad(x[cols], f) for f, _, cols in descriptor.blocks])
+        return block_diagonal([_ad(x[..., cols], f) for f, _, cols in descriptor.blocks])
     return np.tensordot(x, structure_constants(descriptor), axes=1)
 
 

@@ -149,6 +149,8 @@ def _landmark_context(config: ExperimentConfig):
     section = config.landmark
     try:
         model = LandmarkModel(section["landmarks"], section.get("noise", 1.0))
+        if not np.all(model.noise > 0):
+            raise ConfigError("landmark noise standard deviations must be positive")
         pose = section["true_pose"]
         axis = np.asarray(pose["rotation_axis"], dtype=float)
         norm = np.linalg.norm(axis)

@@ -128,10 +128,9 @@ def suite_fim_frames(seed: int):
 def suite_variance_invariance(seed: int, corrupt: bool = False):
     """Representative-independence of tr(Fbar^-1) and of the coset error
     length. Every (representative, estimate) pair, the reference g's and
-    the moved representatives', lifts from the identity as one
-    coset_errors stack of relative elements, and the moved FIMs are one
-    stack. The corrupt flag rescales one m-direction in the error
-    lengths, which must break the invariance."""
+    the moved representatives', lifts as one coset_errors stack, and the
+    moved FIMs are one stack. The corrupt flag rescales one m-direction
+    in the error lengths, which must break the invariance."""
     n_h, n_est, tol = 20, 10, 1e-8
     model, g, rng = _landmark_fixture(seed)
     struct, desc = model.struct, model.descriptor
@@ -147,9 +146,9 @@ def suite_variance_invariance(seed: int, corrupt: bool = False):
     estimates = g.matrix @ groups._exp_stack(x, desc)
     moved = homspace.act(g.matrix, struct.sample_subgroup(rng, n_h), struct.side)
     refs = np.concatenate([g.matrix[None], moved])
-    relative = homspace.act(groups._inverse_matrix(refs, desc)[:, None], estimates, struct.side)
-    identity = groups.identity_element(desc)
-    lifted = homspace.coset_errors(identity, relative.reshape(-1, *g.matrix.shape), struct)
+    lifted = homspace.coset_errors(
+        np.repeat(refs, n_est, axis=0), np.tile(estimates, (n_h + 1, 1, 1)), struct
+    )
     if lifted.errors:
         raise lifted.errors[min(lifted.errors)]
     eta_m = lifted.eta_struct.copy()

@@ -236,12 +236,6 @@ class ReductiveStructure:
             raise errors[min(errors)]
         return H
 
-    def psi(self, struct_coords) -> np.ndarray:
-        """Psi matrix (series to order 10) of the element with the given
-        adapted coordinates."""
-        x = self.basis_matrix @ np.asarray(struct_coords, float)
-        return groups._psi_series(self.in_adapted(groups._ad(x, self.group)), 10)[0]
-
 
 # ---------------------------------------------------------------------------
 # Construction
@@ -270,56 +264,45 @@ def build_reductive(
     def transform(c):
         return c if M is None else M @ c
 
-    def untransform(y):
-        return y if M is None else M_inv @ y
-
-    # Orthonormalize h in order; verify it is a subalgebra.
-    h_vecs = [AlgebraVector(group, vec) for vec in h_basis]
-    h_t: list[np.ndarray] = []
-    for vec in h_basis:
-        w = transform(np.array(vec, dtype=float))
-        for q in h_t:
-            w = w - (q @ w) * q
-        nw = float(np.linalg.norm(w))
-        if nw < _GS_SKIP_TOL * max(1.0, float(np.linalg.norm(transform(vec)))):
-            raise SubalgebraError("h basis vectors are linearly dependent")
-        h_t.append(w / nw)
-    for i in range(n_H):
-        for j in range(i + 1, n_H):
-            br = groups.bracket(h_vecs[i], h_vecs[j])
-            y = transform(np.array(br.coords))
-            for q in h_t:
-                y = y - (q @ y) * q
-            if np.linalg.norm(y) > 1e-8 * max(1.0, float(np.linalg.norm(br.coords))):
-                raise SubalgebraError(
-                    f"h is not closed under bracket at ({i},{j}): "
-                    f"residual {np.linalg.norm(y):.3e}"
-                )
-
     if seed_m is None:
         seed_m = np.eye(n_G)  # standard basis in index order
 
-    accepted = list(h_t)
-    m_t: list[np.ndarray] = []
-    for vec in seed_m:
-        if len(m_t) == n_G - n_H:
+    # One Gram-Schmidt pass over h, then over the seeds until m is full: a
+    # dependent h vector raises, a dependent seed is skipped.
+    rows: list[np.ndarray] = []
+    for k, vec in enumerate([*h_basis, *seed_m]):
+        if k >= n_H and len(rows) == n_G:
             break
         w = transform(np.array(vec, dtype=float))
         scale = float(np.linalg.norm(w))
-        for q in accepted:
+        for q in rows:
             w = w - (q @ w) * q
         nw = float(np.linalg.norm(w))
         if nw < _GS_SKIP_TOL * max(1.0, scale):
+            if k < n_H:
+                raise SubalgebraError("h basis vectors are linearly dependent")
             continue
-        w = w / nw
-        accepted.append(w)
-        m_t.append(w)
-    if len(m_t) < n_G - n_H:
+        rows.append(w / nw)
+
+    # h is a subalgebra when every bracket [h_i, h_j], taken at once from
+    # the structure constants, has no part off span(h).
+    H = np.array(h_basis, dtype=float).reshape(n_H, n_G)
+    Q = np.array(rows[:n_H]).reshape(n_H, n_G)
+    br = groups._ad(H, group) @ H.T  # [i, :, j] = [h_i, h_j]
+    y = transform(br)
+    residual = np.linalg.norm(y - Q.T @ (Q @ y), axis=1)
+    bad = np.triu(residual > 1e-8 * np.maximum(1.0, np.linalg.norm(br, axis=1)), 1)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise SubalgebraError(
+            f"h is not closed under bracket at ({i},{j}): residual {residual[i, j]:.3e}"
+        )
+    if len(rows) < n_G:
         raise DegenerateSeedError(
-            f"seeds span only {len(m_t)} of the {n_G - n_H} m-directions"
+            f"seeds span only {len(rows) - n_H} of the {n_G - n_H} m-directions"
         )
 
-    basis = np.array([untransform(y) for y in h_t + m_t])
+    basis = np.array([y if M is None else M_inv @ y for y in rows])
     return ReductiveStructure(group, side, n_H, basis)
 
 
@@ -385,18 +368,19 @@ def act(g, x, side: Side):
     return (g @ x) if side == Side.G_MOD_H else (x @ g)
 
 
-def relative_matrix(g_ref: GroupElement, G, side: Side) -> np.ndarray:
-    """g_ref^-1 g on G/H, g g_ref^-1 on H\\G, for a raw matrix g or each
-    matrix of a (B, d, d) stack: the group error of g against g_ref
-    before any lift, so act(g_ref, it, side) is g. Nothing is boxed."""
-    return act(groups._inverse_matrix(g_ref.matrix, g_ref.descriptor), G, side)
+def relative_matrix(ref, G, struct: ReductiveStructure) -> np.ndarray:
+    """ref^-1 g on G/H, g ref^-1 on H\\G, for raw matrices: a reference
+    and an estimate g, or either one a (B, d, d) stack of them. The group
+    error of g against ref before any lift, so act(ref, it, side) is g.
+    Nothing is boxed."""
+    return act(groups._inverse_matrix(ref, struct.group), G, struct.side)
 
 
 def raw_error(
     g_ref: GroupElement, g: GroupElement, struct: ReductiveStructure
 ) -> np.ndarray:
     """Adapted coordinates of the log of relative_matrix(g_ref, g), unlifted."""
-    rel = relative_matrix(g_ref, g.matrix, struct.side)
+    rel = relative_matrix(g_ref.matrix, g.matrix, struct)
     coords, errors = groups._log_stack(rel[None], struct.group)
     if errors:
         raise errors[0]
@@ -423,7 +407,7 @@ class CosetError:
 
 @dataclass(frozen=True, eq=False)
 class CosetErrors:
-    """The coset errors of a stack of estimates against one reference,
+    """The coset errors of a stack of estimates against their references,
     one row per estimate (see CosetError). A row whose lift failed is NaN
     in eta_struct, with its exception in errors; raw is NaN too when its
     first log failed. corrections holds each row's accumulated h, set in
@@ -436,12 +420,11 @@ class CosetErrors:
     corrections: np.ndarray  # (B, d, d)
 
 
-def coset_errors(
-    g_ref: GroupElement, estimates, struct: ReductiveStructure
-) -> CosetErrors:
+def coset_errors(refs, estimates, struct: ReductiveStructure) -> CosetErrors:
     """Horizontally lift each matrix of a (B, d, d) stack of estimates
-    onto the cross-section through g_ref; the one lift, run on the rows
-    still active.
+    onto the cross-section through its reference; the one lift, run on
+    the rows still active. refs is one reference, a GroupElement, or a
+    (B, d, d) stack of raw reference matrices, one per estimate.
 
     Fixed-point iteration on H: kill the h-component of
     log(g_ref^-1 g_est h) (G/H side) or log(h g_est g_ref^-1) (H\\G side).
@@ -450,7 +433,8 @@ def coset_errors(
     package error of its log (DomainError) is kept as it is.
     """
     side, desc, n_H = struct.side, struct.group, struct.n_H
-    base = relative_matrix(g_ref, np.asarray(estimates, dtype=float), side)
+    ref = refs.matrix if isinstance(refs, GroupElement) else np.asarray(refs, dtype=float)
+    base = relative_matrix(ref, np.asarray(estimates, dtype=float), struct)
     B = len(base)
     eta = np.full((B, desc.algebra_dim), np.nan)
     iterations = np.zeros(B, dtype=int)
@@ -558,15 +542,14 @@ def sphere_riemannian_checks(
     basis of the m-block LIVFs at its reference. The two agree because
     SO(3) carries a bi-invariant metric and S^2 is naturally reductive.
 
-    The relative elements a^-1 b lift from the identity as one
-    coset_errors stack, and the 3 x 2 frame systems are solved together.
+    The pairs lift as one coset_errors stack, and the 3 x 2 frame
+    systems are solved together.
     The lowest row that is antipodal (CutLocusError) or whose lift fails
     raises."""
     e3 = np.array([0.0, 0.0, 1.0])
     u, v = refs[..., 2], estimates[..., 2]  # the points g e3 on S^2
     c = np.clip(np.vecdot(u, v), -1.0, 1.0)
-    identity = groups.identity_element(s2_struct.group)
-    lifted = coset_errors(identity, refs.transpose(0, 2, 1) @ estimates, s2_struct)
+    lifted = coset_errors(refs, estimates, s2_struct)
     errors = dict(lifted.errors)
     for i in np.flatnonzero(c < -1.0 + 1e-9).tolist():
         errors[i] = CutLocusError("points are antipodal; spherical log undefined")

@@ -69,8 +69,11 @@ class ScoringTrace:
     step_norms: list[float] = field(default_factory=list)
     grad_norms: list[float] = field(default_factory=list)
     converged: bool = False
-    iterations_used: int = 0
     max_drift: float = 0.0
+
+    @property
+    def iterations_used(self) -> int:
+        return len(self.matrices) - 1
 
     @property
     def iterates(self) -> list[GroupElement]:
@@ -160,13 +163,12 @@ def _apply_steps(model, G, steps) -> tuple[np.ndarray, np.ndarray]:
     return G_next, drift
 
 
-def _ascend(
-    model, summary, G0, step_rule, fim_iterates, max_iterations: int, gradient_tolerance: float
-):
+def _ascend(model, summary, G0, step_rule, fim_iterates, opts: ScoringOptions):
     """The one ascent loop, over a stack of trials: a row's step =
     step_rule(k, rows, G, mean m-gradients, F) is retracted side-aware;
-    the row stops once its step norm falls below the tolerance (recorded,
-    not applied) or after max_iterations applications, and leaves with
+    the row stops once its step norm falls below opts' gradient tolerance
+    (recorded, not applied) or after its max_iterations applications,
+    the last step measured but not taken, and leaves with
     DivergenceError when its log-likelihood is not finite or drops by
     more than 1e3 below its best value. The model is evaluated once per
     iterate, at every row that stepped, with the reduced FIM at the
@@ -208,15 +210,15 @@ def _ascend(
             F = F[going] if F is not None and F.ndim == 3 else F
         return bool(going)
 
-    for k in range(max_iterations):
+    for k in range(opts.max_iterations + 1):
         steps, norms, errors = measure(k)
         going = []
         for i, r in enumerate(rows.tolist()):
-            if norms[i] <= gradient_tolerance:
+            if norms[i] <= opts.gradient_tolerance:
                 traces[r].converged = True
             elif i not in errors:
                 going.append(i)
-        if not keep(going):
+        if k == opts.max_iterations or not keep(going):
             break
         G, drift = _apply_steps(model, G, steps[going])
         ll, grad, fim = model.evaluate(part, G, k + 1 in fim_iterates)
@@ -238,12 +240,6 @@ def _ascend(
                 going.append(i)
         if not keep(going):
             break
-    else:
-        _, norms, errors = measure(max_iterations)
-        for i, r in enumerate(rows.tolist()):
-            traces[r].converged = i not in errors and norms[i] <= gradient_tolerance
-    for trace in traces:
-        trace.iterations_used = len(trace.matrices) - 1
     return traces, failed
 
 
@@ -271,14 +267,7 @@ def fisher_scoring_stack(
     DegenerateFimError on a FIM with condition number above 1e12."""
     opts = opts or ScoringOptions()
     entropies = [None] * len(G0) if random_states is None else list(random_states)
-    return _ascend(
-        model,
-        summary,
-        G0,
-        *_natural_step(model, opts, entropies),
-        opts.max_iterations,
-        opts.gradient_tolerance,
-    )
+    return _ascend(model, summary, G0, *_natural_step(model, opts, entropies), opts)
 
 
 def fisher_scoring(
@@ -314,19 +303,13 @@ def gradient_ascent(
     _positive(step0, "step0")
     if isinstance(decay, bool) or not (0.0 < decay <= 1.0):
         raise ValueError(f"decay must be in (0, 1], got {decay!r}")
-    max_iterations = groups._count(max_iterations, "max_iterations")
-    _positive(gradient_tolerance, "gradient_tolerance")
+    opts = ScoringOptions(max_iterations, gradient_tolerance)
 
     def decayed_step(k, rows, G, mean_grad, F):
         return step0 * decay**k * mean_grad, {}
 
     summary = stack_summaries([model.summarize(observations)])
-    return _one(
-        _ascend(
-            model, summary, g0.matrix[None], decayed_step, range(0), max_iterations,
-            gradient_tolerance,
-        )
-    )
+    return _one(_ascend(model, summary, g0.matrix[None], decayed_step, range(0), opts))
 
 
 def mle(

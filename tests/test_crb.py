@@ -493,7 +493,8 @@ def test_bias_jacobian_constant_estimator_matches_psi(rng):
         random_state=4,
     )
     eta = groups.log(g.inverse() @ g0)
-    psi = left_struct.psi(-left_struct.coords_of(eta))
+    minus_eta = AlgebraVector(eta.descriptor, -eta.coords)
+    psi = left_struct.in_adapted(groups.psi_matrix(minus_eta).matrix)
     assert np.abs(J + psi).max() <= 1e-5
 
 

@@ -260,6 +260,18 @@ def test_structure_constants_of_product_match_brackets(rng):
         assert np.abs(groups.ad_matrix(X) - oracle).max() <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "desc", [groups.se3(), groups.product_group([groups.so3(), groups.so3()])],
+    ids=["SE3", "SO3xSO3"],
+)
+def test_ad_of_a_stack_is_each_row_bit_for_bit(desc, rng):
+    x = rng.standard_normal((7, desc.algebra_dim))
+    ad = groups._ad(x, desc)
+    assert ad.shape == (7, desc.algebra_dim, desc.algebra_dim)
+    for row, matrix in zip(x, ad):
+        assert np.array_equal(groups._ad(row, desc), matrix)
+
+
 def test_ad_so3_cross_product_table():
     d = groups.so3()
     e1 = AlgebraVector(d, np.eye(3)[0])

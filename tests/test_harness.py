@@ -582,8 +582,7 @@ def test_fim_frames_passes_and_reports_each_relation_by_index(monkeypatch):
 
 
 def test_subgroup_draws_box_no_elements(landmark_two, built_elements):
-    # The draws are one raw stack: what is left is the fixture's g (and,
-    # for the lift, the identity reference).
+    # The draws are one raw stack: what is left is the fixture's g.
     counts = []
     for call in (
         lambda: homspace.check_adH_invariance(landmark_two.struct, 100),
@@ -593,7 +592,7 @@ def test_subgroup_draws_box_no_elements(landmark_two, built_elements):
         before = built_elements[0]
         call()
         counts.append(built_elements[0] - before)
-    assert counts == [0, 1, 2]
+    assert counts == [0, 1, 1]
 
 
 def test_variance_invariance_reports_each_moved_trace(monkeypatch):
@@ -821,6 +820,20 @@ def test_cli_graph_file_input(tmp_path):
         cfg = write_config(tmp_path, {"experiment": "network", "network": {"graph": str(path)}})
         res = runner.invoke(main, ["network", "--config", str(cfg), "--out", str(out)])
         assert res.exit_code == 2 and "config error" in res.output, res.output
+
+
+def test_cli_zero_landmark_noise_is_a_config_error(tmp_path):
+    # A zero sigma has no likelihood density: refused before any trial runs.
+    runner = CliRunner()
+    for noise in (0.0, [1.0, 0.0]):
+        for experiment in ("landmark", "crb-report"):
+            cfg = write_config(tmp_path, {"experiment": experiment, "n_trials": 2,
+                                          "m_values": [5], "landmark": {"noise": noise}})
+            res = runner.invoke(
+                main, [experiment, "--config", str(cfg), "--out", str(tmp_path / "z.csv")]
+            )
+            assert res.exit_code == 2 and "config error" in res.output, res.output
+            assert "noise standard deviations must be positive" in res.output
 
 
 def test_readme_quick_start_example():

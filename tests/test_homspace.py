@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,26 @@ def test_degenerate_seeds_rejected():
     h = np.eye(3)[2:]
     with pytest.raises(DegenerateSeedError):
         build_reductive(d, h, seed_m=np.eye(3)[2:])
+
+
+@pytest.mark.parametrize(
+    "group, h, pair",
+    [
+        (groups.se3(), np.eye(6)[[3, 0, 1]], "(0,2)"),  # (t_x, r_x, r_y)
+        (groups.product_group([groups.so3(), groups.so3()]), np.eye(6)[[2, 3, 4]], "(1,2)"),
+    ],
+    ids=["SE3", "SO3xSO3"],
+)
+def test_non_subalgebra_names_its_first_open_bracket(group, h, pair):
+    # The first pair (i, j), i < j, in row order whose bracket leaves h.
+    with pytest.raises(SubalgebraError, match=re.escape(f"at {pair}:")):
+        build_reductive(group, h)
+
+
+def test_h_may_be_the_whole_algebra():
+    struct = build_reductive(groups.so3(), np.eye(3))
+    assert (struct.n_H, struct.n_Theta) == (3, 0)
+    assert np.array_equal(struct.basis, np.eye(3))
 
 
 def test_build_reductive_is_deterministic():

@@ -20,6 +20,7 @@ from homcrb.exceptions import (
     DegenerateFimError,
     DivergenceError,
     DomainError,
+    HomCrbError,
     LiftFailureError,
 )
 from homcrb.groups import AlgebraVector
@@ -882,6 +883,27 @@ def test_a_lift_at_the_cut_locus_leaves_the_stack_alone(rng):
         assert ce.iterations == lifted.iterations[i]
     with pytest.raises(LiftFailureError, match="trial 1"):
         crb.estimator_stats(g, ests, s2)
+
+
+def test_a_reference_stack_lifts_like_each_pair_alone(rng):
+    # One reference per estimate: row i is coset_error of pair i.
+    s2, g, ests = sphere_estimates(rng)
+    moves = groups._exp_stack(rng.standard_normal((len(ests), 3)), s2.group)
+    refs, mats = moves @ g.matrix, moves @ np.array([e.matrix for e in ests])
+    lifted = homspace.coset_errors(refs, mats, s2)
+    assert sorted(lifted.errors) == [1, 2]
+    for i, (ref, est) in enumerate(zip(refs, mats)):
+        ref, est = groups.GroupElement(s2.group, ref), groups.GroupElement(s2.group, est)
+        if i in lifted.errors:
+            with pytest.raises(HomCrbError) as alone:
+                homspace.coset_error(ref, est, s2)
+            assert type(alone.value) is type(lifted.errors[i])
+            assert str(alone.value) == str(lifted.errors[i])
+        else:
+            ce = homspace.coset_error(ref, est, s2)
+            assert np.array_equal(ce.eta_struct, lifted.eta_struct[i])
+            assert np.array_equal(ce.raw, lifted.raw[i])
+            assert ce.iterations == lifted.iterations[i]
 
 
 def test_a_trial_alone_lifts_like_the_stack(rng):
