@@ -70,13 +70,25 @@ def _cases() -> dict:
         # One m = 2 trial stops at the 100-iteration cap and reads ok.
         "landmark-tiny-m-seed1.csv": {"experiment": "landmark", "seed": 1,
                                       "n_trials": 4, "m_values": [1, 2, 3]},
+        # The one case at 2 workers: the first chunk stacks the m = 10
+        # trials and runs two m = 100 trials alone, the second the reverse.
+        "network-triangle-workers2-seed1.csv": {"experiment": "network", "seed": 1,
+                                                "n_trials": 3,
+                                                "m_values": [10, 100, 1000],
+                                                "workers": 2},
+        # The m = 2, trial 4 row fails only from the fourth start.
+        "landmark-multistart-tiny-m-seed8.csv": {
+            "experiment": "landmark", "seed": 8, "n_trials": 6, "m_values": [1, 2, 3],
+            "landmark": {"initializations": [[0.0] * 6, [0.5, 0.0, 0.0, 0.0, 0.0, 0.0],
+                                             [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+                                             [2.5, 0.3, 0.0, 0.0, 0.0, 0.0]]}},
     }
     for model in ("landmark", "network", "spd"):
         cases[f"crb-report-{model}.csv"] = {"experiment": "crb-report", "seed": 1,
                                             "model": model}
     cases["check-seed1.txt"] = {"experiment": "check", "seed": 1}
     for doc in cases.values():
-        doc["workers"] = 1
+        doc.setdefault("workers", 1)
     return cases
 
 
@@ -128,6 +140,14 @@ def test_output_matches_golden(name):
             + f"golden made with {made}, now {versions()}",
             pytrace=False,
         )
+
+
+def test_two_worker_golden_is_the_serial_body():
+    name = "network-triangle-workers2-seed1.csv"
+    serial = render({**CASES[name], "workers": 1})
+    pinned = (GOLDEN / name).read_bytes().decode()
+    assert "# workers: 2\r\n" in pinned
+    assert pinned.replace("# workers: 2", "# workers: 1") == serial
 
 
 def _changed(old: dict, new: dict) -> list:
