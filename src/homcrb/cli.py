@@ -70,6 +70,15 @@ def _common_options(fn):
     return fn
 
 
+def _write(path, text: str) -> None:
+    """text to path; an output that cannot be written is a ConfigError."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from exc
+
+
 def _run_experiment(experiment: str, config_path, out_path, seed, workers) -> int:
     try:
         config = load_config(
@@ -81,13 +90,12 @@ def _run_experiment(experiment: str, config_path, out_path, seed, workers) -> in
             for line in report.lines():
                 click.echo(line)
             if config.output:
-                with open(config.output, "w") as fh:
-                    fh.write("\n".join(report.lines()) + "\n")
+                _write(config.output, "\n".join(report.lines()) + "\n")
             return EXIT_OK if report.passed else EXIT_NUMERICAL
         if config.output is None:  # before the campaign, not after it
             raise ConfigError("no output path: pass --out or set 'output' in the config")
         report = _RUNNERS[experiment](config)
-        report.write(config.output)
+        _write(config.output, report.to_csv_text())
         log.info("wrote %s", config.output)
         for row in report.summaries:
             click.echo(

@@ -55,10 +55,6 @@ class FimMatrix:
             raise ValueError("FIM must be square")
         check_fims(self.matrix, self.estimation)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 def check_fims(F: np.ndarray, estimation: str) -> None:
     """Raise ValueError unless every matrix of a (..., n, n) stack is a

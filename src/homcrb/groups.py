@@ -255,10 +255,6 @@ class AlgebraVector:
     def matrix(self) -> np.ndarray:
         return wedge(self.coords, self.descriptor)
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
 
 @dataclass(frozen=True)
 class PsiMatrix:
@@ -343,9 +339,6 @@ def hat(v) -> np.ndarray:
     """Skew matrix of a 3-vector, or of each row of a (B, 3) array:
     hat(v) @ w = v x w."""
     v = np.asarray(v, dtype=float)
-    if v.ndim == 1:
-        x, y, z = v
-        return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
     W = np.zeros(v.shape[:-1] + (3, 3))
     x, y, z = v[..., 0], v[..., 1], v[..., 2]
     W[..., 0, 1], W[..., 0, 2] = -z, y

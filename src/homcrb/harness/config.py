@@ -111,13 +111,10 @@ def load_config(
     elif isinstance(source, dict):
         data = dict(source)
     else:
-        path = Path(source)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+            data = json.loads(Path(source).read_text())
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config {source}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config document must be a JSON object")
 

@@ -3,10 +3,10 @@
 Per-trial randomness comes from the stream (seed, m_index, trial_index),
 and a trial's Monte-Carlo FIMs from entropy derived from the same key,
 so results are independent of the worker count and of how trials are
-stacked, and reruns are byte-identical. Worker processes receive
-contiguous trial chunks and results are merged in index order; within a
-chunk the trials of all its m values run as one stack, each row with its
-own m.
+stacked, and reruns are byte-identical. Worker processes receive the
+campaign's context and contiguous trial chunks, and results are merged
+in index order; within a chunk the trials of all its m values run as one
+stack, each row with its own m.
 """
 
 from __future__ import annotations
@@ -116,10 +116,6 @@ class MonteCarloReport:
             writer.writerow({k: _fmt(row.get(k)) for k in self.fieldnames})
         return buf.getvalue()
 
-    def write(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv_text())
-
     def summary_for(self, m: int) -> dict:
         for row in self.summaries:
             if row["m"] == m:
@@ -142,7 +138,7 @@ def _base_metadata(config: ExperimentConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Contexts (one per campaign or worker process) and per-trial work
+# Contexts (one per campaign) and per-trial work
 
 
 def _landmark_context(config: ExperimentConfig):
@@ -369,14 +365,10 @@ def ProcessPoolExecutor(max_workers: int):
     return pool(max_workers=max_workers)
 
 
-def _worker_chunk(kind: str, config: ExperimentConfig, pairs) -> list[dict]:
-    """Worker-process entry: rebuild the context, then run the chunk."""
-    return _run_trials(_CONTEXTS[kind](config), kind, config.seed, pairs)
-
-
 def _collect_rows(ctx, kind: str, config: ExperimentConfig) -> list[dict]:
-    """Trial rows in (m index, trial) order. Serially they run on ctx;
-    otherwise on at most os.cpu_count() worker processes."""
+    """Trial rows in (m index, trial) order, run on ctx: serially, or on
+    at most os.cpu_count() worker processes that each receive ctx
+    pickled with their chunk, so no worker rebuilds the model."""
     pairs = [
         (mi, m, t)
         for mi, m in enumerate(config.m_values)
@@ -388,7 +380,7 @@ def _collect_rows(ctx, kind: str, config: ExperimentConfig) -> list[dict]:
     chunks = np.array_split(np.arange(len(pairs)), workers)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_worker_chunk, kind, config, [pairs[i] for i in idx])
+            pool.submit(_run_trials, ctx, kind, config.seed, [pairs[i] for i in idx])
             for idx in chunks
         ]
         # Submission order is index order.

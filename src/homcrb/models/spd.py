@@ -89,7 +89,8 @@ class SpdModel(ModelBase):
         _, logabsdet = np.linalg.slogdet(G)
         ll = m * (-logabsdet - 0.5 * np.trace(U, axis1=-2, axis2=-1))
         Ubar = ginv @ xbar2 @ ginv_t
-        grad = m[:, None] * (_trace_products(Ubar, self._m_matrices) - self._m_traces)
+        traces = np.einsum("bij,dji->bd", Ubar, self._m_matrices)  # tr(Ubar_b M_d)
+        grad = m[:, None] * (traces - self._m_traces)
         return ll, grad, self.fim_reduced(G) if with_fim else None
 
     # -- analytic derivatives -----------------------------------------------
@@ -107,22 +108,6 @@ class SpdModel(ModelBase):
         S = 0.5 * (D + np.swapaxes(D, -1, -2))
         flat = S.reshape(directions.shape)
         return 2.0 * (flat @ np.swapaxes(flat, -1, -2))
-
-
-def _trace_products(U, M) -> np.ndarray:
-    """(B, k) traces tr(U_b M_d) of a (B, n, n) stack U and a (k, n, n)
-    stack M, summed over j within each row i and then over the rows, the
-    order in which einsum("ij,dji->d") sums one U: the pinned SPD
-    outputs keep their bits."""
-    P = U[:, None] * np.swapaxes(M, -1, -2)  # [b, d, i, j] = U_ij M_dji
-    n = U.shape[-1]
-    rows = P[..., 0]
-    for j in range(1, n):
-        rows = rows + P[..., j]
-    out = rows[..., 0]
-    for i in range(1, n):
-        out = out + rows[..., i]
-    return out
 
 
 def spd_grad(x_second_moment, g: GroupElement) -> np.ndarray:

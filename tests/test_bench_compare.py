@@ -119,6 +119,15 @@ def test_reruns_into_one_workdir_touch_nothing_else(bench, tmp_path, monkeypatch
         where.mkdir(parents=True)
         metric = {"name": "ops_per_s", "better": "higher"}
         (where / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [metric]}))
+        # src/homcrb: 3 + 2 lines on the parent side, 3 + 1 on the change
+        # side; src_lines counts no file outside it or deeper in it.
+        (where / "src" / "homcrb" / "models" / "deeper").mkdir(parents=True)
+        (where / "src" / "homcrb" / "a.py").write_text("x = 1\n\ny = 2\n")
+        (where / "src" / "homcrb" / "models" / "b.py").write_text(
+            "z = 3\nw = 4\n" if where.name == "parent" else "z = 3\n")
+        (where / "src" / "homcrb" / "notes.txt").write_text("\n" * 7)
+        (where / "src" / "homcrb" / "models" / "deeper" / "c.py").write_text("\n" * 5)
+        (where / "src" / "setup.py").write_text("\n" * 11)
         exported.append(where)
 
     def run(side, workload, seed, seconds, trace):
@@ -140,7 +149,9 @@ def test_reruns_into_one_workdir_touch_nothing_else(bench, tmp_path, monkeypatch
     assert all(run.parent == workdir.resolve() for run in runs)
     assert [p.name for p in workdir.iterdir()] == ["parent"]
     assert keep.read_text() == "mine"
-    assert json.loads((tmp_path / "BENCH_x.json").read_text())["workloads"]["spd"]
+    report = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert report["workloads"]["spd"]
+    assert report["src_lines"] == {"parent": 5, "change": 4}
     assert signal.getsignal(signal.SIGTERM) is handler
 
 

@@ -70,7 +70,7 @@ def _cases() -> dict:
         # One m = 2 trial stops at the 100-iteration cap and reads ok.
         "landmark-tiny-m-seed1.csv": {"experiment": "landmark", "seed": 1,
                                       "n_trials": 4, "m_values": [1, 2, 3]},
-        # The one case at 2 workers: the first chunk stacks the m = 10
+        # The one case at 2 workers; on two CPUs the first chunk stacks the m = 10
         # trials and runs two m = 100 trials alone, the second the reverse.
         "network-triangle-workers2-seed1.csv": {"experiment": "network", "seed": 1,
                                                 "n_trials": 3,

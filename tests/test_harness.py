@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -51,7 +52,7 @@ def test_every_exported_name_resolves(package):
     assert module.__all__ and missing == []
 
 
-def test_config_validation_errors():
+def test_config_validation_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config({"experiment": "nope"})
     with pytest.raises(ConfigError):
@@ -68,8 +69,20 @@ def test_config_validation_errors():
         load_config({"experiment": "landmark", "scoring": {"stepsize": 2}})
     with pytest.raises(ConfigError):
         load_config(None)  # no experiment declared
+    with pytest.raises(ConfigError, match="cannot read config"):
+        load_config(tmp_path / "missing.json")
+    (tmp_path / "array.json").write_text('[{"experiment": "landmark"}]')
+    with pytest.raises(ConfigError, match="must be a JSON object"):
+        load_config(tmp_path / "array.json")
+    with pytest.raises(ConfigError, match="workers"):
+        load_config({"experiment": "landmark", "workers": 2}, workers=0)
+    assert load_config({"experiment": "landmark", "workers": 2}, workers=3).workers == 3
     # Counts are checked, not truncated; bools are not counts.
     for bad in (
+        {"model": "gaussian"},
+        {"workers": 0},
+        {"seed": -1},
+        {"seed": 2**64},
         {"n_trials": 2.7},
         {"m_values": [10.9]},
         {"workers": 1.9},
@@ -189,7 +202,8 @@ def test_landmark_rows_independent_of_workers():
 
 class InlinePool:
     """Stands in for ProcessPoolExecutor: records max_workers and runs
-    each task in this process."""
+    each task in this process on a pickled copy of its arguments, as a
+    worker process receives them."""
 
     sizes = []
 
@@ -204,7 +218,7 @@ class InlinePool:
 
     def submit(self, fn, *args):
         future = Future()
-        future.set_result(fn(*args))
+        future.set_result(fn(*pickle.loads(pickle.dumps(args))))
         return future
 
 
@@ -278,11 +292,19 @@ RUNNERS = {
 }
 
 
+MODELS = [("landmark", LandmarkModel), ("network", NetworkModel), ("spd", SpdModel)]
+
+
 @pytest.mark.parametrize(
-    "kind, cls",
-    [("landmark", LandmarkModel), ("network", NetworkModel), ("spd", SpdModel)],
+    "kind, cls, workers",
+    [
+        pytest.param(kind, cls, w, id=f"{kind}-{cls.__name__}" + "-2-workers" * (w == 2))
+        for kind, cls in MODELS
+        for w in (1, 2)
+    ],
 )
-def test_serial_campaign_builds_one_model(kind, cls, monkeypatch):
+def test_serial_campaign_builds_one_model(kind, cls, workers, monkeypatch):
+    """At 2 workers too: each chunk runs on the parent's context."""
     built = [0]
     original = cls.__init__
 
@@ -291,10 +313,16 @@ def test_serial_campaign_builds_one_model(kind, cls, monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(cls, "__init__", counted)
-    cfg = load_config({"experiment": kind, "n_trials": 3, "m_values": [10, 20]})
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    InlinePool.sizes = []
+    cfg = load_config(
+        {"experiment": kind, "n_trials": 3, "m_values": [10, 20], "workers": workers}
+    )
     rep = RUNNERS[kind](cfg)
     assert len(rep.rows) == 6
     assert built[0] == 1
+    assert InlinePool.sizes == [2] * (workers == 2)
 
 
 HEADERS = {
@@ -726,6 +754,39 @@ def test_cli_exit_codes(tmp_path):
             main, [experiment, "--config", str(cfg), "--out", str(tmp_path / "s.csv")]
         )
         assert res.exit_code == 2 and "config error" in res.output, section
+
+
+SMALL = {"landmark": {"experiment": "landmark", "n_trials": 2, "m_values": [5]},
+         "check": {"experiment": "check", "check": {"suites": []}}}
+
+
+@pytest.mark.parametrize(
+    "experiment, config, out",
+    [("landmark", "directory", "file"), ("landmark", "latin-1", "file"),
+     ("landmark", "small", "directory"), ("check", "small", "directory")],
+    ids=["config-directory", "config-not-utf8", "landmark-out-directory", "check-out-directory"],
+)
+def test_cli_unreadable_config_or_unwritable_output_is_a_config_error(
+    experiment, config, out, tmp_path
+):
+    paths = {"directory": tmp_path, "file": tmp_path / "x.csv",
+             "small": write_config(tmp_path, SMALL[experiment]),
+             "latin-1": tmp_path / "latin1.json"}
+    paths["latin-1"].write_bytes('{"experiment": "landmark", "output": "caf\xe9.csv"}'
+                                 .encode("latin-1"))
+    res = CliRunner().invoke(
+        main, [experiment, "--config", str(paths[config]), "--out", str(paths[out])]
+    )
+    assert res.exit_code == 2, res.output
+    assert "config error: cannot" in res.output
+    assert isinstance(res.exception, SystemExit)  # no traceback
+
+
+def test_cli_check_out_writes_the_lines_it_prints(tmp_path):
+    out = tmp_path / "check.txt"
+    res = CliRunner().invoke(main, ["check", "--seed", "1", "--out", str(out)])
+    assert res.exit_code == 0
+    assert out.read_text() == res.stdout
 
 
 def test_cli_refuses_a_missing_output_path_before_the_campaign(tmp_path, monkeypatch):

@@ -5,7 +5,9 @@ stack of one as in a stack of all, and a trial that fails leaves the
 stack alone."""
 
 import collections
+import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -671,21 +673,30 @@ def test_rows_do_not_depend_on_the_stack(doc, m_values, n_trials):
         assert sum(r["status"] == "ok" for r in stacked) >= 0.9 * n_trials
 
 
-@pytest.mark.parametrize("fim_mode", ["analytic", "monte-carlo"])
-def test_campaign_bytes_do_not_depend_on_workers(fim_mode):
-    """With 2 workers the m = 100 trials split 2 + 2 across the chunks and
-    run alone, the other m as one stack per chunk."""
-    doc = {
-        "experiment": "landmark",
-        "seed": 1,
-        "n_trials": 4,
-        "m_values": [10, 100, 1000],
-        "scoring": {"fim_mode": fim_mode, "mc_fim_samples": 200},
-    }
-    texts = [
-        experiments.run_landmark_experiment(load_config({**doc, "workers": w})).to_csv_text()
-        for w in (1, 1, 2)
-    ]
+@pytest.mark.parametrize(
+    "kind, section",
+    [
+        ("landmark", {"scoring": {"fim_mode": "analytic"}}),
+        ("landmark", {"scoring": {"fim_mode": "monte-carlo", "mc_fim_samples": 200}}),
+        ("network", {"network": TRIANGLE}),
+        ("network", {"network": {"graph": "triangle.json"}}),
+        ("spd", {}),
+    ],
+    ids=["analytic", "monte-carlo", "triangle-network", "triangle-graph-file", "spd"],
+)
+def test_campaign_bytes_do_not_depend_on_workers(kind, section, tmp_path, monkeypatch):
+    """With 2 worker processes, each running on the parent's context, the
+    m = 100 trials split 2 + 2 across the chunks and run alone, the other
+    m as one stack per chunk."""
+    if "graph" in section.get("network", {}):  # TRIANGLE as a graph file
+        graph = tmp_path / section["network"]["graph"]
+        edges = [edge + [TRIANGLE["sigmas"]] for edge in TRIANGLE["edges"]]
+        graph.write_text(json.dumps({"positions": TRIANGLE["positions"], "edges": edges}))
+        section = {"network": {"graph": str(graph)}}
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    doc = {"experiment": kind, "seed": 1, "n_trials": 4, "m_values": [10, 100, 1000], **section}
+    run = getattr(experiments, f"run_{kind}_experiment")
+    texts = [run(load_config({**doc, "workers": w})).to_csv_text() for w in (1, 1, 2)]
     body = [[l for l in t.splitlines() if not l.startswith("# workers")] for t in texts]
     assert body[0] == body[1] == body[2]
 

@@ -27,8 +27,10 @@ side the runs, failed and attempted operations, whether every run was
 correct, and per end-to-end metric the median, quartiles (inclusive
 method) and values in pair order; per metric the change's pair wins,
 counted in the direction BENCHMARK.json gives (ties count for neither);
-and how many pairs had identical round-0 outputs. To measure work that
-is not committed, pass `--change $(git stash create)`.
+and how many pairs had identical round-0 outputs; and each side's
+src/homcrb line count (src_lines), counted as `cat src/homcrb/*.py
+src/homcrb/*/*.py | wc -l` counts it. To measure work that is not
+committed, pass `--change $(git stash create)`.
 """
 
 from __future__ import annotations
@@ -88,6 +90,12 @@ def export(commit: str, where: Path) -> None:
         ["git", "archive", "--format=tar", commit], cwd=REPO, check=True, capture_output=True
     ).stdout
     subprocess.run(["tar", "-x", "-C", str(where)], input=archive, check=True)
+
+
+def src_lines(side: Path) -> int:
+    """Newlines in the exported tree's src/homcrb/*.py and src/homcrb/*/*.py."""
+    files = [*side.glob("src/homcrb/*.py"), *side.glob("src/homcrb/*/*.py")]
+    return sum(f.read_bytes().count(b"\n") for f in files)
 
 
 def run(side: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -201,6 +209,7 @@ def measure(args, commits: dict, sides: dict) -> int:
                      f"through seeds {args.seeds}, the parent running first in even pairs "
                      "and the change first in odd ones; every run sequential"),
         "claim": args.claim,
+        "src_lines": {s: src_lines(sides[s]) for s in SIDES},
         "workloads": {w: compare(sides, w, args, better) for w in args.workloads},
         "round0_outputs": ("perfbench/out/<w>-seed<s>-trace0 of each pair, every file but "
                            "metrics.json compared byte for byte between the sides: "
